@@ -5,7 +5,7 @@
  * per-experiment index) and prints the corresponding rows/series.
  *
  * Flags (also see EXPERIMENTS.md "Golden baselines"):
- *   --quick          fewer inputs/samples (or set BESPOKE_QUICK=1)
+ *   --quick          fewer inputs/samples
  *   --json PATH      also write results as machine-readable JSON
  *   --check [PATH]   diff results against a golden baseline JSON and
  *                    exit nonzero on mismatch; without PATH the file is
@@ -22,8 +22,7 @@
  *                    (1..64, default 1 = scalar). Like --threads, the
  *                    table values are lane-width independent.
  *   --plane-bits W   bit-plane word width for lane-batched replays
- *                    (64/128/256/512; default 0 = resolvePlaneBits,
- *                    i.e. BESPOKE_PLANE_BITS or 64). Execution
+ *                    (64/128/256/512; default 0 = 64). Execution
  *                    strategy only — table values are identical at
  *                    every width.
  *   --checkpoint-dir DIR  persist flow stage artifacts in DIR and
@@ -47,13 +46,15 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/util/flag_value.hh"
 #include "src/util/json.hh"
 #include "src/util/logging.hh"
 #include "src/util/table.hh"
@@ -61,18 +62,6 @@
 
 namespace bespoke
 {
-
-/** True if --quick was passed or BESPOKE_QUICK is set. */
-inline bool
-quickMode(int argc, char **argv)
-{
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            return true;
-    }
-    const char *env = std::getenv("BESPOKE_QUICK");
-    return env && env[0] == '1';
-}
 
 /** Percentage reduction of `value` relative to `base`. */
 inline double
@@ -101,8 +90,7 @@ class BenchIO
 {
   public:
     BenchIO(int argc, char **argv, std::string name)
-        : name_(std::move(name)), quick_(quickMode(argc, argv)),
-          start_(std::chrono::steady_clock::now())
+        : name_(std::move(name)), start_(std::chrono::steady_clock::now())
     {
         for (int i = 1; i < argc; i++) {
             std::string arg = argv[i];
@@ -121,8 +109,10 @@ class BenchIO
                     dst = kAutoPath;
                 return true;
             };
-            if (arg == "--quick")
+            if (arg == "--quick") {
+                quick_ = true;
                 continue;
+            }
             if (take_path("--json", jsonPath_)) {
                 if (jsonPath_ == kAutoPath)
                     die("--json requires a path");
@@ -132,68 +122,32 @@ class BenchIO
                 checkMode_ = true;
                 continue;
             }
-            std::string tval;
-            if (take_path("--threads", tval)) {
-                char *end = nullptr;
-                long v = tval == kAutoPath
-                             ? -1
-                             : std::strtol(tval.c_str(), &end, 10);
-                if (v < 0 || (end && *end != '\0'))
-                    die("--threads needs a non-negative integer");
-                threads_ = static_cast<int>(v);
+            auto take_number = [&](const char *flag, FlagKind kind,
+                                   auto &dst) -> bool {
+                std::string text;
+                if (!take_path(flag, text))
+                    return false;
+                std::string error;
+                std::optional<uint64_t> v = parseFlagValue(
+                    flag, text == kAutoPath ? "" : text, kind, error);
+                if (!v)
+                    die(error);
+                dst = static_cast<std::remove_reference_t<decltype(dst)>>(
+                    *v);
+                return true;
+            };
+            if (take_number("--threads", FlagKind::Count, threads_) ||
+                take_number("--sat-threads", FlagKind::Count,
+                            satThreads_) ||
+                take_number("--lanes", FlagKind::Lanes, lanes_) ||
+                take_number("--plane-bits", FlagKind::PlaneBits,
+                            planeBits_) ||
+                take_number("--checkpoint-max-bytes", FlagKind::Bytes,
+                            checkpointMaxBytes_))
                 continue;
-            }
-            std::string sval;
-            if (take_path("--sat-threads", sval)) {
-                char *end = nullptr;
-                long v = sval == kAutoPath
-                             ? -1
-                             : std::strtol(sval.c_str(), &end, 10);
-                if (v < 0 || (end && *end != '\0'))
-                    die("--sat-threads needs a non-negative integer");
-                satThreads_ = static_cast<int>(v);
-                continue;
-            }
-            std::string lval;
-            if (take_path("--lanes", lval)) {
-                char *end = nullptr;
-                long v = lval == kAutoPath
-                             ? -1
-                             : std::strtol(lval.c_str(), &end, 10);
-                if (v < 1 || v > 64 || (end && *end != '\0'))
-                    die("--lanes needs an integer in [1, 64]");
-                lanes_ = static_cast<int>(v);
-                lanesSet_ = true;
-                continue;
-            }
-            std::string pval;
-            if (take_path("--plane-bits", pval)) {
-                char *end = nullptr;
-                long v = pval == kAutoPath
-                             ? -1
-                             : std::strtol(pval.c_str(), &end, 10);
-                if ((end && *end != '\0') ||
-                    (v != 64 && v != 128 && v != 256 && v != 512))
-                    die("--plane-bits needs 64, 128, 256, or 512");
-                planeBits_ = static_cast<int>(v);
-                continue;
-            }
             if (take_path("--checkpoint-dir", checkpointDir_)) {
                 if (checkpointDir_ == kAutoPath)
                     die("--checkpoint-dir requires a path");
-                continue;
-            }
-            std::string cval;
-            if (take_path("--checkpoint-max-bytes", cval)) {
-                char *end = nullptr;
-                long long v =
-                    cval == kAutoPath
-                        ? -1
-                        : std::strtoll(cval.c_str(), &end, 10);
-                if (v < 0 || (end && *end != '\0'))
-                    die("--checkpoint-max-bytes needs a non-negative "
-                        "integer");
-                checkpointMaxBytes_ = static_cast<uint64_t>(v);
                 continue;
             }
             die("unknown bench flag '" + arg +
@@ -220,14 +174,14 @@ class BenchIO
     /** --sat-threads value for the SAT prover layer (default 1). */
     int satThreads() const { return satThreads_; }
     /** --lanes value for AnalysisOptions::laneWidth (default 1). */
-    int lanes() const { return lanes_; }
+    int lanes() const { return lanesOr(1); }
     /**
      * --lanes if given explicitly, else a bench-chosen default. For a
      * bench whose checked values are lane-width independent this picks
      * the fast batched analysis path by default while keeping --lanes 1
      * reachable for A/B runs.
      */
-    int lanesOr(int def) const { return lanesSet_ ? lanes_ : def; }
+    int lanesOr(int def) const { return lanes_ ? lanes_ : def; }
     /** --plane-bits value for batched replays (0 = resolve default). */
     int planeBits() const { return planeBits_; }
     /** --checkpoint-dir value for FlowOptions::checkpointDir ("" off). */
@@ -478,15 +432,14 @@ class BenchIO
     }
 
     std::string name_;
-    bool quick_;
+    bool quick_ = false;
     int threads_ = 1;
     int satThreads_ = 1;
     bool checkMode_ = false;
     bool ok_ = true;
     std::string jsonPath_, checkPath_, checkpointDir_;
     uint64_t checkpointMaxBytes_ = 0;
-    int lanes_ = 1;
-    bool lanesSet_ = false;
+    int lanes_ = 0;  ///< 0 = --lanes not given
     int planeBits_ = 0;
     JsonValue tables_ = JsonValue::object();
     JsonValue metrics_ = JsonValue::object();

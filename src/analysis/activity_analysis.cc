@@ -72,16 +72,6 @@ int
 resolveAnalysisThreads(const AnalysisOptions &opts)
 {
     int threads = opts.threads;
-    if (const char *env = std::getenv("BESPOKE_ANALYSIS_THREADS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 0) {
-            threads = static_cast<int>(std::min(v, 4096l));
-        } else {
-            bespoke_warn("ignoring invalid BESPOKE_ANALYSIS_THREADS=",
-                         env);
-        }
-    }
     if (threads <= 0)
         threads = WorkerPool::defaultThreadCount();
     // More workers than this would only contend on the frontier.
@@ -91,18 +81,7 @@ resolveAnalysisThreads(const AnalysisOptions &opts)
 int
 resolveAnalysisLanes(const AnalysisOptions &opts)
 {
-    int lanes = opts.laneWidth;
-    if (const char *env = std::getenv("BESPOKE_ANALYSIS_LANES")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1) {
-            lanes = static_cast<int>(std::min(v, 64l));
-        } else {
-            bespoke_warn("ignoring invalid BESPOKE_ANALYSIS_LANES=",
-                         env);
-        }
-    }
-    return std::clamp(lanes, 1, 64);
+    return std::clamp(opts.laneWidth, 1, 64);
 }
 
 AnalysisResult

@@ -62,13 +62,11 @@ struct AnalysisOptions
     /** Drive the external IRQ line with X (paper footnote 1). */
     bool irqLineUnknown = true;
     /** Gate evaluator strategy for the exploration Soc. */
-    GateSim::EvalMode simMode = GateSim::defaultMode();
+    GateSim::EvalMode simMode = GateSim::EvalMode::EventDriven;
     /**
      * Path-exploration worker threads. 1 (the default) reproduces the
      * historical serial engine bit for bit; 0 means one worker per
-     * hardware thread. The BESPOKE_ANALYSIS_THREADS environment
-     * variable, when set, overrides this field process-wide (same
-     * spirit as BESPOKE_FULL_EVAL).
+     * hardware thread.
      */
     int threads = 1;
     /**
@@ -79,32 +77,28 @@ struct AnalysisOptions
      * back to the scalar engine only when it reaches a fork or merge
      * point. The toggle fixpoint is the same either way (pinned by
      * tests); path/cycle counters can differ from the serial schedule.
-     * The BESPOKE_ANALYSIS_LANES environment variable, when set,
-     * overrides this field process-wide.
      */
     int laneWidth = 1;
     /**
      * Lane-plane width in bits for the batched engine (64/128/256/512;
-     * 0 resolves through BESPOKE_PLANE_BITS, defaulting to 64). Widths
-     * above 64 widen each worker's batch to one frontier state per
-     * plane bit, amortizing the per-gate-visit fixed costs across more
-     * lanes. Like laneWidth/threads this is an execution knob, not an
-     * input: the toggle fixpoint is width-independent, so it is
-     * excluded from hashAnalysisOptions.
+     * 0 means 64). Widths above 64 widen each worker's batch to one
+     * frontier state per plane bit, amortizing the per-gate-visit fixed
+     * costs across more lanes. Like laneWidth/threads this is an
+     * execution knob, not an input: the toggle fixpoint is
+     * width-independent, so it is excluded from hashAnalysisOptions.
      */
     int planeBits = 0;
 };
 
 /**
  * The worker count analyzeActivity() will actually use for `opts`:
- * applies the BESPOKE_ANALYSIS_THREADS override, then resolves 0 to
- * the hardware thread count.
+ * 0 resolves to the hardware thread count, capped at 256.
  */
 int resolveAnalysisThreads(const AnalysisOptions &opts);
 
 /**
  * The lane width analyzeActivity() will actually use for `opts`:
- * applies the BESPOKE_ANALYSIS_LANES override, clamped to [1, 64].
+ * laneWidth clamped to [1, 64].
  */
 int resolveAnalysisLanes(const AnalysisOptions &opts);
 

@@ -1,7 +1,6 @@
 #include "src/sim/gate_sim.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/util/logging.hh"
@@ -27,14 +26,6 @@ nonzeroBytes(uint64_t x)
 }
 
 } // namespace
-
-GateSim::EvalMode
-GateSim::defaultMode()
-{
-    const char *env = std::getenv("BESPOKE_FULL_EVAL");
-    return (env && env[0] == '1') ? EvalMode::FullEval
-                                  : EvalMode::EventDriven;
-}
 
 GateSim::GateSim(const Netlist &netlist, EvalMode mode,
                  std::shared_ptr<const SimPrep> prep)

@@ -21,10 +21,9 @@
  *    only gates whose fanins changed, sweeping buckets in ascending
  *    level order so every gate is visited at most once per eval.
  *  - FullEval: the original re-evaluate-everything-in-topological-order
- *    loop. Kept as a cross-check oracle and escape hatch; select it
- *    with the constructor flag or by setting BESPOKE_FULL_EVAL=1 in the
- *    environment (which flips the default for every simulator in the
- *    process, including the ones inside Soc and the activity analysis).
+ *    loop. Kept as the reference evaluator the tests cross-check
+ *    against; select it with the constructor flag (or
+ *    AnalysisOptions::simMode for the activity analysis).
  *
  * Toggle semantics follow the paper: a gate "toggles" if its stable
  * per-cycle output ever differs from its reset-time value or ever
@@ -62,16 +61,13 @@ class GateSim
         FullEval,     ///< re-evaluate every gate each evalComb()
     };
 
-    /** EventDriven unless BESPOKE_FULL_EVAL=1 is set in the environment. */
-    static EvalMode defaultMode();
-
     /**
      * @param prep shared evaluation-order/fanout prep for this netlist;
      *        built on the spot when null. Pass one SimPrep to many
      *        simulators (e.g. one per analysis worker) to amortize it.
      */
     explicit GateSim(const Netlist &netlist,
-                     EvalMode mode = defaultMode(),
+                     EvalMode mode = EvalMode::EventDriven,
                      std::shared_ptr<const SimPrep> prep = nullptr);
 
     const Netlist &netlist() const { return nl_; }

@@ -58,11 +58,10 @@ class Soc
      *                  must exist (see bsp430.hh)
      * @param prog      program ROM image
      * @param ram_unknown start RAM at X (symbolic) instead of 0
-     * @param sim_mode  gate evaluator strategy (event-driven unless
-     *                  BESPOKE_FULL_EVAL=1 is set)
+     * @param sim_mode  gate evaluator strategy
      */
     Soc(const Netlist &netlist, const AsmProgram &prog, bool ram_unknown,
-        GateSim::EvalMode sim_mode = GateSim::defaultMode());
+        GateSim::EvalMode sim_mode = GateSim::EvalMode::EventDriven);
 
     /**
      * Construct from a pre-built shared context (port ids + simulator
@@ -72,7 +71,7 @@ class Soc
      */
     Soc(std::shared_ptr<const SocContext> ctx, const AsmProgram &prog,
         bool ram_unknown,
-        GateSim::EvalMode sim_mode = GateSim::defaultMode());
+        GateSim::EvalMode sim_mode = GateSim::EvalMode::EventDriven);
 
     /** The shared per-netlist context this Soc runs on. */
     const std::shared_ptr<const SocContext> &context() const

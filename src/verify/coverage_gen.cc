@@ -1,47 +1,11 @@
 #include "src/verify/coverage_gen.hh"
 
-#include <algorithm>
 #include <set>
 
 #include "src/util/logging.hh"
 
 namespace bespoke
 {
-
-namespace
-{
-
-/** Everything the greedy reduction needs to know about one candidate. */
-struct ScoredCandidate
-{
-    WorkloadInput input;
-    bool halted = false;
-    std::set<uint16_t> executedPCs;
-    /** addr -> (taken seen, not-taken seen) */
-    std::vector<std::pair<uint16_t, std::pair<bool, bool>>> branchDirs;
-};
-
-/**
- * Score one candidate on the ISS. Pure map step: candidates are
- * scored independently of each other, so a batch can be evaluated in
- * any order (or lane/thread-parallel) without affecting selection.
- */
-ScoredCandidate
-scoreCandidate(const Workload &w, WorkloadInput in)
-{
-    ScoredCandidate c;
-    c.input = std::move(in);
-    IssRun run = runWorkloadIss(w, c.input);
-    c.halted = run.result == StepResult::Halted;
-    if (!c.halted)
-        return c;
-    c.executedPCs = std::move(run.executedPCs);
-    for (const auto &[addr, dirs] : run.branchDirs)
-        c.branchDirs.emplace_back(addr, dirs);
-    return c;
-}
-
-} // namespace
 
 CoverageInputs
 generateCoverageInputs(const Workload &w, int max_inputs, int plateau,
@@ -63,54 +27,34 @@ generateCoverageInputs(const Workload &w, int max_inputs, int plateau,
     Rng rng(seed);
     int since_progress = 0;
 
-    // Candidates are drawn and scored a lane-batch at a time (the
-    // resolved plane width), then reduced strictly in draw order with
-    // the same greedy accounting the historical one-at-a-time loop
-    // used. Selection therefore depends only on (seed, max_inputs,
-    // plateau) — never on the batch width, lane count, or thread
-    // count used to score a batch. Candidates scored past the stop
-    // point are discarded unseen.
-    const int batch_width = resolvePlaneBits(0);
-    bool stopped = false;
-    while (!stopped && result.totalGenerated < max_inputs) {
-        const int chunk = std::min(
-            batch_width, max_inputs - result.totalGenerated);
-        std::vector<ScoredCandidate> batch;
-        batch.reserve(static_cast<size_t>(chunk));
-        for (int i = 0; i < chunk; i++)
-            batch.push_back(scoreCandidate(w, w.genInput(rng)));
+    while (result.totalGenerated < max_inputs) {
+        WorkloadInput input = w.genInput(rng);
+        result.totalGenerated++;
+        IssRun run = runWorkloadIss(w, input);
+        if (run.result != StepResult::Halted) {
+            bespoke_warn("coverage input did not halt for ", w.name);
+            continue;
+        }
 
-        for (ScoredCandidate &c : batch) {
-            result.totalGenerated++;
-            if (!c.halted) {
-                bespoke_warn("coverage input did not halt for ",
-                             w.name);
-                continue;
-            }
-
-            size_t before =
-                covered_lines.size() + covered_dirs.size();
-            for (uint16_t pc : c.executedPCs) {
-                auto it = prog.addrToLine.find(pc);
-                if (it != prog.addrToLine.end())
-                    covered_lines.insert(it->second);
-            }
-            for (const auto &[addr, dirs] : c.branchDirs) {
-                covered_branches.insert(addr);
-                if (dirs.first)
-                    covered_dirs.insert(addr * 2u);
-                if (dirs.second)
-                    covered_dirs.insert(addr * 2u + 1u);
-            }
-            size_t after =
-                covered_lines.size() + covered_dirs.size();
-            if (after > before || result.inputs.empty()) {
-                result.inputs.push_back(std::move(c.input));
-                since_progress = 0;
-            } else if (++since_progress >= plateau) {
-                stopped = true;
-                break;
-            }
+        size_t before = covered_lines.size() + covered_dirs.size();
+        for (uint16_t pc : run.executedPCs) {
+            auto it = prog.addrToLine.find(pc);
+            if (it != prog.addrToLine.end())
+                covered_lines.insert(it->second);
+        }
+        for (const auto &[addr, dirs] : run.branchDirs) {
+            covered_branches.insert(addr);
+            if (dirs.first)
+                covered_dirs.insert(addr * 2u);
+            if (dirs.second)
+                covered_dirs.insert(addr * 2u + 1u);
+        }
+        size_t after = covered_lines.size() + covered_dirs.size();
+        if (after > before || result.inputs.empty()) {
+            result.inputs.push_back(std::move(input));
+            since_progress = 0;
+        } else if (++since_progress >= plateau) {
+            break;
         }
     }
 

@@ -131,10 +131,6 @@ runWorkloadGate(const Netlist &netlist, const Workload &w,
 int
 resolvePlaneBits(int plane_bits)
 {
-    if (plane_bits <= 0) {
-        if (const char *env = std::getenv("BESPOKE_PLANE_BITS"))
-            plane_bits = std::atoi(env);
-    }
     return validPlaneBits(plane_bits) ? plane_bits : 64;
 }
 

@@ -74,9 +74,8 @@ GateRun runWorkloadGate(const Netlist &netlist, const Workload &w,
                         std::shared_ptr<const SocContext> ctx = nullptr);
 
 /**
- * Resolve the lane-batch plane width: an explicit positive value wins,
- * else the BESPOKE_PLANE_BITS environment override, else 64. Invalid
- * widths (anything but 64/128/256/512) resolve to 64.
+ * Resolve the lane-batch plane width: 64, 128, 256 and 512 stand;
+ * anything else (0 included) resolves to 64.
  */
 int resolvePlaneBits(int plane_bits);
 

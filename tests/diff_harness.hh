@@ -17,9 +17,9 @@
  *    planes (which also pins the canonical val-subset-of-known form) —
  *    after every eval, latch, restore and reset, plus the accumulated
  *    activity-tracker toggle sets at the end;
- *  - runLockstepCaseAt(bits, ...): runtime-width dispatch, so the CI
- *    matrix can point one sanitizer shard at each plane width via
- *    BESPOKE_PLANE_BITS (tests/test_diff_harness.cc).
+ *  - runLockstepCaseAt(bits, ...): runtime-width dispatch, so one
+ *    parameterized suite can rotate through the plane widths
+ *    (tests/test_diff_harness.cc).
  *
  * Use ASSERT_NO_FATAL_FAILURE around the case runners: they abort the
  * case on the first diverging net.
@@ -303,7 +303,7 @@ runLockstepCase(uint32_t seed, uint64_t cycles)
     }
 }
 
-/** Runtime-width dispatch (BESPOKE_PLANE_BITS-driven CI shards). */
+/** Runtime-width dispatch over the instantiated plane widths. */
 inline void
 runLockstepCaseAt(int bits, uint32_t seed, uint64_t cycles)
 {

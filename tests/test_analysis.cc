@@ -4,9 +4,14 @@
  * soundness with respect to concrete executions (every gate that
  * toggles in any concrete run must be marked toggleable), constant
  * discovery, decision forking, and termination on unbounded loops.
+ * Every invariant is checked on the serial engine, on worker threads,
+ * and on worker threads running the 64-lane batched engine.
  */
 
 #include <deque>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +40,26 @@ prog(const std::string &body)
     return keep.back();
 }
 
+/** `base` at each execution configuration: (threads, lane width). */
+std::vector<AnalysisOptions>
+execConfigs(AnalysisOptions base = {})
+{
+    std::vector<AnalysisOptions> out;
+    for (auto [threads, lanes] : {std::pair{1, 1}, {4, 1}, {4, 64}}) {
+        base.threads = threads;
+        base.laneWidth = lanes;
+        out.push_back(base);
+    }
+    return out;
+}
+
+std::string
+execName(const AnalysisOptions &opts)
+{
+    return "threads " + std::to_string(opts.threads) + ", lanes " +
+           std::to_string(opts.laneWidth);
+}
+
 TEST(Analysis, StraightLineCodeHasNoForks)
 {
     AsmProgram &p = prog(R"(
@@ -44,11 +69,14 @@ TEST(Analysis, StraightLineCodeHasNoForks)
         mov r5, &0x0400
 halt:   jmp halt
     )");
-    AnalysisResult r = analyzeActivity(core(), p);
-    EXPECT_TRUE(r.completed);
-    EXPECT_EQ(r.forks, 0u);
-    EXPECT_EQ(r.pathsExplored, 1u);
-    EXPECT_GT(r.untoggledCells(), core().numCells() / 3);
+    for (const AnalysisOptions &opts : execConfigs()) {
+        SCOPED_TRACE(execName(opts));
+        AnalysisResult r = analyzeActivity(core(), p, opts);
+        EXPECT_TRUE(r.completed);
+        EXPECT_EQ(r.forks, 0u);
+        EXPECT_EQ(r.pathsExplored, 1u);
+        EXPECT_GT(r.untoggledCells(), core().numCells() / 3);
+    }
 }
 
 TEST(Analysis, InputDependentBranchForks)
@@ -63,10 +91,13 @@ TEST(Analysis, InputDependentBranchForks)
 zero:   mov #2, &0x0400
 halt:   jmp halt
     )");
-    AnalysisResult r = analyzeActivity(core(), p);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GE(r.forks, 1u);
-    EXPECT_GE(r.pathsExplored, 2u);
+    for (const AnalysisOptions &opts : execConfigs()) {
+        SCOPED_TRACE(execName(opts));
+        AnalysisResult r = analyzeActivity(core(), p, opts);
+        EXPECT_TRUE(r.completed);
+        EXPECT_GE(r.forks, 1u);
+        EXPECT_GE(r.pathsExplored, 2u);
+    }
 }
 
 TEST(Analysis, TerminatesOnUnboundedCounterLoop)
@@ -79,11 +110,14 @@ TEST(Analysis, TerminatesOnUnboundedCounterLoop)
 loop:   inc r5
         jmp loop
     )");
-    AnalysisOptions opts;
-    opts.concreteVisits = 8;
-    AnalysisResult r = analyzeActivity(core(), p, opts);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GT(r.merges, 0u);
+    AnalysisOptions base;
+    base.concreteVisits = 8;
+    for (const AnalysisOptions &opts : execConfigs(base)) {
+        SCOPED_TRACE(execName(opts));
+        AnalysisResult r = analyzeActivity(core(), p, opts);
+        EXPECT_TRUE(r.completed);
+        EXPECT_GT(r.merges, 0u);
+    }
 }
 
 TEST(Analysis, TerminatesOnInputDependentLoop)
@@ -96,11 +130,14 @@ loop:   dec r5
         mov #1, &0x0400
 halt:   jmp halt
     )");
-    AnalysisOptions opts;
-    opts.concreteVisits = 8;
-    AnalysisResult r = analyzeActivity(core(), p, opts);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GE(r.forks, 1u);
+    AnalysisOptions base;
+    base.concreteVisits = 8;
+    for (const AnalysisOptions &opts : execConfigs(base)) {
+        SCOPED_TRACE(execName(opts));
+        AnalysisResult r = analyzeActivity(core(), p, opts);
+        EXPECT_TRUE(r.completed);
+        EXPECT_GE(r.forks, 1u);
+    }
 }
 
 TEST(Analysis, SoundnessAgainstConcreteRuns)
@@ -109,27 +146,33 @@ TEST(Analysis, SoundnessAgainstConcreteRuns)
     // be marked toggleable by the input-independent analysis.
     for (const char *name : {"div", "tHold", "rle"}) {
         const Workload &w = workloadByName(name);
-        AnalysisResult symbolic = analyzeActivity(core(), w);
-        ASSERT_TRUE(symbolic.completed);
-
         AsmProgram p = w.assembleProgram();
         Rng rng(321);
+        std::deque<ActivityTracker> concrete;
         for (int t = 0; t < 3; t++) {
             WorkloadInput in = w.genInput(rng);
-            ActivityTracker concrete(core());
-            GateRun run =
-                runWorkloadGate(core(), w, p, in, nullptr, &concrete);
+            concrete.emplace_back(core());
+            GateRun run = runWorkloadGate(core(), w, p, in, nullptr,
+                                          &concrete.back());
             ASSERT_TRUE(run.halted);
-            for (GateId i = 0; i < core().size(); i++) {
-                if (concrete.toggled(i)) {
-                    ASSERT_TRUE(symbolic.activity->toggled(i))
-                        << name << ": gate " << i << " ("
-                        << cellName(core().gate(i).type,
-                                    core().gate(i).drive)
-                        << " in "
-                        << moduleName(core().gate(i).module)
-                        << ") toggled concretely but the analysis "
-                           "missed it";
+        }
+
+        for (const AnalysisOptions &opts : execConfigs()) {
+            SCOPED_TRACE(execName(opts));
+            AnalysisResult symbolic = analyzeActivity(core(), w, opts);
+            ASSERT_TRUE(symbolic.completed);
+            for (const ActivityTracker &c : concrete) {
+                for (GateId i = 0; i < core().size(); i++) {
+                    if (c.toggled(i)) {
+                        ASSERT_TRUE(symbolic.activity->toggled(i))
+                            << name << ": gate " << i << " ("
+                            << cellName(core().gate(i).type,
+                                        core().gate(i).drive)
+                            << " in "
+                            << moduleName(core().gate(i).module)
+                            << ") toggled concretely but the analysis "
+                               "missed it";
+                    }
                 }
             }
         }
@@ -141,7 +184,6 @@ TEST(Analysis, ConstantsMatchConcreteValues)
     // Untoggled gates' proven constants must equal their values in a
     // concrete run (at any observed cycle; we check the final state).
     const Workload &w = workloadByName("div");
-    AnalysisResult symbolic = analyzeActivity(core(), w);
     AsmProgram p = w.assembleProgram();
     Rng rng(55);
     WorkloadInput in = w.genInput(rng);
@@ -155,13 +197,18 @@ TEST(Analysis, ConstantsMatchConcreteValues)
     }
     for (int c = 0; c < 500; c++)
         soc.cycle();
-    for (GateId i = 0; i < core().size(); i++) {
-        if (cellPseudo(core().gate(i).type))
-            continue;
-        if (!symbolic.activity->toggled(i)) {
-            EXPECT_EQ(soc.sim().value(i),
-                      symbolic.activity->initialValue(i))
-                << "gate " << i;
+
+    for (const AnalysisOptions &opts : execConfigs()) {
+        SCOPED_TRACE(execName(opts));
+        AnalysisResult symbolic = analyzeActivity(core(), w, opts);
+        for (GateId i = 0; i < core().size(); i++) {
+            if (cellPseudo(core().gate(i).type))
+                continue;
+            if (!symbolic.activity->toggled(i)) {
+                EXPECT_EQ(soc.sim().value(i),
+                          symbolic.activity->initialValue(i))
+                    << "gate " << i;
+            }
         }
     }
 }
@@ -170,15 +217,17 @@ TEST(Analysis, IrqLineKnownZeroSuppressesIrqForks)
 {
     const Workload &w = workloadByName("irq");
     AsmProgram p = w.assembleProgram();
-    AnalysisOptions opts;
-    opts.irqLineUnknown = false;  // tie the IRQ pin low
-    AnalysisResult quiet = analyzeActivity(core(), p, opts);
-    opts.irqLineUnknown = true;
-    AnalysisResult noisy = analyzeActivity(core(), p, opts);
-    EXPECT_TRUE(quiet.completed);
-    // With the pin tied low the ISR is unreachable; far fewer gates
-    // can toggle.
-    EXPECT_GT(quiet.untoggledCells(), noisy.untoggledCells());
+    for (AnalysisOptions opts : execConfigs()) {
+        SCOPED_TRACE(execName(opts));
+        opts.irqLineUnknown = false;  // tie the IRQ pin low
+        AnalysisResult quiet = analyzeActivity(core(), p, opts);
+        opts.irqLineUnknown = true;
+        AnalysisResult noisy = analyzeActivity(core(), p, opts);
+        EXPECT_TRUE(quiet.completed);
+        // With the pin tied low the ISR is unreachable; far fewer
+        // gates can toggle.
+        EXPECT_GT(quiet.untoggledCells(), noisy.untoggledCells());
+    }
 }
 
 TEST(Analysis, MultiplierConstrainedByConstantCoefficients)
@@ -186,22 +235,25 @@ TEST(Analysis, MultiplierConstrainedByConstantCoefficients)
     // intFilt writes only constant coefficients into MPYS: part of the
     // multiplier must be provably untoggleable; mult (arbitrary
     // operands) must use almost all of it (paper Sec. 5 discussion).
-    AnalysisResult filt =
-        analyzeActivity(core(), workloadByName("intFilt"));
-    AnalysisResult mult =
-        analyzeActivity(core(), workloadByName("mult"));
-    size_t filt_mult_toggled = 0, mult_mult_toggled = 0, total = 0;
-    for (GateId i = 0; i < core().size(); i++) {
-        const Gate &g = core().gate(i);
-        if (cellPseudo(g.type) || g.module != Module::Mult)
-            continue;
-        total++;
-        filt_mult_toggled += filt.activity->toggled(i);
-        mult_mult_toggled += mult.activity->toggled(i);
+    for (const AnalysisOptions &opts : execConfigs()) {
+        SCOPED_TRACE(execName(opts));
+        AnalysisResult filt =
+            analyzeActivity(core(), workloadByName("intFilt"), opts);
+        AnalysisResult mult =
+            analyzeActivity(core(), workloadByName("mult"), opts);
+        size_t filt_mult_toggled = 0, mult_mult_toggled = 0, total = 0;
+        for (GateId i = 0; i < core().size(); i++) {
+            const Gate &g = core().gate(i);
+            if (cellPseudo(g.type) || g.module != Module::Mult)
+                continue;
+            total++;
+            filt_mult_toggled += filt.activity->toggled(i);
+            mult_mult_toggled += mult.activity->toggled(i);
+        }
+        EXPECT_LT(filt_mult_toggled, total * 3 / 4);
+        EXPECT_GT(mult_mult_toggled, total * 3 / 4);
+        EXPECT_LT(filt_mult_toggled, mult_mult_toggled);
     }
-    EXPECT_LT(filt_mult_toggled, total * 3 / 4);
-    EXPECT_GT(mult_mult_toggled, total * 3 / 4);
-    EXPECT_LT(filt_mult_toggled, mult_mult_toggled);
 }
 
 } // namespace

@@ -11,17 +11,13 @@
  *    fixpoint is schedule-independent on these workloads);
  *  - exploration caps produce completed=false with a still-usable
  *    (conservative) tracker, on one thread and on many;
- *  - BESPOKE_ANALYSIS_THREADS overrides AnalysisOptions::threads;
  *  - the observability fields are internally consistent.
  */
-
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
 #include "src/analysis/activity_analysis.hh"
 #include "src/cpu/bsp430.hh"
-#include "src/util/worker_pool.hh"
 
 namespace bespoke
 {
@@ -134,28 +130,6 @@ TEST(AnalysisParallel, LaneBatchedMatchesSerialUntoggledSet)
     }
 }
 
-TEST(AnalysisParallel, LaneEnvVarOverridesLaneWidth)
-{
-    AnalysisOptions opts;
-    opts.laneWidth = 1;
-
-    ::setenv("BESPOKE_ANALYSIS_LANES", "64", 1);
-    EXPECT_EQ(resolveAnalysisLanes(opts), 64);
-    AnalysisResult r =
-        analyzeActivity(core(), workloadByName("binSearch"), opts);
-    EXPECT_EQ(r.lanesUsed, 64);
-
-    // Out-of-range values clamp; garbage is ignored with a warning.
-    ::setenv("BESPOKE_ANALYSIS_LANES", "1000", 1);
-    EXPECT_EQ(resolveAnalysisLanes(opts), 64);
-    ::setenv("BESPOKE_ANALYSIS_LANES", "wide", 1);
-    EXPECT_EQ(resolveAnalysisLanes(opts), 1);
-
-    ::unsetenv("BESPOKE_ANALYSIS_LANES");
-    opts.laneWidth = 7;
-    EXPECT_EQ(resolveAnalysisLanes(opts), 7);
-}
-
 TEST(AnalysisParallel, PathCapYieldsIncompleteButUsableResult)
 {
     AnalysisResult full = analyze("div", 1);
@@ -194,34 +168,9 @@ TEST(AnalysisParallel, CycleCapYieldsIncompleteResult)
     }
 }
 
-TEST(AnalysisParallel, EnvVarOverridesThreadCount)
-{
-    AnalysisOptions opts;
-    opts.threads = 1;
-
-    ::setenv("BESPOKE_ANALYSIS_THREADS", "3", 1);
-    EXPECT_EQ(resolveAnalysisThreads(opts), 3);
-    AnalysisResult r =
-        analyzeActivity(core(), workloadByName("binSearch"), opts);
-    EXPECT_EQ(r.threadsUsed, 3);
-    EXPECT_EQ(r.workerStats.size(), 3u);
-
-    // 0 means "all cores", from the env var just like from the field.
-    ::setenv("BESPOKE_ANALYSIS_THREADS", "0", 1);
-    EXPECT_EQ(resolveAnalysisThreads(opts),
-              WorkerPool::defaultThreadCount());
-
-    // Garbage is ignored with a warning; the field wins.
-    ::setenv("BESPOKE_ANALYSIS_THREADS", "lots", 1);
-    EXPECT_EQ(resolveAnalysisThreads(opts), 1);
-
-    ::unsetenv("BESPOKE_ANALYSIS_THREADS");
-    EXPECT_EQ(resolveAnalysisThreads(opts), 1);
-}
-
 TEST(AnalysisParallel, ObservabilityFieldsAreConsistent)
 {
-    for (int threads : {1, 2}) {
+    for (int threads : {1, 2, 3}) {
         SCOPED_TRACE(threads);
         AnalysisResult r = analyze("div", threads);
         EXPECT_EQ(r.threadsUsed, threads);

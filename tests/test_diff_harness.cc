@@ -5,17 +5,14 @@
  * against per-lane scalar GateSim oracles with full-machine-state
  * comparison every cycle (see the header for the stimulus mix).
  *
- * Width selection mirrors the CI matrix: every case runs at the
- * 64-lane plane; the BESPOKE_PLANE_BITS environment variable (resolved
- * through resolvePlaneBits, like the tools) additionally points every
- * eighth case at the configured wide plane — the sanitizer shards run
- * one suite at 64 and one at 256 bits. A smoke test keeps 128/256/512
- * covered even when no width is configured.
+ * Every case runs at the 64-lane plane; every eighth case additionally
+ * runs at a wide plane, rotating through 128, 256 and 512 bits, so one
+ * default run covers every width. Smoke tests pin each wide width on a
+ * fixed seed as well.
  */
 
 #include <gtest/gtest.h>
 
-#include "src/verify/runner.hh"
 #include "tests/diff_harness.hh"
 
 namespace bespoke
@@ -35,13 +32,14 @@ TEST_P(DiffHarness, RandomNetlistLockstep)
     const uint32_t seed = GetParam();
     ASSERT_NO_FATAL_FAILURE(runLockstepCase<64>(seed, 24));
 
-    // Every eighth case additionally runs at the environment-selected
-    // wide plane, scaled down: the oracle cost is one scalar sim per
-    // lane, so wide planes buy coverage with fewer cycles.
-    const int env_bits = resolvePlaneBits(0);
-    if (env_bits != 64 && seed % 8 == 0) {
-        ASSERT_NO_FATAL_FAILURE(
-            runLockstepCaseAt(env_bits, seed ^ 0x9e3779b9u, 8));
+    // Every eighth case additionally runs at a wide plane, rotating
+    // through 128/256/512 bits, scaled down: the oracle cost is one
+    // scalar sim per lane, so wide planes buy coverage with fewer
+    // cycles.
+    if (seed % 8 == 0) {
+        constexpr int kWideBits[] = {128, 256, 512};
+        ASSERT_NO_FATAL_FAILURE(runLockstepCaseAt(
+            kWideBits[(seed / 8) % 3], seed ^ 0x9e3779b9u, 8));
     }
 }
 
@@ -49,8 +47,7 @@ TEST_P(DiffHarness, RandomNetlistLockstep)
 // shards; each registers as its own ctest entry).
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffHarness, ::testing::Range(0u, 200u));
 
-// Every instantiated width stays lockstep-covered in a default ctest
-// run, independent of BESPOKE_PLANE_BITS.
+// Every instantiated width stays lockstep-covered on a fixed seed.
 TEST(DiffHarnessWide, Plane128Lockstep)
 {
     ASSERT_NO_FATAL_FAILURE(runLockstepCase<128>(1001, 12));

@@ -213,17 +213,12 @@ scenariosOf(const AsmProgram &prog,
 
 TEST(GateBatch, ResolvePlaneBits)
 {
-    unsetenv("BESPOKE_PLANE_BITS");
     EXPECT_EQ(resolvePlaneBits(0), 64);
     EXPECT_EQ(resolvePlaneBits(128), 128);
+    EXPECT_EQ(resolvePlaneBits(256), 256);
     EXPECT_EQ(resolvePlaneBits(512), 512);
     EXPECT_EQ(resolvePlaneBits(100), 64);  // invalid
-    setenv("BESPOKE_PLANE_BITS", "256", 1);
-    EXPECT_EQ(resolvePlaneBits(0), 256);
-    EXPECT_EQ(resolvePlaneBits(128), 128);  // explicit wins
-    setenv("BESPOKE_PLANE_BITS", "99", 1);
-    EXPECT_EQ(resolvePlaneBits(0), 64);
-    unsetenv("BESPOKE_PLANE_BITS");
+    EXPECT_EQ(resolvePlaneBits(99), 64);
 }
 
 /** Halting runs, one chunk, per-scenario counters on a subset. */

@@ -7,9 +7,8 @@
  * detected / undetected and the switching-power delta — is
  * bit-identical to running the same mutants one at a time through the
  * scalar gate runner (opts.forceScalar). The quick suite pins a
- * representative workload subset at the environment-selected plane
- * width (so the CI sanitizer shards cover 64- and 256-bit planes); the
- * full sweep across all 15 paper workloads and every generated mutant
+ * representative workload subset at 64- and 256-bit planes; the full
+ * sweep across all 15 paper workloads and every generated mutant
  * runs when BESPOKE_NIGHTLY is set (nightly workflow).
  */
 
@@ -82,15 +81,14 @@ expectLaneMatchesScalar(const Workload &w, size_t max_mutants,
 }
 
 // Quick ctest slice: cheap workloads from the Table 4/5 set, a dozen
-// mutants each, at the BESPOKE_PLANE_BITS-selected width.
+// mutants each, at the default 64-bit plane.
 TEST(MutantLane, QuickVerdictsMatchScalar)
 {
-    const int bits = resolvePlaneBits(0);
     for (const char *name : {"binSearch", "rle", "tea8"})
-        expectLaneMatchesScalar(workloadByName(name), 6, 2, bits);
+        expectLaneMatchesScalar(workloadByName(name), 6, 2, 64);
 }
 
-// A non-default width stays covered even without the environment.
+// A multi-word plane.
 TEST(MutantLane, QuickVerdictsMatchScalarWidePlane)
 {
     expectLaneMatchesScalar(workloadByName("inSort"), 6, 2, 256);

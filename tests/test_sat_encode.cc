@@ -80,6 +80,17 @@ randomNetlist(Rng &rng, int num_inputs, int num_gates, int num_flops)
     return nl;
 }
 
+/** Both gate evaluators: the SAT encoding is crossed with each. */
+constexpr GateSim::EvalMode kEvalModes[] = {GateSim::EvalMode::EventDriven,
+                                            GateSim::EvalMode::FullEval};
+
+const char *
+evalModeName(GateSim::EvalMode mode)
+{
+    return mode == GateSim::EvalMode::FullEval ? "FullEval"
+                                               : "EventDriven";
+}
+
 bool
 isSource(const Gate &g)
 {
@@ -91,39 +102,42 @@ TEST(SatEncode, FoldedCombFrameMatchesGateSim)
 {
     // All sources constant: the encoder must fold every gate to
     // kTrue/kFalse and agree with the simulator bit for bit.
-    for (uint64_t seed = 0; seed < 200; seed++) {
-        Rng rng(0xc0de + seed);
-        Netlist nl = randomNetlist(rng, 6, 60, 4);
-        std::vector<GateId> order = nl.levelize();
+    for (GateSim::EvalMode mode : kEvalModes) {
+        SCOPED_TRACE(evalModeName(mode));
+        for (uint64_t seed = 0; seed < 200; seed++) {
+            Rng rng(0xc0de + seed);
+            Netlist nl = randomNetlist(rng, 6, 60, 4);
+            std::vector<GateId> order = nl.levelize();
 
-        GateSim sim(nl);
-        sim.reset();
-        std::vector<Lit> vals(nl.size(), kFalse);
-        for (GateId i = 0; i < nl.size(); i++) {
-            const Gate &g = nl.gate(i);
-            if (g.type == CellType::INPUT) {
-                bool v = rng.chance(1, 2);
-                sim.setInput(i, v ? Logic::One : Logic::Zero);
-                vals[i] = v ? kTrue : kFalse;
-            } else if (g.type == CellType::DFF ||
-                       g.type == CellType::DFFE) {
-                // reset() loaded the flop's reset value.
-                vals[i] = nl.gate(i).resetValue ? kTrue : kFalse;
+            GateSim sim(nl, mode);
+            sim.reset();
+            std::vector<Lit> vals(nl.size(), kFalse);
+            for (GateId i = 0; i < nl.size(); i++) {
+                const Gate &g = nl.gate(i);
+                if (g.type == CellType::INPUT) {
+                    bool v = rng.chance(1, 2);
+                    sim.setInput(i, v ? Logic::One : Logic::Zero);
+                    vals[i] = v ? kTrue : kFalse;
+                } else if (g.type == CellType::DFF ||
+                           g.type == CellType::DFFE) {
+                    // reset() loaded the flop's reset value.
+                    vals[i] = nl.gate(i).resetValue ? kTrue : kFalse;
+                }
             }
-        }
-        sim.evalComb();
+            sim.evalComb();
 
-        CdclSolver solver;
-        Tseitin ts(solver);
-        encodeCombFrame(nl, order, ts, &vals);
-        ASSERT_EQ(solver.numVars(), 1u)
-            << "seed " << seed << ": constants must fold, not encode";
-        for (GateId i = 0; i < nl.size(); i++) {
-            Logic v = sim.value(i);
-            ASSERT_TRUE(isKnown(v)) << "seed " << seed;
-            ASSERT_EQ(vals[i], v == Logic::One ? kTrue : kFalse)
-                << "seed " << seed << " gate " << i << " ("
-                << cellName(nl.gate(i).type, nl.gate(i).drive) << ")";
+            CdclSolver solver;
+            Tseitin ts(solver);
+            encodeCombFrame(nl, order, ts, &vals);
+            ASSERT_EQ(solver.numVars(), 1u)
+                << "seed " << seed << ": constants must fold, not encode";
+            for (GateId i = 0; i < nl.size(); i++) {
+                Logic v = sim.value(i);
+                ASSERT_TRUE(isKnown(v)) << "seed " << seed;
+                ASSERT_EQ(vals[i], v == Logic::One ? kTrue : kFalse)
+                    << "seed " << seed << " gate " << i << " ("
+                    << cellName(nl.gate(i).type, nl.gate(i).drive) << ")";
+            }
         }
     }
 }
@@ -132,58 +146,61 @@ TEST(SatEncode, SymbolicCombFrameMatchesGateSim)
 {
     // Symbolic inputs, pinned by assumptions at solve time: exercises
     // the clause emission path of every cell shape.
-    for (uint64_t seed = 0; seed < 200; seed++) {
-        Rng rng(0x5eed + seed);
-        Netlist nl = randomNetlist(rng, 6, 60, 4);
-        std::vector<GateId> order = nl.levelize();
+    for (GateSim::EvalMode mode : kEvalModes) {
+        SCOPED_TRACE(evalModeName(mode));
+        for (uint64_t seed = 0; seed < 200; seed++) {
+            Rng rng(0x5eed + seed);
+            Netlist nl = randomNetlist(rng, 6, 60, 4);
+            std::vector<GateId> order = nl.levelize();
 
-        CdclSolver solver;
-        Tseitin ts(solver);
-        std::vector<Lit> vals(nl.size(), kFalse);
-        std::vector<GateId> sources;
-        for (GateId i = 0; i < nl.size(); i++) {
-            if (isSource(nl.gate(i))) {
-                vals[i] = ts.fresh();
-                sources.push_back(i);
-            }
-        }
-        encodeCombFrame(nl, order, ts, &vals);
-
-        for (int trial = 0; trial < 4; trial++) {
-            GateSim sim(nl);
-            sim.reset();
-            // Flop outputs are sequential state, not combinational
-            // nets: pin them through the state-restore interface (a
-            // force() would only stick on gates the comb sweep
-            // evaluates).
-            SeqState seq = sim.seqState();
-            std::vector<Lit> assumps;
-            for (GateId i : sources) {
-                bool v = rng.chance(1, 2);
-                assumps.push_back(v ? vals[i] : ~vals[i]);
-                Logic lv = v ? Logic::One : Logic::Zero;
-                if (nl.gate(i).type == CellType::INPUT) {
-                    sim.setInput(i, lv);
-                } else {
-                    const std::vector<GateId> &ids = sim.seqIds();
-                    for (size_t k = 0; k < ids.size(); k++)
-                        if (ids[k] == i)
-                            seq[k] = static_cast<uint8_t>(lv);
+            CdclSolver solver;
+            Tseitin ts(solver);
+            std::vector<Lit> vals(nl.size(), kFalse);
+            std::vector<GateId> sources;
+            for (GateId i = 0; i < nl.size(); i++) {
+                if (isSource(nl.gate(i))) {
+                    vals[i] = ts.fresh();
+                    sources.push_back(i);
                 }
             }
-            sim.restoreSeqState(seq);
-            sim.evalComb();
-            ASSERT_EQ(solver.solve(assumps), SolveResult::Sat)
-                << "seed " << seed;
-            for (GateId i = 0; i < nl.size(); i++) {
-                Logic v = sim.value(i);
-                ASSERT_TRUE(isKnown(v));
-                ASSERT_EQ(solver.modelValue(vals[i]),
-                          v == Logic::One)
-                    << "seed " << seed << " trial " << trial
-                    << " gate " << i << " ("
-                    << cellName(nl.gate(i).type, nl.gate(i).drive)
-                    << ")";
+            encodeCombFrame(nl, order, ts, &vals);
+
+            for (int trial = 0; trial < 4; trial++) {
+                GateSim sim(nl, mode);
+                sim.reset();
+                // Flop outputs are sequential state, not combinational
+                // nets: pin them through the state-restore interface (a
+                // force() would only stick on gates the comb sweep
+                // evaluates).
+                SeqState seq = sim.seqState();
+                std::vector<Lit> assumps;
+                for (GateId i : sources) {
+                    bool v = rng.chance(1, 2);
+                    assumps.push_back(v ? vals[i] : ~vals[i]);
+                    Logic lv = v ? Logic::One : Logic::Zero;
+                    if (nl.gate(i).type == CellType::INPUT) {
+                        sim.setInput(i, lv);
+                    } else {
+                        const std::vector<GateId> &ids = sim.seqIds();
+                        for (size_t k = 0; k < ids.size(); k++)
+                            if (ids[k] == i)
+                                seq[k] = static_cast<uint8_t>(lv);
+                    }
+                }
+                sim.restoreSeqState(seq);
+                sim.evalComb();
+                ASSERT_EQ(solver.solve(assumps), SolveResult::Sat)
+                    << "seed " << seed;
+                for (GateId i = 0; i < nl.size(); i++) {
+                    Logic v = sim.value(i);
+                    ASSERT_TRUE(isKnown(v));
+                    ASSERT_EQ(solver.modelValue(vals[i]),
+                              v == Logic::One)
+                        << "seed " << seed << " trial " << trial
+                        << " gate " << i << " ("
+                        << cellName(nl.gate(i).type, nl.gate(i).drive)
+                        << ")";
+                }
             }
         }
     }
@@ -238,35 +255,38 @@ TEST(SatEncode, UnrolledCoreMatchesSocReplay)
     ASSERT_EQ(solver.solve(assumps), SolveResult::Sat);
 
     // Concrete replay of the same stimulus.
-    Soc soc(core, prog, /*ram_unknown=*/true);
-    soc.reset();
-    EnvState env = soc.envState();
-    for (const auto &[widx, val] : ram_init)
-        env.ram[widx] = SWord::of(val);
-    env.rdata = SWord::of(rdata_init);
-    soc.restoreEnvState(env);
+    for (GateSim::EvalMode mode : kEvalModes) {
+        SCOPED_TRACE(evalModeName(mode));
+        Soc soc(core, prog, /*ram_unknown=*/true, mode);
+        soc.reset();
+        EnvState env = soc.envState();
+        for (const auto &[widx, val] : ram_init)
+            env.ram[widx] = SWord::of(val);
+        env.rdata = SWord::of(rdata_init);
+        soc.restoreEnvState(env);
 
-    size_t compared = 0;
-    for (int f = 0; f < kDepth; f++) {
-        soc.setGpioIn(SWord::of(gpio[f]));
-        soc.setIrqExt(irq[f] ? Logic::One : Logic::Zero);
-        soc.evalOnly();
-        for (GateId i = 0; i < core.size(); i++) {
-            Logic v = soc.sim().value(i);
-            if (!isKnown(v))
-                continue;  // model may refine X either way
-            ASSERT_EQ(solver.modelValue(un.gateAt(i, f)),
-                      v == Logic::One)
-                << "frame " << f << " gate " << i << " ("
-                << cellName(core.gate(i).type, core.gate(i).drive)
-                << ")";
-            compared++;
+        size_t compared = 0;
+        for (int f = 0; f < kDepth; f++) {
+            soc.setGpioIn(SWord::of(gpio[f]));
+            soc.setIrqExt(irq[f] ? Logic::One : Logic::Zero);
+            soc.evalOnly();
+            for (GateId i = 0; i < core.size(); i++) {
+                Logic v = soc.sim().value(i);
+                if (!isKnown(v))
+                    continue;  // model may refine X either way
+                ASSERT_EQ(solver.modelValue(un.gateAt(i, f)),
+                          v == Logic::One)
+                    << "frame " << f << " gate " << i << " ("
+                    << cellName(core.gate(i).type, core.gate(i).drive)
+                    << ")";
+                compared++;
+            }
+            soc.finishCycle();
         }
-        soc.finishCycle();
+        // The replay must be almost fully known: the unroller is being
+        // checked against real values, not vacuously against X.
+        EXPECT_GT(compared, static_cast<size_t>(core.size()) * kDepth / 2);
     }
-    // The replay must be almost fully known: the unroller is being
-    // checked against real values, not vacuously against X.
-    EXPECT_GT(compared, static_cast<size_t>(core.size()) * kDepth / 2);
 }
 
 TEST(SatEncode, UnrollerVariableNumberingIsDeterministic)

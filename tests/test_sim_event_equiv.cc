@@ -265,21 +265,5 @@ TEST(EventEquiv, ActivityAnalysisAgrees)
     }
 }
 
-TEST(EventEquiv, DefaultModeReadsEnvironment)
-{
-    Netlist nl;
-    NetBuilder b(nl);
-    Bus in = b.inputBus("in", 2);
-    nl.addOutput("o", b.and2(in[0], in[1]));
-    nl.validate();
-
-    ASSERT_EQ(::setenv("BESPOKE_FULL_EVAL", "1", 1), 0);
-    EXPECT_EQ(GateSim::defaultMode(), GateSim::EvalMode::FullEval);
-    EXPECT_EQ(GateSim(nl).mode(), GateSim::EvalMode::FullEval);
-    ASSERT_EQ(::unsetenv("BESPOKE_FULL_EVAL"), 0);
-    EXPECT_EQ(GateSim::defaultMode(), GateSim::EvalMode::EventDriven);
-    EXPECT_EQ(GateSim(nl).mode(), GateSim::EvalMode::EventDriven);
-}
-
 } // namespace
 } // namespace bespoke

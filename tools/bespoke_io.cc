@@ -100,6 +100,7 @@
 #include "src/timing/sta.hh"
 #include "src/transform/bespoke_transform.hh"
 #include "src/transform/pass_pipeline.hh"
+#include "src/util/flag_value.hh"
 #include "src/util/logging.hh"
 #include "src/util/rng.hh"
 #include "src/verify/runner.hh"
@@ -247,6 +248,17 @@ parseArgs(int argc, char **argv)
                 usage("flag '" + arg + "' needs a value");
             return argv[++i];
         };
+        auto number = [&](FlagKind kind) -> uint64_t {
+            std::string error;
+            std::optional<uint64_t> v =
+                parseFlagValue(arg, value(), kind, error);
+            if (!v)
+                usage(error);
+            return *v;
+        };
+        auto count = [&] {
+            return static_cast<int>(number(FlagKind::Count));
+        };
         if (arg == "-i" || arg == "--in")
             a.in = value();
         else if (arg == "-o" || arg == "--out")
@@ -260,8 +272,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--checkpoint-dir")
             a.checkpointDir = value();
         else if (arg == "--checkpoint-max-bytes")
-            a.checkpointMaxBytes =
-                std::strtoull(value().c_str(), nullptr, 10);
+            a.checkpointMaxBytes = number(FlagKind::Bytes);
         else if (arg == "--jobs")
             a.jobs = value();
         else if (arg == "--status-json")
@@ -275,17 +286,17 @@ parseArgs(int argc, char **argv)
         else if (arg == "--miter")
             a.miter = true;
         else if (arg == "--sat-depth")
-            a.satDepth = std::atoi(value().c_str());
+            a.satDepth = count();
         else if (arg == "--sat-threads")
-            a.satThreads = std::atoi(value().c_str());
+            a.satThreads = count();
         else if (arg == "--max-queued")
-            a.maxQueued = std::strtoull(value().c_str(), nullptr, 10);
+            a.maxQueued = number(FlagKind::Bytes);
         else if (arg == "--threads")
-            a.threads = std::atoi(value().c_str());
+            a.threads = count();
         else if (arg == "--job-threads")
-            a.jobThreads = std::atoi(value().c_str());
+            a.jobThreads = count();
         else if (arg == "--worker-threads")
-            a.workerThreads = std::atoi(value().c_str());
+            a.workerThreads = count();
         else
             usage("unknown flag '" + arg + "'");
     }
