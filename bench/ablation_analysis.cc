@@ -50,7 +50,10 @@ main(int argc, char **argv)
             const Workload &w = workloadByName(name);
             for (int visits : {4, 16, 64, 256}) {
                 AnalysisOptions opts;
-                opts.threads = io.threads();
+                // Always one worker: the checked counter columns are
+                // deterministic only then (workers race on the merge
+                // tables, which moves cycles and paths).
+                opts.threads = 1;
                 opts.concreteVisits = visits;
                 AnalysisResult r =
                     analyzeActivity(baseline, w, opts);

@@ -18,9 +18,11 @@
  *                    portfolio races; 0 = all cores, default 1).
  *                    Verdicts are bit-identical at any value — only
  *                    wall time moves.
- *   --lanes N        LaneSim batch width for the activity analysis
- *                    (1..64, default 1 = scalar). Like --threads, the
- *                    table values are lane-width independent.
+ *   --lanes N        lane evaluator of the activity analysis: 64 (the
+ *                    default) advances each batch of frontier states
+ *                    on bit planes, 1 on the reference scalar
+ *                    evaluator. Execution strategy only — results
+ *                    and counters are identical at both.
  *   --plane-bits W   bit-plane word width for lane-batched replays
  *                    (64/128/256/512; default 0 = 64). Execution
  *                    strategy only — table values are identical at
@@ -54,6 +56,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/analysis/activity_analysis.hh"
 #include "src/util/flag_value.hh"
 #include "src/util/json.hh"
 #include "src/util/logging.hh"
@@ -173,15 +176,8 @@ class BenchIO
     int threads() const { return threads_; }
     /** --sat-threads value for the SAT prover layer (default 1). */
     int satThreads() const { return satThreads_; }
-    /** --lanes value for AnalysisOptions::laneWidth (default 1). */
-    int lanes() const { return lanesOr(1); }
-    /**
-     * --lanes if given explicitly, else a bench-chosen default. For a
-     * bench whose checked values are lane-width independent this picks
-     * the fast batched analysis path by default while keeping --lanes 1
-     * reachable for A/B runs.
-     */
-    int lanesOr(int def) const { return lanes_ ? lanes_ : def; }
+    /** --lanes value for AnalysisOptions::laneWidth (library default). */
+    int lanes() const { return lanes_; }
     /** --plane-bits value for batched replays (0 = resolve default). */
     int planeBits() const { return planeBits_; }
     /** --checkpoint-dir value for FlowOptions::checkpointDir ("" off). */
@@ -439,7 +435,7 @@ class BenchIO
     bool ok_ = true;
     std::string jsonPath_, checkPath_, checkpointDir_;
     uint64_t checkpointMaxBytes_ = 0;
-    int lanes_ = 0;  ///< 0 = --lanes not given
+    int lanes_ = AnalysisOptions{}.laneWidth;
     int planeBits_ = 0;
     JsonValue tables_ = JsonValue::object();
     JsonValue metrics_ = JsonValue::object();

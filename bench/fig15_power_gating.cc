@@ -26,7 +26,6 @@ main(int argc, char **argv)
     FlowOptions opts;
     opts.analysis.threads = io.threads();
     opts.analysis.laneWidth = io.lanes();
-    opts.analysis.planeBits = io.planeBits();
     opts.planeBits = io.planeBits();
     opts.checkpointDir = io.checkpointDir();
     opts.checkpointMaxBytes = io.checkpointMaxBytes();

@@ -75,7 +75,6 @@ main(int argc, char **argv)
     FlowOptions fixed_opts;
     fixed_opts.analysis.threads = io.threads();
     fixed_opts.analysis.laneWidth = io.lanes();
-    fixed_opts.analysis.planeBits = io.planeBits();
     fixed_opts.planeBits = io.planeBits();
     fixed_opts.checkpointDir = io.checkpointDir();
     fixed_opts.checkpointMaxBytes = io.checkpointMaxBytes();

@@ -27,10 +27,10 @@
  * checked value.
  *
  * Full mode additionally tailors the tractable-horizon apps with the
- * SAT pass at the analysis's own full horizon (the flow's auto depth)
- * and re-proves every recovered cut with BOTH independent equivalence
- * engines — the symbolic explorer at default precision and the SAT
- * miter — pinning that the recovered cuts are real.
+ * SAT pass at a fixed per-app full-horizon depth and re-proves every
+ * recovered cut with BOTH independent equivalence engines — the
+ * symbolic explorer at default precision and the SAT miter — pinning
+ * that the recovered cuts are real.
  */
 
 #include "bench/bench_common.hh"
@@ -131,14 +131,7 @@ main(int argc, char **argv)
 
     AnalysisOptions aopts;
     aopts.threads = 1;
-    // The analysis runs lane-batched by default: every checked value
-    // except the merge count is lane-width independent (verdicts, cell
-    // counts and candidate sets are pinned identical across widths by
-    // tests), and the batched exploration is several times faster. The
-    // merge count is an execution-strategy observable — how often the
-    // explorer revisits a merge point depends on how many lanes arrive
-    // together — so the goldens are recorded at this default.
-    aopts.laneWidth = io.lanesOr(64);
+    aopts.laneWidth = io.lanes();
     aopts.concreteVisits = 1;  // widen aggressively: see header comment
 
     std::vector<AppRow> rows(apps.size());
@@ -243,32 +236,33 @@ main(int argc, char **argv)
             uint64_t propagations = 0;
             double satMs = 0.0;
         };
-        const std::vector<std::string> verified_apps = {
-            "mult", "binSearch", "div", "dbg", "convEn", "tea8"};
+        // Each app unrolls to a fixed depth: its analysis horizon
+        // (cyclesSimulated, what --sat-depth 0 resolves to) under the
+        // earlier depth-first schedule at concreteVisits 1. Pinning the
+        // depth keeps this full-horizon yardstick stable whatever the
+        // exploration schedule; EXPERIMENTS.md records what auto depth
+        // gives today.
+        struct VApp
+        {
+            const char *name;
+            int depth;
+        };
+        const std::vector<VApp> verified_apps = {
+            {"mult", 1026}, {"binSearch", 1206}, {"div", 1477},
+            {"dbg", 1245},  {"convEn", 1522},    {"tea8", 1755}};
         std::vector<VRow> vrows(verified_apps.size());
         WorkerPool vpool(std::max(io.threads(), io.satThreads()));
         for (size_t v = 0; v < verified_apps.size(); v++) {
             vpool.post([&, v] {
-                const Workload &app = workloadByName(verified_apps[v]);
+                const Workload &app =
+                    workloadByName(verified_apps[v].name);
                 AsmProgram prog = app.assembleProgram();
-                // Scalar analysis here, whatever --lanes says: the
-                // horizon (cyclesSimulated) is an execution-strategy
-                // observable — lane batching can roughly double
-                // binSearch's — and this section pins the depth the
-                // production flow's default scalar analysis
-                // auto-resolves --sat-depth 0 to. The depth-30 table
-                // above keeps the lane-batched default; its checked
-                // values are horizon-independent.
-                AnalysisOptions vaopts = aopts;
-                vaopts.laneWidth = 1;
-                AnalysisResult ar = analyzeActivity(core, app, vaopts);
+                AnalysisResult ar = analyzeActivity(core, app, aopts);
                 PassEnv env = makeEnv(app, prog, io.planeBits());
                 env.program = &prog;
                 PassPipelineOptions with_sat;
                 with_sat.satNeverToggle = true;
-                // The flow's auto depth: the analysis's own envelope.
-                with_sat.sat.depth =
-                    static_cast<int>(ar.cyclesSimulated);
+                with_sat.sat.depth = verified_apps[v].depth;
                 with_sat.sat.threads = io.satThreads();
                 PipelineReport report;
                 CutStats cut;
@@ -302,7 +296,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "verified %s: horizon %d, %zu proven, "
                              "sym %d, sat %d\n",
-                             verified_apps[v].c_str(), row.horizon,
+                             verified_apps[v].name, row.horizon,
                              row.proven, (int)row.symOk,
                              (int)row.satOk);
             });
@@ -315,7 +309,7 @@ main(int argc, char **argv)
         for (size_t v = 0; v < verified_apps.size(); v++) {
             const VRow &row = vrows[v];
             vt.row()
-                .add(verified_apps[v])
+                .add(verified_apps[v].name)
                 .add(static_cast<double>(row.horizon), 0)
                 .add(static_cast<double>(row.proven), 0)
                 .add(static_cast<double>(row.refuted), 0)

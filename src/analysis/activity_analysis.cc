@@ -81,7 +81,7 @@ resolveAnalysisThreads(const AnalysisOptions &opts)
 int
 resolveAnalysisLanes(const AnalysisOptions &opts)
 {
-    return std::clamp(opts.laneWidth, 1, 64);
+    return opts.laneWidth == 1 ? 1 : 64;
 }
 
 AnalysisResult
@@ -104,8 +104,8 @@ analyzeActivity(const Netlist &netlist, const AsmProgram &prog,
 
     frontier.push(workers[0]->initialItem());
     if (threads == 1) {
-        // Run inline: bit-identical to the historical serial engine,
-        // with no pool threads to perturb timing-sensitive callers.
+        // Run inline: deterministic, with no pool threads to perturb
+        // timing-sensitive callers.
         workers[0]->run();
     } else {
         WorkerPool pool(threads);

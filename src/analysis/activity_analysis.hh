@@ -64,30 +64,23 @@ struct AnalysisOptions
     /** Gate evaluator strategy for the exploration Soc. */
     GateSim::EvalMode simMode = GateSim::EvalMode::EventDriven;
     /**
-     * Path-exploration worker threads. 1 (the default) reproduces the
-     * historical serial engine bit for bit; 0 means one worker per
-     * hardware thread.
+     * Path-exploration worker threads. 1 (the default) runs the batch
+     * schedule inline and is deterministic; 0 means one worker per
+     * hardware thread. More than one worker races on the shared merge
+     * tables, so counters (never the toggle fixpoint on the tier-1
+     * workloads) can vary from run to run.
      */
     int threads = 1;
     /**
-     * Frontier states simulated at once per worker, on the bit-plane
-     * packed LaneSim (1..64). 1 (the default) keeps every path on the
-     * scalar engine and reproduces it bit for bit; wider widths batch
-     * independent frontier states into uint64_t lanes and hand a lane
-     * back to the scalar engine only when it reaches a fork or merge
-     * point. The toggle fixpoint is the same either way (pinned by
-     * tests); path/cycle counters can differ from the serial schedule.
+     * Selects how the one 64-wide batch schedule advances its lanes:
+     * 1 runs the reference evaluator (64 scalar Socs in lane order, on
+     * `simMode`), any other value the bit-plane LaneSoc, which
+     * evaluates all 64 lanes per gate visit and is several times
+     * faster. Results and counters are identical either way (pinned by
+     * tests), so like `threads` this is an execution knob excluded
+     * from hashAnalysisOptions.
      */
-    int laneWidth = 1;
-    /**
-     * Lane-plane width in bits for the batched engine (64/128/256/512;
-     * 0 means 64). Widths above 64 widen each worker's batch to one
-     * frontier state per plane bit, amortizing the per-gate-visit fixed
-     * costs across more lanes. Like laneWidth/threads this is an
-     * execution knob, not an input: the toggle fixpoint is
-     * width-independent, so it is excluded from hashAnalysisOptions.
-     */
-    int planeBits = 0;
+    int laneWidth = 64;
 };
 
 /**
@@ -97,8 +90,8 @@ struct AnalysisOptions
 int resolveAnalysisThreads(const AnalysisOptions &opts);
 
 /**
- * The lane width analyzeActivity() will actually use for `opts`:
- * laneWidth clamped to [1, 64].
+ * The lane evaluator analyzeActivity() will actually use for `opts`:
+ * 1 (reference scalar lanes) if laneWidth is 1, else 64 (bit planes).
  */
 int resolveAnalysisLanes(const AnalysisOptions &opts);
 
@@ -124,7 +117,7 @@ struct AnalysisResult
     /** @name Exploration observability */
     /// @{
     int threadsUsed = 1;
-    /** Resolved LaneSim batch width (1 = pure scalar exploration). */
+    /** Resolved lane evaluator (1 = reference scalar, 64 = planes). */
     int lanesUsed = 1;
     /**
      * Gate evaluations across all workers: scalar evaluations plus

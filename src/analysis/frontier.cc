@@ -26,45 +26,14 @@ Frontier::push(WorkItem item)
 }
 
 bool
-Frontier::pop(WorkItem &out)
-{
-    std::unique_lock<std::mutex> lk(m_);
-    for (;;) {
-        // Quiescence first (matching the serial engine, which only
-        // consulted the budgets while work remained): all pushed work
-        // explored and nobody left to push more means a clean finish.
-        if (stack_.empty() && active_ == 0) {
-            cv_.notify_all();
-            return false;
-        }
-        if (stopped_)
-            return false;
-        if (!stack_.empty()) {
-            if (paths_ >= maxPaths_ ||
-                cycles_.load(std::memory_order_relaxed) >=
-                    maxTotalCycles_) {
-                bespoke_warn("activity analysis hit exploration cap");
-                capped_.store(true, std::memory_order_relaxed);
-                stopped_ = true;
-                cv_.notify_all();
-                return false;
-            }
-            out = std::move(stack_.back());
-            stack_.pop_back();
-            paths_++;
-            active_++;
-            return true;
-        }
-        cv_.wait(lk);
-    }
-}
-
-bool
 Frontier::popBatch(size_t max, std::vector<WorkItem> &out)
 {
     out.clear();
     std::unique_lock<std::mutex> lk(m_);
     for (;;) {
+        // Quiescence first (budgets only matter while work remains):
+        // all pushed work explored and nobody left to push more means
+        // a clean finish.
         if (stack_.empty() && active_ == 0) {
             cv_.notify_all();
             return false;

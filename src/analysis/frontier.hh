@@ -8,13 +8,13 @@
  * Structure:
  *  - The frontier proper is a LIFO stack guarded by one mutex + condvar
  *    (paths are thousands of cycles long, so pop/push contention is
- *    negligible). LIFO keeps single-worker exploration order identical
- *    to the historical serial engine, which the determinism tests pin.
+ *    negligible). LIFO order makes single-worker exploration
+ *    deterministic, which the golden counter tests pin.
  *  - The merge tables (exact-seen hashes, concrete-visit counts, and
  *    the conservative widened state per (PC, decision-kind) key) are
  *    sharded by key: all three tables for one key live in one shard,
  *    so a mergePoint() call takes exactly one shard lock and the
- *    serial per-key discipline is preserved verbatim under
+ *    single-worker per-key discipline is preserved verbatim under
  *    concurrency.
  *  - Budgets (maxPaths, maxTotalCycles) are atomics. Paths are charged
  *    at pop time under the frontier lock; cycles are charged by
@@ -27,7 +27,7 @@
  * same fixpoint regardless of worker interleaving. Races between
  * pruning and widening can change HOW MANY paths are explored — a
  * state may be pruned against an entry that another worker just
- * widened past what the serial schedule would have seen — but never
+ * widened past what the one-worker schedule would have seen — but never
  * soundness: a pruned state is always a substate of a widened entry
  * whose exploration (by whichever worker widened it) observes a
  * superset of the pruned state's toggles.
@@ -65,30 +65,19 @@ class Frontier
     /// @{
     void push(WorkItem item);
 
-    /**
-     * Pop the next state to explore. Blocks while the stack is empty
-     * but other workers may still push continuations. Returns false
-     * when the exploration is over: all work done, or a budget was
-     * hit (capped() distinguishes the two). A true return must be
-     * balanced by finishItem() once the path has been explored.
-     */
-    bool pop(WorkItem &out);
-
-    /** Mark the last popped item fully explored. */
+    /** Mark one popped item fully explored. */
     void finishItem();
 
     /**
-     * Blocking batch pop: clears `out`, waits like pop() until work is
-     * available (or the exploration is over — same false-return
-     * conditions), then drains up to `max` items in one critical
-     * section, in exact LIFO order. At threads = 1 this is identical
-     * to pop() followed by popMore(max - 1); under concurrency it
-     * fixes the under-fill those two separate lock acquisitions had at
-     * the quiescence edge, where a second batching worker could wake
-     * between them and leave both workers holding splinter batches of
-     * a frontier that fit entirely in one (pinned, with drain order,
-     * by tests/test_frontier_batch.cc). Every popped item must be
-     * balanced by finishItem().
+     * Blocking batch pop: clears `out`, blocks while the stack is empty
+     * but other workers may still push continuations, then drains up
+     * to `max` items in one critical section, in exact LIFO order.
+     * Returns false when the exploration is over: all work done, or a
+     * budget was hit (capped() distinguishes the two). Draining in one
+     * critical section means two batching workers never split a
+     * frontier that fits in one batch at the quiescence edge (pinned,
+     * with drain order, by tests/test_frontier_batch.cc). Every popped
+     * item must be balanced by finishItem().
      */
     bool popBatch(size_t max, std::vector<WorkItem> &out);
 
@@ -97,8 +86,8 @@ class Frontier
      * lanes freed mid-sweep (they hold live lanes, so they cannot
      * block): appends up to `max` items to `out`, stopping early when
      * the stack drains or a budget is reached (the next blocking
-     * popBatch() then declares the cap, exactly as in the serial
-     * engine). Every popped item must be balanced by finishItem().
+     * popBatch() then declares the cap). Every popped item must be
+     * balanced by finishItem().
      */
     size_t popMore(size_t max, std::vector<WorkItem> &out);
     /// @}
@@ -125,8 +114,9 @@ class Frontier
         return capped_.load(std::memory_order_relaxed);
     }
     /**
-     * Record that the cycle budget stopped the exploration. pop()
-     * declares the cap on its own when work is still queued; a
+     * Record that the cycle budget stopped the exploration.
+     * popBatch() declares the cap on its own when work is still
+     * queued; a
      * lane-batching worker whose batch drained the stack must declare
      * it explicitly when it abandons in-flight lanes, or the frontier
      * would report a clean quiescent finish.
@@ -135,8 +125,8 @@ class Frontier
     /// @}
 
     /**
-     * Consult/update the conservative table for one merge key (the
-     * serial engine's discipline, atomically per key). Returns true if
+     * Consult/update the conservative table for one merge key
+     * (atomically per key). Returns true if
      * the path is subsumed (prune). May replace `cur` with a widened
      * state (the caller must restore() it and re-evaluate).
      */

@@ -1,8 +1,10 @@
 #include "src/analysis/path_explorer.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
+#include "src/sim/lane_sim.hh"
 #include "src/util/logging.hh"
 #include "src/verify/runner.hh"
 
@@ -28,18 +30,143 @@ tableKey(uint16_t pc, DecKind kind)
            static_cast<uint32_t>(kind);
 }
 
+using BatchMask = LaneMask<PathExplorer::kBatchLanes>;
+
+/**
+ * Plane evaluator (the default): a batch's lanes advance together in
+ * one LaneSoc sweep, each gate visit evaluating all 64 at once.
+ */
+class PlaneLanes
+{
+  public:
+    explicit PlaneLanes(const ExplorationContext &ctx)
+        : ls_(ctx.soc, ctx.prog)
+    {
+        ls_.setGpioIn(SWord::allX());
+        ls_.setIrqExt(ctx.opts.irqLineUnknown ? Logic::X : Logic::Zero);
+    }
+
+    void load(int lane, const MachineState &s)
+    {
+        ls_.loadLane(lane, s.seq, s.env, s.lastFetchPc);
+    }
+    MachineState capture(int lane) const
+    {
+        MachineState s;
+        s.seq = ls_.seqLane(lane);
+        s.env = ls_.envLane(lane);
+        s.lastFetchPc = ls_.lastFetchPc(lane);
+        return s;
+    }
+    uint16_t lastFetchPc(int lane) const { return ls_.lastFetchPc(lane); }
+    void setLastFetchPc(int lane, uint16_t pc)
+    {
+        ls_.setLastFetchPc(lane, pc);
+    }
+    SWord pc(int lane) const { return ls_.pc(lane); }
+
+    /** Evaluate the cycle and observe the `active` lanes' toggles. */
+    void eval(const BatchMask &active, ActivityTracker &tracker)
+    {
+        ls_.evalOnly();
+        tracker.observe(ls_.sim(), active);
+    }
+    BatchMask fetchOneMask() const { return ls_.stFetchOneMask(); }
+    BatchMask decisionXMask() const { return ls_.decisionXMask(); }
+    BatchMask ctlXferOneMask() const { return ls_.ctlXferOneMask(); }
+    BatchMask ctlXferXMask() const { return ls_.ctlXferXMask(); }
+    void finishCycle(const BatchMask &active) { ls_.finishCycle(active); }
+    uint64_t gatesEvaluated() const { return ls_.sim().gateVisitsTotal(); }
+
+  private:
+    LaneSocT<PathExplorer::kBatchLanes> ls_;
+};
+
+/**
+ * Reference evaluator (laneWidth 1): one scalar Soc per lane, advanced
+ * in lane order on the options' GateSim mode, so FullEval stays the
+ * oracle for the whole schedule. Socs are built on first use.
+ */
+class ScalarLanes
+{
+  public:
+    explicit ScalarLanes(const ExplorationContext &ctx) : ctx_(ctx) {}
+
+    void load(int lane, const MachineState &s)
+    {
+        std::unique_ptr<Soc> &soc = socs_[lane];
+        if (!soc) {
+            soc = std::make_unique<Soc>(ctx_.soc, ctx_.prog,
+                                        /*ram_unknown=*/true,
+                                        ctx_.opts.simMode);
+            soc->setGpioIn(SWord::allX());
+            soc->setIrqExt(ctx_.opts.irqLineUnknown ? Logic::X
+                                                    : Logic::Zero);
+        }
+        soc->sim().restoreSeqState(s.seq);
+        soc->restoreEnvState(s.env);
+        lastFetchPc_[lane] = s.lastFetchPc;
+    }
+    MachineState capture(int lane) const
+    {
+        MachineState s;
+        s.seq = socs_[lane]->sim().seqState();
+        s.env = socs_[lane]->envState();
+        s.lastFetchPc = lastFetchPc_[lane];
+        return s;
+    }
+    uint16_t lastFetchPc(int lane) const { return lastFetchPc_[lane]; }
+    void setLastFetchPc(int lane, uint16_t pc) { lastFetchPc_[lane] = pc; }
+    SWord pc(int lane) const { return socs_[lane]->pc(); }
+
+    void eval(const BatchMask &active, ActivityTracker &tracker)
+    {
+        fetchOne_ = decisionX_ = xferOne_ = xferX_ = BatchMask{};
+        forEachLane(active, [&](int lane) {
+            Soc &soc = *socs_[lane];
+            soc.evalOnly();
+            tracker.observe(soc.sim());
+            if (soc.stFetch() == Logic::One)
+                laneSet(fetchOne_, lane);
+            if (soc.decIrq0() == Logic::X || soc.decIrq1() == Logic::X ||
+                soc.decBranch() == Logic::X)
+                laneSet(decisionX_, lane);
+            if (soc.ctlXfer() == Logic::One)
+                laneSet(xferOne_, lane);
+            else if (soc.ctlXfer() == Logic::X)
+                laneSet(xferX_, lane);
+        });
+    }
+    BatchMask fetchOneMask() const { return fetchOne_; }
+    BatchMask decisionXMask() const { return decisionX_; }
+    BatchMask ctlXferOneMask() const { return xferOne_; }
+    BatchMask ctlXferXMask() const { return xferX_; }
+    void finishCycle(const BatchMask &active)
+    {
+        forEachLane(active, [&](int lane) { socs_[lane]->finishCycle(); });
+    }
+    uint64_t gatesEvaluated() const
+    {
+        uint64_t n = 0;
+        for (const std::unique_ptr<Soc> &soc : socs_)
+            n += soc ? soc->sim().gatesEvaluatedTotal() : 0;
+        return n;
+    }
+
+  private:
+    const ExplorationContext &ctx_;
+    std::array<std::unique_ptr<Soc>, PathExplorer::kBatchLanes> socs_;
+    std::array<uint16_t, PathExplorer::kBatchLanes> lastFetchPc_{};
+    BatchMask fetchOne_{}, decisionX_{}, xferOne_{}, xferX_{};
+};
+
 } // namespace
 
 ExplorationContext::ExplorationContext(const Netlist &netlist,
                                        const AsmProgram &prog,
                                        const AnalysisOptions &opts)
     : soc(SocContext::make(netlist)), prog(prog), opts(opts),
-      lanes(resolveAnalysisLanes(opts)),
-      planeWidth(resolvePlaneBits(opts.planeBits)),
-      batchLanes(lanes <= 1      ? 1
-                 : planeWidth > 64 ? planeWidth
-                                   : lanes),
-      haltAddrs(haltAddresses(prog))
+      lanes(resolveAnalysisLanes(opts)), haltAddrs(haltAddresses(prog))
 {
     std::sort(haltAddrs.begin(), haltAddrs.end());
 }
@@ -78,17 +205,10 @@ PathExplorer::initialItem()
 void
 PathExplorer::run()
 {
-    if (ctx_.lanes > 1) {
-        runLanes();
-        return;
-    }
-    WorkItem item;
-    while (frontier_.pop(item)) {
-        paths_++;
-        curDepth_ = item.depth;
-        runPath(item.state);
-        frontier_.finishItem();
-    }
+    if (ctx_.lanes == 1)
+        runBatches<ScalarLanes>();
+    else
+        runBatches<PlaneLanes>();
 }
 
 uint64_t
@@ -332,83 +452,52 @@ PathExplorer::runPath(const MachineState &start)
     }
 }
 
+template <class Lanes>
 void
-PathExplorer::runLanes()
+PathExplorer::runBatches()
 {
-    const size_t cap = static_cast<size_t>(ctx_.batchLanes);
-    // One lazily built engine per plane width; reused across batches
-    // (construction allocates four planes per net).
-    std::unique_ptr<LaneSocT<64>> ls64;
-    std::unique_ptr<LaneSocT<128>> ls128;
-    std::unique_ptr<LaneSocT<256>> ls256;
-    std::unique_ptr<LaneSocT<512>> ls512;
-    auto sweep = [&]<int W>(std::unique_ptr<LaneSocT<W>> &ls,
-                            std::vector<WorkItem> b) {
-        if (!ls) {
-            ls = std::make_unique<LaneSocT<W>>(ctx_.soc, ctx_.prog);
-            ls->setGpioIn(SWord::allX());
-            ls->setIrqExt(ctx_.opts.irqLineUnknown ? Logic::X
-                                                   : Logic::Zero);
-        }
-        laneSweep<W>(*ls, std::move(b));
-    };
+    std::unique_ptr<Lanes> lanes;  // construction is not free: reuse
     std::vector<WorkItem> batch;
-    while (frontier_.popBatch(cap, batch)) {
+    while (frontier_.popBatch(kBatchLanes, batch)) {
         paths_ += batch.size();
         if (batch.size() == 1) {
-            // A lone state gains nothing from plane packing; the
-            // scalar event-driven engine is faster for it.
+            // A lone state gains nothing from batching; the worker's
+            // own Soc runs it faster.
             curDepth_ = batch[0].depth;
             runPath(batch[0].state);
             frontier_.finishItem();
             continue;
         }
-        // Narrowest width that fits the batch (cap already limits the
-        // batch to ctx.planeWidth, so the else arm is well-bounded).
-        const size_t need = batch.size();
-        if (need <= 64)
-            sweep(ls64, std::move(batch));
-        else if (need <= 128)
-            sweep(ls128, std::move(batch));
-        else if (need <= 256)
-            sweep(ls256, std::move(batch));
-        else
-            sweep(ls512, std::move(batch));
+        if (!lanes)
+            lanes = std::make_unique<Lanes>(ctx_);
+        laneSweep(*lanes, std::move(batch));
     }
-    laneGateVisits_ += (ls64 ? ls64->sim().gateVisitsTotal() : 0) +
-                       (ls128 ? ls128->sim().gateVisitsTotal() : 0) +
-                       (ls256 ? ls256->sim().gateVisitsTotal() : 0) +
-                       (ls512 ? ls512->sim().gateVisitsTotal() : 0);
+    if (lanes)
+        laneGateVisits_ += lanes->gatesEvaluated();
 }
 
 /**
- * Simulate a batch of independent frontier states, one per LaneSim
- * lane, until every lane has retired. Straight-line cycles (the vast
- * majority) run fully lane-parallel; the moment a lane reaches
- * anything that needs the fork/merge discipline — a symbolic PC, an X
- * decision, a taken control transfer that prunes or widens — its state
- * is captured and the event is handled by the exact scalar machinery,
- * so the exploration discipline is shared with the serial engine
- * rather than reimplemented. Freed lanes are refilled from the
- * frontier at the end of every cycle.
+ * Simulate a batch of independent frontier states, one per lane, until
+ * every lane has retired. Straight-line cycles (the vast majority) run
+ * lane-parallel; the moment a lane reaches anything that needs the
+ * fork/merge discipline — a symbolic PC, an X decision, a taken control
+ * transfer that prunes or widens — its state is captured and the event
+ * is handled by the exact scalar machinery, so the exploration
+ * discipline exists once rather than per evaluator. Freed lanes are
+ * refilled from the frontier at the end of every cycle.
  */
-template <int W>
+template <class Lanes>
 void
-PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
+PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
 {
-    using Mask = LaneMask<W>;
-    // Refill up to this engine's own lane count (the batch may have
-    // been sized for a wider plane than the one it landed on).
-    const size_t width =
-        std::min<size_t>(W, static_cast<size_t>(ctx_.batchLanes));
-    std::array<uint32_t, W> depth{};
-    std::array<int, W> haltCnt{};
+    using Mask = BatchMask;
+    std::array<uint32_t, kBatchLanes> depth{};
+    std::array<int, kBatchLanes> haltCnt{};
     Mask active{};   ///< lanes being simulated and observed
     Mask control{};  ///< active lanes not in a halt countdown
 
     auto load = [&](int lane, WorkItem &it) {
-        ls.loadLane(lane, it.state.seq, it.state.env,
-                    it.state.lastFetchPc);
+        ls.load(lane, it.state);
         depth[lane] = it.depth;
         haltCnt[lane] = -1;
         laneSet(active, lane);
@@ -426,14 +515,6 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         frontier_.finishItem();
     };
 
-    auto captureLane = [&](int lane) {
-        MachineState s;
-        s.seq = ls.seqLane(lane);
-        s.env = ls.envLane(lane);
-        s.lastFetchPc = ls.lastFetchPc(lane);
-        return s;
-    };
-
     while (laneAny(active)) {
         if (frontier_.cycles() >= ctx_.opts.maxTotalCycles) {
             // Abandon every in-flight lane. The batch may have drained
@@ -445,13 +526,12 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
             return;
         }
 
-        ls.evalOnly();
-        tracker_.observe(ls.sim(), active);
+        ls.eval(active, tracker_);
         laneSweeps_++;
 
         // Lanes whose 6-cycle halt observation window just completed
-        // (the scalar engine observes the final eval and returns
-        // without finishing that cycle; so do we).
+        // (runPath observes the final eval and returns without
+        // finishing that cycle; so do we).
         const Mask halting = active & ~control;
         forEachLane(halting, [&](int lane) {
             if (haltCnt[lane] == 0)
@@ -460,12 +540,11 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
 
         // Instruction fetch: symbolic PCs fork one continuation per
         // candidate; halt addresses start the observation countdown.
-        const Mask fetch = ls.stFetchOneMask() & control;
+        const Mask fetch = ls.fetchOneMask() & control;
         forEachLane(fetch, [&](int lane) {
             SWord pc = ls.pc(lane);
             if (!pc.fullyKnown()) {
-                enumerateSymbolicPc(pc, captureLane(lane),
-                                    depth[lane]);
+                enumerateSymbolicPc(pc, ls.capture(lane), depth[lane]);
                 retire(lane);
                 return;
             }
@@ -484,7 +563,7 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         // path through fork resolution and beyond.
         const Mask deciding = ls.decisionXMask() & control;
         forEachLane(deciding, [&](int lane) {
-            MachineState s = captureLane(lane);
+            MachineState s = ls.capture(lane);
             curDepth_ = depth[lane];
             runPath(s);
             retire(lane);
@@ -494,10 +573,10 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
             bespoke_fatal("ctl_xfer is X outside a decision fork");
 
         // Taken control transfers: the conservative-table discipline,
-        // one shard-locked mergePoint per lane, same as serial.
+        // one shard-locked mergePoint per lane, same as runPath.
         const Mask xfer = ls.ctlXferOneMask() & control;
         forEachLane(xfer, [&](int lane) {
-            MachineState cur = captureLane(lane);
+            MachineState cur = ls.capture(lane);
             bool widened;
             if (frontier_.mergePoint(
                     tableKey(ls.lastFetchPc(lane), DecKind::CtlXfer),
@@ -528,7 +607,7 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
 
         // Refill freed lanes so the batch stays as wide as the
         // frontier allows.
-        size_t free = width - laneCount(active);
+        size_t free = kBatchLanes - laneCount(active);
         if (free > 0) {
             batch.clear();
             frontier_.popMore(free, batch);
@@ -556,9 +635,9 @@ PathExplorer::continueWidened(const MachineState &cur, uint32_t depth)
         return;
     if (forked)
         return;
-    // The scalar engine would loop straight into the next cycle here;
-    // deferring the post-latch state through the frontier is the same
-    // computation (work items are self-describing machine states).
+    // runPath would loop straight into the next cycle here; deferring
+    // the post-latch state through the frontier is the same computation
+    // (work items are self-describing machine states).
     soc_.finishCycle();
     chargeCycle();
     frontier_.push(WorkItem{capture(), depth});

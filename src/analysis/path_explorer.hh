@@ -11,12 +11,14 @@
  * the conservative-widening tables, the global budgets — lives behind
  * the Frontier, which is the only object workers touch concurrently.
  *
- * run() is the worker loop: pop a state, explore the path until it
- * halts / forks continuations back onto the frontier / is pruned at a
- * merge point, repeat until the frontier reports the exploration is
- * over. With one worker this reproduces the historical serial engine
- * bit for bit (same LIFO order, same table discipline, same budget
- * checks at the same points).
+ * run() is the worker loop, one deterministic batch schedule: pop up
+ * to kBatchLanes frontier states, advance them together cycle by cycle,
+ * and hand a state to the scalar path machinery (runPath) whenever it
+ * reaches a fork, a merge point or a symbolic PC; freed lanes refill
+ * from the frontier. How a batch's lanes advance one cycle is the only
+ * thing the lane width selects — 64-bit planes on one LaneSoc, or the
+ * reference evaluator's 64 scalar Socs in lane order — so results and
+ * counters depend on the program and the analysis options alone.
  */
 
 #ifndef BESPOKE_ANALYSIS_PATH_EXPLORER_HH
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "src/analysis/frontier.hh"
-#include "src/sim/lane_sim.hh"
 #include "src/sim/sim_context.hh"
 
 namespace bespoke
@@ -47,17 +48,8 @@ struct ExplorationContext
     std::shared_ptr<const SocContext> soc;
     const AsmProgram &prog;
     AnalysisOptions opts;
-    /** Resolved LaneSim batch width (1 = scalar-only exploration). */
+    /** Resolved lane width: 1 = reference evaluator, 64 = planes. */
     int lanes;
-    /** Resolved plane width in bits (64/128/256/512). */
-    int planeWidth;
-    /**
-     * Frontier states one worker batches per sweep: `lanes` on 64-bit
-     * planes, the full plane width above (a wider word exists to carry
-     * more states; capping it at `lanes` would just simulate dead
-     * lanes).
-     */
-    int batchLanes;
     /** Sorted `jmp .` addresses; membership via binary search. */
     std::vector<uint16_t> haltAddrs;
 
@@ -80,6 +72,9 @@ class PathExplorer
 
     /** The root work item (reset state, PC 0); push exactly one. */
     WorkItem initialItem();
+
+    /** Frontier states one worker advances together per cycle. */
+    static constexpr int kBatchLanes = 64;
 
     /** Worker loop: explore paths until the frontier is exhausted. */
     void run();
@@ -116,26 +111,22 @@ class PathExplorer
                              uint32_t depth);
     void runPath(const MachineState &start);
 
-    /** @name Lane-batched exploration (ctx.lanes > 1) */
+    /** @name Batch schedule */
     /// @{
     /**
-     * Worker loop popping whole batches onto a lane engine whose
-     * plane width is chosen per batch: the narrowest instantiated
-     * width that fits the popped batch, capped by ctx.planeWidth.
-     * Empty lanes cost plane words regardless of occupancy, so a
-     * shallow frontier runs on 64-bit planes even at --plane-bits 512;
-     * wide planes engage exactly when the frontier is deep enough to
-     * fill them. Engines are built lazily and reused across batches.
+     * run() on one lane evaluator type (PlaneLanes or ScalarLanes in
+     * path_explorer.cc), built lazily and reused across batches.
      */
-    void runLanes();
-    /** Simulate one batch of frontier states lane-parallel. */
-    template <int W>
-    void laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch);
+    template <class Lanes>
+    void runBatches();
+    /** Advance one batch of frontier states until every lane retires. */
+    template <class Lanes>
+    void laneSweep(Lanes &lanes, std::vector<WorkItem> batch);
     /**
      * Continue a path that was widened at a ctl-xfer merge point:
-     * replays the scalar engine's post-widening tail (re-evaluate,
-     * resolve any surfaced decisions, finish the cycle) and pushes the
-     * post-latch state back to the frontier instead of looping inline.
+     * replays runPath's post-widening tail (re-evaluate, resolve any
+     * surfaced decisions, finish the cycle) and pushes the post-latch
+     * state back to the frontier instead of looping inline.
      */
     void continueWidened(const MachineState &cur, uint32_t depth);
     /// @}
@@ -152,7 +143,7 @@ class PathExplorer
     const int workerId_;
     Soc soc_;
     ActivityTracker tracker_;
-    /** Gate visits of this worker's (already destroyed) lane engine. */
+    /** Gate evaluations of this worker's (already destroyed) lanes. */
     uint64_t laneGateVisits_ = 0;
     uint16_t lastFetchPc_ = 0;
     uint32_t curDepth_ = 0;  ///< fork depth of the current path

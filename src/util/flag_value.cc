@@ -22,8 +22,8 @@ parseFlagValue(const std::string &flag, const std::string &text,
       case FlagKind::Bytes:
         break;
       case FlagKind::Lanes:
-        ok = ok && v >= 1 && v <= 64;
-        needs = "an integer in [1, 64]";
+        ok = ok && (v == 1 || v == 64);
+        needs = "1 or 64";
         break;
       case FlagKind::PlaneBits:
         ok = ok && (v == 64 || v == 128 || v == 256 || v == 512);

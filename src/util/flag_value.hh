@@ -20,7 +20,7 @@ enum class FlagKind : uint8_t
 {
     Count,      ///< non-negative int: thread counts, depths
     Bytes,      ///< non-negative 64-bit integer: byte and queue caps
-    Lanes,      ///< activity-analysis lane width, 1..64
+    Lanes,      ///< activity-analysis lane evaluator: 1 or 64
     PlaneBits,  ///< lane-plane width: 64, 128, 256 or 512
 };
 

@@ -4,8 +4,9 @@
  * soundness with respect to concrete executions (every gate that
  * toggles in any concrete run must be marked toggleable), constant
  * discovery, decision forking, and termination on unbounded loops.
- * Every invariant is checked on the serial engine, on worker threads,
- * and on worker threads running the 64-lane batched engine.
+ * Every invariant is checked on the reference lane evaluator (one
+ * worker and four) and on four workers running the bit-plane
+ * evaluator.
  */
 
 #include <deque>

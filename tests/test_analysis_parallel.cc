@@ -3,10 +3,10 @@
  * Tests for the parallel path-exploration engine behind
  * analyzeActivity():
  *
- *  - threads=1 reproduces the pre-refactor serial engine bit for bit
- *    (path/cycle/fork/merge counters and the untoggled-cell count are
- *    pinned to values captured from the monolithic AnalysisEngine
- *    before the decomposition);
+ *  - threads=1 is deterministic: the path/cycle/fork/merge counters of
+ *    the 64-wide batch schedule are pinned, and the untoggled-cell
+ *    counts equal those of the monolithic AnalysisEngine before the
+ *    decomposition;
  *  - threads>1 yields the identical untoggled-cell set (the widening
  *    fixpoint is schedule-independent on these workloads);
  *  - exploration caps produce completed=false with a still-usable
@@ -38,7 +38,11 @@ analyze(const char *workload, int threads, AnalysisOptions opts = {})
     return analyzeActivity(core(), workloadByName(workload), opts);
 }
 
-/** Golden counters captured from the serial engine pre-decomposition. */
+/**
+ * Golden counters of the one-worker batch schedule (identical at both
+ * lane evaluators). The untoggled counts were captured from the serial
+ * engine before the decomposition and have never moved.
+ */
 struct Golden
 {
     const char *workload;
@@ -47,9 +51,9 @@ struct Golden
 };
 
 constexpr Golden kGolden[] = {
-    {"div", 181, 2956, 90, 3, 3708},
-    {"tHold", 385, 7837, 192, 44, 3537},
-    {"rle", 279, 5959, 139, 24, 1424},
+    {"div", 220, 3119, 105, 25, 3708},
+    {"tHold", 483, 8843, 233, 78, 3537},
+    {"rle", 354, 5925, 146, 92, 1424},
     {"binSearch", 65, 1269, 32, 0, 3747},
     {"intFilt", 1, 2265, 0, 0, 3101},
 };
@@ -99,14 +103,15 @@ TEST(AnalysisParallel, ThreadedMatchesSerialUntoggledSet)
 
 TEST(AnalysisParallel, LaneBatchedMatchesSerialUntoggledSet)
 {
-    // The 64-lane bit-plane engine (AnalysisOptions::laneWidth) takes
-    // a different schedule through the widening tables, so the
-    // path/cycle counters legitimately differ from the serial golden
-    // values — but the toggle fixpoint must be identical, alone and
-    // combined with worker threads.
+    // The bit-plane evaluator keeps the toggle fixpoint of the
+    // reference scalar evaluator on one worker (where every counter
+    // matches too, see tests/test_analysis_evaluators.cc) and on four,
+    // where workers race on the widening tables.
     for (const char *name : {"div", "tHold", "rle", "binSearch"}) {
         SCOPED_TRACE(name);
-        AnalysisResult serial = analyze(name, 1);
+        AnalysisOptions ref;
+        ref.laneWidth = 1;
+        AnalysisResult serial = analyze(name, 1, ref);
         ASSERT_TRUE(serial.completed);
         for (int threads : {1, 4}) {
             SCOPED_TRACE(threads);
@@ -136,7 +141,7 @@ TEST(AnalysisParallel, PathCapYieldsIncompleteButUsableResult)
     for (int threads : {1, 4}) {
         SCOPED_TRACE(threads);
         AnalysisOptions opts;
-        opts.maxPaths = 20;  // div needs 181
+        opts.maxPaths = 20;  // div needs 220
         AnalysisResult r = analyze("div", threads, opts);
         EXPECT_FALSE(r.completed);
         EXPECT_LE(r.pathsExplored, opts.maxPaths);
@@ -160,7 +165,7 @@ TEST(AnalysisParallel, CycleCapYieldsIncompleteResult)
     for (int threads : {1, 4}) {
         SCOPED_TRACE(threads);
         AnalysisOptions opts;
-        opts.maxTotalCycles = 500;  // div needs 2956
+        opts.maxTotalCycles = 500;  // div needs 3119
         AnalysisResult r = analyze("div", threads, opts);
         EXPECT_FALSE(r.completed);
         ASSERT_NE(r.activity, nullptr);

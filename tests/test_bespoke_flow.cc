@@ -7,10 +7,16 @@
  * smaller than the fine-grained design.
  */
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/bespoke/equiv_check.hh"
 #include "src/bespoke/flow.hh"
+#include "src/mutation/mutation.hh"
+#include "src/sat/equiv_prover.hh"
 #include "src/verify/runner.hh"
 
 namespace bespoke
@@ -73,6 +79,39 @@ TEST(BespokeFlow, SymbolicEquivalenceOfTailoredDesigns)
         EXPECT_TRUE(eq.equivalent) << name << ": " << eq.firstMismatch;
         EXPECT_TRUE(eq.completed) << name;
         EXPECT_GT(eq.outputsCompared, 1000u) << name;
+    }
+}
+
+TEST(BespokeFlow, ScheduleSensitiveMutantCutsProveEquivalent)
+{
+    // The 64-wide batch schedule proves 22 (binSearch) and 13 (inSort)
+    // more gates constant on these mutants than the earlier depth-first
+    // schedule did. Both independent equivalence engines must accept
+    // the designs cut on those larger constant sets.
+    const std::pair<const char *, const char *> mutants[] = {
+        {"binSearch", "binSearch-mut3-rra2rla"},
+        {"inSort", "inSort-mut10-rla2rra"},
+    };
+    for (auto [app, name] : mutants) {
+        SCOPED_TRACE(name);
+        std::vector<Mutant> all = generateMutants(workloadByName(app));
+        auto it = std::find_if(all.begin(), all.end(), [&](const Mutant &m) {
+            return m.workload.name == name;
+        });
+        ASSERT_NE(it, all.end());
+        const Workload &w = it->workload;
+        BespokeDesign d = flow().tailor(w);
+        AsmProgram prog = w.assembleProgram();
+
+        EquivResult eq = checkSymbolicEquivalence(flow().baseline(),
+                                                  d.netlist, prog);
+        EXPECT_TRUE(eq.equivalent) << eq.firstMismatch;
+        EXPECT_TRUE(eq.completed);
+
+        sat::SatEquivResult smt = sat::proveEquivalentSat(
+            flow().baseline(), d.netlist, prog, sat::SatEquivOptions{});
+        EXPECT_EQ(smt.verdict, sat::SatEquivVerdict::Equivalent)
+            << smt.detail;
     }
 }
 

@@ -20,6 +20,7 @@
 
 #include "src/bespoke/checkpoint.hh"
 #include "src/bespoke/flow.hh"
+#include "src/mutation/mutation.hh"
 
 namespace fs = std::filesystem;
 
@@ -172,6 +173,45 @@ TEST(Checkpoint, ResumeAndShortCircuitAreBitIdentical)
     }
     EXPECT_EQ(fileCount(dir), 3u);
 
+    fs::remove_all(dir);
+}
+
+TEST(Checkpoint, LaneWidthNeverChangesTheServedDesign)
+{
+    // laneWidth stays out of the checkpoint key: it only selects how
+    // the one exploration schedule advances its lanes, so a design
+    // stored at one width is exactly what any other width computes —
+    // including the SAT depth `sat.depth = 0` resolves to (the
+    // analysis's cyclesSimulated, compared by expectSameDesign).
+    std::string dir = freshDir("ckpt_lanes");
+    Workload w;
+    for (Mutant &m : generateMutants(workloadByName("binSearch"))) {
+        if (m.workload.name == "binSearch-mut3-rra2rla")
+            w = std::move(m.workload);
+    }
+    ASSERT_FALSE(w.name.empty());
+    auto opts_at = [&](int lanes, const std::string &d) {
+        FlowOptions o = fastOpts(d);
+        o.analysis.laneWidth = lanes;
+        // A ~1.4k-frame horizon, proven on a one-conflict budget: the
+        // cheapest run that still resolves and applies the auto depth.
+        o.analysis.concreteVisits = 1;
+        o.passes.satNeverToggle = true;
+        o.passes.sat.depth = 0;  // the analysis's own horizon
+        o.passes.sat.conflictBudget = 1;
+        return o;
+    };
+    {
+        BespokeFlow stored(opts_at(1, dir));
+        stored.tailor(w);
+    }
+    BespokeFlow served(opts_at(64, dir));
+    BespokeDesign d = served.tailor(w);
+    EXPECT_EQ(served.checkpoints().hits(), 3u);
+    EXPECT_EQ(served.checkpoints().misses(), 0u);
+
+    BespokeFlow fresh(opts_at(64, ""));
+    expectSameDesign(fresh.tailor(w), d);
     fs::remove_all(dir);
 }
 

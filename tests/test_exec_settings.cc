@@ -51,7 +51,7 @@ TEST(ExecSettings, EnvironmentDoesNotOverrideOptions)
 {
     ScopedEnv full_eval("BESPOKE_FULL_EVAL", "1");
     ScopedEnv threads("BESPOKE_ANALYSIS_THREADS", "5");
-    ScopedEnv lanes("BESPOKE_ANALYSIS_LANES", "32");
+    ScopedEnv lanes("BESPOKE_ANALYSIS_LANES", "1");
     ScopedEnv plane_bits("BESPOKE_PLANE_BITS", "512");
 
     Netlist nl;
@@ -70,10 +70,10 @@ TEST(ExecSettings, EnvironmentDoesNotOverrideOptions)
     EXPECT_EQ(resolveAnalysisThreads(opts),
               std::min(WorkerPool::defaultThreadCount(), 256));
 
+    EXPECT_EQ(resolveAnalysisLanes(opts), 64);
+    opts.laneWidth = 1;
     EXPECT_EQ(resolveAnalysisLanes(opts), 1);
-    opts.laneWidth = 7;
-    EXPECT_EQ(resolveAnalysisLanes(opts), 7);
-    opts.laneWidth = 1000;
+    opts.laneWidth = 7;  // any width but 1 selects the planes
     EXPECT_EQ(resolveAnalysisLanes(opts), 64);
 
     EXPECT_EQ(resolvePlaneBits(0), 64);

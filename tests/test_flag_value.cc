@@ -42,6 +42,8 @@ TEST(FlagValue, AcceptsOnlyWellFormedValuesOfTheKind)
         {"--plane-bits", "0", FlagKind::PlaneBits, std::nullopt},
         {"--lanes", "0", FlagKind::Lanes, std::nullopt},
         {"--lanes", "65", FlagKind::Lanes, std::nullopt},
+        {"--lanes", "7", FlagKind::Lanes, std::nullopt},
+        {"--lanes", "1", FlagKind::Lanes, 1},
         {"--threads", "0", FlagKind::Count, 0},
         {"--threads", "3", FlagKind::Count, 3},
         {"--max-queued", "2147483648", FlagKind::Bytes, 2147483648ull},

@@ -243,10 +243,14 @@ TEST(EventEquiv, ActivityAnalysisAgrees)
     sizeForLoads(nl);
     const Workload &w = workloadByName("binSearch");
 
+    // The oracle: the reference lane evaluator with every Soc on full
+    // evaluation, against the default bit-plane evaluator whose scalar
+    // hand-offs run event-driven.
     AnalysisOptions ev_opts;
     ev_opts.simMode = GateSim::EvalMode::EventDriven;
     AnalysisOptions full_opts = ev_opts;
     full_opts.simMode = GateSim::EvalMode::FullEval;
+    full_opts.laneWidth = 1;
 
     AnalysisResult a = analyzeActivity(nl, w, ev_opts);
     AnalysisResult b = analyzeActivity(nl, w, full_opts);
