@@ -1,12 +1,11 @@
 /**
  * @file
  * Scenario: hand the bespoke design to a physical-design / simulation
- * flow. Tailors a core to the TEA encryption firmware, writes the
- * result as structural Verilog (plus the behavioral cell library), and
- * dumps a VCD waveform of the first thousand cycles of execution for
- * inspection in GTKWave.
+ * flow. Tailors a core to the TEA encryption firmware and writes the
+ * result as structural Verilog plus the behavioral cell library, ready
+ * for any Verilog simulator or synthesis tool.
  *
- * Produces: bespoke_tea8.v, bespoke_cells.v, bespoke_tea8.vcd
+ * Produces: bespoke_tea8.v, bespoke_cells.v
  */
 
 #include <cstdio>
@@ -14,9 +13,7 @@
 
 #include "src/bespoke/flow.hh"
 #include "src/netlist/verilog_export.hh"
-#include "src/sim/vcd_writer.hh"
 #include "src/util/logging.hh"
-#include "src/verify/runner.hh"
 
 using namespace bespoke;
 
@@ -32,7 +29,7 @@ main()
                 app.name.c_str(), design.metrics.gates,
                 design.metrics.areaUm2);
 
-    // 1. Structural Verilog + cell library.
+    // Structural Verilog + cell library.
     {
         std::ofstream v("bespoke_tea8.v");
         exportVerilog(design.netlist, "bespoke_tea8", v);
@@ -40,28 +37,5 @@ main()
         writeCellLibrary(lib);
     }
     std::printf("wrote bespoke_tea8.v and bespoke_cells.v\n");
-
-    // 2. VCD waveform of a concrete run on the bespoke design.
-    {
-        AsmProgram prog = app.assembleProgram();
-        Rng rng(42);
-        WorkloadInput in = app.genInput(rng);
-        Soc soc(design.netlist, prog, /*ram_unknown=*/false);
-        soc.setGpioIn(SWord::of(in.gpioIn));
-        soc.setIrqExt(Logic::Zero);
-        for (size_t i = 0; i < in.ramWords.size(); i++) {
-            soc.pokeRamWord(static_cast<uint16_t>(kInputBase + 2 * i),
-                            SWord::of(in.ramWords[i]));
-        }
-        std::ofstream vcd_file("bespoke_tea8.vcd");
-        VcdWriter vcd(design.netlist, vcd_file);
-        for (int c = 0; c < 1000; c++) {
-            soc.evalOnly();
-            vcd.sample(soc.sim());
-            soc.finishCycle();
-        }
-    }
-    std::printf("wrote bespoke_tea8.vcd (1000 cycles; open with "
-                "gtkwave)\n");
     return 0;
 }

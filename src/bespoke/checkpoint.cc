@@ -167,29 +167,12 @@ touchAccess(const std::string &path)
 
 } // namespace
 
-void
-StageLock::release()
-{
-    if (coord_ && !path_.empty()) {
-        {
-            std::lock_guard<std::mutex> lk(coord_->m);
-            coord_->inflight.erase(path_);
-        }
-        coord_->done.notify_all();
-    }
-    coord_.reset();
-    path_.clear();
-}
-
-CheckpointStore::CheckpointStore(
-    const std::string &dir, uint64_t maxBytes,
-    std::shared_ptr<CheckpointCoordinator> coord)
-    : dir_(dir), maxBytes_(maxBytes), coord_(std::move(coord))
+CheckpointStore::CheckpointStore(const std::string &dir,
+                                 uint64_t maxBytes)
+    : dir_(dir), maxBytes_(maxBytes)
 {
     if (dir_.empty())
         return;
-    if (!coord_)
-        coord_ = std::make_shared<CheckpointCoordinator>();
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     if (ec) {
@@ -198,23 +181,6 @@ CheckpointStore::CheckpointStore(
                      "); checkpointing disabled");
         dir_.clear();
     }
-}
-
-StageLock
-CheckpointStore::lockStage(const CheckpointKey &key,
-                           const std::string &stage) const
-{
-    if (!enabled())
-        return {};
-    std::string p = path(key, stage);
-    bool waited = false;
-    std::unique_lock<std::mutex> lk(coord_->m);
-    while (coord_->inflight.count(p)) {
-        waited = true;
-        coord_->done.wait(lk);
-    }
-    coord_->inflight.insert(p);
-    return StageLock(coord_, std::move(p), waited);
 }
 
 std::string
@@ -293,9 +259,7 @@ CheckpointStore::save(const CheckpointKey &key, const std::string &stage,
 void
 CheckpointStore::sweep(const std::string &keep) const
 {
-    // One sweep at a time per directory: concurrent savers would
-    // otherwise double-count sizes and double-evict.
-    std::lock_guard<std::mutex> sweep_lk(coord_->sweepM);
+    std::lock_guard<std::mutex> sweep_lk(sweepM_);
     struct Entry
     {
         std::string path;

@@ -32,10 +32,7 @@
 #define BESPOKE_BESPOKE_CHECKPOINT_HH
 
 #include <atomic>
-#include <condition_variable>
-#include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "src/analysis/activity_analysis.hh"
@@ -58,78 +55,6 @@ struct CheckpointKey
     uint64_t options = 0;  ///< hash of every result-affecting option
 };
 
-/**
- * In-process coordination state for one checkpoint directory shared by
- * several stores: the in-flight stage table behind lockStage() and the
- * eviction-sweep lock. A store built without an explicit coordinator
- * gets a private one; clients sharing a directory across concurrent
- * flows (the job scheduler) pass the same coordinator to every store,
- * so "first runner computes, the rest wait then hit the store" spans
- * flows while per-store hit/miss counters stay exact.
- */
-struct CheckpointCoordinator
-{
-    std::mutex m;
-    std::condition_variable done;
-    std::set<std::string> inflight;  ///< artifact paths being computed
-    std::mutex sweepM;               ///< serializes LRU sweeps
-};
-
-/**
- * RAII in-flight marker for one (key, stage) artifact, handed out by
- * CheckpointStore::lockStage(). While held, any other lockStage() on
- * the same artifact (through any store sharing the coordinator)
- * blocks; waiters should re-try load() once granted — the first
- * runner's save() has usually landed by then. Movable, not copyable.
- * A lock from a disabled store is empty and never blocks anyone.
- */
-class StageLock
-{
-  public:
-    StageLock() = default;
-    StageLock(StageLock &&o) noexcept
-        : coord_(std::move(o.coord_)), path_(std::move(o.path_)),
-          waited_(o.waited_)
-    {
-        o.coord_.reset();
-        o.path_.clear();
-    }
-    StageLock &operator=(StageLock &&o) noexcept
-    {
-        if (this != &o) {
-            release();
-            coord_ = std::move(o.coord_);
-            path_ = std::move(o.path_);
-            waited_ = o.waited_;
-            o.coord_.reset();
-            o.path_.clear();
-        }
-        return *this;
-    }
-    ~StageLock() { release(); }
-
-    StageLock(const StageLock &) = delete;
-    StageLock &operator=(const StageLock &) = delete;
-
-    /** True if another runner held this artifact before we got it. */
-    bool waited() const { return waited_; }
-    /** Drop the in-flight marker and wake waiters (idempotent). */
-    void release();
-
-  private:
-    friend class CheckpointStore;
-    StageLock(std::shared_ptr<CheckpointCoordinator> coord,
-              std::string path, bool waited)
-        : coord_(std::move(coord)), path_(std::move(path)),
-          waited_(waited)
-    {
-    }
-
-    std::shared_ptr<CheckpointCoordinator> coord_;
-    std::string path_;
-    bool waited_ = false;
-};
-
 class CheckpointStore
 {
   public:
@@ -139,12 +64,9 @@ class CheckpointStore
      * Store rooted at `dir` (created if missing); "" disables.
      * `maxBytes` > 0 caps the total artifact size: each save evicts
      * least-recently-used artifacts until the store fits. 0 = no cap.
-     * `coord` shares the in-flight table and sweep lock with other
-     * stores on the same directory; null makes a private one.
      */
-    explicit CheckpointStore(
-        const std::string &dir, uint64_t maxBytes = 0,
-        std::shared_ptr<CheckpointCoordinator> coord = nullptr);
+    explicit CheckpointStore(const std::string &dir,
+                             uint64_t maxBytes = 0);
 
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
@@ -172,17 +94,6 @@ class CheckpointStore
     void save(const CheckpointKey &key, const std::string &stage,
               const JsonValue &doc) const;
 
-    /**
-     * Mark a (key, stage) artifact as being computed, blocking while
-     * another runner (through any store sharing this coordinator)
-     * holds it. Callers follow the double-checked discipline:
-     * load() miss -> lockStage() -> load() again (the first runner's
-     * save usually lands while we wait) -> compute -> save. Returns
-     * an empty lock when the store is disabled.
-     */
-    StageLock lockStage(const CheckpointKey &key,
-                        const std::string &stage) const;
-
     /** @name Hit/miss counters (observability for tests and logs) */
     /// @{
     size_t hits() const { return hits_.load(); }
@@ -200,7 +111,9 @@ class CheckpointStore
 
     std::string dir_;
     uint64_t maxBytes_ = 0;
-    std::shared_ptr<CheckpointCoordinator> coord_;
+    /** Serializes LRU sweeps: concurrent savers would otherwise
+     *  double-count sizes and double-evict. */
+    mutable std::mutex sweepM_;
     mutable std::atomic<size_t> hits_{0};
     mutable std::atomic<size_t> misses_{0};
     mutable std::atomic<size_t> evictions_{0};

@@ -1,7 +1,5 @@
 #include "src/bespoke/flow.hh"
 
-#include <chrono>
-
 #include "src/cpu/bsp430.hh"
 #include "src/util/table.hh"
 #include "src/util/logging.hh"
@@ -23,14 +21,6 @@ hashApps(const std::vector<const Workload *> &apps)
     return h;
 }
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 } // namespace
 
 BespokeFlow::BespokeFlow(FlowOptions opts)
@@ -40,8 +30,7 @@ BespokeFlow::BespokeFlow(FlowOptions opts)
 
 BespokeFlow::BespokeFlow(FlowOptions opts, Netlist baseline)
     : opts_(std::move(opts)), baseline_(std::move(baseline)),
-      store_(opts_.checkpointDir, opts_.checkpointMaxBytes,
-             opts_.checkpointCoordinator)
+      store_(opts_.checkpointDir, opts_.checkpointMaxBytes)
 {
     sizeForLoads(baseline_, opts_.timing);
     TimingReport rep = analyzeTiming(baseline_, opts_.timing);
@@ -64,30 +53,18 @@ BespokeFlow::measure(const Netlist &netlist,
                      const std::vector<const Workload *> &apps)
 {
     CheckpointKey key;
-    StageLock in_flight;
     if (store_.enabled()) {
         key = {netlist.contentHash(), hashApps(apps), flowOptsHash_};
-        auto load = [&](DesignMetrics *out) {
-            JsonValue doc;
-            if (!store_.load(key, "metrics", &doc))
-                return false;
-            std::string err;
-            if (metricsFromJson(doc, out, &err))
-                return true;
-            bespoke_warn("checkpoint metrics: ", err, "; re-measuring");
-            return false;
-        };
+        JsonValue doc;
         DesignMetrics cached;
-        if (load(&cached))
-            return cached;
-        // First runner computes; anyone else waits here, then finds
-        // the saved artifact on the re-try load.
-        in_flight = store_.lockStage(key, "metrics");
-        if (in_flight.waited() && load(&cached))
-            return cached;
+        std::string err;
+        if (store_.load(key, "metrics", &doc)) {
+            if (metricsFromJson(doc, &cached, &err))
+                return cached;
+            bespoke_warn("checkpoint metrics: ", err, "; re-measuring");
+        }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
     DesignMetrics m;
     NetlistStats stats = netlist.stats();
     m.gates = stats.numCells;
@@ -129,8 +106,6 @@ BespokeFlow::measure(const Netlist &netlist,
     m.powerAtVmin =
         scaleToVoltage(m.powerNominal, m.vmin, opts_.power);
 
-    if (opts_.stageCallback)
-        opts_.stageCallback("metrics", secondsSince(t0));
     if (store_.enabled())
         store_.save(key, "metrics", metricsToJson(m));
     return m;
@@ -154,29 +129,16 @@ BespokeFlow::analyzeProgram(const AsmProgram &prog,
 {
     CheckpointKey key{baselineHash_, hashProgram(prog),
                       analysisOptsHash_};
-    StageLock in_flight;
-    if (store_.enabled()) {
-        auto load = [&](AnalysisResult *out) {
-            JsonValue doc;
-            if (!store_.load(key, "analysis", &doc))
-                return false;
-            std::string err;
-            if (analysisFromJson(doc, baseline_, out, &err))
-                return true;
-            bespoke_warn("checkpoint analysis for ", name, ": ", err,
-                         "; re-analyzing");
-            return false;
-        };
-        AnalysisResult cached;
-        if (load(&cached))
+    JsonValue doc;
+    AnalysisResult cached;
+    std::string err;
+    if (store_.load(key, "analysis", &doc)) {
+        if (analysisFromJson(doc, baseline_, &cached, &err))
             return cached;
-        in_flight = store_.lockStage(key, "analysis");
-        if (in_flight.waited() && load(&cached))
-            return cached;
+        bespoke_warn("checkpoint analysis for ", name, ": ", err,
+                     "; re-analyzing");
     }
     AnalysisResult r = analyzeActivity(baseline_, prog, opts_.analysis);
-    if (opts_.stageCallback)
-        opts_.stageCallback("analysis", r.seconds);
     // Capped (incomplete) runs are never checkpointed: a rerun with
     // higher caps must not resume from a partial toggle set.
     if (store_.enabled() && r.completed)
@@ -191,33 +153,18 @@ BespokeFlow::obtainDesign(
     const std::function<Netlist(CutStats *, PipelineReport *)> &build)
 {
     CheckpointKey key{baselineHash_, program_hash, flowOptsHash_};
-    StageLock in_flight;
-    if (store_.enabled()) {
-        auto load = [&](Netlist *out) {
-            JsonValue doc;
-            if (!store_.load(key, stage, &doc))
-                return false;
-            std::string err;
-            if (designFromJson(doc, out, cut, &err, report))
-                return true;
-            bespoke_warn("checkpoint ", stage, ": ", err,
-                         "; re-cutting");
-            return false;
-        };
-        Netlist cached;
-        if (load(&cached))
+    JsonValue doc;
+    Netlist cached;
+    std::string err;
+    if (store_.load(key, stage, &doc)) {
+        if (designFromJson(doc, &cached, cut, &err, report))
             return cached;
-        in_flight = store_.lockStage(key, stage);
-        if (in_flight.waited() && load(&cached))
-            return cached;
+        bespoke_warn("checkpoint ", stage, ": ", err, "; re-cutting");
     }
-    auto t0 = std::chrono::steady_clock::now();
     Netlist netlist = build(cut, report);
     // Re-size for the (smaller) loads: the paper's slack-driven
     // replacement with smaller cells falls out of re-running sizing.
     sizeForLoads(netlist, opts_.timing);
-    if (opts_.stageCallback)
-        opts_.stageCallback(stage, secondsSince(t0));
     if (store_.enabled())
         store_.save(key, stage, designToJson(netlist, *cut, report));
     return netlist;

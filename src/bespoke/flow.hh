@@ -88,24 +88,6 @@ struct FlowOptions
      * Like checkpointDir, excluded from hashFlowOptions().
      */
     uint64_t checkpointMaxBytes = 0;
-    /**
-     * In-process coordination shared with other flows on the same
-     * checkpoint directory (in-flight stage dedup + sweep lock): when
-     * several concurrent flows submit the same (netlist, program,
-     * options), the first computes each stage and the rest wait, then
-     * load the saved artifact. Null = the flow coordinates only with
-     * itself. Excluded from hashFlowOptions(), like checkpointDir.
-     */
-    std::shared_ptr<CheckpointCoordinator> checkpointCoordinator;
-    /**
-     * Invoked after each stage the flow actually *computes* (checkpoint
-     * hits skip it) with the stage name ("analysis", "design",
-     * "coarse", "metrics") and the wall seconds the computation took.
-     * Progress reporting only — excluded from hashFlowOptions(). Must
-     * be thread-safe if the flow is shared across threads.
-     */
-    std::function<void(const std::string &stage, double seconds)>
-        stageCallback;
 };
 
 class BespokeFlow
@@ -135,9 +117,9 @@ class BespokeFlow
 
     /**
      * tailor() that reports capped (incomplete) analysis through `err`
-     * instead of dying — the job scheduler's entry point, where one bad
-     * job must not take down the queue. Returns false (with *out
-     * untouched) iff analysis hit its caps.
+     * instead of dying, so a caller tailoring many programs can skip
+     * one that hits the caps. Returns false (with *out untouched) iff
+     * analysis hit its caps.
      */
     bool tryTailor(const Workload &app, BespokeDesign *out,
                    std::string *err);

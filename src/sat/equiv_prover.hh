@@ -77,7 +77,6 @@ struct SatEquivResult
     SatEquivVerdict verdict = SatEquivVerdict::Unknown;
     int depth = 0;
     uint64_t conflicts = 0;
-    uint64_t clauses = 0;
     uint64_t vars = 0;
     uint64_t propagations = 0;
     uint64_t learnedClauses = 0;  ///< learned clauses ever recorded

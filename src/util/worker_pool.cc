@@ -1,59 +1,9 @@
 #include "src/util/worker_pool.hh"
 
-#include <algorithm>
-
 #include "src/util/logging.hh"
 
 namespace bespoke
 {
-
-void
-ThreadLease::release()
-{
-    if (budget_ && n_ > 0)
-        budget_->release(n_);
-    budget_ = nullptr;
-    n_ = 0;
-}
-
-ThreadBudget::ThreadBudget(int total)
-    : total_(total <= 0 ? WorkerPool::defaultThreadCount() : total),
-      free_(total_)
-{
-}
-
-int
-ThreadBudget::free() const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    return free_;
-}
-
-ThreadLease
-ThreadBudget::acquire(int want)
-{
-    want = std::clamp(want, 1, total_);
-    std::unique_lock<std::mutex> lk(m_);
-    uint64_t ticket = nextTicket_++;
-    grant_.wait(lk, [&] { return serving_ == ticket && free_ >= want; });
-    serving_++;
-    free_ -= want;
-    // The next ticket in line may fit in the remaining slots.
-    grant_.notify_all();
-    return ThreadLease(this, want);
-}
-
-void
-ThreadBudget::release(int n)
-{
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        free_ += n;
-        bespoke_assert(free_ <= total_,
-                       "ThreadLease released more slots than leased");
-    }
-    grant_.notify_all();
-}
 
 int
 WorkerPool::defaultThreadCount()

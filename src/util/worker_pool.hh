@@ -21,7 +21,6 @@
 #define BESPOKE_UTIL_WORKER_POOL_HH
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -30,92 +29,6 @@
 
 namespace bespoke
 {
-
-class ThreadBudget;
-
-/**
- * RAII grant of worker slots from a ThreadBudget. Movable, not
- * copyable; the slots return to the budget on release() or
- * destruction. A default-constructed lease is empty (threads() == 0).
- */
-class ThreadLease
-{
-  public:
-    ThreadLease() = default;
-    ThreadLease(ThreadLease &&o) noexcept
-        : budget_(o.budget_), n_(o.n_)
-    {
-        o.budget_ = nullptr;
-        o.n_ = 0;
-    }
-    ThreadLease &operator=(ThreadLease &&o) noexcept
-    {
-        if (this != &o) {
-            release();
-            budget_ = o.budget_;
-            n_ = o.n_;
-            o.budget_ = nullptr;
-            o.n_ = 0;
-        }
-        return *this;
-    }
-    ~ThreadLease() { release(); }
-
-    ThreadLease(const ThreadLease &) = delete;
-    ThreadLease &operator=(const ThreadLease &) = delete;
-
-    /** Slots held; 0 for an empty or released lease. */
-    int threads() const { return n_; }
-    /** Return the slots to the budget early (idempotent). */
-    void release();
-
-  private:
-    friend class ThreadBudget;
-    ThreadLease(ThreadBudget *budget, int n) : budget_(budget), n_(n) {}
-
-    ThreadBudget *budget_ = nullptr;
-    int n_ = 0;
-};
-
-/**
- * A fixed budget of worker slots shared by many concurrent clients
- * (e.g. scheduler jobs leasing analysis workers from one global pool
- * instead of each spawning its own threads). acquire(want) blocks
- * until `want` slots are free and hands them out as an RAII lease.
- * Service order is strictly FIFO: while an earlier request waits,
- * later requests queue behind it even if their smaller ask would fit,
- * so a wide job cannot be starved by a stream of narrow ones.
- */
-class ThreadBudget
-{
-  public:
-    /** @param total slot count; 0 = defaultThreadCount(). */
-    explicit ThreadBudget(int total);
-
-    ThreadBudget(const ThreadBudget &) = delete;
-    ThreadBudget &operator=(const ThreadBudget &) = delete;
-
-    int total() const { return total_; }
-    /** Slots currently free (racy snapshot, for observability). */
-    int free() const;
-
-    /**
-     * Block until `want` slots (clamped to [1, total()]) are free and
-     * this request is first in line, then take them.
-     */
-    ThreadLease acquire(int want);
-
-  private:
-    friend class ThreadLease;
-    void release(int n);
-
-    int total_ = 0;
-    mutable std::mutex m_;
-    std::condition_variable grant_;
-    int free_ = 0;
-    uint64_t nextTicket_ = 0;  ///< next ticket to hand out
-    uint64_t serving_ = 0;     ///< ticket currently first in line
-};
 
 class WorkerPool
 {

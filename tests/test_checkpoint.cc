@@ -4,11 +4,15 @@
  * and reproduces the uninterrupted flow bit for bit (same untoggled
  * set, identical area/power/timing doubles); a repeated run
  * short-circuits every stage; corrupt or foreign artifacts are treated
- * as misses and recomputed, never trusted.
+ * as misses and recomputed, never trusted. A SIGKILLed process's store
+ * serves the rerun the same way.
  */
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "src/bespoke/checkpoint.hh"
 #include "src/bespoke/flow.hh"
@@ -482,9 +487,6 @@ TEST(Checkpoint, DisabledStoreIsInert)
     store.save({1, 2, 3}, "analysis", JsonValue::object());
     EXPECT_EQ(store.hits(), 0u);
     EXPECT_EQ(store.misses(), 0u);
-    // Disabled stores hand out empty stage locks: nothing to wait on.
-    StageLock lock = store.lockStage({1, 2, 3}, "analysis");
-    EXPECT_FALSE(lock.waited());
 }
 
 TEST(Checkpoint, ConcurrentSameKeySaversNeverTearAReader)
@@ -536,36 +538,85 @@ TEST(Checkpoint, ConcurrentSameKeySaversNeverTearAReader)
     fs::remove_all(dir);
 }
 
-TEST(Checkpoint, StageLockFirstRunnerComputesOthersWait)
+// A process killed between tailoring runs resumes from its store. The
+// suite is named FlowResume, not Checkpoint, so the TSan CI step
+// (`-R Checkpoint`) leaves out the fork + SIGKILL machinery.
+TEST(FlowResume, KilledRunResumesBitIdenticalAndShortCircuits)
 {
-    std::string dir = freshDir("stage_lock");
-    auto coord = std::make_shared<CheckpointCoordinator>();
-    // Two stores (two "jobs") sharing one coordinator: the in-flight
-    // table spans stores while hit/miss counters stay per-store.
-    CheckpointStore a(dir, 0, coord);
-    CheckpointStore b(dir, 0, coord);
-    CheckpointKey key{1, 2, 3};
+    std::string dir = freshDir("flow_resume");
+    std::string sentinel = freshDir("flow_resume_sentinel");
+    const std::vector<const char *> apps = {"mult", "div", "binSearch"};
 
-    StageLock first = a.lockStage(key, "metrics");
-    EXPECT_FALSE(first.waited());
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // Child: tailor the first app, publish that it finished, and
+        // stall so the parent's SIGKILL lands before the next app
+        // starts.
+        BespokeFlow flow(fastOpts(dir));
+        BespokeDesign d;
+        std::string err;
+        if (!flow.tryTailor(workloadByName(apps[0]), &d, &err))
+            _exit(1);
+        std::string tmp = sentinel + ".tmp";
+        std::ofstream(tmp) << apps[0];
+        fs::rename(tmp, sentinel);
+        for (;;)
+            pause();
+    }
 
-    std::atomic<bool> granted{false};
-    std::thread t([&] {
-        StageLock second = b.lockStage(key, "metrics");
-        EXPECT_TRUE(second.waited());
-        granted.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_FALSE(granted.load());
+    // Reap the child on every path: a stalled child left behind would
+    // hold the test's output pipe open.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    int status = 0;
+    bool exited = false;
+    while (!fs::exists(sentinel) &&
+           std::chrono::steady_clock::now() < deadline) {
+        if (waitpid(pid, &status, WNOHANG) == pid) {
+            exited = true;
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!exited) {
+        kill(pid, SIGKILL);
+        ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    }
+    ASSERT_TRUE(fs::exists(sentinel))
+        << "child never finished its first app";
+    ASSERT_TRUE(WIFSIGNALED(status));
 
-    // A different artifact is never blocked.
-    StageLock other = b.lockStage(key, "analysis");
-    EXPECT_FALSE(other.waited());
+    std::string first_done;
+    std::ifstream(sentinel) >> first_done;
+    ASSERT_EQ(first_done, apps[0]);
 
-    first.release();
-    t.join();
-    EXPECT_TRUE(granted.load());
+    // Reference: the same apps uninterrupted on a fresh store; then the
+    // killed run's rerun against its own store.
+    std::string ref_dir = freshDir("flow_resume_ref");
+    BespokeFlow reference(fastOpts(ref_dir));
+    BespokeFlow resumed(fastOpts(dir));
+    for (const char *app : apps) {
+        SCOPED_TRACE(app);
+        const Workload &w = workloadByName(app);
+        BespokeDesign want, got;
+        std::string err;
+        ASSERT_TRUE(reference.tryTailor(w, &want, &err)) << err;
+        size_t hits = resumed.checkpoints().hits();
+        size_t misses = resumed.checkpoints().misses();
+        ASSERT_TRUE(resumed.tryTailor(w, &got, &err)) << err;
+        expectSameDesign(want, got);
+        // The app finished before the kill replays purely from the
+        // store: analysis, design and metrics all hit.
+        if (app == first_done) {
+            EXPECT_EQ(resumed.checkpoints().hits() - hits, 3u);
+            EXPECT_EQ(resumed.checkpoints().misses() - misses, 0u);
+        }
+    }
+
     fs::remove_all(dir);
+    fs::remove_all(ref_dir);
+    fs::remove(sentinel);
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 #include "src/analysis/activity_analysis.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/netlist/verilog_export.hh"
-#include "src/sim/vcd_writer.hh"
 #include "src/transform/bespoke_transform.hh"
 #include "src/verify/runner.hh"
 
@@ -198,38 +197,6 @@ TEST(VerilogExport, StructureAndPorts)
     EXPECT_NE(l.find("module NAND2_X1"), std::string::npos);
     EXPECT_NE(l.find("module DFFE_X4"), std::string::npos);
     EXPECT_NE(l.find("module TIE1"), std::string::npos);
-}
-
-TEST(VcdWriter, EmitsHeaderAndChanges)
-{
-    Netlist nl;
-    NetBuilder b(nl);
-    GateId a = nl.addInput("a");
-    Bus bus = b.inputBus("data", 4);
-    GateId q = b.dff(b.inv(a));
-    nl.addOutput("q", q);
-    b.outputBus("dout", bus);
-
-    GateSim sim(nl);
-    sim.reset();
-    std::ostringstream os;
-    VcdWriter vcd(nl, os);
-    vcd.watch(q, "internal_q");
-
-    for (int c = 0; c < 4; c++) {
-        sim.setInput(a, logicOf(c % 2));
-        sim.setInputWord(bus, SWord::of(static_cast<uint16_t>(c)));
-        sim.evalComb();
-        vcd.sample(sim);
-        sim.latchSequential();
-    }
-    std::string v = os.str();
-    EXPECT_NE(v.find("$enddefinitions"), std::string::npos);
-    EXPECT_NE(v.find("$var wire 4"), std::string::npos);
-    EXPECT_NE(v.find("internal_q"), std::string::npos);
-    EXPECT_NE(v.find("#0"), std::string::npos);
-    EXPECT_NE(v.find("#3"), std::string::npos);
-    EXPECT_NE(v.find("b0010 "), std::string::npos);  // data == 2
 }
 
 } // namespace

@@ -34,8 +34,8 @@ TEST(FlagValue, AcceptsOnlyWellFormedValuesOfTheKind)
         {"--threads", "1x", FlagKind::Count, std::nullopt},
         {"--threads", " 1", FlagKind::Count, std::nullopt},
         {"--threads", "+1", FlagKind::Count, std::nullopt},
-        {"--max-queued", "99999999999999999999999", FlagKind::Bytes,
-         std::nullopt},  // > UINT64_MAX
+        {"--checkpoint-max-bytes", "99999999999999999999999",
+         FlagKind::Bytes, std::nullopt},  // > UINT64_MAX
         {"--threads", "2147483648", FlagKind::Count,
          std::nullopt},  // > INT_MAX
         {"--plane-bits", "100", FlagKind::PlaneBits, std::nullopt},
@@ -46,8 +46,9 @@ TEST(FlagValue, AcceptsOnlyWellFormedValuesOfTheKind)
         {"--lanes", "1", FlagKind::Lanes, 1},
         {"--threads", "0", FlagKind::Count, 0},
         {"--threads", "3", FlagKind::Count, 3},
-        {"--max-queued", "2147483648", FlagKind::Bytes, 2147483648ull},
-        {"--max-queued", "18446744073709551615", FlagKind::Bytes,
+        {"--checkpoint-max-bytes", "2147483648", FlagKind::Bytes,
+         2147483648ull},
+        {"--checkpoint-max-bytes", "18446744073709551615", FlagKind::Bytes,
          UINT64_MAX},
         {"--lanes", "64", FlagKind::Lanes, 64},
         {"--plane-bits", "256", FlagKind::PlaneBits, 256},

@@ -40,11 +40,13 @@ core()
 
 /**
  * Sweep `w`'s mutants scalar and lane-batched and require verdict
- * equality: same detected flag, same power delta, per mutant.
+ * equality: same detected flag, same power delta, per mutant. The
+ * lane-batched verdicts land in `*verdicts` when it is non-null.
  */
 void
 expectLaneMatchesScalar(const Workload &w, size_t max_mutants,
-                        int inputs_per_mutant, int plane_bits)
+                        int inputs_per_mutant, int plane_bits,
+                        std::vector<MutantVerdict> *verdicts = nullptr)
 {
     SCOPED_TRACE(w.name + " @" + std::to_string(plane_bits) + "b");
     std::vector<Mutant> mutants = generateMutants(w);
@@ -78,6 +80,8 @@ expectLaneMatchesScalar(const Workload &w, size_t max_mutants,
         EXPECT_EQ(scalar[i].powerDeltaPct, lane[i].powerDeltaPct)
             << "mutant " << i << " power delta differs";
     }
+    if (verdicts)
+        *verdicts = std::move(lane);
 }
 
 // Quick ctest slice: cheap workloads from the Table 4/5 set, a dozen
@@ -86,6 +90,15 @@ TEST(MutantLane, QuickVerdictsMatchScalar)
 {
     for (const char *name : {"binSearch", "rle", "tea8"})
         expectLaneMatchesScalar(workloadByName(name), 6, 2, 64);
+    // mult's quick sweep (first 6 mutants x 2 inputs) detects every
+    // mutant it generates: 5 of 5.
+    std::vector<MutantVerdict> mult;
+    expectLaneMatchesScalar(workloadByName("mult"), 6, 2, 64, &mult);
+    size_t detected = 0;
+    for (const MutantVerdict &v : mult)
+        detected += v.detected ? 1 : 0;
+    EXPECT_EQ(mult.size(), 5u);
+    EXPECT_EQ(detected, 5u);
 }
 
 // A multi-word plane.

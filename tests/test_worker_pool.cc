@@ -2,16 +2,12 @@
  * @file
  * Tests for the general-purpose worker pool: task execution, drain
  * semantics (including tasks that post further tasks), and the SPMD
- * runPerWorker helper. Plus the ThreadBudget slot-leasing layer the
- * job scheduler shares analysis workers through: clamping, RAII
- * release, and strict-FIFO grant order.
+ * runPerWorker helper.
  */
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <set>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,78 +73,6 @@ TEST(WorkerPool, ReusableAfterDrain)
     pool.post([&] { count.fetch_add(1); });
     pool.drain();
     EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadBudget, ZeroMeansDefaultThreadCount)
-{
-    ThreadBudget budget(0);
-    EXPECT_EQ(budget.total(), WorkerPool::defaultThreadCount());
-    EXPECT_EQ(budget.free(), budget.total());
-}
-
-TEST(ThreadBudget, AcquireClampsAndReleasesOnScopeExit)
-{
-    ThreadBudget budget(4);
-    {
-        // An over-wide ask is clamped to the whole budget instead of
-        // deadlocking on slots that can never exist.
-        ThreadLease lease = budget.acquire(64);
-        EXPECT_EQ(lease.threads(), 4);
-        EXPECT_EQ(budget.free(), 0);
-    }
-    EXPECT_EQ(budget.free(), 4);
-    ThreadLease lease = budget.acquire(0);  // clamped up to 1
-    EXPECT_EQ(lease.threads(), 1);
-    EXPECT_EQ(budget.free(), 3);
-    lease.release();
-    EXPECT_EQ(budget.free(), 4);
-    lease.release();  // idempotent
-    EXPECT_EQ(budget.free(), 4);
-}
-
-TEST(ThreadBudget, MoveTransfersOwnership)
-{
-    ThreadBudget budget(2);
-    ThreadLease a = budget.acquire(2);
-    ThreadLease b = std::move(a);
-    EXPECT_EQ(a.threads(), 0);
-    EXPECT_EQ(b.threads(), 2);
-    a.release();  // empty: must not double-release
-    EXPECT_EQ(budget.free(), 0);
-    b.release();
-    EXPECT_EQ(budget.free(), 2);
-}
-
-TEST(ThreadBudget, FifoServesWideRequestBeforeLaterNarrowOnes)
-{
-    ThreadBudget budget(4);
-    ThreadLease held = budget.acquire(3);
-
-    std::mutex m;
-    std::vector<int> order;
-    std::thread wide([&] {
-        ThreadLease l = budget.acquire(4);
-        std::lock_guard<std::mutex> lk(m);
-        order.push_back(l.threads());
-    });
-    // Queue the narrow request strictly after the wide one.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    std::thread narrow([&] {
-        ThreadLease l = budget.acquire(1);
-        std::lock_guard<std::mutex> lk(m);
-        order.push_back(l.threads());
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    {
-        // One slot is free, but the narrow ask must queue behind the
-        // waiting wide one (strict FIFO = no starvation of wide jobs).
-        std::lock_guard<std::mutex> lk(m);
-        EXPECT_TRUE(order.empty());
-    }
-    held.release();
-    wide.join();
-    narrow.join();
-    EXPECT_EQ(order, (std::vector<int>{4, 1}));
 }
 
 } // namespace

@@ -58,32 +58,13 @@
  *       --miter, of the equivalence miter between -i and the
  *       reference) as DIMACS or bit-blasted SMT2 for external
  *       solvers.
- *   bespoke_io batch   --jobs FILE [--job-threads N]
- *                      [--worker-threads N] [--checkpoint-dir DIR]
- *                      [--checkpoint-max-bytes N]
- *                      [--status-json FILE] [--progress]
- *       Run a queue of JSON job specs (DESIGN.md section 11)
- *       concurrently through the job scheduler. Every job runs to
- *       completion even when others fail; --status-json writes the
- *       full per-job result summary.
- *   bespoke_io serve   [batch flags except --jobs/--status-json]
- *                      [--max-queued N]
- *       Job server: one JSON job spec per stdin line, one JSON result
- *       line per completed job on stdout (completion order). Exits
- *       after EOF once the queue drains. --max-queued bounds the
- *       outstanding (queued + running) jobs; excess submissions get an
- *       immediate structured "rejected: backpressure" result line
- *       instead of buffering unbounded stdin input in memory.
  *
- * Exit codes: 0 success, 1 validation/equivalence/job failure
- * (the batch/serve queue always runs to completion first), 2 usage.
+ * Exit codes: 0 success, 1 validation/equivalence failure, 2 usage.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
-#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -96,7 +77,6 @@
 #include "src/io/netlist_json.hh"
 #include "src/io/verilog_import.hh"
 #include "src/netlist/verilog_export.hh"
-#include "src/service/job_scheduler.hh"
 #include "src/timing/sta.hh"
 #include "src/transform/bespoke_transform.hh"
 #include "src/transform/pass_pipeline.hh"
@@ -135,13 +115,6 @@ usage(const std::string &msg = "")
         "  bespoke_io export-cnf --app NAME -o FILE [-i FILE]"
         " [--miter]\n"
         "                     [--against FILE] [--sat-depth N]\n"
-        "  bespoke_io batch   --jobs FILE [--job-threads N]"
-        " [--worker-threads N]\n"
-        "                     [--checkpoint-dir DIR]"
-        " [--checkpoint-max-bytes N]\n"
-        "                     [--status-json FILE] [--progress]\n"
-        "  bespoke_io serve   [batch flags except --jobs/--status-json]"
-        " [--max-queued N]\n"
         "formats are chosen by file extension: .v structural Verilog,"
         " .json canonical JSON\n");
     std::exit(2);
@@ -222,19 +195,13 @@ struct Args
     std::string app;
     std::string core;
     std::string checkpointDir;
-    std::string jobs;
     std::string statusJson;
     std::string passes;
     bool verify = false;
-    bool progress = false;
     bool miter = false;
     int threads = 1;
-    int jobThreads = 1;
-    int workerThreads = 0;
     int satDepth = 0;    ///< 0 = per-command default
     int satThreads = 1;  ///< 0 = all hardware threads
-    size_t maxQueued = 0;
-    uint64_t checkpointMaxBytes = 0;
 };
 
 Args
@@ -271,32 +238,20 @@ parseArgs(int argc, char **argv)
             a.core = value();
         else if (arg == "--checkpoint-dir")
             a.checkpointDir = value();
-        else if (arg == "--checkpoint-max-bytes")
-            a.checkpointMaxBytes = number(FlagKind::Bytes);
-        else if (arg == "--jobs")
-            a.jobs = value();
         else if (arg == "--status-json")
             a.statusJson = value();
         else if (arg == "--passes")
             a.passes = value();
         else if (arg == "--verify")
             a.verify = true;
-        else if (arg == "--progress")
-            a.progress = true;
         else if (arg == "--miter")
             a.miter = true;
         else if (arg == "--sat-depth")
             a.satDepth = count();
         else if (arg == "--sat-threads")
             a.satThreads = count();
-        else if (arg == "--max-queued")
-            a.maxQueued = number(FlagKind::Bytes);
         else if (arg == "--threads")
             a.threads = count();
-        else if (arg == "--job-threads")
-            a.jobThreads = count();
-        else if (arg == "--worker-threads")
-            a.workerThreads = count();
         else
             usage("unknown flag '" + arg + "'");
     }
@@ -774,163 +729,6 @@ cmdExportCnf(const Args &a)
     return 0;
 }
 
-SchedulerOptions
-schedulerOptions(const Args &a)
-{
-    SchedulerOptions sopts;
-    sopts.jobThreads = a.jobThreads;
-    sopts.workerThreads = a.workerThreads;
-    sopts.checkpointDir = a.checkpointDir;
-    sopts.checkpointMaxBytes = a.checkpointMaxBytes;
-    if (a.progress) {
-        sopts.progress = [](const JsonValue &ev) {
-            std::fprintf(stderr, "%s\n", ev.dump().c_str());
-        };
-    }
-    return sopts;
-}
-
-/**
- * Run the whole queue (failures included), write the status summary,
- * print one line per job, and map "any failure" to exit code 1.
- */
-int
-reportJobs(const std::vector<JobResult> &results, const Args &a)
-{
-    size_t failed = 0;
-    JsonValue jobs = JsonValue::array();
-    for (const JobResult &r : results) {
-        if (!r.ok)
-            failed++;
-        jobs.push(r.toJson());
-        std::printf("%-12s %-14s %s%s%s\n", r.id.c_str(),
-                    r.kind.c_str(), r.ok ? "ok" : "FAILED",
-                    r.ok ? "" : ": ", r.ok ? "" : r.error.c_str());
-    }
-    JsonValue status = JsonValue::object();
-    status.set("total",
-               JsonValue::number(static_cast<double>(results.size())));
-    status.set("ok", JsonValue::number(
-                         static_cast<double>(results.size() - failed)));
-    status.set("failed",
-               JsonValue::number(static_cast<double>(failed)));
-    status.set("jobs", std::move(jobs));
-    if (!a.statusJson.empty()) {
-        std::ofstream os(a.statusJson);
-        if (!os)
-            fail("cannot write '" + a.statusJson + "'");
-        os << status.dump(2) << "\n";
-        if (!os)
-            fail("write to '" + a.statusJson + "' failed");
-    }
-    std::printf("%zu job(s): %zu ok, %zu failed\n", results.size(),
-                results.size() - failed, failed);
-    return failed == 0 ? 0 : 1;
-}
-
-int
-cmdBatch(const Args &a)
-{
-    if (a.jobs.empty())
-        usage("batch needs --jobs FILE");
-    std::string text = readFile(a.jobs);
-    JsonValue doc;
-    std::string err;
-    if (!JsonValue::parse(text, doc, err))
-        usage(a.jobs + ": " + err);
-    const JsonValue *items = &doc;
-    if (doc.isObject()) {
-        items = doc.find("jobs");
-        if (!items)
-            usage(a.jobs + ": batch object needs a 'jobs' array");
-    }
-    if (!items->isArray())
-        usage(a.jobs + ": batch file must be a JSON array of job "
-                       "specs (or an object with a 'jobs' array)");
-
-    // A spec that fails to parse becomes a failed result; the rest of
-    // the queue still runs.
-    std::vector<JobResult> invalid;
-    std::vector<JobResult> results;
-    {
-        JobScheduler sched(schedulerOptions(a));
-        for (size_t i = 0; i < items->items().size(); i++) {
-            JobSpec spec;
-            std::string perr;
-            if (parseJobSpec(items->items()[i], &spec, &perr)) {
-                sched.submit(std::move(spec));
-            } else {
-                JobResult bad;
-                bad.id = "job-" + std::to_string(i);
-                bad.kind = "invalid";
-                bad.error = perr;
-                bad.payload = JsonValue::object();
-                invalid.push_back(std::move(bad));
-            }
-        }
-        results = sched.finish();
-    }
-    for (JobResult &r : invalid)
-        results.push_back(std::move(r));
-    return reportJobs(results, a);
-}
-
-int
-cmdServe(const Args &a)
-{
-    std::mutex out_m;
-    SchedulerOptions sopts = schedulerOptions(a);
-    sopts.maxQueued = a.maxQueued;
-    sopts.onResult = [&out_m](const JobResult &r) {
-        std::lock_guard<std::mutex> lk(out_m);
-        std::printf("%s\n", r.toJson().dump().c_str());
-        std::fflush(stdout);
-    };
-    JobScheduler sched(std::move(sopts));
-
-    auto reply = [&out_m](const JobResult &r) {
-        std::lock_guard<std::mutex> lk(out_m);
-        std::printf("%s\n", r.toJson().dump().c_str());
-        std::fflush(stdout);
-    };
-
-    size_t invalid = 0;
-    size_t rejected = 0;
-    size_t lineno = 0;
-    std::string line;
-    while (std::getline(std::cin, line)) {
-        lineno++;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonValue doc;
-        JobSpec spec;
-        std::string err;
-        if (!JsonValue::parse(line, doc, err) ||
-            !parseJobSpec(doc, &spec, &err)) {
-            JobResult bad;
-            bad.id = "line-" + std::to_string(lineno);
-            bad.kind = "invalid";
-            bad.error = err;
-            bad.payload = JsonValue::object();
-            invalid++;
-            reply(bad);
-            continue;
-        }
-        // Bounded admission: a producer outrunning the runners gets a
-        // structured rejection instead of queueing unbounded memory.
-        std::string kind = spec.kind;
-        std::string id = spec.id;
-        if (!sched.trySubmit(std::move(spec))) {
-            rejected++;
-            reply(backpressureRejection(
-                id, kind, a.maxQueued,
-                "line-" + std::to_string(lineno)));
-        }
-    }
-    sched.finish();
-    return sched.failures() + invalid + rejected == 0 ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -954,9 +752,5 @@ main(int argc, char **argv)
         return cmdProve(a);
     if (cmd == "export-cnf")
         return cmdExportCnf(a);
-    if (cmd == "batch")
-        return cmdBatch(a);
-    if (cmd == "serve")
-        return cmdServe(a);
     usage("unknown command '" + cmd + "'");
 }
