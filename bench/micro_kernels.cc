@@ -1,7 +1,8 @@
 /**
  * @file
  * Infrastructure microbenchmarks (google-benchmark): throughput of the
- * levelized three-valued simulator, the symbolic activity analysis,
+ * levelized three-valued simulator and the flow's power replay on it,
+ * the symbolic activity analysis,
  * STA, and cutting & stitching on the bsp430 core. These are not paper
  * results; they quantify the cost of the methodology itself (paper
  * Sec. 3.2 footnote: "complete analysis of our most complex benchmark
@@ -48,6 +49,38 @@ BM_GateSimCycle(benchmark::State &state)
                             static_cast<int64_t>(core().size()));
 }
 BENCHMARK(BM_GateSimCycle);
+
+void
+BM_PowerReplay(benchmark::State &state)
+{
+    // The flow's power replay (BespokeFlow::measure): the tailored
+    // design run on two seeded inputs into one ToggleCounter. Items
+    // are simulated cycles, so items/s is the replay's cycle rate.
+    const Workload &w = workloadByName("intFilt");
+    static const Netlist tailored = [&] {
+        BespokeFlow flow(FlowOptions{}, buildBsp430());
+        return flow.tailor(w).netlist;
+    }();
+    const FlowOptions opts;
+    AsmProgram prog = w.assembleProgram();
+    std::shared_ptr<const SocContext> ctx = SocContext::make(tailored);
+    Rng rng(opts.powerSeed);
+    std::vector<WorkloadInput> inputs;
+    for (int i = 0; i < opts.powerInputsPerWorkload; i++)
+        inputs.push_back(w.genInput(rng));
+    GateBatchObservers obs;
+    int64_t cycles = 0;
+    for (auto _ : state) {
+        ToggleCounter toggles(tailored);
+        obs.toggles = &toggles;
+        for (const GateRun &run : runWorkloadGateBatch(
+                 tailored, w, prog, inputs, opts.planeBits, obs, ctx))
+            cycles += static_cast<int64_t>(run.cycles);
+        benchmark::DoNotOptimize(toggles.cycles());
+    }
+    state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_PowerReplay)->Unit(benchmark::kMillisecond);
 
 template <int W>
 void

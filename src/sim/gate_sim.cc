@@ -1,6 +1,8 @@
 #include "src/sim/gate_sim.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstring>
 
 #include "src/util/logging.hh"
@@ -13,9 +15,9 @@ namespace
 
 /**
  * 0x01 in every byte position of `x` holding a nonzero byte. Lets the
- * per-cycle observers compare gate-value arrays eight gates at a time
+ * activity tracker compare gate-value arrays eight gates at a time
  * instead of byte-by-byte (the compiler does not vectorize the branchy
- * originals, and these loops run once per simulated cycle).
+ * original, and this loop runs once per simulated cycle).
  */
 inline uint64_t
 nonzeroBytes(uint64_t x)
@@ -25,40 +27,76 @@ nonzeroBytes(uint64_t x)
     return (hi >> 7) & 0x0101010101010101ULL;
 }
 
+/** Source of GateSim change-log ids; 0 is never handed out. */
+std::atomic<uint64_t> nextLogId{1};
+
 } // namespace
 
 GateSim::GateSim(const Netlist &netlist, EvalMode mode,
                  std::shared_ptr<const SimPrep> prep)
     : nl_(netlist), mode_(mode), prep_(std::move(prep)),
       val_(netlist.size(), static_cast<uint8_t>(Logic::X)),
-      forced_(netlist.size(), 0)
+      forced_(netlist.size(), 0),
+      logId_(nextLogId.fetch_add(1, std::memory_order_relaxed))
 {
     if (!prep_)
         prep_ = std::make_shared<const SimPrep>(netlist);
-    bespoke_assert(prep_->isComb.size() == netlist.size(),
+    bespoke_assert(prep_->posOf.size() == netlist.size(),
                    "SimPrep was built for a different netlist");
+    latchNext_.resize(prep_->seqIds.size());
 
     if (mode_ == EvalMode::FullEval)
         return;
-    buckets_.resize(prep_->numLevels);
-    queued_.assign(netlist.size(), 0);
+    dirty_.assign((prep_->order.size() + 63) / 64, 0);
 }
 
-void
-GateSim::markDirty(GateId id)
+GateSim::ObservePoint
+GateSim::markObserved() const
 {
-    if (!prep_->isComb[id] || queued_[id])
-        return;
-    queued_[id] = 1;
-    buckets_[prep_->level[id]].push_back(id);
+    if (mode_ == EvalMode::EventDriven && inLog_.empty()) {
+        log_.resize(val_.size());
+        inLog_.assign(val_.size(), 0);
+    }
+    logRestart_ = true;
+    return {logId_, logEpoch_ + 1};
 }
 
-void
-GateSim::markFanoutsDirty(GateId id)
+GateSim::ChangeSink
+GateSim::changeSink()
 {
+    if (logRestart_)
+        restartLog();
     const SimPrep &p = *prep_;
-    for (uint32_t i = p.foHead[id]; i < p.foHead[id + 1]; i++)
-        markDirty(p.foData[i]);
+    return {p.foHead.data(), p.foPos.data(), dirty_.data(),
+            inLog_.empty() ? nullptr : inLog_.data(), log_.data(),
+            logLen_};
+}
+
+void
+GateSim::noteChange(GateId id)
+{
+    ChangeSink sink = changeSink();
+    sink(id);
+    logLen_ = sink.logLen;
+}
+
+void
+GateSim::restartLog()
+{
+    for (uint32_t i = 0; i < logLen_; i++)
+        inLog_[log_[i]] = 0;
+    logLen_ = 0;
+    logEpoch_++;
+    logRestart_ = false;
+}
+
+void
+GateSim::invalidateLog()
+{
+    restartLog();
+    // Skip past the epoch a pending markObserved() promised, so no
+    // observe point taken before now matches the new log.
+    logEpoch_++;
 }
 
 void
@@ -83,8 +121,9 @@ GateSim::reset()
     clearForces();
     if (mode_ == EvalMode::EventDriven) {
         // Every combinational value is stale; the next evalComb() runs
-        // one full topological pass and drains any queued leftovers.
+        // one full topological pass and drops any queued leftovers.
         fullPassPending_ = true;
+        invalidateLog();
     }
 }
 
@@ -98,7 +137,7 @@ GateSim::setInput(GateId id, Logic v)
         return;
     val_[id] = nv;
     if (mode_ == EvalMode::EventDriven)
-        markFanoutsDirty(id);
+        noteChange(id);
 }
 
 void
@@ -123,35 +162,28 @@ void
 GateSim::evalCombFull()
 {
     // Compiled eval program: one table lookup per gate, no Netlist
-    // access, no per-cell branching. The force check is hoisted out of
-    // the common (no active forces) sweep.
-    const uint8_t *lut = prep_->lut.data();
-    const uint32_t *fanin = prep_->fanin.data();
-    const uint8_t *op = prep_->opcode.data();
+    // access, no per-cell branching. The force overlay is null while
+    // no force is active.
+    const SimPrep &p = *prep_;
+    const uint8_t *lut = p.lut.data();
+    const uint32_t *fanin = p.fanin.data();
+    const uint8_t *op = p.opcode.data();
+    const GateId *order = p.order.data();
+    const size_t len = p.order.size();
     uint8_t *val = val_.data();
-    if (!anyForce_) {
-        for (GateId id : prep_->order) {
-            const uint32_t *f = &fanin[3 * id];
-            unsigned idx = val[f[0]] * 9u + val[f[1]] * 3u + val[f[2]];
-            val[id] = lut[(static_cast<unsigned>(op[id])
-                           << SimPrep::kLutShift) |
-                          idx];
-        }
-    } else {
-        const uint8_t *forced = forced_.data();
-        for (GateId id : prep_->order) {
-            const uint32_t *f = &fanin[3 * id];
-            unsigned idx = val[f[0]] * 9u + val[f[1]] * 3u + val[f[2]];
-            uint8_t out = lut[(static_cast<unsigned>(op[id])
-                               << SimPrep::kLutShift) |
-                              idx];
-            if (forced[id])
-                out = forced[id] - 1;
-            val[id] = out;
-        }
+    const uint8_t *forced = anyForce_ ? forced_.data() : nullptr;
+    for (size_t pos = 0; pos < len; pos++) {
+        const uint32_t *f = &fanin[3 * pos];
+        unsigned idx = val[f[0]] * 9u + val[f[1]] * 3u + val[f[2]];
+        uint8_t out =
+            lut[(static_cast<unsigned>(op[pos]) << SimPrep::kLutShift) |
+                idx];
+        if (forced && forced[order[pos]])
+            out = forced[order[pos]] - 1;
+        val[order[pos]] = out;
     }
-    gatesEvaluated_ = prep_->order.size();
-    gatesEvaluatedTotal_ += prep_->order.size();
+    gatesEvaluated_ = len;
+    gatesEvaluatedTotal_ += len;
 }
 
 void
@@ -159,45 +191,54 @@ GateSim::evalCombEvent()
 {
     if (fullPassPending_) {
         evalCombFull();
-        for (std::vector<GateId> &bucket : buckets_) {
-            for (GateId id : bucket)
-                queued_[id] = 0;
-            bucket.clear();
-        }
+        std::fill(dirty_.begin(), dirty_.end(), 0);
         fullPassPending_ = false;
+        invalidateLog();
         return;
     }
 
-    const uint8_t *lut = prep_->lut.data();
-    const uint32_t *fanin = prep_->fanin.data();
-    const uint8_t *op = prep_->opcode.data();
+    const SimPrep &p = *prep_;
+    const uint8_t *lut = p.lut.data();
+    const uint32_t *fanin = p.fanin.data();
+    const uint8_t *op = p.opcode.data();
+    const GateId *order = p.order.data();
+    const uint8_t *forced = anyForce_ ? forced_.data() : nullptr;
     uint8_t *val = val_.data();
+    // No observe point can be taken mid-sweep, so one sink serves the
+    // whole eval.
+    ChangeSink sink = changeSink();
+    uint64_t *dirty = sink.dirty;
+    const size_t words = dirty_.size();
     uint64_t evaluated = 0;
-    for (std::vector<GateId> &bucket : buckets_) {
-        // markFanoutsDirty() only appends to strictly higher levels
-        // (consumers sit at least one level above their producer), so
-        // this bucket is complete when the sweep reaches it.
-        for (GateId id : bucket) {
-            queued_[id] = 0;
+    for (size_t w = 0; w < words; w++) {
+        // Re-read the word after every gate: a changed gate's
+        // consumers sit at higher positions, possibly in this word.
+        uint64_t bits;
+        while ((bits = dirty[w]) != 0) {
+            dirty[w] = bits & (bits - 1);
+            const uint32_t pos =
+                static_cast<uint32_t>(64 * w) +
+                static_cast<uint32_t>(std::countr_zero(bits));
+            const GateId id = order[pos];
             uint8_t nv;
-            if (anyForce_ && forced_[id]) {
-                nv = forced_[id] - 1;
+            if (forced && forced[id]) {
+                nv = forced[id] - 1;
             } else {
-                const uint32_t *f = &fanin[3 * id];
+                const uint32_t *f = &fanin[3 * pos];
                 unsigned idx =
                     val[f[0]] * 9u + val[f[1]] * 3u + val[f[2]];
-                nv = lut[(static_cast<unsigned>(op[id])
+                nv = lut[(static_cast<unsigned>(op[pos])
                           << SimPrep::kLutShift) |
                          idx];
             }
             evaluated++;
             if (val[id] != nv) {
                 val[id] = nv;
-                markFanoutsDirty(id);
+                sink(id);
             }
         }
-        bucket.clear();
     }
+    logLen_ = sink.logLen;
     gatesEvaluated_ = evaluated;
     gatesEvaluatedTotal_ += evaluated;
 }
@@ -214,34 +255,44 @@ GateSim::evalComb()
 void
 GateSim::latchSequential()
 {
-    const std::vector<Gate> &gates = nl_.gates();
+    const SimPrep &p = *prep_;
+    const size_t nseq = p.seqIds.size();
+    const GateId *seq = p.seqIds.data();
+    const uint32_t *seq_d = p.seqD.data();
+    const uint32_t *seq_en = p.seqEn.data();
+    uint8_t *val = val_.data();
+    uint8_t *next = latchNext_.data();
     // Two passes so all D inputs are read before any Q changes; D nets
     // can be other flops' Q only through combinational gates, but a
     // direct Q->D wire is legal and must see the pre-edge value.
-    std::vector<uint8_t> next(prep_->seqIds.size());
-    for (size_t i = 0; i < prep_->seqIds.size(); i++) {
-        GateId id = prep_->seqIds[i];
-        const Gate &g = gates[id];
-        Logic d = static_cast<Logic>(val_[g.in[0]]);
-        Logic q = static_cast<Logic>(val_[id]);
-        Logic out;
-        if (g.type == CellType::DFF) {
-            out = d;
-        } else {
-            Logic en = static_cast<Logic>(val_[g.in[1]]);
-            out = logicMux(en, q, d);
-        }
-        next[i] = static_cast<uint8_t>(out);
-    }
-    bool event = mode_ == EvalMode::EventDriven;
-    for (size_t i = 0; i < prep_->seqIds.size(); i++) {
-        GateId id = prep_->seqIds[i];
-        if (val_[id] == next[i])
+    constexpr uint8_t kZero = static_cast<uint8_t>(Logic::Zero);
+    constexpr uint8_t kOne = static_cast<uint8_t>(Logic::One);
+    constexpr uint8_t kX = static_cast<uint8_t>(Logic::X);
+    for (size_t i = 0; i < nseq; i++) {
+        const uint8_t d = val[seq_d[i]];
+        if (seq_en[i] == SimPrep::kNone) {
+            next[i] = d;
             continue;
-        val_[id] = next[i];
-        if (event)
-            markFanoutsDirty(id);
+        }
+        // logicMux(en, q, d): an unknown enable keeps only a value
+        // that D and Q agree on.
+        const uint8_t en = val[seq_en[i]];
+        const uint8_t q = val[seq[i]];
+        next[i] = en == kOne ? d : en == kZero ? q : d == q ? d : kX;
     }
+    if (mode_ == EvalMode::FullEval) {
+        for (size_t i = 0; i < nseq; i++)
+            val[seq[i]] = next[i];
+        return;
+    }
+    ChangeSink sink = changeSink();
+    for (size_t i = 0; i < nseq; i++) {
+        if (val[seq[i]] == next[i])
+            continue;
+        val[seq[i]] = next[i];
+        sink(seq[i]);
+    }
+    logLen_ = sink.logLen;
 }
 
 void
@@ -255,8 +306,9 @@ GateSim::force(GateId id, Logic v)
         forcedIds_.push_back(id);
     forced_[id] = coded;
     anyForce_ = true;
-    if (mode_ == EvalMode::EventDriven)
-        markDirty(id);
+    const uint32_t pos = prep_->posOf[id];
+    if (mode_ == EvalMode::EventDriven && pos != SimPrep::kNone)
+        markDirty(pos);
 }
 
 void
@@ -268,8 +320,9 @@ GateSim::clearForces()
         // The gate's output reverts to its combinational function on
         // the next evalComb(); re-evaluate it even though no fanin
         // changed.
-        if (event)
-            markDirty(id);
+        const uint32_t pos = prep_->posOf[id];
+        if (event && pos != SimPrep::kNone)
+            markDirty(pos);
     }
     forcedIds_.clear();
     anyForce_ = false;
@@ -295,7 +348,7 @@ GateSim::restoreSeqState(const SeqState &s)
             continue;
         val_[id] = s[i];
         if (event)
-            markFanoutsDirty(id);
+            noteChange(id);
     }
 }
 
@@ -381,40 +434,17 @@ ActivityTracker::restore(std::vector<uint8_t> initial,
     lanePendingValid_ = false;
 }
 
-ToggleCounter::ToggleCounter(const Netlist &netlist)
-    : last_(netlist.size(), 0), counts_(netlist.size(), 0)
+void
+ValueMirror::assign(std::vector<uint8_t> v)
 {
+    values_ = std::move(v);
+    primed_ = true;
+    point_ = {};
 }
 
-void
-ToggleCounter::observe(const GateSim &sim)
+ToggleCounter::ToggleCounter(const Netlist &netlist)
+    : last_(netlist.size()), counts_(netlist.size(), 0)
 {
-    const std::vector<uint8_t> &v = sim.values();
-    if (first_) {
-        last_ = v;
-        first_ = false;
-        cycles_++;
-        return;
-    }
-    const uint8_t *vp = v.data();
-    uint8_t *lp = last_.data();
-    const size_t n = v.size();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t xv, xl;
-        std::memcpy(&xv, vp + i, 8);
-        std::memcpy(&xl, lp + i, 8);
-        if (xv == xl)
-            continue;
-        for (size_t b = i; b < i + 8; b++)
-            counts_[b] += (vp[b] != lp[b]);
-        std::memcpy(lp + i, &xv, 8);
-    }
-    for (; i < n; i++) {
-        counts_[i] += (vp[i] != lp[i]);
-        lp[i] = vp[i];
-    }
-    cycles_++;
 }
 
 void
@@ -425,14 +455,14 @@ ToggleCounter::ingestRun(const RunTrace &tr)
     bespoke_assert(tr.first.size() == counts_.size() &&
                        tr.last.size() == counts_.size(),
                    "run trace size mismatch");
-    if (!first_) {
+    if (last_.primed()) {
         // The transition a shared counter counts when this run's first
         // observe lands right after the previous run's last one.
+        const std::vector<uint8_t> &last = last_.values();
         for (size_t i = 0; i < counts_.size(); i++)
-            counts_[i] += (tr.first[i] != last_[i]);
+            counts_[i] += (tr.first[i] != last[i]);
     }
-    last_ = tr.last;
-    first_ = false;
+    last_.assign(tr.last);
     cycles_ += tr.cycles;
 }
 

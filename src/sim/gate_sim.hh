@@ -12,18 +12,28 @@
  * concrete value for one evaluation, which the activity analysis uses to
  * fork the execution tree when a control decision is X (paper Sec. 3.1).
  *
- * Two evaluation strategies produce bit-identical values:
+ * Two evaluation strategies produce bit-identical values, both
+ * running the position-ordered eval program compiled by SimPrep:
  *
- *  - EventDriven (default): per-net fanout lists plus a dirty set held
- *    in per-topological-level buckets. Value changes at sources (primary
- *    inputs, flop outputs at latch time, state restores) and force() /
- *    clearForces() calls seed the dirty set; evalComb() re-evaluates
- *    only gates whose fanins changed, sweeping buckets in ascending
- *    level order so every gate is visited at most once per eval.
+ *  - EventDriven (default): a dirty set held as one bit per eval-order
+ *    position. Value changes at sources (primary inputs, flop outputs
+ *    at latch time, state restores) and force() / clearForces() calls
+ *    set the bits of the affected consumers; evalComb() drains the set
+ *    by an ascending word scan, re-evaluating only gates whose fanins
+ *    changed. A consumer always sits at a higher position than its
+ *    fanins, so every gate is visited at most once per eval, after its
+ *    inputs settled.
  *  - FullEval: the original re-evaluate-everything-in-topological-order
  *    loop. Kept as the reference evaluator the tests cross-check
  *    against; select it with the constructor flag (or
  *    AnalysisOptions::simMode for the activity analysis).
+ *
+ * The event-driven simulator also keeps a *change log*: every net
+ * whose value changed since the last observe point. Per-cycle
+ * observers (ToggleCounter, ValueMirror) visit the few logged nets
+ * instead of diffing all n values; whenever the log cannot vouch for
+ * an interval (first observe, a reset or full pass, a different
+ * simulator, FullEval mode) they fall back to the full diff.
  *
  * Toggle semantics follow the paper: a gate "toggles" if its stable
  * per-cycle output ever differs from its reset-time value or ever
@@ -33,8 +43,12 @@
 #ifndef BESPOKE_SIM_GATE_SIM_HH
 #define BESPOKE_SIM_GATE_SIM_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "src/logic/logic.hh"
@@ -69,6 +83,10 @@ class GateSim
     explicit GateSim(const Netlist &netlist,
                      EvalMode mode = EvalMode::EventDriven,
                      std::shared_ptr<const SimPrep> prep = nullptr);
+    /** Not copyable: a copy would share the change log's id while its
+     *  values diverge. A move carries the log along. */
+    GateSim(const GateSim &) = delete;
+    GateSim(GateSim &&) = default;
 
     const Netlist &netlist() const { return nl_; }
     EvalMode mode() const { return mode_; }
@@ -120,29 +138,111 @@ class GateSim
     /** Lifetime gate-evaluation count across every evalComb(). */
     uint64_t gatesEvaluatedTotal() const { return gatesEvaluatedTotal_; }
 
+    /** @name Change log (EventDriven mode)
+     *
+     * An observer calls markObserved() each time it has taken in the
+     * current values, and at its next observe asks changedSince() for
+     * the nets that may have changed in between. The answer is a
+     * superset (a net that changed and changed back is listed), so an
+     * observer compares values rather than counting entries. */
+    /// @{
+    struct ObservePoint
+    {
+        uint64_t sim = 0;    ///< simulator's log id; 0 names none
+        uint64_t epoch = 0;
+    };
+    /** Record "now" as an observe point. */
+    ObservePoint markObserved() const;
+    /** Nets that may differ from their values at `p`, or nothing when
+     *  the log does not cover the interval (diff all nets instead). */
+    std::optional<std::span<const GateId>>
+    changedSince(const ObservePoint &p) const
+    {
+        if (mode_ != EvalMode::EventDriven || p.sim != logId_)
+            return std::nullopt;
+        if (p.epoch != logEpoch_ &&
+            !(logRestart_ && p.epoch == logEpoch_ + 1))
+            return std::nullopt;
+        return std::span<const GateId>(log_.data(), logLen_);
+    }
+    /// @}
+
   private:
     void evalCombFull();
     void evalCombEvent();
-    /** Queue a combinational gate for re-evaluation (dedup'd). */
-    void markDirty(GateId id);
-    /** Queue all combinational consumers of a changed net. */
-    void markFanoutsDirty(GateId id);
+    /** Queue the gate at eval-order position `pos`. */
+    void markDirty(uint32_t pos)
+    {
+        dirty_[pos >> 6] |= uint64_t{1} << (pos & 63);
+    }
+
+    /**
+     * Event bookkeeping for nets whose values just changed: queue each
+     * net's combinational consumers and log it. The arrays sit in
+     * locals because a uint8_t value store may alias any member, and
+     * the hot loops would otherwise reload every pointer after each
+     * store.
+     */
+    struct ChangeSink
+    {
+        const uint32_t *foHead;
+        const uint32_t *foPos;
+        uint64_t *dirty;
+        uint8_t *inLog;  ///< null while nobody observes
+        GateId *log;
+        uint32_t logLen;
+
+        void operator()(GateId id)
+        {
+            for (uint32_t i = foHead[id]; i < foHead[id + 1]; i++)
+                dirty[foPos[i] >> 6] |= uint64_t{1} << (foPos[i] & 63);
+            if (inLog && !inLog[id]) {
+                inLog[id] = 1;
+                log[logLen++] = id;
+            }
+        }
+    };
+    /** A sink for one burst of changes, after taking any pending log
+     *  restart; store its logLen back into logLen_ when done. */
+    ChangeSink changeSink();
+    /** changeSink() for a single change. */
+    void noteChange(GateId id);
+    /** Start a new log epoch: forget the entries, keep logging. */
+    void restartLog();
+    /** Drop the log so every observer falls back to a full diff (the
+     *  values changed wholesale). */
+    void invalidateLog();
+
 
     const Netlist &nl_;
     EvalMode mode_;
-    /** Shared read-only evaluation order / levels / fanout CSR. */
+    /** Shared read-only eval program / fanout CSR / flop pins. */
     std::shared_ptr<const SimPrep> prep_;
     std::vector<uint8_t> val_;     ///< Logic per gate output
     std::vector<uint8_t> forced_;  ///< 0 = none, else Logic value + 1
     std::vector<GateId> forcedIds_;  ///< gates with forced_ set
     bool anyForce_ = false;
+    std::vector<uint8_t> latchNext_;  ///< latchSequential() scratch
 
     // Event-driven mutable state (unused in FullEval mode).
-    std::vector<std::vector<GateId>> buckets_;  ///< dirty set per level
-    std::vector<uint8_t> queued_;   ///< dirty-set membership flag
+    std::vector<uint64_t> dirty_;   ///< one bit per eval-order position
     bool fullPassPending_ = true;   ///< first eval after reset is full
     uint64_t gatesEvaluated_ = 0;
     uint64_t gatesEvaluatedTotal_ = 0;
+
+    // Change log (EventDriven mode only). Observer bookkeeping, not
+    // simulator state: the arrays are allocated by the first
+    // markObserved(), so a simulator nobody observes never logs.
+    /** Process-unique id naming this simulator's log, so an observer
+     *  never mistakes another simulator's log (even one built at the
+     *  same address) for the one it last observed. */
+    uint64_t logId_;
+    mutable std::vector<GateId> log_;  ///< nets changed this epoch
+    uint32_t logLen_ = 0;              ///< used prefix of log_
+    mutable std::vector<uint8_t> inLog_;  ///< log_ membership per net
+    uint64_t logEpoch_ = 0;
+    /** Set by markObserved(): the next change starts a new epoch. */
+    mutable bool logRestart_ = false;
 };
 
 /**
@@ -210,6 +310,82 @@ class ActivityTracker
 };
 
 /**
+ * An observer's copy of a simulator's net values as of its previous
+ * sync(). Each sync brings it up to date through the simulator's
+ * change log when the log covers the interval, else by diffing all n
+ * values — the result is the same either way.
+ */
+class ValueMirror
+{
+  public:
+    explicit ValueMirror(size_t n) : values_(n, 0) {}
+
+    /**
+     * Call changed(id) for every net whose value differs from the
+     * mirror, copying the new value in first. On a mirror that holds
+     * no values yet, copy them all without calling changed() and
+     * return false; otherwise return true.
+     */
+    template <class Fn>
+    bool sync(const GateSim &sim, Fn &&changed);
+
+    /** Hold `v` (not taken from any simulator: the next sync diffs
+     *  every net). */
+    void assign(std::vector<uint8_t> v);
+
+    bool primed() const { return primed_; }
+    const std::vector<uint8_t> &values() const { return values_; }
+
+  private:
+    std::vector<uint8_t> values_;
+    bool primed_ = false;
+    GateSim::ObservePoint point_;
+};
+
+template <class Fn>
+bool
+ValueMirror::sync(const GateSim &sim, Fn &&changed)
+{
+    const std::vector<uint8_t> &v = sim.values();
+    const bool was_primed = primed_;
+    if (!primed_) {
+        values_ = v;
+        primed_ = true;
+    } else if (std::optional<std::span<const GateId>> log =
+                   sim.changedSince(point_)) {
+        for (GateId g : *log) {
+            if (v[g] != values_[g]) {
+                values_[g] = v[g];
+                changed(g);
+            }
+        }
+    } else {
+        // Eight-net blocks: most compare equal in one 64-bit op.
+        const uint8_t *vp = v.data();
+        uint8_t *lp = values_.data();
+        const size_t n = v.size();
+        for (size_t i = 0; i < n; i += 8) {
+            const size_t e = std::min(i + 8, n);
+            if (e - i == 8) {
+                uint64_t xv, xl;
+                std::memcpy(&xv, vp + i, 8);
+                std::memcpy(&xl, lp + i, 8);
+                if (xv == xl)
+                    continue;
+            }
+            for (size_t g = i; g < e; g++) {
+                if (vp[g] != lp[g]) {
+                    lp[g] = vp[g];
+                    changed(static_cast<GateId>(g));
+                }
+            }
+        }
+    }
+    point_ = sim.markObserved();
+    return was_primed;
+}
+
+/**
  * Counts per-gate output transitions during concrete simulation; the
  * dynamic-power model consumes these (toggles x net capacitance).
  */
@@ -219,7 +395,11 @@ class ToggleCounter
     explicit ToggleCounter(const Netlist &netlist);
 
     /** Call once per cycle after evalComb+latch; diffs against last. */
-    void observe(const GateSim &sim);
+    void observe(const GateSim &sim)
+    {
+        last_.sync(sim, [this](GateId g) { counts_[g]++; });
+        cycles_++;
+    }
 
     /**
      * Everything one simulated run contributes to a shared counter,
@@ -266,14 +446,13 @@ class ToggleCounter
      */
     Logic lastValue(GateId id) const
     {
-        return static_cast<Logic>(last_[id]);
+        return static_cast<Logic>(last_.values()[id]);
     }
 
   private:
-    std::vector<uint8_t> last_;
+    ValueMirror last_;
     std::vector<uint64_t> counts_;
     uint64_t cycles_ = 0;
-    bool first_ = true;
 };
 
 } // namespace bespoke

@@ -55,7 +55,7 @@ LaneSimT<W>::LaneSimT(const Netlist &netlist,
 {
     if (!prep_)
         prep_ = std::make_shared<const SimPrep>(netlist);
-    bespoke_assert(prep_->isComb.size() == netlist.size(),
+    bespoke_assert(prep_->posOf.size() == netlist.size(),
                    "SimPrep was built for a different netlist");
 }
 
@@ -64,9 +64,8 @@ void
 LaneSimT<W>::reset()
 {
     const Mask ones = laneOnes<Mask>();
-    const uint8_t *op = prep_->opcode.data();
     for (GateId i = 0; i < nl_.size(); i++) {
-        switch (static_cast<CellType>(op[i])) {
+        switch (nl_.gate(i).type) {
           case CellType::TIE0:
             val_[i] = Mask{};
             known_[i] = ones;
@@ -180,11 +179,11 @@ LaneSimT<W>::evalComb()
     // One dispatch per same-opcode segment; the per-gate loops stay
     // branch-free (the force-overlay test folds to a constant false
     // while no forces are active). Values and evaluation order are
-    // identical to a per-gate switch over `order`.
+    // identical to a per-gate switch over the program positions.
 #define BESPOKE_EVAL_RUN(expr)                                        \
     for (size_t i = pos; i < end; i++) {                              \
         const GateId id = order[i];                                   \
-        const uint32_t *f = &fanin[3 * id];                           \
+        const uint32_t *f = &fanin[3 * i];                            \
         (void)f;                                                      \
         const bool forced = anyForce_ && laneAny(forceMask_[id]);     \
         for (int j = 0; j < kBlocks; j++) {                           \
@@ -270,15 +269,17 @@ LaneSimT<W>::latchSequential()
     size_t n = prep_->seqIds.size();
     latchNext_.resize(n);
     std::vector<P> &next = latchNext_;
+    const SimPrep &p = *prep_;
     for (size_t i = 0; i < n; i++) {
-        GateId id = prep_->seqIds[i];
-        const uint32_t *f = &prep_->fanin[3 * id];
-        P d = {val_[f[0]], known_[f[0]]};
-        if (static_cast<CellType>(prep_->opcode[id]) == CellType::DFF) {
+        const GateId d_id = p.seqD[i];
+        P d = {val_[d_id], known_[d_id]};
+        if (p.seqEn[i] == SimPrep::kNone) {
             next[i] = d;
         } else {
+            const GateId id = p.seqIds[i];
+            const GateId en_id = p.seqEn[i];
             P q = {val_[id], known_[id]};
-            P en = {val_[f[1]], known_[f[1]]};
+            P en = {val_[en_id], known_[en_id]};
             next[i] = pMux(q, d, en);
         }
     }

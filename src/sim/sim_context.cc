@@ -12,13 +12,10 @@ SimPrep::SimPrep(const Netlist &netlist)
 {
     const std::vector<Gate> &gates = netlist.gates();
     size_t n = netlist.size();
-    isComb.assign(n, 0);
-    for (GateId id : order)
-        isComb[id] = 1;
 
     // Topological levels: sources (INPUT/TIE/DFF/DFFE) are level 0,
     // a combinational gate is one past its deepest combinational fanin.
-    level.assign(n, 0);
+    std::vector<uint32_t> level(n, 0);
     uint32_t max_level = 0;
     for (GateId id : order) {
         const Gate &g = gates[id];
@@ -29,40 +26,40 @@ SimPrep::SimPrep(const Netlist &netlist)
         level[id] = lvl + 1;
         max_level = std::max(max_level, lvl + 1);
     }
-    numLevels = max_level + 1;
 
-    // CSR fanout lists restricted to combinational consumers; source
-    // cells re-read their fanins only at latch time and need no events.
-    foHead.assign(n + 1, 0);
-    for (GateId id : order) {
-        const Gate &g = gates[id];
-        int ni = g.numInputs();
-        for (int p = 0; p < ni; p++)
-            foHead[g.in[p] + 1]++;
-    }
-    for (size_t i = 0; i < n; i++)
-        foHead[i + 1] += foHead[i];
-    foData.resize(foHead[n]);
-    std::vector<uint32_t> cursor(foHead.begin(), foHead.end() - 1);
-    for (GateId id : order) {
-        const Gate &g = gates[id];
-        int ni = g.numInputs();
-        for (int p = 0; p < ni; p++)
-            foData[cursor[g.in[p]]++] = id;
-    }
+    // Group the order by level. Within a level no gate reads another's
+    // output, so the gates of a level can be put in any order without
+    // changing an evaluated value; sort them by opcode (gate id as the
+    // deterministic tie-break): the eval kernels' per-gate dispatch
+    // then sees long same-opcode runs instead of a random sequence,
+    // which the branch predictor rewards, most visibly on the
+    // multi-word plane kernels.
+    std::sort(order.begin(), order.end(), [&](GateId a, GateId b) {
+        if (level[a] != level[b])
+            return level[a] < level[b];
+        if (gates[a].type != gates[b].type)
+            return gates[a].type < gates[b].type;
+        return a < b;
+    });
+    posOf.assign(n, kNone);
+    for (uint32_t pos = 0; pos < order.size(); pos++)
+        posOf[order[pos]] = pos;
 
     // Compiled eval program: opcode byte + padded fanin triple per
-    // gate. Pins past the cell's fanin count repeat pin 0 (any valid
-    // net id works — the truth table is insensitive to them), keeping
-    // the evaluation loop free of a per-gate fanin-count branch.
-    opcode.resize(n);
-    fanin.resize(3 * n);
-    for (GateId id = 0; id < n; id++) {
-        const Gate &g = gates[id];
-        opcode[id] = static_cast<uint8_t>(g.type);
+    // position. Pins past the cell's fanin count repeat pin 0 (any
+    // valid net id works — the truth table is insensitive to them),
+    // keeping the evaluation loop free of a per-gate fanin-count
+    // branch.
+    opcode.resize(order.size());
+    fanin.resize(3 * order.size());
+    for (uint32_t pos = 0; pos < order.size(); pos++) {
+        const Gate &g = gates[order[pos]];
+        opcode[pos] = static_cast<uint8_t>(g.type);
         int ni = g.numInputs();
-        for (int p = 0; p < 3; p++)
-            fanin[3 * id + p] = p < ni ? g.in[p] : (ni ? g.in[0] : id);
+        for (int p = 0; p < 3; p++) {
+            fanin[3 * pos + p] =
+                p < ni ? g.in[p] : (ni ? g.in[0] : order[pos]);
+        }
     }
 
     // Kleene truth tables, one 27-entry row per cell type (padded to
@@ -90,52 +87,41 @@ SimPrep::SimPrep(const Netlist &netlist)
         }
     }
 
-    // Level buckets over the evaluation order. levelize() emits gates
-    // in breadth-first (level-ascending) order; assert that here since
-    // the bucketed kernels depend on it.
-    levelHead.assign(numLevels + 1, 0);
-    for (GateId id : order)
-        levelHead[level[id] + 1]++;
-    for (uint32_t l = 0; l < numLevels; l++)
-        levelHead[l + 1] += levelHead[l];
-    {
-        uint32_t prev = 0;
-        for (GateId id : order) {
-            bespoke_assert(level[id] >= prev,
-                           "levelize() order is not level-grouped");
-            prev = level[id];
-        }
+    // Segment the program into same-opcode runs (never crossing a
+    // level boundary) for the once-per-segment plane dispatch.
+    for (uint32_t i = 0; i < order.size();) {
+        uint32_t j = i + 1;
+        while (j < order.size() && opcode[j] == opcode[i] &&
+               level[order[j]] == level[order[i]])
+            j++;
+        evalRuns.push_back({opcode[i], j - i});
+        i = j;
     }
 
-    // Within a level no gate reads another's output, so each bucket
-    // can be reordered without changing any evaluated value. Sort
-    // buckets by opcode (gate id as the deterministic tie-break): the
-    // eval kernels' per-gate dispatch then sees long same-opcode runs
-    // instead of a random sequence, which the branch predictor
-    // rewards, most visibly on the multi-word plane kernels.
-    for (uint32_t l = 0; l < numLevels; l++) {
-        std::sort(order.begin() + levelHead[l],
-                  order.begin() + levelHead[l + 1],
-                  [&](GateId a, GateId b) {
-                      return opcode[a] != opcode[b]
-                                 ? opcode[a] < opcode[b]
-                                 : a < b;
-                  });
+    // CSR fanout lists of consumer positions. A consumer is one level
+    // above its deepest fanin, so it always sits at a higher position.
+    foHead.assign(n + 1, 0);
+    for (uint32_t pos = 0; pos < order.size(); pos++) {
+        const Gate &g = gates[order[pos]];
+        for (int p = 0; p < g.numInputs(); p++)
+            foHead[g.in[p] + 1]++;
+    }
+    for (size_t i = 0; i < n; i++)
+        foHead[i + 1] += foHead[i];
+    foPos.resize(foHead[n]);
+    std::vector<uint32_t> cursor(foHead.begin(), foHead.end() - 1);
+    for (uint32_t pos = 0; pos < order.size(); pos++) {
+        const Gate &g = gates[order[pos]];
+        for (int p = 0; p < g.numInputs(); p++)
+            foPos[cursor[g.in[p]]++] = pos;
     }
 
-    // Segment the sorted order into same-opcode runs (never crossing
-    // a level boundary) for the once-per-segment plane dispatch.
-    for (uint32_t l = 0; l < numLevels; l++) {
-        uint32_t i = levelHead[l];
-        const uint32_t end = levelHead[l + 1];
-        while (i < end) {
-            const uint8_t op = opcode[order[i]];
-            uint32_t j = i + 1;
-            while (j < end && opcode[order[j]] == op)
-                j++;
-            evalRuns.push_back({op, j - i});
-            i = j;
-        }
+    seqD.resize(seqIds.size());
+    seqEn.resize(seqIds.size());
+    for (size_t i = 0; i < seqIds.size(); i++) {
+        const Gate &g = gates[seqIds[i]];
+        seqD[i] = g.in[0];
+        seqEn[i] = g.type == CellType::DFFE ? g.in[1] : kNone;
     }
 }
 

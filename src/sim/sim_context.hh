@@ -30,51 +30,56 @@ namespace bespoke
  * Evaluation-order and event-propagation data for one netlist (the
  * part of GateSim's setup that does not depend on simulator state).
  *
- * Beyond the order/levels/fanout CSR, the prep carries a *compiled
- * eval program*: a flat SoA image of the combinational netlist that
- * the simulators execute without touching Netlist at all. Per gate
- * there is one opcode byte (the CellType) and three fanin net ids
- * (unused pins padded with pin 0 so the inner loop is branch-free);
- * the cell functions themselves are folded into a 27-entry lookup
- * table per opcode (3 Kleene values ^ 3 pins, padded to 32 entries so
- * the row index is a shift). The tables are built by exhaustively
- * calling evalCell(), so table-driven evaluation is bit-identical to
- * the switch-based reference by construction.
+ * The core of the prep is a *compiled eval program* over evaluation-
+ * order positions: position p holds the p-th combinational gate of a
+ * level-grouped topological order (sources are level 0, a gate sits
+ * one level past its deepest combinational fanin; gates of one level
+ * are contiguous and sorted by opcode). Per position there is one
+ * opcode byte (the CellType) and three fanin net ids (unused pins
+ * padded with pin 0 so the inner loop is branch-free); the cell
+ * functions themselves are folded into a 27-entry lookup table per
+ * opcode (3 Kleene values ^ 3 pins, padded to 32 entries so the row
+ * index is a shift). The tables are built by exhaustively calling
+ * evalCell(), so table-driven evaluation is bit-identical to the
+ * switch-based reference by construction.
+ *
+ * Event propagation speaks positions too: each net lists the
+ * positions of its combinational consumers, and every consumer sits
+ * at a strictly higher position than any of its combinational
+ * fanins, so an ascending sweep over a dirty-position set visits each
+ * gate at most once, after all of its inputs.
  */
 struct SimPrep
 {
     explicit SimPrep(const Netlist &netlist);
 
-    std::vector<GateId> order;    ///< combinational topological order
-    std::vector<GateId> seqIds;   ///< DFF/DFFE ids, SeqState order
-    std::vector<uint32_t> level;  ///< topological level per comb gate
-    std::vector<uint8_t> isComb;  ///< 1 if the gate appears in order
-    std::vector<uint32_t> foHead; ///< CSR index into foData (size n+1)
-    std::vector<GateId> foData;   ///< combinational consumers per net
-    uint32_t numLevels = 1;       ///< bucket count (max level + 1)
+    /** "No position" / "no pin" marker in posOf and seqEn. */
+    static constexpr uint32_t kNone = ~0u;
 
-    /** @name Compiled eval program */
+    /** Gate id at each evaluation-order position. */
+    std::vector<GateId> order;
+    std::vector<GateId> seqIds;   ///< DFF/DFFE ids, SeqState order
+    /** Position of each gate id in `order`; kNone for source cells. */
+    std::vector<uint32_t> posOf;
+
+    /** @name Compiled eval program (indexed by position) */
     /// @{
-    /** CellType per gate, the opcode of the eval program. */
+    /** CellType per position, the opcode of the eval program. */
     std::vector<uint8_t> opcode;
-    /** 3 fanin net ids per gate, flat at fanin[3*id]; pins beyond the
-     *  cell's fanin count repeat pin 0 (the LUT ignores them). */
+    /** 3 fanin net ids per position, flat at fanin[3*pos]; pins
+     *  beyond the cell's fanin count repeat pin 0 (the LUT ignores
+     *  them). */
     std::vector<uint32_t> fanin;
     /** Kleene truth tables: lut[(op << kLutShift) | (a*9 + b*3 + c)]
      *  with a/b/c the byte-coded Logic values of pins 0..2. */
     std::vector<uint8_t> lut;
     static constexpr int kLutShift = 5;  ///< 27 entries padded to 32
-    /** CSR over `order` by topological level: gates of level l occupy
-     *  order[levelHead[l] .. levelHead[l+1]). Levels 0 (sources) are
-     *  empty; size numLevels + 1. */
-    std::vector<uint32_t> levelHead;
     /**
-     * Same-opcode segments of `order` (which is opcode-sorted within
-     * each level): run r covers order[pos .. pos+len) where pos is the
-     * running sum of earlier lengths, and every gate in it has opcode
-     * `op`. Lets plane evaluation dispatch once per segment and run a
-     * tight per-opcode loop instead of switching per gate. Runs never
-     * span a level boundary.
+     * Same-opcode segments of the program: run r covers positions
+     * [pos, pos+len) where pos is the running sum of earlier lengths,
+     * and every gate in it has opcode `op`. Lets plane evaluation
+     * dispatch once per segment and run a tight per-opcode loop
+     * instead of switching per gate. Runs never span a level boundary.
      */
     struct EvalRun
     {
@@ -82,6 +87,20 @@ struct SimPrep
         uint32_t len;
     };
     std::vector<EvalRun> evalRuns;
+    /// @}
+
+    /** @name Event propagation */
+    /// @{
+    std::vector<uint32_t> foHead; ///< CSR index into foPos (size n+1)
+    /** Positions of the combinational consumers of each net; source
+     *  cells re-read their fanins only at latch time. */
+    std::vector<uint32_t> foPos;
+    /// @}
+
+    /** @name Flop pins (SeqState order) */
+    /// @{
+    std::vector<uint32_t> seqD;   ///< D net per flop
+    std::vector<uint32_t> seqEn;  ///< EN net per DFFE; kNone for DFF
     /// @}
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -166,9 +165,8 @@ runScenariosScalar(const Netlist &nl, const Workload &w,
 {
     std::vector<GateRun> out;
     out.reserve(scenarios.size());
-    std::vector<uint8_t> last;
     for (const GateScenario &s : scenarios) {
-        bool first = true;
+        ValueMirror last(nl.size());
         std::function<void(const GateSim &)> per_cycle;
         if (s.toggles || obs.moduleIdle) {
             per_cycle = [&](const GateSim &sim) {
@@ -176,19 +174,11 @@ runScenariosScalar(const Netlist &nl, const Workload &w,
                     s.toggles->observe(sim);
                 if (!obs.moduleIdle)
                     return;
-                const std::vector<uint8_t> &v = sim.values();
-                if (first) {
-                    last = v;
-                    first = false;
-                    return;
-                }
                 bool active[kNumModules] = {};
-                for (GateId i = 0; i < nl.size(); i++) {
-                    if (v[i] != last[i])
-                        active[static_cast<int>(nl.gate(i).module)] =
-                            true;
-                    last[i] = v[i];
-                }
+                if (!last.sync(sim, [&](GateId g) {
+                        active[static_cast<int>(nl.gate(g).module)] = true;
+                    }))
+                    return;
                 for (int m = 0; m < kNumModules; m++) {
                     if (!active[m])
                         obs.moduleIdle->idle[m]++;
@@ -232,11 +222,12 @@ constexpr uint64_t kBatchIrqPulseCycles = 4;
  * which only revisits gates whose fanins changed — for a mutant
  * spinning in a tight loop until the cycle cap, that is a handful of
  * gates per cycle instead of the whole netlist. The threshold depends
- * on whether observers are attached: toggle/idle observation costs a
- * full n-gate byte diff per scalar cycle, which the plane path
- * amortizes across every lane per word — so with observers a handoff
- * only pays once fewer lanes remain than half the plane's word count
- * (never, at one word). Observer-free runs keep the fixed threshold.
+ * on whether observers are attached: the plane path amortizes
+ * toggle/idle observation across every lane per word, so with
+ * observers a handoff only pays once fewer lanes remain than half the
+ * plane's word count (never, at one word). That limit was measured
+ * when a scalar observe diffed all n gates; it now walks the
+ * simulator's change log. Observer-free runs keep the fixed threshold.
  */
 constexpr size_t kScalarHandoffLanes = 8;
 
@@ -366,10 +357,13 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             ssoc.setIrqExt(Logic::Zero);
             const std::vector<uint16_t> &h = *halts[lane];
             const bool track = obs.toggles || s.toggles;
-            bool lane_seen = laneTest(seen, lane);
-            std::vector<uint8_t> last;
-            if ((count_toggles || obs.moduleIdle) && lane_seen)
-                extractLane(last_v, last_k, lane, last);
+            ValueMirror last(n);
+            if ((count_toggles || obs.moduleIdle) &&
+                laneTest(seen, lane)) {
+                std::vector<uint8_t> v;
+                extractLane(last_v, last_k, lane, v);
+                last.assign(std::move(v));
+            }
 
             bool halted = false;
             uint64_t cycles = completed[lane];
@@ -392,50 +386,26 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
                 }
                 if (observing) {
                     if (count_toggles || obs.moduleIdle) {
-                        const std::vector<uint8_t> &v =
-                            ssoc.sim().values();
-                        if (!lane_seen) {
-                            if (track)
-                                trace[lane].first = v;
-                            last = v;
-                            lane_seen = true;
-                        } else {
-                            bool mod_act[kNumModules] = {};
-                            // Eight-gate block skip: an event-driven
-                            // cycle changes few gates, so most blocks
-                            // compare equal in one 64-bit op.
-                            for (size_t g0 = 0; g0 < n; g0 += 8) {
-                                const size_t ge = std::min(g0 + 8, n);
-                                if (ge - g0 == 8) {
-                                    uint64_t xv, xl;
-                                    std::memcpy(&xv, v.data() + g0, 8);
-                                    std::memcpy(&xl, last.data() + g0,
-                                                8);
-                                    if (xv == xl)
-                                        continue;
+                        bool mod_act[kNumModules] = {};
+                        const bool counted =
+                            last.sync(ssoc.sim(), [&](GateId g) {
+                                if (obs.toggles)
+                                    shared_counts[g]++;
+                                if (s.toggles)
+                                    lane_counts[g * lanes_used + lane]++;
+                                if (obs.moduleIdle) {
+                                    mod_act[static_cast<int>(
+                                        nl.gate(g).module)] = true;
                                 }
-                                for (size_t g = g0; g < ge; g++) {
-                                    if (v[g] == last[g])
-                                        continue;
-                                    last[g] = v[g];
-                                    if (obs.toggles)
-                                        shared_counts[g]++;
-                                    if (s.toggles)
-                                        lane_counts[g * lanes_used +
-                                                    lane]++;
-                                    if (obs.moduleIdle) {
-                                        mod_act[static_cast<int>(
-                                            nl.gate(g).module)] = true;
-                                    }
-                                }
+                            });
+                        if (!counted && track)
+                            trace[lane].first = last.values();
+                        if (counted && obs.moduleIdle) {
+                            for (int m = 0; m < kNumModules; m++) {
+                                if (!mod_act[m])
+                                    obs.moduleIdle->idle[m]++;
                             }
-                            if (obs.moduleIdle) {
-                                for (int m = 0; m < kNumModules; m++) {
-                                    if (!mod_act[m])
-                                        obs.moduleIdle->idle[m]++;
-                                }
-                                obs.moduleIdle->totalCycles++;
-                            }
+                            obs.moduleIdle->totalCycles++;
                         }
                         trace[lane].cycles++;
                     }
@@ -455,8 +425,8 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             }
             r.gpioOut = ssoc.gpioOut();
             r.ram = ssoc.ram();
-            if (track && lane_seen)
-                trace[lane].last = last;
+            if (track && last.primed())
+                trace[lane].last = last.values();
             laneClear(active, lane);
         };
 

@@ -388,8 +388,9 @@ expectAgreeOnKnownOutputs(const Netlist &a, const Netlist &b,
             Logic va = sa.value(id);
             Logic vb = sb.value(b.port(a.name(id)));
             if (with_x) {
-                if (isKnown(va) && isKnown(vb))
+                if (isKnown(va) && isKnown(vb)) {
                     ASSERT_EQ(va, vb) << a.name(id) << " vector " << v;
+                }
             } else {
                 ASSERT_EQ(va, vb) << a.name(id) << " vector " << v;
             }

@@ -320,8 +320,9 @@ TEST(SatPortfolio, PortfolioWinnerIsThreadCountIndependent)
         int w1 = race(1, &serial);
         int w4 = race(4, &parallel);
         ASSERT_EQ(w1, w4) << "seed " << seed;
-        if (w1 >= 0)
+        if (w1 >= 0) {
             ASSERT_EQ(serial[w1], parallel[w4]) << "seed " << seed;
+        }
     }
 }
 

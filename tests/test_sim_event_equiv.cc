@@ -9,13 +9,19 @@
  *    through placeholder BUFs) driven by random 0/1/X inputs, with
  *    force()/clearForces() interleavings, mid-run resets and
  *    sequential-state snapshot/restore, comparing every net value
- *    after every eval and latch plus per-gate toggle counts;
- *  - the real bsp430 core running workloads in lockstep;
+ *    after every eval and latch plus per-gate toggle counts taken
+ *    through the change log against FullEval's full diff, at every
+ *    observe point the API allows;
+ *  - the real bsp430 core running workloads in lockstep, values and
+ *    per-gate toggle counts;
  *  - the full activity analysis (X-forking exploration) with each
  *    evaluator, comparing the resulting toggle sets and path counts.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
 
 #include "src/analysis/activity_analysis.hh"
 #include "src/builder/net_builder.hh"
@@ -117,80 +123,117 @@ class EventEquivFuzz : public ::testing::TestWithParam<uint32_t>
 TEST_P(EventEquivFuzz, RandomNetlistLockstep)
 {
     RandomDesign d(GetParam());
-    GateSim ev(d.nl, GateSim::EvalMode::EventDriven);
-    GateSim full(d.nl, GateSim::EvalMode::FullEval);
-    ASSERT_EQ(ev.mode(), GateSim::EvalMode::EventDriven);
-    ASSERT_EQ(full.mode(), GateSim::EvalMode::FullEval);
+    // Optional so the run can continue on a fresh simulator pair built
+    // in the same storage, the way runScenariosScalar feeds one shared
+    // counter from back-to-back runs.
+    std::optional<GateSim> ev, full;
+    auto fresh = [&] {
+        ev.emplace(d.nl, GateSim::EvalMode::EventDriven);
+        full.emplace(d.nl, GateSim::EvalMode::FullEval);
+        ev->reset();
+        full->reset();
+    };
+    fresh();
+    ASSERT_EQ(ev->mode(), GateSim::EvalMode::EventDriven);
+    ASSERT_EQ(full->mode(), GateSim::EvalMode::FullEval);
+    // Each *_ev counter diffs through the event-driven change log, its
+    // *_full twin through FullEval's full diff. tc observes once per
+    // cycle after eval; tc2 is a second counter on the same simulators
+    // observing at other points of the cycle.
     ToggleCounter tc_ev(d.nl), tc_full(d.nl);
+    ToggleCounter tc2_ev(d.nl), tc2_full(d.nl);
+    auto observe = [&](ToggleCounter &on_ev, ToggleCounter &on_full) {
+        on_ev.observe(*ev);
+        on_full.observe(*full);
+    };
 
     Rng rng(GetParam() * 7919 + 1);
-    ev.reset();
-    full.reset();
-    SeqState snap_ev, snap_full;
-    bool have_snap = false;
-
-    for (uint64_t cycle = 0; cycle < 400; cycle++) {
-        // Re-drive a random subset of the inputs (unchanged values
-        // must not wake anything; the dirty set stays minimal).
+    // Re-drive a random subset of the inputs (unchanged values must
+    // not wake anything; the dirty set stays minimal).
+    auto drive = [&] {
         for (GateId in : d.inputs) {
             if (rng.chance(2, 3))
                 continue;
             Logic v = randomLogic(rng, 25);
-            ev.setInput(in, v);
-            full.setInput(in, v);
+            ev->setInput(in, v);
+            full->setInput(in, v);
         }
+    };
+    SeqState snap_ev, snap_full;
+    bool have_snap = false;
+
+    for (uint64_t cycle = 0; cycle < 400; cycle++) {
+        if (cycle == 200)
+            fresh();
+        drive();
         // Interleave forces on arbitrary nets (the analysis forces
         // decision nets mid-cloud, so any net is fair game).
         if (rng.chance(1, 4)) {
             GateId t = rng.below(static_cast<uint32_t>(d.nl.size()));
             Logic v = rng.chance(1, 2) ? Logic::One : Logic::Zero;
-            ev.force(t, v);
-            full.force(t, v);
+            ev->force(t, v);
+            full->force(t, v);
         }
         if (rng.chance(1, 8)) {
-            ev.clearForces();
-            full.clearForces();
+            ev->clearForces();
+            full->clearForces();
         }
 
-        ev.evalComb();
-        full.evalComb();
-        expectSameValues(ev, full, "after evalComb", cycle);
-        ASSERT_EQ(ev.seqState(), full.seqState());
+        ev->evalComb();
+        full->evalComb();
+        expectSameValues(*ev, *full, "after evalComb", cycle);
+        ASSERT_EQ(ev->seqState(), full->seqState());
 
-        tc_ev.observe(ev);
-        tc_full.observe(full);
+        observe(tc_ev, tc_full);
+        if (rng.chance(1, 4))
+            observe(tc_ev, tc_full);  // twice without a latch
+        if (rng.chance(1, 3))
+            observe(tc2_ev, tc2_full);
+        if (rng.chance(1, 4))
+            drive();  // setInput between observe and latch
 
-        ev.latchSequential();
-        full.latchSequential();
-        expectSameValues(ev, full, "after latch", cycle);
+        ev->latchSequential();
+        full->latchSequential();
+        expectSameValues(*ev, *full, "after latch", cycle);
+        if (rng.chance(1, 3))
+            observe(tc2_ev, tc2_full);
 
         // Snapshot / restore (the analysis forks this way constantly).
         if (rng.chance(1, 16)) {
-            snap_ev = ev.seqState();
-            snap_full = full.seqState();
+            snap_ev = ev->seqState();
+            snap_full = full->seqState();
             ASSERT_EQ(snap_ev, snap_full);
             have_snap = true;
         }
         if (have_snap && rng.chance(1, 16)) {
-            ev.restoreSeqState(snap_ev);
-            full.restoreSeqState(snap_full);
-            ev.evalComb();
-            full.evalComb();
-            expectSameValues(ev, full, "after restore", cycle);
+            ev->restoreSeqState(snap_ev);
+            full->restoreSeqState(snap_full);
+            if (rng.chance(1, 2))
+                observe(tc2_ev, tc2_full);
+            ev->evalComb();
+            full->evalComb();
+            expectSameValues(*ev, *full, "after restore", cycle);
+            observe(tc_ev, tc_full);
         }
         if (rng.chance(1, 64)) {
-            ev.reset();
-            full.reset();
-            ev.evalComb();
-            full.evalComb();
-            expectSameValues(ev, full, "after reset", cycle);
+            ev->reset();
+            full->reset();
+            if (rng.chance(1, 2))
+                observe(tc2_ev, tc2_full);
+            ev->evalComb();
+            full->evalComb();
+            expectSameValues(*ev, *full, "after reset", cycle);
+            observe(tc_ev, tc_full);
         }
     }
 
-    ASSERT_EQ(tc_ev.cycles(), tc_full.cycles());
-    for (GateId i = 0; i < d.nl.size(); i++) {
-        ASSERT_EQ(tc_ev.count(i), tc_full.count(i))
-            << "toggle count differs on gate " << i;
+    for (auto [a, b] : {std::pair{&tc_ev, &tc_full}, {&tc2_ev, &tc2_full}}) {
+        ASSERT_EQ(a->cycles(), b->cycles());
+        for (GateId i = 0; i < d.nl.size(); i++) {
+            ASSERT_EQ(a->count(i), b->count(i))
+                << "toggle count differs on gate " << i;
+            ASSERT_EQ(a->lastValue(i), b->lastValue(i));
+        }
     }
 }
 
@@ -224,16 +267,25 @@ TEST(EventEquiv, Bsp430WorkloadLockstep)
                 soc->pokeRamWord(addr, SWord::of(value));
         }
 
+        // Per-gate toggle counts: the change-log diff on the
+        // event-driven core against the full diff on the reference.
+        ToggleCounter tc_ev(nl), tc_full(nl);
         uint64_t cycles = std::min<uint64_t>(w.maxCycles, 4000);
         for (uint64_t c = 0; c < cycles; c++) {
             ev.evalOnly();
             full.evalOnly();
             ASSERT_EQ(ev.sim().values(), full.sim().values())
                 << w.name << " diverged at cycle " << c;
+            tc_ev.observe(ev.sim());
+            tc_full.observe(full.sim());
             ev.finishCycle();
             full.finishCycle();
         }
         ASSERT_EQ(ev.envState(), full.envState()) << w.name;
+        for (GateId i = 0; i < nl.size(); i++) {
+            ASSERT_EQ(tc_ev.count(i), tc_full.count(i))
+                << w.name << " toggle count differs on gate " << i;
+        }
     }
 }
 
