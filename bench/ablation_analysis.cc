@@ -49,7 +49,7 @@ main(int argc, char **argv)
         for (const char *name : names) {
             const Workload &w = workloadByName(name);
             for (int visits : {4, 16, 64, 256}) {
-                AnalysisOptions opts;
+                AnalysisOptions opts = io.analysisOptions();
                 // Always one worker: the checked counter columns are
                 // deterministic only then (workers race on the merge
                 // tables, which moves cycles and paths).
@@ -82,8 +82,7 @@ main(int argc, char **argv)
         Table t({"benchmark", "cells: cut only", "+ resynthesis",
                  "resynth extra %", "power: no resize uW",
                  "+ resize uW"});
-        FlowOptions fopts;
-        fopts.analysis.threads = io.threads();
+        FlowOptions fopts = io.flowOptions();
         fopts.powerInputsPerWorkload = 1;
         BespokeFlow flow(fopts);
         std::vector<const char *> names =

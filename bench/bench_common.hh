@@ -23,17 +23,14 @@
  *                    on bit planes, 1 on the reference scalar
  *                    evaluator. Execution strategy only — results
  *                    and counters are identical at both.
- *   --plane-bits W   bit-plane word width for lane-batched replays
- *                    (64/128/256/512; default 0 = 64). Execution
- *                    strategy only — table values are identical at
- *                    every width.
  *   --checkpoint-dir DIR  persist flow stage artifacts in DIR and
  *                    reuse them on later runs (content-hashed keys;
  *                    see src/bespoke/checkpoint.hh). Results are
  *                    identical with or without it.
- *   --checkpoint-max-bytes N  cap the checkpoint store at N bytes;
- *                    each save evicts least-recently-used artifacts
- *                    until it fits (0 = no cap, the default).
+ *
+ * Every bench builds its analysis and flow options from
+ * BenchIO::analysisOptions() / flowOptions(), so each of these flags
+ * reaches every bench that runs the stage it controls.
  *
  * Table values are compared exactly (they are deterministic); wall
  * clock is compared against a tolerance band (current must stay below
@@ -57,6 +54,7 @@
 #include <vector>
 
 #include "src/analysis/activity_analysis.hh"
+#include "src/bespoke/flow.hh"
 #include "src/util/flag_value.hh"
 #include "src/util/json.hh"
 #include "src/util/logging.hh"
@@ -142,11 +140,7 @@ class BenchIO
             if (take_number("--threads", FlagKind::Count, threads_) ||
                 take_number("--sat-threads", FlagKind::Count,
                             satThreads_) ||
-                take_number("--lanes", FlagKind::Lanes, lanes_) ||
-                take_number("--plane-bits", FlagKind::PlaneBits,
-                            planeBits_) ||
-                take_number("--checkpoint-max-bytes", FlagKind::Bytes,
-                            checkpointMaxBytes_))
+                take_number("--lanes", FlagKind::Lanes, lanes_))
                 continue;
             if (take_path("--checkpoint-dir", checkpointDir_)) {
                 if (checkpointDir_ == kAutoPath)
@@ -156,8 +150,7 @@ class BenchIO
             die("unknown bench flag '" + arg +
                 "' (expected --quick, --json PATH, --check [PATH], "
                 "--threads N, --sat-threads N, --lanes N, "
-                "--plane-bits W, --checkpoint-dir DIR, "
-                "--checkpoint-max-bytes N)");
+                "--checkpoint-dir DIR)");
         }
         if (checkMode_ && checkPath_ == kAutoPath) {
             const char *dir = std::getenv("BESPOKE_BASELINE_DIR");
@@ -178,12 +171,30 @@ class BenchIO
     int satThreads() const { return satThreads_; }
     /** --lanes value for AnalysisOptions::laneWidth (library default). */
     int lanes() const { return lanes_; }
-    /** --plane-bits value for batched replays (0 = resolve default). */
-    int planeBits() const { return planeBits_; }
-    /** --checkpoint-dir value for FlowOptions::checkpointDir ("" off). */
-    const std::string &checkpointDir() const { return checkpointDir_; }
-    /** --checkpoint-max-bytes for FlowOptions::checkpointMaxBytes. */
-    uint64_t checkpointMaxBytes() const { return checkpointMaxBytes_; }
+
+    /** Analysis options carrying --threads and --lanes. */
+    AnalysisOptions
+    analysisOptions() const
+    {
+        AnalysisOptions a;
+        a.threads = threads_;
+        a.laneWidth = lanes_;
+        return a;
+    }
+
+    /**
+     * Flow options carrying analysisOptions(), --checkpoint-dir and
+     * --sat-threads (for the SAT pass, when a bench enables it).
+     */
+    FlowOptions
+    flowOptions() const
+    {
+        FlowOptions f;
+        f.analysis = analysisOptions();
+        f.checkpointDir = checkpointDir_;
+        f.passes.sat.threads = satThreads_;
+        return f;
+    }
 
     /**
      * Print a table and record it under `key`. Columns listed in
@@ -434,9 +445,7 @@ class BenchIO
     bool checkMode_ = false;
     bool ok_ = true;
     std::string jsonPath_, checkPath_, checkpointDir_;
-    uint64_t checkpointMaxBytes_ = 0;
     int lanes_ = AnalysisOptions{}.laneWidth;
-    int planeBits_ = 0;
     JsonValue tables_ = JsonValue::object();
     JsonValue metrics_ = JsonValue::object();
     JsonValue counters_ = JsonValue::object();

@@ -60,8 +60,7 @@ main(int argc, char **argv)
                                       "tea8", "convEn", "dbg"};
     if (quick)
         names.resize(2);
-    AnalysisOptions aopts;
-    aopts.threads = io.threads();
+    const AnalysisOptions aopts = io.analysisOptions();
     for (const std::string &name : names) {
         const Workload &w = workloadByName(name);
         AnalysisResult rb = analyzeActivity(base.netlist, w, aopts);

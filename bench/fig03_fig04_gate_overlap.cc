@@ -21,8 +21,7 @@ comparePair(BenchIO &io, const std::string &key, const Netlist &nl,
             const std::string &name_a, const std::string &name_b,
             const char *figure)
 {
-    AnalysisOptions aopts;
-    aopts.threads = io.threads();
+    const AnalysisOptions aopts = io.analysisOptions();
     AnalysisResult ra =
         analyzeActivity(nl, workloadByName(name_a), aopts);
     AnalysisResult rb =

@@ -55,9 +55,8 @@ main(int argc, char **argv)
     // baselines) for any --threads value. Rows are emitted in workload
     // order after the pool drains.
     const std::vector<Workload> &apps = workloads();
-    AnalysisOptions aopts;
+    AnalysisOptions aopts = io.analysisOptions();
     aopts.threads = 1;
-    aopts.laneWidth = io.lanes();
     struct AppRow
     {
         size_t toggledPerModule[kNumModules] = {};

@@ -20,12 +20,7 @@ main(int argc, char **argv)
     banner("Bespoke gate/area/power savings vs. baseline core",
            "Figure 11");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.analysis.laneWidth = io.lanes();
-    opts.planeBits = io.planeBits();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     if (io.quick())
         opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);

@@ -20,10 +20,7 @@ main(int argc, char **argv)
     banner("Fine-grained (gate) vs. coarse-grained (module) bespoke",
            "Figure 12");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     if (io.quick())
         opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);

@@ -25,10 +25,7 @@ main(int argc, char **argv)
 
     banner("Multi-program bespoke processors", "Figure 13");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);
     const std::vector<Workload> &apps = workloads();

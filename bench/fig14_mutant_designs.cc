@@ -23,10 +23,7 @@ main(int argc, char **argv)
     banner("Bespoke designs supporting all mutants (in-field updates)",
            "Figure 14");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);
 

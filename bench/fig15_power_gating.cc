@@ -23,12 +23,7 @@ main(int argc, char **argv)
     banner("Oracle module-level power gating vs. bespoke design",
            "Figure 15");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.analysis.laneWidth = io.lanes();
-    opts.planeBits = io.planeBits();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     opts.powerInputsPerWorkload = inputs;
     BespokeFlow flow(opts);
 
@@ -37,8 +32,7 @@ main(int argc, char **argv)
                  "bespoke advantage (x)"});
     for (const Workload &w : workloads()) {
         GatingResult g = evaluateOracleGating(
-            flow.baseline(), w, inputs, 77, opts.power, opts.timing,
-            io.planeBits());
+            flow.baseline(), w, inputs, 77, opts.power, opts.timing);
         // Realizable counterpart to the oracle: ICGs on rarely-written
         // register banks of the same baseline core, overhead included.
         ClockGatingReport cg = evaluateClockGating(

@@ -74,7 +74,7 @@ BM_PowerReplay(benchmark::State &state)
         ToggleCounter toggles(tailored);
         obs.toggles = &toggles;
         for (const GateRun &run : runWorkloadGateBatch(
-                 tailored, w, prog, inputs, opts.planeBits, obs, ctx))
+                 tailored, w, prog, inputs, obs, ctx))
             cycles += static_cast<int64_t>(run.cycles);
         benchmark::DoNotOptimize(toggles.cycles());
     }
@@ -82,21 +82,18 @@ BM_PowerReplay(benchmark::State &state)
 }
 BENCHMARK(BM_PowerReplay)->Unit(benchmark::kMillisecond);
 
-template <int W>
 void
 BM_LaneSimCycle(benchmark::State &state)
 {
-    // W concrete scenarios per sweep on the bit-plane engine; items
+    // 64 concrete scenarios per sweep on the bit-plane engine; items
     // processed counts gate*lane evaluations (items/s = gate·lane/s),
     // so items/s here vs. BM_GateSimCycle is the raw per-scenario
     // speedup of plane packing (before the event-driven engine's
-    // dirty-set advantage), and across widths it shows how multi-word
-    // planes amortize the per-gate fixed costs — the widest plane
-    // should clear at least twice the 64-bit plane's rate.
+    // dirty-set advantage).
     const Workload &w = workloadByName("intFilt");
     AsmProgram prog = w.assembleProgram();
     std::shared_ptr<const SocContext> ctx = SocContext::make(core());
-    LaneSocT<W> soc(ctx, prog);
+    LaneSoc soc(ctx, prog);
     Soc seed(ctx, prog, /*ram_unknown=*/false);
     Rng rng(1);
     WorkloadInput in = w.genInput(rng);
@@ -104,22 +101,19 @@ BM_LaneSimCycle(benchmark::State &state)
         seed.pokeRamWord(static_cast<uint16_t>(kInputBase + 2 * i),
                          SWord::of(in.ramWords[i]));
     }
-    for (int lane = 0; lane < W; lane++)
+    for (int lane = 0; lane < LaneSoc::kLanes; lane++)
         soc.loadLane(lane, seed.sim().seqState(), seed.envState(), 0);
     soc.setGpioIn(SWord::of(0));
     soc.setIrqExt(Logic::Zero);
-    using Mask = LaneMask<W>;
     for (auto _ : state) {
         soc.evalOnly();
-        soc.finishCycle(laneOnes<Mask>());
+        soc.finishCycle(kAllLanes);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(core().size()) * W);
+                            static_cast<int64_t>(core().size()) *
+                            LaneSoc::kLanes);
 }
-BENCHMARK_TEMPLATE(BM_LaneSimCycle, 64);
-BENCHMARK_TEMPLATE(BM_LaneSimCycle, 128);
-BENCHMARK_TEMPLATE(BM_LaneSimCycle, 256);
-BENCHMARK_TEMPLATE(BM_LaneSimCycle, 512);
+BENCHMARK(BM_LaneSimCycle);
 
 void
 BM_ActivityAnalysis(benchmark::State &state)

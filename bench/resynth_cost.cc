@@ -72,12 +72,7 @@ main(int argc, char **argv)
     banner("Cost-driven rewrite search + clock gating vs. fixed flow",
            "pass pipeline");
 
-    FlowOptions fixed_opts;
-    fixed_opts.analysis.threads = io.threads();
-    fixed_opts.analysis.laneWidth = io.lanes();
-    fixed_opts.planeBits = io.planeBits();
-    fixed_opts.checkpointDir = io.checkpointDir();
-    fixed_opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions fixed_opts = io.flowOptions();
     fixed_opts.powerInputsPerWorkload = inputs;
 
     FlowOptions opt_opts = fixed_opts;

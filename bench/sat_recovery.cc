@@ -55,11 +55,11 @@ constexpr int kTableDepth = 30;
 
 /** Replay-measuring PassEnv over one app (the flow's providers). */
 PassEnv
-makeEnv(const Workload &app, const AsmProgram &prog, int plane_bits)
+makeEnv(const Workload &app, const AsmProgram &prog)
 {
     PassEnv env;
-    env.measureActivity = [&app, &prog, plane_bits](const Netlist &nl,
-                                                    ToggleCounter *tc) {
+    env.measureActivity = [&app, &prog](const Netlist &nl,
+                                        ToggleCounter *tc) {
         std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
         GateBatchObservers obs;
         obs.toggles = tc;
@@ -67,7 +67,7 @@ makeEnv(const Workload &app, const AsmProgram &prog, int plane_bits)
         std::vector<WorkloadInput> in;
         for (int i = 0; i < kInputs; i++)
             in.push_back(app.genInput(rng));
-        runWorkloadGateBatch(nl, app, prog, in, plane_bits, obs, ctx);
+        runWorkloadGateBatch(nl, app, prog, in, obs, ctx);
     };
     env.measureDuty = [&app, &prog](const Netlist &nl,
                                     const std::vector<GateId> &ids,
@@ -129,9 +129,8 @@ main(int argc, char **argv)
     Netlist core = buildBsp430();
     const std::vector<Workload> &apps = workloads();
 
-    AnalysisOptions aopts;
+    AnalysisOptions aopts = io.analysisOptions();
     aopts.threads = 1;
-    aopts.laneWidth = io.lanes();
     aopts.concreteVisits = 1;  // widen aggressively: see header comment
 
     std::vector<AppRow> rows(apps.size());
@@ -148,7 +147,7 @@ main(int argc, char **argv)
             AppRow &row = rows[a];
             row.merges = ar.merges;
 
-            PassEnv env = makeEnv(app, prog, io.planeBits());
+            PassEnv env = makeEnv(app, prog);
             env.program = &prog;
             PassPipelineOptions base;
             CutStats cut;
@@ -258,7 +257,7 @@ main(int argc, char **argv)
                     workloadByName(verified_apps[v].name);
                 AsmProgram prog = app.assembleProgram();
                 AnalysisResult ar = analyzeActivity(core, app, aopts);
-                PassEnv env = makeEnv(app, prog, io.planeBits());
+                PassEnv env = makeEnv(app, prog);
                 env.program = &prog;
                 PassPipelineOptions with_sat;
                 with_sat.satNeverToggle = true;
@@ -272,7 +271,8 @@ main(int argc, char **argv)
                                       with_sat, env, &cut, &report);
                 double sat_ms = msSince(t0);
 
-                AnalysisOptions vopts;  // default precision
+                // Default precision.
+                AnalysisOptions vopts = io.analysisOptions();
                 vopts.threads = 1;
                 EquivResult sym = checkSymbolicEquivalence(
                     core, sat_nl, prog, vopts);

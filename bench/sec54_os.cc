@@ -23,10 +23,7 @@ main(int argc, char **argv)
     banner("System code: bespoke design with an OS (minios)",
            "Section 5.4");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     BespokeFlow flow(opts);
     const Netlist &nl = flow.baseline();
     double total = static_cast<double>(nl.numCells());

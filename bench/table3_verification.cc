@@ -31,11 +31,7 @@ main(int argc, char **argv)
 
     banner("Verification runtime and coverage", "Table 3 / Sec. 5.1");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.analysis.laneWidth = io.lanes();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);
 
@@ -69,7 +65,7 @@ main(int argc, char **argv)
         for (size_t i = 0; i < cov.inputs.size(); i++)
             scen[i] = {&prog, &cov.inputs[i], &toggles};
         std::vector<GateRun> grs =
-            runScenarioGateBatch(d.netlist, w, scen, io.planeBits());
+            runScenarioGateBatch(d.netlist, w, scen);
         for (size_t i = 0; i < cov.inputs.size(); i++) {
             IssRun ir = runWorkloadIss(w, cov.inputs[i]);
             RunDiff diff = compareRuns(ir, grs[i], w);

@@ -28,11 +28,7 @@ main(int argc, char **argv)
     banner("Mutant generation and bespoke support for in-field fixes",
            "Tables 4 and 5");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.analysis.laneWidth = io.lanes();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     BespokeFlow flow(opts);
 
     // The paper's six mutant-rich benchmarks.
@@ -84,11 +80,10 @@ main(int argc, char **argv)
 
         // Concrete differential sweep, lane-per-mutant: does the
         // mutant change observable behavior, and how far does it move
-        // switching power? Values are lanes/plane-bits independent.
+        // switching power? Values are --lanes independent.
         MutantPlanePrep prep(flow.baseline(), w, mutants);
         MutantSweepOptions sopts;
         sopts.inputsPerMutant = quick ? 2 : 4;
-        sopts.planeBits = io.planeBits();
         std::vector<MutantVerdict> dyn = mutantConcreteSweep(prep, sopts);
         int detected = 0;
         double max_dp = 0.0;

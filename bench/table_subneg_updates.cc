@@ -23,10 +23,7 @@ main(int argc, char **argv)
     banner("Turing-complete (subneg) update support overheads",
            "Section 5.3 / Figure 9");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     if (quick)
         opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);

@@ -30,8 +30,6 @@ tableKey(uint16_t pc, DecKind kind)
            static_cast<uint32_t>(kind);
 }
 
-using BatchMask = LaneMask<PathExplorer::kBatchLanes>;
-
 /**
  * Plane evaluator (the default): a batch's lanes advance together in
  * one LaneSoc sweep, each gate visit evaluating all 64 at once.
@@ -66,20 +64,20 @@ class PlaneLanes
     SWord pc(int lane) const { return ls_.pc(lane); }
 
     /** Evaluate the cycle and observe the `active` lanes' toggles. */
-    void eval(const BatchMask &active, ActivityTracker &tracker)
+    void eval(uint64_t active, ActivityTracker &tracker)
     {
         ls_.evalOnly();
         tracker.observe(ls_.sim(), active);
     }
-    BatchMask fetchOneMask() const { return ls_.stFetchOneMask(); }
-    BatchMask decisionXMask() const { return ls_.decisionXMask(); }
-    BatchMask ctlXferOneMask() const { return ls_.ctlXferOneMask(); }
-    BatchMask ctlXferXMask() const { return ls_.ctlXferXMask(); }
-    void finishCycle(const BatchMask &active) { ls_.finishCycle(active); }
+    uint64_t fetchOneMask() const { return ls_.stFetchOneMask(); }
+    uint64_t decisionXMask() const { return ls_.decisionXMask(); }
+    uint64_t ctlXferOneMask() const { return ls_.ctlXferOneMask(); }
+    uint64_t ctlXferXMask() const { return ls_.ctlXferXMask(); }
+    void finishCycle(uint64_t active) { ls_.finishCycle(active); }
     uint64_t gatesEvaluated() const { return ls_.sim().gateVisitsTotal(); }
 
   private:
-    LaneSocT<PathExplorer::kBatchLanes> ls_;
+    LaneSoc ls_;
 };
 
 /**
@@ -119,9 +117,9 @@ class ScalarLanes
     void setLastFetchPc(int lane, uint16_t pc) { lastFetchPc_[lane] = pc; }
     SWord pc(int lane) const { return socs_[lane]->pc(); }
 
-    void eval(const BatchMask &active, ActivityTracker &tracker)
+    void eval(uint64_t active, ActivityTracker &tracker)
     {
-        fetchOne_ = decisionX_ = xferOne_ = xferX_ = BatchMask{};
+        fetchOne_ = decisionX_ = xferOne_ = xferX_ = 0;
         forEachLane(active, [&](int lane) {
             Soc &soc = *socs_[lane];
             soc.evalOnly();
@@ -137,11 +135,11 @@ class ScalarLanes
                 laneSet(xferX_, lane);
         });
     }
-    BatchMask fetchOneMask() const { return fetchOne_; }
-    BatchMask decisionXMask() const { return decisionX_; }
-    BatchMask ctlXferOneMask() const { return xferOne_; }
-    BatchMask ctlXferXMask() const { return xferX_; }
-    void finishCycle(const BatchMask &active)
+    uint64_t fetchOneMask() const { return fetchOne_; }
+    uint64_t decisionXMask() const { return decisionX_; }
+    uint64_t ctlXferOneMask() const { return xferOne_; }
+    uint64_t ctlXferXMask() const { return xferX_; }
+    void finishCycle(uint64_t active)
     {
         forEachLane(active, [&](int lane) { socs_[lane]->finishCycle(); });
     }
@@ -157,7 +155,7 @@ class ScalarLanes
     const ExplorationContext &ctx_;
     std::array<std::unique_ptr<Soc>, PathExplorer::kBatchLanes> socs_;
     std::array<uint16_t, PathExplorer::kBatchLanes> lastFetchPc_{};
-    BatchMask fetchOne_{}, decisionX_{}, xferOne_{}, xferX_{};
+    uint64_t fetchOne_{}, decisionX_{}, xferOne_{}, xferX_{};
 };
 
 } // namespace
@@ -490,11 +488,10 @@ template <class Lanes>
 void
 PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
 {
-    using Mask = BatchMask;
     std::array<uint32_t, kBatchLanes> depth{};
     std::array<int, kBatchLanes> haltCnt{};
-    Mask active{};   ///< lanes being simulated and observed
-    Mask control{};  ///< active lanes not in a halt countdown
+    uint64_t active = 0;   ///< lanes being simulated and observed
+    uint64_t control = 0;  ///< active lanes not in a halt countdown
 
     auto load = [&](int lane, WorkItem &it) {
         ls.load(lane, it.state);
@@ -521,7 +518,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
             // the whole stack, in which case nobody would be left to
             // notice the blown budget — declare it here.
             frontier_.declareCycleCap();
-            const Mask doomed = active;  // retire() edits `active`
+            const uint64_t doomed = active;  // retire() edits `active`
             forEachLane(doomed, [&](int lane) { retire(lane); });
             return;
         }
@@ -532,7 +529,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
         // Lanes whose 6-cycle halt observation window just completed
         // (runPath observes the final eval and returns without
         // finishing that cycle; so do we).
-        const Mask halting = active & ~control;
+        const uint64_t halting = active & ~control;
         forEachLane(halting, [&](int lane) {
             if (haltCnt[lane] == 0)
                 retire(lane);
@@ -540,7 +537,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
 
         // Instruction fetch: symbolic PCs fork one continuation per
         // candidate; halt addresses start the observation countdown.
-        const Mask fetch = ls.fetchOneMask() & control;
+        const uint64_t fetch = ls.fetchOneMask() & control;
         forEachLane(fetch, [&](int lane) {
             SWord pc = ls.pc(lane);
             if (!pc.fullyKnown()) {
@@ -561,7 +558,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
         // it sees exactly what the lane saw (the repeated observation
         // is an idempotent OR into the toggle set) and carries the
         // path through fork resolution and beyond.
-        const Mask deciding = ls.decisionXMask() & control;
+        const uint64_t deciding = ls.decisionXMask() & control;
         forEachLane(deciding, [&](int lane) {
             MachineState s = ls.capture(lane);
             curDepth_ = depth[lane];
@@ -574,7 +571,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
 
         // Taken control transfers: the conservative-table discipline,
         // one shard-locked mergePoint per lane, same as runPath.
-        const Mask xfer = ls.ctlXferOneMask() & control;
+        const uint64_t xfer = ls.ctlXferOneMask() & control;
         forEachLane(xfer, [&](int lane) {
             MachineState cur = ls.capture(lane);
             bool widened;
@@ -599,7 +596,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
         cycles_ += n;
         laneCycles_ += n;
         frontier_.chargeCycles(n);
-        const Mask counting = active & ~control;
+        const uint64_t counting = active & ~control;
         forEachLane(counting, [&](int lane) {
             if (haltCnt[lane] > 0)
                 haltCnt[lane]--;

@@ -1,10 +1,7 @@
 #include "src/bespoke/checkpoint.hh"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -149,27 +146,9 @@ powerFromJson(const JsonValue &doc, const char *name, PowerReport *out,
            getDouble(*jp, "leakage_uw", &out->leakageUW, err);
 }
 
-/**
- * Mark an artifact as just-used. Explicit (rather than relying on the
- * kernel updating atime on read) so LRU order survives noatime and
- * relatime mounts; mtime is left alone.
- */
-void
-touchAccess(const std::string &path)
-{
-    timespec times[2];
-    times[0].tv_sec = 0;
-    times[0].tv_nsec = UTIME_NOW;
-    times[1].tv_sec = 0;
-    times[1].tv_nsec = UTIME_OMIT;
-    ::utimensat(AT_FDCWD, path.c_str(), times, 0);
-}
-
 } // namespace
 
-CheckpointStore::CheckpointStore(const std::string &dir,
-                                 uint64_t maxBytes)
-    : dir_(dir), maxBytes_(maxBytes)
+CheckpointStore::CheckpointStore(const std::string &dir) : dir_(dir)
 {
     if (dir_.empty())
         return;
@@ -211,7 +190,6 @@ CheckpointStore::load(const CheckpointKey &key, const std::string &stage,
         misses_++;
         return false;
     }
-    touchAccess(path(key, stage));
     hits_++;
     return true;
 }
@@ -250,59 +228,6 @@ CheckpointStore::save(const CheckpointKey &key, const std::string &stage,
         bespoke_warn("checkpoint ", final_path, ": rename failed (",
                      ec.message(), ")");
         return;
-    }
-    touchAccess(final_path);
-    if (maxBytes_ > 0)
-        sweep(final_path);
-}
-
-void
-CheckpointStore::sweep(const std::string &keep) const
-{
-    std::lock_guard<std::mutex> sweep_lk(sweepM_);
-    struct Entry
-    {
-        std::string path;
-        struct timespec atime;
-        uint64_t size;
-    };
-    std::vector<Entry> victims;
-    uint64_t total = 0;
-    std::error_code ec;
-    for (const auto &e :
-         std::filesystem::directory_iterator(dir_, ec)) {
-        const std::string p = e.path().string();
-        if (!e.is_regular_file() ||
-            e.path().extension() != ".json")
-            continue;
-        struct stat st;
-        if (::stat(p.c_str(), &st) != 0)
-            continue;
-        total += static_cast<uint64_t>(st.st_size);
-        if (p != keep)
-            victims.push_back(
-                {p, st.st_atim, static_cast<uint64_t>(st.st_size)});
-    }
-    if (ec || total <= maxBytes_)
-        return;
-    std::sort(victims.begin(), victims.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.atime.tv_sec != b.atime.tv_sec)
-                      return a.atime.tv_sec < b.atime.tv_sec;
-                  if (a.atime.tv_nsec != b.atime.tv_nsec)
-                      return a.atime.tv_nsec < b.atime.tv_nsec;
-                  return a.path < b.path;
-              });
-    for (const Entry &v : victims) {
-        if (total <= maxBytes_)
-            break;
-        std::error_code rmec;
-        if (std::filesystem::remove(v.path, rmec)) {
-            total -= v.size;
-            evictions_++;
-            bespoke_inform("checkpoint LRU: evicted ", v.path, " (",
-                           v.size, " bytes)");
-        }
     }
 }
 

@@ -19,20 +19,12 @@
  * tracker artifact must match the netlist size — and any mismatch is
  * treated as a miss with a warning, never an error: checkpoints are an
  * accelerator, not a source of truth.
- *
- * The store can be capped (`maxBytes`): every save sweeps the
- * directory and evicts least-recently-used artifacts, oldest access
- * time first, until the total size fits. The store maintains access
- * times itself (an explicit utimensat on every hit and save), so the
- * LRU order is immune to noatime/relatime mount options; the artifact
- * just written is never evicted, even when it alone exceeds the cap.
  */
 
 #ifndef BESPOKE_BESPOKE_CHECKPOINT_HH
 #define BESPOKE_BESPOKE_CHECKPOINT_HH
 
 #include <atomic>
-#include <mutex>
 #include <string>
 
 #include "src/analysis/activity_analysis.hh"
@@ -60,17 +52,11 @@ class CheckpointStore
   public:
     /** Disabled store: every load misses, every save is a no-op. */
     CheckpointStore() = default;
-    /**
-     * Store rooted at `dir` (created if missing); "" disables.
-     * `maxBytes` > 0 caps the total artifact size: each save evicts
-     * least-recently-used artifacts until the store fits. 0 = no cap.
-     */
-    explicit CheckpointStore(const std::string &dir,
-                             uint64_t maxBytes = 0);
+    /** Store rooted at `dir` (created if missing); "" disables. */
+    explicit CheckpointStore(const std::string &dir);
 
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
-    uint64_t maxBytes() const { return maxBytes_; }
 
     /** File path a (key, stage) artifact lives at. */
     std::string path(const CheckpointKey &key,
@@ -98,25 +84,12 @@ class CheckpointStore
     /// @{
     size_t hits() const { return hits_.load(); }
     size_t misses() const { return misses_.load(); }
-    /** Artifacts removed by the LRU cap, over this store's lifetime. */
-    size_t evictions() const { return evictions_.load(); }
     /// @}
 
   private:
-    /**
-     * Evict artifacts, oldest access time first, until the store fits
-     * in maxBytes_. `keep` (the artifact just written) is exempt.
-     */
-    void sweep(const std::string &keep) const;
-
     std::string dir_;
-    uint64_t maxBytes_ = 0;
-    /** Serializes LRU sweeps: concurrent savers would otherwise
-     *  double-count sizes and double-evict. */
-    mutable std::mutex sweepM_;
     mutable std::atomic<size_t> hits_{0};
     mutable std::atomic<size_t> misses_{0};
-    mutable std::atomic<size_t> evictions_{0};
 };
 
 /** @name Key-material hashing (FNV-1a over canonical bytes) */

@@ -30,7 +30,7 @@ BespokeFlow::BespokeFlow(FlowOptions opts)
 
 BespokeFlow::BespokeFlow(FlowOptions opts, Netlist baseline)
     : opts_(std::move(opts)), baseline_(std::move(baseline)),
-      store_(opts_.checkpointDir, opts_.checkpointMaxBytes)
+      store_(opts_.checkpointDir)
 {
     sizeForLoads(baseline_, opts_.timing);
     TimingReport rep = analyzeTiming(baseline_, opts_.timing);
@@ -91,7 +91,7 @@ BespokeFlow::measure(const Netlist &netlist,
         for (int i = 0; i < opts_.powerInputsPerWorkload; i++)
             inputs.push_back(w->genInput(rng));
         std::vector<GateRun> runs = runWorkloadGateBatch(
-            netlist, *w, prog, inputs, opts_.planeBits, obs, ctx);
+            netlist, *w, prog, inputs, obs, ctx);
         for (const GateRun &run : runs) {
             if (!run.halted) {
                 bespoke_warn("power run of ", w->name,
@@ -179,11 +179,10 @@ BespokeFlow::makePassEnv(std::vector<const Workload *> apps) const
     env.clockPeriodPs = clockPeriodPs_;
     int inputs = opts_.powerInputsPerWorkload;
     uint64_t seed = opts_.powerSeed;
-    int plane_bits = opts_.planeBits;
     // Activity provider: the same lane-batched replay measure() uses
     // for the final power numbers, so the rewrite search optimizes the
     // metric the flow actually reports.
-    env.measureActivity = [apps, inputs, seed, plane_bits](
+    env.measureActivity = [apps, inputs, seed](
                               const Netlist &nl, ToggleCounter *tc) {
         std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
         GateBatchObservers obs;
@@ -194,7 +193,7 @@ BespokeFlow::makePassEnv(std::vector<const Workload *> apps) const
             std::vector<WorkloadInput> in;
             for (int i = 0; i < inputs; i++)
                 in.push_back(w->genInput(rng));
-            runWorkloadGateBatch(nl, *w, prog, in, plane_bits, obs, ctx);
+            runWorkloadGateBatch(nl, *w, prog, in, obs, ctx);
         }
     };
     // Duty provider: scalar replay sampling the requested enable nets

@@ -60,10 +60,9 @@ struct FlowOptions
     int powerInputsPerWorkload = 2;
     uint64_t powerSeed = 2024;
     /**
-     * Lane-plane width for batched power replays (0 = resolvePlaneBits
-     * default). Purely an execution strategy — results are bit-identical
-     * at any width — so it is excluded from hashFlowOptions() and does
-     * not invalidate checkpointed metrics.
+     * Ignored: power replays always run on 64-lane planes. Kept only
+     * because the perfbench driver reads it; remove with the
+     * benchmark's next revision. Excluded from hashFlowOptions().
      */
     int planeBits = 0;
     TimingParams timing;
@@ -82,12 +81,6 @@ struct FlowOptions
      * stage, a repeated run short-circuits entirely. "" disables.
      */
     std::string checkpointDir;
-    /**
-     * Cap on the checkpoint store's total size: every save evicts
-     * least-recently-used artifacts until the store fits. 0 = no cap.
-     * Like checkpointDir, excluded from hashFlowOptions().
-     */
-    uint64_t checkpointMaxBytes = 0;
 };
 
 class BespokeFlow

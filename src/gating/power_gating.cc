@@ -9,7 +9,7 @@ namespace bespoke
 GatingResult
 evaluateOracleGating(const Netlist &nl, const Workload &w, int inputs,
                      uint64_t seed, const PowerParams &power,
-                     const TimingParams &timing, int plane_bits)
+                     const TimingParams &timing)
 {
     // Per-cycle module activity plus aggregate toggles for the power
     // model, collected lane-parallel by the batched runner.
@@ -24,8 +24,7 @@ evaluateOracleGating(const Netlist &nl, const Workload &w, int inputs,
     std::vector<WorkloadInput> in;
     for (int i = 0; i < inputs; i++)
         in.push_back(w.genInput(rng));
-    std::vector<GateRun> runs =
-        runWorkloadGateBatch(nl, w, prog, in, plane_bits, obs);
+    std::vector<GateRun> runs = runWorkloadGateBatch(nl, w, prog, in, obs);
     for (const GateRun &run : runs) {
         if (!run.halted)
             bespoke_warn("gating run of ", w.name, " did not halt");

@@ -38,17 +38,14 @@ struct GatingResult
 
 /**
  * Evaluate oracle power gating for one workload on a netlist. The
- * concrete runs replay lane-parallel through the batched gate runner;
- * results are bit-identical at any plane width.
+ * concrete runs replay lane-parallel through the batched gate runner.
  * @param inputs number of concrete input sets to average over.
- * @param plane_bits lane-plane width (0 = resolvePlaneBits default).
  */
 GatingResult evaluateOracleGating(const Netlist &netlist,
                                   const Workload &w, int inputs,
                                   uint64_t seed,
                                   const PowerParams &power = {},
-                                  const TimingParams &timing = {},
-                                  int plane_bits = 0);
+                                  const TimingParams &timing = {});
 
 } // namespace bespoke
 

@@ -96,8 +96,8 @@ mutantConcreteSweep(const MutantPlanePrep &prep,
                                            prep.context()));
         }
     } else {
-        runs = runScenarioGateBatch(nl, w, scenarios, opts.planeBits,
-                                    {}, prep.context());
+        runs = runScenarioGateBatch(nl, w, scenarios, {},
+                                    prep.context());
     }
 
     std::vector<MutantVerdict> verdicts(nmut);

@@ -97,8 +97,6 @@ struct MutantSweepOptions
 {
     int inputsPerMutant = 4;
     uint64_t seed = 99;
-    /** Lane-plane width (0 = resolvePlaneBits default). */
-    int planeBits = 0;
     /**
      * Cycle cap per mutant run, replacing the workload's maxCycles.
      * Mutants can loop forever; a cap turns them into exhausted runs,
@@ -121,7 +119,7 @@ struct MutantSweepOptions
  * Sweep every mutant of `prep` against `opts.inputsPerMutant` inputs
  * drawn from the base workload's input model. Returns one verdict per
  * mutant, in prep order. Deterministic in (prep, opts.seed, inputs,
- * maxCycles); independent of planeBits/forceScalar.
+ * maxCycles); independent of forceScalar.
  */
 std::vector<MutantVerdict> mutantConcreteSweep(
     const MutantPlanePrep &prep, const MutantSweepOptions &opts = {});

@@ -53,15 +53,12 @@
 
 #include "src/logic/logic.hh"
 #include "src/netlist/netlist.hh"
-#include "src/sim/plane.hh"
 #include "src/sim/sim_context.hh"
 
 namespace bespoke
 {
 
-template <int W>
-class LaneSimT;
-using LaneSim = LaneSimT<64>;
+class LaneSim;
 
 /** Snapshot of all sequential state (one byte-coded Logic per flop). */
 using SeqState = std::vector<uint8_t>;
@@ -264,11 +261,9 @@ class ActivityTracker
 
     /**
      * Lane-vectorized observation: accumulate toggles from every lane
-     * in `lanes` at once (defined in lane_sim.cc; instantiated for
-     * every supported plane width).
+     * in `lanes` at once (defined in lane_sim.cc).
      */
-    template <int W>
-    void observe(const LaneSimT<W> &sim, LaneMask<W> lanes);
+    void observe(const LaneSim &sim, uint64_t lanes);
 
     bool initialCaptured() const { return initialCaptured_; }
     bool toggled(GateId id) const { return toggled_[id] != 0; }

@@ -1,54 +1,15 @@
 #include "src/sim/lane_sim.hh"
 
 #include <cstdlib>
-#include <cstring>
+
 #include "src/isa/isa.hh"
 #include "src/util/logging.hh"
 
 namespace bespoke
 {
 
-namespace
-{
-
-/**
- * Widest uint64 SIMD block one native vector register holds under the
- * enabled ISA. The eval kernel slices multi-word planes into blocks of
- * this many words; each block's temporaries are exactly one register,
- * so the kernel neither spills (whole-Plane temporaries at 256/512
- * bits overflow the register file) nor leaves lanes on the table when
- * BESPOKE_ENABLE_AVX2 / _AVX512 widen the vector unit.
- */
-#if defined(__AVX512F__)
-constexpr int kNativeVecWords = 8;
-#elif defined(__AVX2__)
-constexpr int kNativeVecWords = 4;
-#else
-constexpr int kNativeVecWords = 2;
-#endif
-
-/**
- * A block of NW lane words as a GCC vector: the bitwise Kleene plane
- * ops (pAnd & co.) instantiate directly over it, and codegen is one
- * SIMD op per connective independent of the optimizer's autovectorizer
- * mood. NW = 1 degrades to plain uint64_t (the 64-lane plane).
- */
-template <int NW>
-struct VecWords
-{
-    typedef uint64_t type __attribute__((vector_size(8 * NW)));
-};
-template <>
-struct VecWords<1>
-{
-    using type = uint64_t;
-};
-
-} // namespace
-
-template <int W>
-LaneSimT<W>::LaneSimT(const Netlist &netlist,
-                      std::shared_ptr<const SimPrep> prep)
+LaneSim::LaneSim(const Netlist &netlist,
+                 std::shared_ptr<const SimPrep> prep)
     : nl_(netlist), prep_(std::move(prep)),
       val_(netlist.size()), known_(netlist.size()),
       forceMask_(netlist.size()), forceVal_(netlist.size())
@@ -59,37 +20,34 @@ LaneSimT<W>::LaneSimT(const Netlist &netlist,
                    "SimPrep was built for a different netlist");
 }
 
-template <int W>
 void
-LaneSimT<W>::reset()
+LaneSim::reset()
 {
-    const Mask ones = laneOnes<Mask>();
     for (GateId i = 0; i < nl_.size(); i++) {
         switch (nl_.gate(i).type) {
           case CellType::TIE0:
-            val_[i] = Mask{};
-            known_[i] = ones;
+            val_[i] = 0;
+            known_[i] = kAllLanes;
             break;
           case CellType::TIE1:
-            val_[i] = ones;
-            known_[i] = ones;
+            val_[i] = kAllLanes;
+            known_[i] = kAllLanes;
             break;
           default:
-            val_[i] = Mask{};
-            known_[i] = Mask{};
+            val_[i] = 0;
+            known_[i] = 0;
         }
     }
     for (GateId id : prep_->seqIds) {
         bool rv = nl_.gate(id).resetValue;
-        val_[id] = rv ? ones : Mask{};
-        known_[id] = ones;
+        val_[id] = rv ? kAllLanes : 0;
+        known_[id] = kAllLanes;
     }
     clearAllForces();
 }
 
-template <int W>
 void
-LaneSimT<W>::setInput(GateId id, int lane, Logic v)
+LaneSim::setInput(GateId id, int lane, Logic v)
 {
     bespoke_assert(nl_.gate(id).type == CellType::INPUT,
                    "setInput on non-input gate ", id);
@@ -105,24 +63,22 @@ LaneSimT<W>::setInput(GateId id, int lane, Logic v)
     }
 }
 
-template <int W>
 void
-LaneSimT<W>::setInputAll(GateId id, Logic v)
+LaneSim::setInputAll(GateId id, Logic v)
 {
     bespoke_assert(nl_.gate(id).type == CellType::INPUT,
                    "setInput on non-input gate ", id);
     if (v == Logic::X) {
-        val_[id] = Mask{};
-        known_[id] = Mask{};
+        val_[id] = 0;
+        known_[id] = 0;
     } else {
-        known_[id] = laneOnes<Mask>();
-        val_[id] = v == Logic::One ? laneOnes<Mask>() : Mask{};
+        known_[id] = kAllLanes;
+        val_[id] = v == Logic::One ? kAllLanes : 0;
     }
 }
 
-template <int W>
 void
-LaneSimT<W>::setInputPlanes(GateId id, const Mask &val, const Mask &known)
+LaneSim::setInputPlanes(GateId id, uint64_t val, uint64_t known)
 {
     bespoke_assert(nl_.gate(id).type == CellType::INPUT,
                    "setInput on non-input gate ", id);
@@ -132,9 +88,8 @@ LaneSimT<W>::setInputPlanes(GateId id, const Mask &val, const Mask &known)
     known_[id] = known;
 }
 
-template <int W>
 SWord
-LaneSimT<W>::busWord(const std::vector<GateId> &bus_ids, int lane) const
+LaneSim::busWord(const std::vector<GateId> &bus_ids, int lane) const
 {
     bespoke_assert(bus_ids.size() <= 16);
     SWord w;
@@ -143,38 +98,15 @@ LaneSimT<W>::busWord(const std::vector<GateId> &bus_ids, int lane) const
     return w;
 }
 
-template <int W>
 void
-LaneSimT<W>::evalComb()
+LaneSim::evalComb()
 {
-    // The lane math runs on native-vector-sized blocks of words
-    // (PlanesT over a GCC vector type): block temporaries are single
-    // registers at every width, where whole-Plane expression
-    // temporaries of the 256/512-bit widths would spill to the stack
-    // and erase the amortization wide planes exist for.
-    constexpr int kWords = W / 64;
-    constexpr int kBlock =
-        kWords < kNativeVecWords ? kWords : kNativeVecWords;
-    constexpr int kBlocks = kWords / kBlock;
-    using V = typename VecWords<kBlock>::type;
-    using P = PlanesT<V>;
     const uint32_t *fanin = prep_->fanin.data();
     const GateId *order = prep_->order.data();
-    Mask *val = val_.data();
-    Mask *known = known_.data();
-
-    auto loadv = [](const Mask &m, int blk) -> V {
-        V v;
-        std::memcpy(&v, reinterpret_cast<const uint64_t *>(&m) +
-                            static_cast<size_t>(blk) * kBlock,
-                    sizeof(V));
-        return v;
-    };
-    auto storev = [](Mask &m, int blk, V v) {
-        std::memcpy(reinterpret_cast<uint64_t *>(&m) +
-                        static_cast<size_t>(blk) * kBlock,
-                    &v, sizeof(V));
-    };
+    uint64_t *val = val_.data();
+    uint64_t *known = known_.data();
+    const bool any_force = anyForce_;
+    auto get = [&](uint32_t g) -> Planes { return {val[g], known[g]}; };
 
     // One dispatch per same-opcode segment; the per-gate loops stay
     // branch-free (the force-overlay test folds to a constant false
@@ -185,22 +117,14 @@ LaneSimT<W>::evalComb()
         const GateId id = order[i];                                   \
         const uint32_t *f = &fanin[3 * i];                            \
         (void)f;                                                      \
-        const bool forced = anyForce_ && laneAny(forceMask_[id]);     \
-        for (int j = 0; j < kBlocks; j++) {                           \
-            auto get = [&](uint32_t g) -> P {                         \
-                return {loadv(val[g], j), loadv(known[g], j)};        \
-            };                                                        \
-            (void)get;                                                \
-            P out = (expr);                                           \
-            if (forced) {                                             \
-                const V fm = loadv(forceMask_[id], j);                \
-                out.v = (out.v & ~fm) |                               \
-                        (loadv(forceVal_[id], j) & fm);               \
-                out.k |= fm;                                          \
-            }                                                         \
-            storev(val[id], j, out.v);                                \
-            storev(known[id], j, out.k);                              \
+        Planes out = (expr);                                          \
+        if (any_force && forceMask_[id]) {                            \
+            const uint64_t fm = forceMask_[id];                       \
+            out.v = (out.v & ~fm) | (forceVal_[id] & fm);             \
+            out.k |= fm;                                              \
         }                                                             \
+        val[id] = out.v;                                              \
+        known[id] = out.k;                                            \
     }                                                                 \
     break;
 
@@ -247,9 +171,9 @@ LaneSimT<W>::evalComb()
             BESPOKE_EVAL_RUN(
                 pNot(pAnd(pOr(get(f[0]), get(f[1])), get(f[2]))))
           case CellType::TIE0:
-            BESPOKE_EVAL_RUN((P{V{}, ~V{}}))
+            BESPOKE_EVAL_RUN((Planes{0, kAllLanes}))
           case CellType::TIE1:
-            BESPOKE_EVAL_RUN((P{~V{}, ~V{}}))
+            BESPOKE_EVAL_RUN((Planes{kAllLanes, kAllLanes}))
           default:
             bespoke_fatal("non-combinational cell in eval order");
         }
@@ -259,27 +183,25 @@ LaneSimT<W>::evalComb()
     gateVisitsTotal_ += prep_->order.size();
 }
 
-template <int W>
 void
-LaneSimT<W>::latchSequential()
+LaneSim::latchSequential()
 {
-    using P = PlanesT<Mask>;
     // Two passes, like GateSim: all D inputs are read before any Q
     // changes so direct Q->D wires see the pre-edge value.
     size_t n = prep_->seqIds.size();
     latchNext_.resize(n);
-    std::vector<P> &next = latchNext_;
+    std::vector<Planes> &next = latchNext_;
     const SimPrep &p = *prep_;
     for (size_t i = 0; i < n; i++) {
         const GateId d_id = p.seqD[i];
-        P d = {val_[d_id], known_[d_id]};
+        Planes d = {val_[d_id], known_[d_id]};
         if (p.seqEn[i] == SimPrep::kNone) {
             next[i] = d;
         } else {
             const GateId id = p.seqIds[i];
             const GateId en_id = p.seqEn[i];
-            P q = {val_[id], known_[id]};
-            P en = {val_[en_id], known_[en_id]};
+            Planes q = {val_[id], known_[id]};
+            Planes en = {val_[en_id], known_[en_id]};
             next[i] = pMux(q, d, en);
         }
     }
@@ -290,9 +212,8 @@ LaneSimT<W>::latchSequential()
     }
 }
 
-template <int W>
 void
-LaneSimT<W>::force(GateId id, const Mask &lanes, const Mask &value)
+LaneSim::force(GateId id, uint64_t lanes, uint64_t value)
 {
     if (!laneAny(lanes))
         return;
@@ -303,9 +224,8 @@ LaneSimT<W>::force(GateId id, const Mask &lanes, const Mask &value)
     anyForce_ = true;
 }
 
-template <int W>
 void
-LaneSimT<W>::clearForces(const Mask &lanes)
+LaneSim::clearForces(uint64_t lanes)
 {
     size_t keep = 0;
     for (size_t i = 0; i < forcedIds_.size(); i++) {
@@ -315,15 +235,14 @@ LaneSimT<W>::clearForces(const Mask &lanes)
         if (laneAny(forceMask_[id]))
             forcedIds_[keep++] = id;
         else
-            forceVal_[id] = Mask{};
+            forceVal_[id] = 0;
     }
     forcedIds_.resize(keep);
     anyForce_ = !forcedIds_.empty();
 }
 
-template <int W>
 void
-LaneSimT<W>::restoreSeqLane(int lane, const SeqState &s)
+LaneSim::restoreSeqLane(int lane, const SeqState &s)
 {
     bespoke_assert(s.size() == prep_->seqIds.size());
     for (size_t i = 0; i < s.size(); i++) {
@@ -342,9 +261,8 @@ LaneSimT<W>::restoreSeqLane(int lane, const SeqState &s)
     }
 }
 
-template <int W>
 SeqState
-LaneSimT<W>::seqStateLane(int lane) const
+LaneSim::seqStateLane(int lane) const
 {
     SeqState s(prep_->seqIds.size());
     for (size_t i = 0; i < s.size(); i++)
@@ -352,20 +270,17 @@ LaneSimT<W>::seqStateLane(int lane) const
     return s;
 }
 
-template <int W>
 void
-LaneSimT<W>::laneValues(int lane, std::vector<uint8_t> &out) const
+LaneSim::laneValues(int lane, std::vector<uint8_t> &out) const
 {
     out.resize(nl_.size());
     for (GateId id = 0; id < nl_.size(); id++)
         out[id] = static_cast<uint8_t>(value(id, lane));
 }
 
-template <int W>
 void
-ActivityTracker::observe(const LaneSimT<W> &sim, LaneMask<W> lanes)
+ActivityTracker::observe(const LaneSim &sim, uint64_t lanes)
 {
-    using Mask = LaneMask<W>;
     bespoke_assert(initialCaptured_);
     if (!laneAny(lanes))
         return;
@@ -387,14 +302,11 @@ ActivityTracker::observe(const LaneSimT<W> &sim, LaneMask<W> lanes)
         // toggled iff its (val, known) pair differs from it. (Gates
         // whose initial value was X are pre-marked by captureInitial
         // and never enter the pending list.)
-        Mask iv = init[i] == static_cast<uint8_t>(Logic::One)
-                      ? laneOnes<Mask>()
-                      : Mask{};
-        Mask ik = init[i] == static_cast<uint8_t>(Logic::X)
-                      ? Mask{}
-                      : laneOnes<Mask>();
-        Mask diff = (sim.valPlane(i) ^ iv) |
-                    (sim.knownPlane(i) ^ ik);
+        uint64_t iv =
+            init[i] == static_cast<uint8_t>(Logic::One) ? kAllLanes : 0;
+        uint64_t ik =
+            init[i] == static_cast<uint8_t>(Logic::X) ? 0 : kAllLanes;
+        uint64_t diff = (sim.valPlane(i) ^ iv) | (sim.knownPlane(i) ^ ik);
         if (laneAny(diff & lanes))
             tog[i] = 1;
         else
@@ -403,9 +315,8 @@ ActivityTracker::observe(const LaneSimT<W> &sim, LaneMask<W> lanes)
     lanePending_.resize(keep);
 }
 
-template <int W>
-LaneSocT<W>::LaneSocT(std::shared_ptr<const SocContext> ctx,
-                      const AsmProgram &prog)
+LaneSoc::LaneSoc(std::shared_ptr<const SocContext> ctx,
+                 const AsmProgram &prog)
     : ctx_(std::move(ctx)), prog_(prog),
       sim_(ctx_->netlist, ctx_->prep), env_(kLanes),
       lastFetchPc_(kLanes, 0),
@@ -421,20 +332,18 @@ LaneSocT<W>::LaneSocT(std::shared_ptr<const SocContext> ctx,
     setIrqExt(Logic::X);
 }
 
-template <int W>
 void
-LaneSocT<W>::setGpioIn(SWord w)
+LaneSoc::setGpioIn(SWord w)
 {
     for (size_t b = 0; b < gpioV_.size(); b++) {
         Logic v = w.bit(static_cast<int>(b));
-        gpioV_[b] = v == Logic::One ? laneOnes<Mask>() : Mask{};
-        gpioK_[b] = v == Logic::X ? Mask{} : laneOnes<Mask>();
+        gpioV_[b] = v == Logic::One ? kAllLanes : 0;
+        gpioK_[b] = v == Logic::X ? 0 : kAllLanes;
     }
 }
 
-template <int W>
 void
-LaneSocT<W>::setGpioInLane(int lane, SWord w)
+LaneSoc::setGpioInLane(int lane, SWord w)
 {
     for (size_t b = 0; b < gpioV_.size(); b++) {
         Logic v = w.bit(static_cast<int>(b));
@@ -451,17 +360,15 @@ LaneSocT<W>::setGpioInLane(int lane, SWord w)
     }
 }
 
-template <int W>
 void
-LaneSocT<W>::setIrqExt(Logic v)
+LaneSoc::setIrqExt(Logic v)
 {
-    irqV_ = v == Logic::One ? laneOnes<Mask>() : Mask{};
-    irqK_ = v == Logic::X ? Mask{} : laneOnes<Mask>();
+    irqV_ = v == Logic::One ? kAllLanes : 0;
+    irqK_ = v == Logic::X ? 0 : kAllLanes;
 }
 
-template <int W>
 void
-LaneSocT<W>::setIrqExtLane(int lane, Logic v)
+LaneSoc::setIrqExtLane(int lane, Logic v)
 {
     if (v == Logic::X) {
         laneClear(irqV_, lane);
@@ -475,45 +382,32 @@ LaneSocT<W>::setIrqExtLane(int lane, Logic v)
     }
 }
 
-template <int W>
 void
-LaneSocT<W>::loadLane(int lane, const SeqState &seq, const EnvState &env,
-                      uint16_t last_fetch_pc)
+LaneSoc::loadLane(int lane, const SeqState &seq, const EnvState &env,
+                  uint16_t last_fetch_pc)
 {
     sim_.restoreSeqLane(lane, seq);
     env_[lane] = env;
     lastFetchPc_[lane] = last_fetch_pc;
 }
 
-template <int W>
 void
-LaneSocT<W>::evalOnly()
+LaneSoc::evalOnly()
 {
     // GPIO / IRQ planes are maintained by the setters; per-lane memory
-    // read data is transposed into planes every cycle. The transpose
-    // runs word-major, accumulating each 64-lane group in registers —
-    // a read-modify-write of a W-bit plane per lane bit would dominate
-    // the cycle at the wide plane widths.
+    // read data is transposed into planes every cycle, accumulating
+    // the bus planes in registers.
     for (size_t b = 0; b < gpioV_.size(); b++)
         sim_.setInputPlanes(ctx_->pGpioIn[b], gpioV_[b], gpioK_[b]);
     sim_.setInputPlanes(ctx_->pIrqExt, irqV_, irqK_);
     const size_t dbits = ctx_->pMemRdata.size();
     bespoke_assert(dbits <= 16);
-    constexpr int kWords = W / 64;
-    std::array<Mask, 16> rv{}, rk{};
-    for (int j = 0; j < kWords; j++) {
-        uint64_t vw[16] = {}, kw[16] = {};
-        for (int l = 0; l < 64; l++) {
-            const SWord rd = env_[64 * j + l].rdata;
-            for (size_t b = 0; b < dbits; b++) {
-                vw[b] |= static_cast<uint64_t>((rd.val >> b) & 1) << l;
-                kw[b] |= static_cast<uint64_t>((rd.known >> b) & 1)
-                         << l;
-            }
-        }
+    uint64_t rv[16] = {}, rk[16] = {};
+    for (int l = 0; l < kLanes; l++) {
+        const SWord rd = env_[l].rdata;
         for (size_t b = 0; b < dbits; b++) {
-            planeWord(rv[b], j) = vw[b];
-            planeWord(rk[b], j) = kw[b];
+            rv[b] |= static_cast<uint64_t>((rd.val >> b) & 1) << l;
+            rk[b] |= static_cast<uint64_t>((rd.known >> b) & 1) << l;
         }
     }
     for (size_t b = 0; b < dbits; b++)
@@ -521,60 +415,49 @@ LaneSocT<W>::evalOnly()
     sim_.evalComb();
 }
 
-template <int W>
 void
-LaneSocT<W>::finishCycle(const Mask &lanes)
+LaneSoc::finishCycle(uint64_t lanes)
 {
     // Plane-level skip masks: lanes whose memory port is provably idle
     // (en = wen0 = wen1 = 0) need no per-lane sampling at all, and
     // lanes that are definitely not writing skip the wdata bus
     // transpose — reads (every fetch is one) only need the address.
-    const std::vector<Mask> &vp = sim_.valPlanes();
-    const std::vector<Mask> &kp = sim_.knownPlanes();
+    const std::vector<uint64_t> &vp = sim_.valPlanes();
+    const std::vector<uint64_t> &kp = sim_.knownPlanes();
     auto zeroMask = [&](GateId id) { return kp[id] & ~vp[id]; };
-    const Mask wzero =
+    const uint64_t wzero =
         zeroMask(ctx_->pMemWen0) & zeroMask(ctx_->pMemWen1);
-    const Mask idle = zeroMask(ctx_->pMemEn) & wzero;
-    const Mask active = lanes & ~idle;
+    const uint64_t idle = zeroMask(ctx_->pMemEn) & wzero;
+    const uint64_t active = lanes & ~idle;
     const size_t abits = ctx_->pMemAddr.size();
     const size_t dbits = ctx_->pMemWdata.size();
     bespoke_assert(abits <= 16 && dbits <= 16);
-    constexpr int kWords = W / 64;
-    for (int j = 0; j < kWords; j++) {
-        const uint64_t aw = planeWord(active, j);
-        if (!aw)
-            continue;
-        // Hoist word j of every bus plane once per 64-lane group; the
-        // per-lane bus transpose then reads registers instead of
-        // re-indexing W-bit planes bit by bit.
+    if (active) {
+        // Hoist every bus plane once; the per-lane bus transpose then
+        // reads registers instead of re-indexing the plane arrays.
         uint64_t av[16], ak[16], dv[16] = {}, dk[16] = {};
         for (size_t b = 0; b < abits; b++) {
-            av[b] = planeWord(vp[ctx_->pMemAddr[b]], j);
-            ak[b] = planeWord(kp[ctx_->pMemAddr[b]], j);
+            av[b] = vp[ctx_->pMemAddr[b]];
+            ak[b] = kp[ctx_->pMemAddr[b]];
         }
-        const uint64_t wz = planeWord(wzero, j);
-        if (aw & ~wz) {
+        if (active & ~wzero) {
             for (size_t b = 0; b < dbits; b++) {
-                dv[b] = planeWord(vp[ctx_->pMemWdata[b]], j);
-                dk[b] = planeWord(kp[ctx_->pMemWdata[b]], j);
+                dv[b] = vp[ctx_->pMemWdata[b]];
+                dk[b] = kp[ctx_->pMemWdata[b]];
             }
         }
-        const uint64_t env = planeWord(vp[ctx_->pMemEn], j);
-        const uint64_t enk = planeWord(kp[ctx_->pMemEn], j);
-        const uint64_t w0v = planeWord(vp[ctx_->pMemWen0], j);
-        const uint64_t w0k = planeWord(kp[ctx_->pMemWen0], j);
-        const uint64_t w1v = planeWord(vp[ctx_->pMemWen1], j);
-        const uint64_t w1k = planeWord(kp[ctx_->pMemWen1], j);
+        const uint64_t env = vp[ctx_->pMemEn];
+        const uint64_t enk = kp[ctx_->pMemEn];
+        const uint64_t w0v = vp[ctx_->pMemWen0];
+        const uint64_t w0k = kp[ctx_->pMemWen0];
+        const uint64_t w1v = vp[ctx_->pMemWen1];
+        const uint64_t w1k = kp[ctx_->pMemWen1];
         auto logicAt = [](uint64_t v, uint64_t k, int l) {
             if (!((k >> l) & 1))
                 return Logic::X;
             return ((v >> l) & 1) ? Logic::One : Logic::Zero;
         };
-        uint64_t rem = aw;
-        while (rem) {
-            const int l = std::countr_zero(rem);
-            rem &= rem - 1;
-            const int lane = 64 * j + l;
+        forEachLane(active, [&](int l) {
             SWord addr, wdata;
             for (size_t b = 0; b < abits; b++) {
                 addr.val |=
@@ -582,7 +465,7 @@ LaneSocT<W>::finishCycle(const Mask &lanes)
                 addr.known |=
                     static_cast<uint16_t>(((ak[b] >> l) & 1) << b);
             }
-            if (!((wz >> l) & 1)) {
+            if (!((wzero >> l) & 1)) {
                 for (size_t b = 0; b < dbits; b++) {
                     wdata.val |=
                         static_cast<uint16_t>(((dv[b] >> l) & 1) << b);
@@ -590,29 +473,12 @@ LaneSocT<W>::finishCycle(const Mask &lanes)
                         static_cast<uint16_t>(((dk[b] >> l) & 1) << b);
                 }
             }
-            sampleMemory(env_[lane], *progLane_[lane],
-                         logicAt(env, enk, l), logicAt(w0v, w0k, l),
-                         logicAt(w1v, w1k, l), addr, wdata);
-        }
+            sampleMemory(env_[l], *progLane_[l], logicAt(env, enk, l),
+                         logicAt(w0v, w0k, l), logicAt(w1v, w1k, l),
+                         addr, wdata);
+        });
     }
     sim_.latchSequential();
 }
-
-template class LaneSimT<64>;
-template class LaneSimT<128>;
-template class LaneSimT<256>;
-template class LaneSimT<512>;
-template class LaneSocT<64>;
-template class LaneSocT<128>;
-template class LaneSocT<256>;
-template class LaneSocT<512>;
-template void ActivityTracker::observe<64>(const LaneSimT<64> &,
-                                           LaneMask<64>);
-template void ActivityTracker::observe<128>(const LaneSimT<128> &,
-                                            LaneMask<128>);
-template void ActivityTracker::observe<256>(const LaneSimT<256> &,
-                                            LaneMask<256>);
-template void ActivityTracker::observe<512>(const LaneSimT<512> &,
-                                            LaneMask<512>);
 
 } // namespace bespoke

@@ -1,29 +1,21 @@
 /**
  * @file
- * Width-generic lane-parallel bit-plane gate simulator.
+ * Lane-parallel bit-plane gate simulator.
  *
- * LaneSimT<W> evaluates up to W *independent scenarios* of one netlist
+ * LaneSim evaluates up to 64 *independent scenarios* of one netlist
  * per gate visit. Each net stores two lane planes — val and known —
- * with lane i in bit i; a lane's three-valued signal is decoded as X
- * when its known bit is 0, else its val bit (val is kept masked by
- * known, the same canonical form SWord uses). All cell functions are
- * composed from bitwise plane operations implementing exact Kleene
- * semantics (src/sim/plane.hh), so every lane is bit-identical to a
- * scalar GateSim run of the same scenario (pinned by
- * tests/test_lane_sim.cc and the tests/diff_harness.hh lockstep
- * fixture at every width).
- *
- * Supported widths are 64/128/256/512 (explicitly instantiated in
- * lane_sim.cc; select a runtime width with withPlaneBits). At W = 64
- * the plane is one uint64_t — the historical LaneSim, still available
- * under that alias. Wider planes amortize the per-gate fixed costs
- * (dispatch, fanin indexing, force checks) over W/64 words, which is
- * where the gate·lane/s win comes from (bench/micro_kernels.cc tells
- * the story across widths).
+ * with lane i in bit i of a uint64_t; a lane's three-valued signal is
+ * decoded as X when its known bit is 0, else its val bit (val is kept
+ * masked by known, the same canonical form SWord uses). All cell
+ * functions are composed from bitwise plane operations implementing
+ * exact Kleene semantics (src/sim/plane.hh), so every lane is
+ * bit-identical to a scalar GateSim run of the same scenario (pinned
+ * by tests/test_lane_sim.cc and the tests/diff_harness.hh lockstep
+ * fixture).
  *
  * Unlike GateSim there is no event-driven mode: one full topological
- * sweep evaluates all W lanes at once, so the per-lane cost of a
- * sweep is 1/W of a scalar full pass — far below the event-driven
+ * sweep evaluates all 64 lanes at once, so the per-lane cost of a
+ * sweep is 1/64 of a scalar full pass — far below the event-driven
  * scalar cost whenever a handful of lanes are occupied. Callers batch
  * scenarios (activity-analysis frontier states, workload replays,
  * mutants) onto lanes and mask out finished lanes.
@@ -37,7 +29,6 @@
 #ifndef BESPOKE_SIM_LANE_SIM_HH
 #define BESPOKE_SIM_LANE_SIM_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -50,15 +41,13 @@
 namespace bespoke
 {
 
-template <int W>
-class LaneSimT
+class LaneSim
 {
   public:
-    static constexpr int kLanes = W;
-    using Mask = LaneMask<W>;
+    static constexpr int kLanes = 64;
 
-    explicit LaneSimT(const Netlist &netlist,
-                      std::shared_ptr<const SimPrep> prep = nullptr);
+    explicit LaneSim(const Netlist &netlist,
+                     std::shared_ptr<const SimPrep> prep = nullptr);
 
     const Netlist &netlist() const { return nl_; }
     const std::shared_ptr<const SimPrep> &prep() const { return prep_; }
@@ -72,7 +61,7 @@ class LaneSimT
     /** Drive one input to the same value in every lane. */
     void setInputAll(GateId id, Logic v);
     /** Drive one input's raw planes (val must be masked by known). */
-    void setInputPlanes(GateId id, const Mask &val, const Mask &known);
+    void setInputPlanes(GateId id, uint64_t val, uint64_t known);
     Logic value(GateId id, int lane) const
     {
         if (!laneTest(known_[id], lane))
@@ -81,15 +70,15 @@ class LaneSimT
     }
     /** Collect a bus into one lane's symbolic word (LSB-first ids). */
     SWord busWord(const std::vector<GateId> &bus_ids, int lane) const;
-    const Mask &valPlane(GateId id) const { return val_[id]; }
-    const Mask &knownPlane(GateId id) const { return known_[id]; }
+    uint64_t valPlane(GateId id) const { return val_[id]; }
+    uint64_t knownPlane(GateId id) const { return known_[id]; }
     /** Raw plane arrays (one mask per net), for bulk observers. */
-    const std::vector<Mask> &valPlanes() const { return val_; }
-    const std::vector<Mask> &knownPlanes() const { return known_; }
+    const std::vector<uint64_t> &valPlanes() const { return val_; }
+    const std::vector<uint64_t> &knownPlanes() const { return known_; }
     /** Lanes where the net is known One. */
-    const Mask &oneMask(GateId id) const { return val_[id]; }
+    uint64_t oneMask(GateId id) const { return val_[id]; }
     /** Lanes where the net is X. */
-    Mask xMask(GateId id) const { return ~known_[id]; }
+    uint64_t xMask(GateId id) const { return ~known_[id]; }
     /// @}
 
     /** @name Cycle phases (all lanes at once) */
@@ -102,10 +91,10 @@ class LaneSimT
     /// @{
     /** Override a net in the given lanes; value bit i is the forced
      *  value of lane i (bits outside `lanes` are ignored). */
-    void force(GateId id, const Mask &lanes, const Mask &value);
+    void force(GateId id, uint64_t lanes, uint64_t value);
     /** Release forces in the given lanes only. */
-    void clearForces(const Mask &lanes);
-    void clearAllForces() { clearForces(laneOnes<Mask>()); }
+    void clearForces(uint64_t lanes);
+    void clearAllForces() { clearForces(kAllLanes); }
     /// @}
 
     /** @name Per-lane sequential state */
@@ -120,28 +109,25 @@ class LaneSimT
      *  gate), the currency of ToggleCounter run traces. */
     void laneValues(int lane, std::vector<uint8_t> &out) const;
 
-    /** Lifetime gate visits (each visit evaluates all W lanes). */
+    /** Lifetime gate visits (each visit evaluates all 64 lanes). */
     uint64_t gateVisitsTotal() const { return gateVisitsTotal_; }
 
   private:
     const Netlist &nl_;
     std::shared_ptr<const SimPrep> prep_;
-    std::vector<Mask> val_;    ///< lane val plane per net
-    std::vector<Mask> known_;  ///< lane known plane per net
-    std::vector<Mask> forceMask_;  ///< lanes forced per net
-    std::vector<Mask> forceVal_;   ///< forced values per net
+    std::vector<uint64_t> val_;    ///< lane val plane per net
+    std::vector<uint64_t> known_;  ///< lane known plane per net
+    std::vector<uint64_t> forceMask_;  ///< lanes forced per net
+    std::vector<uint64_t> forceVal_;   ///< forced values per net
     std::vector<GateId> forcedIds_;
     bool anyForce_ = false;
     uint64_t gateVisitsTotal_ = 0;
     /** latchSequential pre-edge scratch (avoids a per-cycle alloc). */
-    std::vector<PlanesT<Mask>> latchNext_;
+    std::vector<Planes> latchNext_;
 };
 
-/** The historical 64-lane engine (single-word planes). */
-using LaneSim = LaneSimT<64>;
-
 /**
- * Lane-parallel SoC: LaneSimT plus one behavioral environment (RAM,
+ * Lane-parallel SoC: LaneSim plus one behavioral environment (RAM,
  * memory read port, last fetch PC) per lane. The scenario loaded into
  * a lane is a full MachineState, exactly the currency of the
  * activity-analysis frontier. GPIO and the IRQ line default to
@@ -154,18 +140,16 @@ using LaneSim = LaneSimT<64>;
  * helper the scalar Soc uses, so symbolic-address conservatism is
  * identical by construction.
  */
-template <int W>
-class LaneSocT
+class LaneSoc
 {
   public:
-    static constexpr int kLanes = W;
-    using Mask = LaneMask<W>;
+    static constexpr int kLanes = 64;
 
-    LaneSocT(std::shared_ptr<const SocContext> ctx,
-             const AsmProgram &prog);
+    LaneSoc(std::shared_ptr<const SocContext> ctx,
+            const AsmProgram &prog);
 
-    LaneSimT<W> &sim() { return sim_; }
-    const LaneSimT<W> &sim() const { return sim_; }
+    LaneSim &sim() { return sim_; }
+    const LaneSim &sim() const { return sim_; }
 
     void setGpioIn(SWord w);
     void setIrqExt(Logic v);
@@ -205,25 +189,25 @@ class LaneSocT
     /** Drive all lanes' inputs and evaluate (no latch). */
     void evalOnly();
     /** Sample memory requests for the given lanes, then latch. */
-    void finishCycle(const Mask &lanes);
+    void finishCycle(uint64_t lanes);
     /// @}
 
     /** @name Lane-vector observability */
     /// @{
-    const Mask &stFetchOneMask() const
+    uint64_t stFetchOneMask() const
     {
         return sim_.oneMask(ctx_->pStFetch);
     }
-    Mask decisionXMask() const
+    uint64_t decisionXMask() const
     {
         return sim_.xMask(ctx_->pDecIrq0) | sim_.xMask(ctx_->pDecIrq1) |
                sim_.xMask(ctx_->pDecBranch);
     }
-    const Mask &ctlXferOneMask() const
+    uint64_t ctlXferOneMask() const
     {
         return sim_.oneMask(ctx_->pCtlXfer);
     }
-    Mask ctlXferXMask() const { return sim_.xMask(ctx_->pCtlXfer); }
+    uint64_t ctlXferXMask() const { return sim_.xMask(ctx_->pCtlXfer); }
     SWord pc(int lane) const
     {
         return sim_.busWord(ctx_->pPcOut, lane);
@@ -237,19 +221,16 @@ class LaneSocT
   private:
     std::shared_ptr<const SocContext> ctx_;
     const AsmProgram &prog_;
-    LaneSimT<W> sim_;
+    LaneSim sim_;
     std::vector<EnvState> env_;
     std::vector<uint16_t> lastFetchPc_;
     std::vector<const AsmProgram *> progLane_;
     /** GPIO / IRQ input planes, maintained by the setters so evalOnly
      *  pays no per-cycle transpose for them (rdata, which changes
      *  every cycle, is transposed on the fly). */
-    std::vector<Mask> gpioV_, gpioK_;
-    Mask irqV_{}, irqK_{};
+    std::vector<uint64_t> gpioV_, gpioK_;
+    uint64_t irqV_ = 0, irqK_ = 0;
 };
-
-/** The historical 64-lane SoC (single-word planes). */
-using LaneSoc = LaneSocT<64>;
 
 } // namespace bespoke
 

@@ -1,128 +1,36 @@
 /**
  * @file
- * Multi-word lane planes: the storage + Kleene algebra behind the
- * width-generic bit-plane simulator (LaneSimT<W>).
+ * 64-lane bit planes: the storage + Kleene algebra behind the bit-plane
+ * simulator (LaneSim).
  *
- * A "plane" holds one bit per lane for one net. At W = 64 lanes a
- * plane is a plain uint64_t (the historical LaneSim layout, and still
- * the fastest choice when few lanes are occupied); wider widths use
- * Plane<W>, a fixed array of W/64 words with the same bitwise algebra
- * so template code written against operators compiles for both. The
- * width is selected by LaneMask<W>.
- *
- * A three-valued signal is two planes — val and known — kept in the
- * canonical form val ⊆ known (an X lane has val bit 0), exactly like
- * SWord. The Kleene connectives (pNot/pAnd/.../pMux) are generic over
- * the mask type and preserve that invariant; their correctness is
- * pinned per lane against the scalar truth tables by
- * tests/test_plane_x.cc and end-to-end by tests/diff_harness.hh.
+ * A "plane" holds one bit per lane for one net, lane i in bit i of a
+ * uint64_t. A three-valued signal is two planes — val and known — kept
+ * in the canonical form val ⊆ known (an X lane has val bit 0), exactly
+ * like SWord. The Kleene connectives (pNot/pAnd/.../pMux) preserve
+ * that invariant; their correctness is pinned per lane against the
+ * scalar truth tables by tests/test_plane_x.cc and end-to-end by
+ * tests/diff_harness.hh.
  */
 
 #ifndef BESPOKE_SIM_PLANE_HH
 #define BESPOKE_SIM_PLANE_HH
 
-#include <array>
 #include <bit>
 #include <cstdint>
-#include <type_traits>
-#include <utility>
 
 namespace bespoke
 {
 
-/** Fixed-width multi-word lane plane (W a multiple of 64, W > 64). */
-template <int W>
-struct Plane
-{
-    static_assert(W > 64 && W % 64 == 0,
-                  "Plane<W> is for widths above one word; 64-lane "
-                  "planes are plain uint64_t");
-    static constexpr int kWords = W / 64;
-
-    std::array<uint64_t, kWords> w{};
-
-    friend constexpr Plane operator~(const Plane &a)
-    {
-        Plane r;
-        for (int i = 0; i < kWords; i++)
-            r.w[i] = ~a.w[i];
-        return r;
-    }
-    friend constexpr Plane operator&(const Plane &a, const Plane &b)
-    {
-        Plane r;
-        for (int i = 0; i < kWords; i++)
-            r.w[i] = a.w[i] & b.w[i];
-        return r;
-    }
-    friend constexpr Plane operator|(const Plane &a, const Plane &b)
-    {
-        Plane r;
-        for (int i = 0; i < kWords; i++)
-            r.w[i] = a.w[i] | b.w[i];
-        return r;
-    }
-    friend constexpr Plane operator^(const Plane &a, const Plane &b)
-    {
-        Plane r;
-        for (int i = 0; i < kWords; i++)
-            r.w[i] = a.w[i] ^ b.w[i];
-        return r;
-    }
-    Plane &operator&=(const Plane &o)
-    {
-        for (int i = 0; i < kWords; i++)
-            w[i] &= o.w[i];
-        return *this;
-    }
-    Plane &operator|=(const Plane &o)
-    {
-        for (int i = 0; i < kWords; i++)
-            w[i] |= o.w[i];
-        return *this;
-    }
-    Plane &operator^=(const Plane &o)
-    {
-        for (int i = 0; i < kWords; i++)
-            w[i] ^= o.w[i];
-        return *this;
-    }
-    friend constexpr bool operator==(const Plane &a, const Plane &b)
-    {
-        return a.w == b.w;
-    }
-};
-
-/** Mask type for a W-lane plane: uint64_t at 64, Plane<W> above. */
-template <int W>
-struct LaneMaskSel
-{
-    using type = Plane<W>;
-};
-template <>
-struct LaneMaskSel<64>
-{
-    using type = uint64_t;
-};
-template <int W>
-using LaneMask = typename LaneMaskSel<W>::type;
-
-/** @name Generic lane-mask helpers (uint64_t and Plane<W> overloads) */
+/** @name Lane-mask helpers */
 /// @{
+
+/** Every lane set. */
+constexpr uint64_t kAllLanes = ~0ull;
+
 inline bool
 laneAny(uint64_t m)
 {
     return m != 0;
-}
-template <int W>
-inline bool
-laneAny(const Plane<W> &m)
-{
-    for (int i = 0; i < Plane<W>::kWords; i++) {
-        if (m.w[i])
-            return true;
-    }
-    return false;
 }
 
 inline int
@@ -130,26 +38,11 @@ laneCount(uint64_t m)
 {
     return std::popcount(m);
 }
-template <int W>
-inline int
-laneCount(const Plane<W> &m)
-{
-    int n = 0;
-    for (int i = 0; i < Plane<W>::kWords; i++)
-        n += std::popcount(m.w[i]);
-    return n;
-}
 
 inline bool
 laneTest(uint64_t m, int lane)
 {
     return (m >> lane) & 1;
-}
-template <int W>
-inline bool
-laneTest(const Plane<W> &m, int lane)
-{
-    return (m.w[lane >> 6] >> (lane & 63)) & 1;
 }
 
 inline void
@@ -157,23 +50,11 @@ laneSet(uint64_t &m, int lane)
 {
     m |= 1ull << lane;
 }
-template <int W>
-inline void
-laneSet(Plane<W> &m, int lane)
-{
-    m.w[lane >> 6] |= 1ull << (lane & 63);
-}
 
 inline void
 laneClear(uint64_t &m, int lane)
 {
     m &= ~(1ull << lane);
-}
-template <int W>
-inline void
-laneClear(Plane<W> &m, int lane)
-{
-    m.w[lane >> 6] &= ~(1ull << (lane & 63));
 }
 
 /** Invoke f(lane) for every set lane, in ascending lane order. */
@@ -186,172 +67,66 @@ forEachLane(uint64_t m, F &&f)
         m &= m - 1;
     }
 }
-template <int W, class F>
-inline void
-forEachLane(const Plane<W> &m, F &&f)
-{
-    for (int i = 0; i < Plane<W>::kWords; i++) {
-        uint64_t word = m.w[i];
-        while (word) {
-            f(64 * i + std::countr_zero(word));
-            word &= word - 1;
-        }
-    }
-}
-
-/**
- * Word j (lanes 64j..64j+63) of a mask, by reference. Lets width-
- * generic kernels run their lane math on plain uint64_t words — the
- * compiler keeps word temporaries in registers, where whole-Plane
- * temporaries of the 256/512-bit widths would spill.
- */
-inline uint64_t &
-planeWord(uint64_t &m, int)
-{
-    return m;
-}
-inline const uint64_t &
-planeWord(const uint64_t &m, int)
-{
-    return m;
-}
-template <int W>
-inline uint64_t &
-planeWord(Plane<W> &m, int j)
-{
-    return m.w[j];
-}
-template <int W>
-inline const uint64_t &
-planeWord(const Plane<W> &m, int j)
-{
-    return m.w[j];
-}
-
-/** All-lanes-set / no-lanes-set constants for a mask type. */
-template <class M>
-struct MaskConst;
-template <>
-struct MaskConst<uint64_t>
-{
-    static constexpr uint64_t ones() { return ~0ull; }
-    static constexpr uint64_t zero() { return 0; }
-};
-template <int W>
-struct MaskConst<Plane<W>>
-{
-    static constexpr Plane<W> ones()
-    {
-        Plane<W> p;
-        for (int i = 0; i < Plane<W>::kWords; i++)
-            p.w[i] = ~0ull;
-        return p;
-    }
-    static constexpr Plane<W> zero() { return Plane<W>{}; }
-};
-template <class M>
-constexpr M
-laneOnes()
-{
-    return MaskConst<M>::ones();
-}
 /// @}
 
 /**
- * One three-valued signal as W (val, known) lane bits: v is exactly
+ * One three-valued signal as 64 (val, known) lane bits: v is exactly
  * "known One", k & ~v is exactly "known Zero", ~k is X.
  */
-template <class M>
-struct PlanesT
+struct Planes
 {
-    M v;  ///< known-One lanes (always a subset of k)
-    M k;  ///< known lanes
+    uint64_t v;  ///< known-One lanes (always a subset of k)
+    uint64_t k;  ///< known lanes
 };
 
 // Kleene connectives on lane planes. Every op keeps the canonical
 // invariant v ⊆ k, which the correctness of the compositions relies
-// on. These are the same formulas the 64-lane engine shipped with,
-// lifted over the generic mask type.
+// on.
 
-template <class M>
-inline PlanesT<M>
-pNot(const PlanesT<M> &a)
+inline Planes
+pNot(const Planes &a)
 {
     return {a.k & ~a.v, a.k};
 }
 
-template <class M>
-inline PlanesT<M>
-pAnd(const PlanesT<M> &a, const PlanesT<M> &b)
+inline Planes
+pAnd(const Planes &a, const Planes &b)
 {
     // Known when both are known, or either side is a known Zero.
     return {a.v & b.v, (a.k & b.k) | (a.k & ~a.v) | (b.k & ~b.v)};
 }
 
-template <class M>
-inline PlanesT<M>
-pOr(const PlanesT<M> &a, const PlanesT<M> &b)
+inline Planes
+pOr(const Planes &a, const Planes &b)
 {
     // Known when both are known, or either side is a known One.
     return {a.v | b.v, (a.k & b.k) | a.v | b.v};
 }
 
-template <class M>
-inline PlanesT<M>
-pXor(const PlanesT<M> &a, const PlanesT<M> &b)
+inline Planes
+pXor(const Planes &a, const Planes &b)
 {
-    M k = a.k & b.k;
+    uint64_t k = a.k & b.k;
     return {(a.v ^ b.v) & k, k};
 }
 
-template <class M>
-inline PlanesT<M>
-pXnor(const PlanesT<M> &a, const PlanesT<M> &b)
+inline Planes
+pXnor(const Planes &a, const Planes &b)
 {
-    M k = a.k & b.k;
+    uint64_t k = a.k & b.k;
     return {~(a.v ^ b.v) & k, k};
 }
 
 /** logicMux semantics: sel X yields a0 when a0 == a1 and both known. */
-template <class M>
-inline PlanesT<M>
-pMux(const PlanesT<M> &a0, const PlanesT<M> &a1, const PlanesT<M> &sel)
+inline Planes
+pMux(const Planes &a0, const Planes &a1, const Planes &sel)
 {
-    M sel1 = sel.v;
-    M sel0 = sel.k & ~sel.v;
-    M eq = a0.k & a1.k & ~(a0.v ^ a1.v);
-    M k = (sel1 & a1.k) | (sel0 & a0.k) | (~sel.k & eq);
-    M v = (sel1 & a1.v) | (sel0 & a0.v) | (~sel.k & eq & a0.v);
+    uint64_t sel1 = sel.v;
+    uint64_t sel0 = sel.k & ~sel.v;
+    uint64_t eq = a0.k & a1.k & ~(a0.v ^ a1.v);
+    uint64_t k = (sel1 & a1.k) | (sel0 & a0.k) | (~sel.k & eq);
+    uint64_t v = (sel1 & a1.v) | (sel0 & a0.v) | (~sel.k & eq & a0.v);
     return {v, k};
-}
-
-/** Plane widths the lane engine is instantiated for. */
-constexpr bool
-validPlaneBits(int bits)
-{
-    return bits == 64 || bits == 128 || bits == 256 || bits == 512;
-}
-constexpr int kMaxPlaneBits = 512;
-
-/**
- * Dispatch f(std::integral_constant<int, W>{}) on a runtime width.
- * `bits` must satisfy validPlaneBits (callers validate flag/env input
- * before reaching here); invalid widths fall back to 64 lanes.
- */
-template <class F>
-decltype(auto)
-withPlaneBits(int bits, F &&f)
-{
-    switch (bits) {
-    case 128:
-        return f(std::integral_constant<int, 128>{});
-    case 256:
-        return f(std::integral_constant<int, 256>{});
-    case 512:
-        return f(std::integral_constant<int, 512>{});
-    default:
-        return f(std::integral_constant<int, 64>{});
-    }
 }
 
 } // namespace bespoke

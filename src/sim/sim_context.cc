@@ -32,8 +32,7 @@ SimPrep::SimPrep(const Netlist &netlist)
     // changing an evaluated value; sort them by opcode (gate id as the
     // deterministic tie-break): the eval kernels' per-gate dispatch
     // then sees long same-opcode runs instead of a random sequence,
-    // which the branch predictor rewards, most visibly on the
-    // multi-word plane kernels.
+    // which the branch predictor rewards.
     std::sort(order.begin(), order.end(), [&](GateId a, GateId b) {
         if (level[a] != level[b])
             return level[a] < level[b];

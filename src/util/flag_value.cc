@@ -19,15 +19,9 @@ parseFlagValue(const std::string &flag, const std::string &text,
       case FlagKind::Count:
         ok = ok && v <= std::numeric_limits<int>::max();
         break;
-      case FlagKind::Bytes:
-        break;
       case FlagKind::Lanes:
         ok = ok && (v == 1 || v == 64);
         needs = "1 or 64";
-        break;
-      case FlagKind::PlaneBits:
-        ok = ok && (v == 64 || v == 128 || v == 256 || v == 512);
-        needs = "64, 128, 256, or 512";
         break;
     }
     if (ok)

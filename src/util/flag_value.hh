@@ -18,10 +18,8 @@ namespace bespoke
 /** The values a numeric flag accepts. */
 enum class FlagKind : uint8_t
 {
-    Count,      ///< non-negative int: thread counts, depths
-    Bytes,      ///< non-negative 64-bit integer: byte and queue caps
-    Lanes,      ///< activity-analysis lane evaluator: 1 or 64
-    PlaneBits,  ///< lane-plane width: 64, 128, 256 or 512
+    Count,  ///< non-negative int: thread counts, depths
+    Lanes,  ///< activity-analysis lane evaluator: 1 or 64
 };
 
 /**

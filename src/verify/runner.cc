@@ -128,9 +128,9 @@ runWorkloadGate(const Netlist &netlist, const Workload &w,
 }
 
 int
-resolvePlaneBits(int plane_bits)
+resolvePlaneBits(int)
 {
-    return validPlaneBits(plane_bits) ? plane_bits : 64;
+    return LaneSoc::kLanes;
 }
 
 namespace
@@ -194,10 +194,10 @@ runScenariosScalar(const Netlist &nl, const Workload &w,
 }
 
 /** Decode one lane of (val, known) planes into byte-coded Logic. */
-template <class Mask>
 void
-extractLane(const std::vector<Mask> &val, const std::vector<Mask> &known,
-            int lane, std::vector<uint8_t> &out)
+extractLane(const std::vector<uint64_t> &val,
+            const std::vector<uint64_t> &known, int lane,
+            std::vector<uint8_t> &out)
 {
     size_t n = val.size();
     out.resize(n);
@@ -217,34 +217,26 @@ constexpr uint64_t kBatchIrqPulseCycles = 4;
 
 /**
  * Straggler handoff threshold: once this few lanes remain active, the
- * full plane sweep (every gate, every word, every cycle) costs more
- * than continuing each survivor on the event-driven scalar simulator,
+ * full plane sweep (every gate, every cycle) costs more than
+ * continuing each survivor on the event-driven scalar simulator,
  * which only revisits gates whose fanins changed — for a mutant
  * spinning in a tight loop until the cycle cap, that is a handful of
- * gates per cycle instead of the whole netlist. The threshold depends
- * on whether observers are attached: the plane path amortizes
- * toggle/idle observation across every lane per word, so with
- * observers a handoff only pays once fewer lanes remain than half the
- * plane's word count (never, at one word). That limit was measured
- * when a scalar observe diffed all n gates; it now walks the
- * simulator's change log. Observer-free runs keep the fixed threshold.
+ * gates per cycle instead of the whole netlist. Runs with observers
+ * never hand off: the plane path amortizes toggle/idle observation
+ * across every lane of a gate in one word operation. That rule was
+ * measured when a scalar observe diffed all n gates; a scalar observe
+ * now walks the simulator's change log, so it may no longer be the
+ * cheaper choice.
  */
 constexpr size_t kScalarHandoffLanes = 8;
 
-size_t
-scalarHandoffLimit(bool observing, size_t plane_words)
-{
-    return observing ? plane_words / 2 : kScalarHandoffLanes;
-}
-
-template <int W>
 std::vector<GateRun>
 runScenariosLanes(const Netlist &nl, const Workload &w,
                   const std::vector<GateScenario> &scenarios,
                   const GateBatchObservers &obs,
                   std::shared_ptr<const SocContext> ctx)
 {
-    using Mask = LaneMask<W>;
+    constexpr size_t W = LaneSoc::kLanes;
     const size_t n = nl.size();
     const size_t total = scenarios.size();
 
@@ -280,17 +272,17 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
         shared_counts.assign(n, 0);
 
     for (size_t base = 0; base < total; base += W) {
-        const size_t lanes_used = std::min<size_t>(W, total - base);
-        LaneSocT<W> soc(ctx, *scenarios[base].prog);
+        const size_t lanes_used = std::min(W, total - base);
+        LaneSoc soc(ctx, *scenarios[base].prog);
         soc.setIrqExt(Logic::Zero);
 
-        Mask active{};
+        uint64_t active = 0;
         std::vector<const std::vector<uint16_t> *> halts(lanes_used);
         std::vector<uint64_t> completed(lanes_used, 0);
         std::vector<ToggleCounter::RunTrace> trace(lanes_used);
         // Per-scenario within-run counts, gate-major [gate * S + lane].
         std::vector<uint64_t> lane_counts;
-        Mask lane_tog_mask{};
+        uint64_t lane_tog_mask = 0;
         for (size_t l = 0; l < lanes_used; l++) {
             const GateScenario &s = scenarios[base + l];
             const WorkloadInput &in = *s.input;
@@ -316,11 +308,11 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
 
         // Last-observed planes + first-observe tracking for the
         // boundary-exact toggle accounting.
-        std::vector<Mask> last_v, last_k;
-        Mask seen{};
+        std::vector<uint64_t> last_v, last_k;
+        uint64_t seen = 0;
         if (count_toggles || obs.moduleIdle) {
-            last_v.assign(n, Mask{});
-            last_k.assign(n, Mask{});
+            last_v.assign(n, 0);
+            last_k.assign(n, 0);
         }
 
         auto retire = [&](int lane, bool halted, uint64_t cycles) {
@@ -430,8 +422,7 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             laneClear(active, lane);
         };
 
-        const size_t handoff_limit =
-            scalarHandoffLimit(observing, static_cast<size_t>(W) / 64);
+        const size_t handoff_limit = observing ? 0 : kScalarHandoffLanes;
         for (uint64_t c = 0; c < w.maxCycles; c++) {
             const size_t live = laneCount(active);
             if (live == 0)
@@ -451,7 +442,7 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             }
             soc.evalOnly();
 
-            Mask fetch = soc.stFetchOneMask() & active;
+            uint64_t fetch = soc.stFetchOneMask() & active;
             forEachLane(fetch, [&](int lane) {
                 SWord pc = soc.pc(lane);
                 const std::vector<uint16_t> &h = *halts[lane];
@@ -464,16 +455,16 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
                 break;
 
             if (observing) {
-                const Mask obs_mask = active;
-                const Mask cnt_mask = obs_mask & seen;
+                const uint64_t obs_mask = active;
+                const uint64_t cnt_mask = obs_mask & seen;
                 if (count_toggles || obs.moduleIdle) {
-                    const std::vector<Mask> &vp = soc.sim().valPlanes();
-                    const std::vector<Mask> &kp =
+                    const std::vector<uint64_t> &vp = soc.sim().valPlanes();
+                    const std::vector<uint64_t> &kp =
                         soc.sim().knownPlanes();
-                    Mask mod_active[kNumModules] = {};
-                    const Mask lane_cnt = cnt_mask & lane_tog_mask;
+                    uint64_t mod_active[kNumModules] = {};
+                    const uint64_t lane_cnt = cnt_mask & lane_tog_mask;
                     for (size_t g = 0; g < n; g++) {
-                        Mask diff =
+                        uint64_t diff =
                             ((vp[g] ^ last_v[g]) | (kp[g] ^ last_k[g])) &
                             cnt_mask;
                         last_v[g] = vp[g];
@@ -553,7 +544,7 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
 std::vector<GateRun>
 runScenarioGateBatch(const Netlist &netlist, const Workload &w,
                      const std::vector<GateScenario> &scenarios,
-                     int plane_bits, const GateBatchObservers &obs,
+                     const GateBatchObservers &obs,
                      std::shared_ptr<const SocContext> ctx)
 {
     if (scenarios.empty())
@@ -562,26 +553,14 @@ runScenarioGateBatch(const Netlist &netlist, const Workload &w,
         ctx = SocContext::make(netlist);
     if (scenarios.size() < kMinLaneBatch)
         return runScenariosScalar(netlist, w, scenarios, obs, ctx);
-    // Never sweep wider planes than the batch can fill: a 13-scenario
-    // batch on 256-bit planes would pay 4 words per gate for one
-    // word's worth of lanes. Results are width-independent, so this
-    // is purely an execution-cost decision.
-    int width_bits = resolvePlaneBits(plane_bits);
-    while (width_bits > 64 &&
-           scenarios.size() <= static_cast<size_t>(width_bits) / 2)
-        width_bits /= 2;
-    return withPlaneBits(
-        width_bits, [&](auto width) {
-            return runScenariosLanes<decltype(width)::value>(
-                netlist, w, scenarios, obs, std::move(ctx));
-        });
+    return runScenariosLanes(netlist, w, scenarios, obs, std::move(ctx));
 }
 
 std::vector<GateRun>
 runWorkloadGateBatch(const Netlist &netlist, const Workload &w,
                      const AsmProgram &prog,
                      const std::vector<WorkloadInput> &inputs,
-                     int plane_bits, const GateBatchObservers &obs,
+                     const GateBatchObservers &obs,
                      std::shared_ptr<const SocContext> ctx)
 {
     std::vector<GateScenario> scenarios(inputs.size());
@@ -589,7 +568,7 @@ runWorkloadGateBatch(const Netlist &netlist, const Workload &w,
         scenarios[i].prog = &prog;
         scenarios[i].input = &inputs[i];
     }
-    return runScenarioGateBatch(netlist, w, scenarios, plane_bits, obs,
+    return runScenarioGateBatch(netlist, w, scenarios, obs,
                                 std::move(ctx));
 }
 

@@ -74,8 +74,9 @@ GateRun runWorkloadGate(const Netlist &netlist, const Workload &w,
                         std::shared_ptr<const SocContext> ctx = nullptr);
 
 /**
- * Resolve the lane-batch plane width: 64, 128, 256 and 512 stand;
- * anything else (0 included) resolves to 64.
+ * The lane-batch plane width: always 64, whatever the argument. Kept
+ * only because the perfbench driver reports it; the library has one
+ * plane width. Remove with the benchmark's next revision.
  */
 int resolvePlaneBits(int plane_bits);
 
@@ -108,30 +109,46 @@ struct GateBatchObservers
 };
 
 /**
- * Run many scenarios of one workload lane-parallel, W per plane sweep
- * (W = resolvePlaneBits(plane_bits)). Results and every observer are
- * bit-identical to running the scenarios through runWorkloadGate()
- * sequentially in vector order with the same shared trackers — the
- * scalar path IS the fallback, taken whenever a batch is too small to
- * win from plane packing (fewer than kMinLaneBatch scenarios). Shared
- * counters see within-run transitions summed order-free plus the
- * cross-run boundary transitions replayed in sequential order
- * (ToggleCounter::ingestRun), so the committed power baselines do not
- * move.
+ * Run many scenarios of one workload lane-parallel, 64 per plane
+ * sweep. Results and every observer are bit-identical to running the
+ * scenarios through runWorkloadGate() sequentially in vector order
+ * with the same shared trackers — the scalar path IS the fallback,
+ * taken whenever a batch is too small to win from plane packing
+ * (fewer than kMinLaneBatch scenarios). Shared counters see within-run
+ * transitions summed order-free plus the cross-run boundary
+ * transitions replayed in sequential order (ToggleCounter::ingestRun),
+ * so the committed power baselines do not move.
  */
 constexpr size_t kMinLaneBatch = 4;
 std::vector<GateRun> runScenarioGateBatch(
     const Netlist &netlist, const Workload &w,
-    const std::vector<GateScenario> &scenarios, int plane_bits = 0,
+    const std::vector<GateScenario> &scenarios,
     const GateBatchObservers &obs = {},
     std::shared_ptr<const SocContext> ctx = nullptr);
 
 /** Scenario batch with one shared program: the common verify shape. */
 std::vector<GateRun> runWorkloadGateBatch(
     const Netlist &netlist, const Workload &w, const AsmProgram &prog,
-    const std::vector<WorkloadInput> &inputs, int plane_bits = 0,
+    const std::vector<WorkloadInput> &inputs,
     const GateBatchObservers &obs = {},
     std::shared_ptr<const SocContext> ctx = nullptr);
+
+/**
+ * The same, with a `plane_bits` argument that is ignored. Kept only
+ * because the perfbench driver calls this signature; remove with the
+ * benchmark's next revision.
+ */
+inline std::vector<GateRun>
+runWorkloadGateBatch(const Netlist &netlist, const Workload &w,
+                     const AsmProgram &prog,
+                     const std::vector<WorkloadInput> &inputs,
+                     int /*plane_bits*/,
+                     const GateBatchObservers &obs = {},
+                     std::shared_ptr<const SocContext> ctx = nullptr)
+{
+    return runWorkloadGateBatch(netlist, w, prog, inputs, obs,
+                                std::move(ctx));
+}
 
 /** Check a gate run against the ISS oracle; fatal-free, returns diff. */
 struct RunDiff

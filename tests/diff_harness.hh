@@ -1,25 +1,22 @@
 /**
  * @file
- * Differential-testing harness: width-generic scalar-vs-lane lockstep.
+ * Differential-testing harness: scalar-vs-lane lockstep.
  *
  * Every lane-parallel execution path in the repo (verification batch
  * runner, activity-analysis lane workers, mutant sweeps, power replay)
- * rests on one claim: lane i of a LaneSimT<W> is bit-identical to a
- * scalar GateSim run of the same scenario, at every width, under every
- * interleaving of input updates, per-lane forces, sequential restores
- * and resets. This header packages that claim as a reusable fixture:
+ * rests on one claim: lane i of a LaneSim is bit-identical to a
+ * scalar GateSim run of the same scenario, under every interleaving of
+ * input updates, per-lane forces, sequential restores and resets. This
+ * header packages that claim as a reusable fixture:
  *
  *  - randomNetlist(seed): a random sequential DAG covering every cell
  *    shape the library offers, with flop feedback;
- *  - runLockstepCase<W>(seed, cycles): drives a LaneSimT<W> and W
- *    scalar GateSims through `cycles` of randomized stimulus and
- *    compares the FULL machine state — every net of every lane, as raw
+ *  - runLockstepCase(seed, cycles): drives a LaneSim and 64 scalar
+ *    GateSims through `cycles` of randomized stimulus and compares
+ *    the FULL machine state — every net of every lane, as raw
  *    planes (which also pins the canonical val-subset-of-known form) —
  *    after every eval, latch, restore and reset, plus the accumulated
- *    activity-tracker toggle sets at the end;
- *  - runLockstepCaseAt(bits, ...): runtime-width dispatch, so one
- *    parameterized suite can rotate through the plane widths
- *    (tests/test_diff_harness.cc).
+ *    activity-tracker toggle sets at the end.
  *
  * Use ASSERT_NO_FATAL_FAILURE around the case runners: they abort the
  * case on the first diverging net.
@@ -29,7 +26,6 @@
 #define BESPOKE_TESTS_DIFF_HARNESS_HH
 
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,42 +48,19 @@ randomLogic(Rng &rng, int x_chance_pct)
     return rng.chance(1, 2) ? Logic::One : Logic::Zero;
 }
 
-/** Uniformly random lane mask of either width flavor. */
-template <class M>
-inline M
+/** Uniformly random lane mask. */
+inline uint64_t
 randomMask(Rng &rng)
 {
-    auto word = [&rng] {
-        return (static_cast<uint64_t>(rng.next()) << 32) | rng.next();
-    };
-    if constexpr (std::is_same_v<M, uint64_t>) {
-        return word();
-    } else {
-        M m{};
-        for (auto &w : m.w)
-            w = word();
-        return m;
-    }
+    return (static_cast<uint64_t>(rng.next()) << 32) | rng.next();
 }
 
-template <class M>
 inline std::string
-maskToHex(const M &m)
+maskToHex(uint64_t m)
 {
-    auto hex = [](uint64_t w) {
-        char buf[19];
-        snprintf(buf, sizeof buf, "%016llx",
-                 static_cast<unsigned long long>(w));
-        return std::string(buf);
-    };
-    if constexpr (std::is_same_v<M, uint64_t>) {
-        return hex(m);
-    } else {
-        std::string s;
-        for (int i = static_cast<int>(m.w.size()) - 1; i >= 0; i--)
-            s += hex(m.w[i]) + (i ? ":" : "");
-        return s;
-    }
+    char buf[19];
+    snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(m));
+    return std::string(buf);
 }
 
 /**
@@ -156,15 +129,13 @@ struct RandomDesign
  * Compare every net of every lane against the matching scalar sims, as
  * raw planes (also pinning canonical form: an X lane has val bit 0).
  */
-template <int W>
 inline void
-expectLanesMatch(const LaneSimT<W> &ls, const std::vector<GateSim> &ref,
+expectLanesMatch(const LaneSim &ls, const std::vector<GateSim> &ref,
                  const char *when, uint64_t cycle)
 {
-    using Mask = LaneMask<W>;
     for (GateId id = 0; id < ls.netlist().size(); id++) {
-        Mask v{}, k{};
-        for (int lane = 0; lane < W; lane++) {
+        uint64_t v = 0, k = 0;
+        for (int lane = 0; lane < LaneSim::kLanes; lane++) {
             Logic e = ref[lane].value(id);
             if (e == Logic::X)
                 continue;
@@ -173,12 +144,12 @@ expectLanesMatch(const LaneSimT<W> &ls, const std::vector<GateSim> &ref,
                 laneSet(v, lane);
         }
         ASSERT_EQ(ls.valPlane(id), v)
-            << "W=" << W << " val plane diverged on gate " << id << " "
+            << "val plane diverged on gate " << id << " "
             << when << " at cycle " << cycle << "\n  lane:   "
             << maskToHex(ls.valPlane(id)) << "\n  scalar: "
             << maskToHex(v);
         ASSERT_EQ(ls.knownPlane(id), k)
-            << "W=" << W << " known plane diverged on gate " << id
+            << "known plane diverged on gate " << id
             << " " << when << " at cycle " << cycle << "\n  lane:   "
             << maskToHex(ls.knownPlane(id)) << "\n  scalar: "
             << maskToHex(k);
@@ -186,17 +157,16 @@ expectLanesMatch(const LaneSimT<W> &ls, const std::vector<GateSim> &ref,
 }
 
 /**
- * One randomized lockstep case: W distinct scenarios on one random
- * netlist, full-state compared against W scalar oracles every step.
+ * One randomized lockstep case: 64 distinct scenarios on one random
+ * netlist, full-state compared against 64 scalar oracles every step.
  */
-template <int W>
 inline void
 runLockstepCase(uint32_t seed, uint64_t cycles)
 {
-    using Mask = LaneMask<W>;
+    constexpr int W = LaneSim::kLanes;
 
     RandomDesign d(seed);
-    LaneSimT<W> ls(d.nl);
+    LaneSim ls(d.nl);
     std::vector<GateSim> ref;
     ref.reserve(W);
     for (int lane = 0; lane < W; lane++)
@@ -235,8 +205,8 @@ runLockstepCase(uint32_t seed, uint64_t cycles)
         // releases — the execution-tree fork/retire shapes.
         if (rng.chance(1, 3)) {
             GateId t = rng.below(static_cast<uint32_t>(d.nl.size()));
-            Mask lanes = randomMask<Mask>(rng);
-            Mask value = randomMask<Mask>(rng) & lanes;
+            uint64_t lanes = randomMask(rng);
+            uint64_t value = randomMask(rng) & lanes;
             ls.force(t, lanes, value);
             forEachLane(lanes, [&](int lane) {
                 ref[lane].force(t, laneTest(value, lane) ? Logic::One
@@ -244,7 +214,7 @@ runLockstepCase(uint32_t seed, uint64_t cycles)
             });
         }
         if (rng.chance(1, 6)) {
-            Mask lanes = randomMask<Mask>(rng);
+            uint64_t lanes = randomMask(rng);
             ls.clearForces(lanes);
             forEachLane(lanes,
                         [&](int lane) { ref[lane].clearForces(); });
@@ -256,7 +226,7 @@ runLockstepCase(uint32_t seed, uint64_t cycles)
         ASSERT_NO_FATAL_FAILURE(
             expectLanesMatch(ls, ref, "after evalComb", cycle));
 
-        at_lane.observe(ls, laneOnes<Mask>());
+        at_lane.observe(ls, kAllLanes);
         for (const GateSim &r : ref)
             at_ref.observe(r);
 
@@ -274,7 +244,7 @@ runLockstepCase(uint32_t seed, uint64_t cycles)
             have_snap = true;
         }
         if (have_snap && rng.chance(1, 12)) {
-            Mask lanes = randomMask<Mask>(rng);
+            uint64_t lanes = randomMask(rng);
             forEachLane(lanes, [&](int lane) {
                 ls.restoreSeqLane(lane, snap[lane]);
                 ref[lane].restoreSeqState(snap[lane]);
@@ -299,17 +269,8 @@ runLockstepCase(uint32_t seed, uint64_t cycles)
 
     for (GateId i = 0; i < d.nl.size(); i++) {
         ASSERT_EQ(at_lane.toggled(i), at_ref.toggled(i))
-            << "W=" << W << " toggle set differs on gate " << i;
+            << "toggle set differs on gate " << i;
     }
-}
-
-/** Runtime-width dispatch over the instantiated plane widths. */
-inline void
-runLockstepCaseAt(int bits, uint32_t seed, uint64_t cycles)
-{
-    withPlaneBits(bits, [&](auto wc) {
-        runLockstepCase<decltype(wc)::value>(seed, cycles);
-    });
 }
 
 } // namespace difftest

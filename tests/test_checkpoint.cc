@@ -8,9 +8,7 @@
  * serves the rerun the same way.
  */
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -398,84 +396,6 @@ TEST(Checkpoint, AnalysisArtifactValidation)
     bad.set("toggled", JsonValue::str(flags));
     EXPECT_FALSE(analysisFromJson(bad, nl, &back, &err));
     EXPECT_NE(err.find("not marked toggled"), std::string::npos);
-}
-
-/** Set an artifact's access time to a fixed epoch (for LRU ordering). */
-void
-setAtime(const std::string &path, time_t when)
-{
-    timespec times[2];
-    times[0].tv_sec = when;
-    times[0].tv_nsec = 0;
-    times[1].tv_sec = 0;
-    times[1].tv_nsec = UTIME_OMIT;
-    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0)
-        << path;
-}
-
-TEST(Checkpoint, LruSweepEvictsColdestArtifacts)
-{
-    std::string dir = freshDir("ckpt_lru");
-
-    // Four identical-size artifacts under an uncapped store.
-    JsonValue doc = JsonValue::object();
-    doc.set("format", JsonValue::str("bespoke-checkpoint"));
-    doc.set("version", JsonValue::number(1));
-    doc.set("stage", JsonValue::str("metrics"));
-    doc.set("pad", JsonValue::str(std::string(256, 'p')));
-    CheckpointStore seed(dir);
-    for (uint64_t k = 1; k <= 4; k++)
-        seed.save({k, k, k}, "metrics", doc);
-    ASSERT_EQ(fileCount(dir), 4u);
-    uint64_t size =
-        fs::file_size(seed.path({1, 1, 1}, "metrics"));
-
-    // Pin the LRU order explicitly: 2 is coldest, then 1, 3, 4.
-    setAtime(seed.path({2, 2, 2}, "metrics"), 1000);
-    setAtime(seed.path({1, 1, 1}, "metrics"), 2000);
-    setAtime(seed.path({3, 3, 3}, "metrics"), 3000);
-    setAtime(seed.path({4, 4, 4}, "metrics"), 4000);
-
-    // A capped store that fits three artifacts (cap 3.5x): saving a
-    // fifth sweeps the two coldest (2, then 1) to get down to 3*size.
-    CheckpointStore capped(dir, 3 * size + size / 2);
-    EXPECT_EQ(capped.maxBytes(), 3 * size + size / 2);
-    capped.save({5, 5, 5}, "metrics", doc);
-    EXPECT_EQ(capped.evictions(), 2u);
-    EXPECT_EQ(fileCount(dir), 3u);
-    EXPECT_FALSE(fs::exists(capped.path({2, 2, 2}, "metrics")));
-    EXPECT_FALSE(fs::exists(capped.path({1, 1, 1}, "metrics")));
-    EXPECT_TRUE(fs::exists(capped.path({3, 3, 3}, "metrics")));
-    EXPECT_TRUE(fs::exists(capped.path({4, 4, 4}, "metrics")));
-    EXPECT_TRUE(fs::exists(capped.path({5, 5, 5}, "metrics")));
-
-    // A hit refreshes the artifact's access time: make 3 the coldest
-    // on disk, then load it — 4 becomes the next eviction victim.
-    setAtime(capped.path({3, 3, 3}, "metrics"), 5000);
-    setAtime(capped.path({4, 4, 4}, "metrics"), 6000);
-    setAtime(capped.path({5, 5, 5}, "metrics"), 7000);
-    JsonValue loaded;
-    ASSERT_TRUE(capped.load({3, 3, 3}, "metrics", &loaded));
-    capped.save({6, 6, 6}, "metrics", doc);
-    capped.save({7, 7, 7}, "metrics", doc);
-    EXPECT_TRUE(fs::exists(capped.path({3, 3, 3}, "metrics")));
-    EXPECT_FALSE(fs::exists(capped.path({4, 4, 4}, "metrics")));
-
-    // The artifact just written is never evicted, even when it alone
-    // exceeds the cap; everything else goes.
-    CheckpointStore tiny(dir, size / 2);
-    tiny.save({8, 8, 8}, "metrics", doc);
-    EXPECT_EQ(fileCount(dir), 1u);
-    EXPECT_TRUE(fs::exists(tiny.path({8, 8, 8}, "metrics")));
-
-    // An uncapped store on the same directory never evicts.
-    CheckpointStore uncapped(dir);
-    for (uint64_t k = 10; k < 20; k++)
-        uncapped.save({k, k, k}, "metrics", doc);
-    EXPECT_EQ(uncapped.evictions(), 0u);
-    EXPECT_EQ(fileCount(dir), 11u);
-
-    fs::remove_all(dir);
 }
 
 TEST(Checkpoint, DisabledStoreIsInert)

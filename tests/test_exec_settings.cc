@@ -1,8 +1,8 @@
 /**
  * @file
  * Execution settings come only from explicit options. The gate
- * evaluator mode, the analysis thread count and lane width, and the
- * lane-plane width are fields and arguments; no environment variable
+ * evaluator mode and the analysis thread count and lane width are
+ * fields; the lane-plane width is fixed at 64. No environment variable
  * changes them, so a library result depends only on what the caller
  * passes in.
  */
@@ -77,7 +77,7 @@ TEST(ExecSettings, EnvironmentDoesNotOverrideOptions)
     EXPECT_EQ(resolveAnalysisLanes(opts), 64);
 
     EXPECT_EQ(resolvePlaneBits(0), 64);
-    EXPECT_EQ(resolvePlaneBits(128), 128);
+    EXPECT_EQ(resolvePlaneBits(128), 64);
 }
 
 } // namespace

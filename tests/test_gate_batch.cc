@@ -3,8 +3,8 @@
  * Bit-identity pin for the lane-batched gate runner: every result and
  * every observer of runScenarioGateBatch / runWorkloadGateBatch must
  * equal running the same scenarios through runWorkloadGate
- * sequentially with the same shared trackers — at every plane width,
- * across chunk boundaries, for halting and cycle-exhausted runs, for
+ * sequentially with the same shared trackers — across chunk
+ * boundaries, for halting and cycle-exhausted runs, for
  * IRQ workloads, for per-lane program overlays, and interleaved with
  * scalar runs on the same counters.
  */
@@ -122,7 +122,7 @@ runReference(const Netlist &nl, const Workload &w,
 BatchResult
 runBatch(const Netlist &nl, const Workload &w,
          std::vector<GateScenario> scenarios,
-         const std::vector<int> &counted, int plane_bits)
+         const std::vector<int> &counted)
 {
     BatchResult r;
     ToggleCounter shared(nl);
@@ -137,7 +137,7 @@ runBatch(const Netlist &nl, const Workload &w,
     obs.toggles = &shared;
     obs.activity = &activity;
     obs.moduleIdle = &r.moduleIdle;
-    r.runs = runScenarioGateBatch(nl, w, scenarios, plane_bits, obs);
+    r.runs = runScenarioGateBatch(nl, w, scenarios, obs);
 
     r.sharedCounts = countsOf(shared, nl);
     r.sharedCycles = shared.cycles();
@@ -211,14 +211,11 @@ scenariosOf(const AsmProgram &prog,
     return s;
 }
 
+/** The one plane width, whatever a caller asks for. */
 TEST(GateBatch, ResolvePlaneBits)
 {
-    EXPECT_EQ(resolvePlaneBits(0), 64);
-    EXPECT_EQ(resolvePlaneBits(128), 128);
-    EXPECT_EQ(resolvePlaneBits(256), 256);
-    EXPECT_EQ(resolvePlaneBits(512), 512);
-    EXPECT_EQ(resolvePlaneBits(100), 64);  // invalid
-    EXPECT_EQ(resolvePlaneBits(99), 64);
+    for (int bits : {0, 64, 99, 128, 256, 512})
+        EXPECT_EQ(resolvePlaneBits(bits), 64) << bits;
 }
 
 /** Halting runs, one chunk, per-scenario counters on a subset. */
@@ -234,15 +231,14 @@ TEST(GateBatch, MatchesScalarHaltingRuns)
     BatchResult ref = runReference(nl, w, scenarios, counted);
     for (const GateRun &r : ref.runs)
         ASSERT_TRUE(r.halted);
-    expectBatchEqual(ref, runBatch(nl, w, scenarios, counted, 64));
-    expectBatchEqual(ref, runBatch(nl, w, scenarios, counted, 256));
+    expectBatchEqual(ref, runBatch(nl, w, scenarios, counted));
 }
 
 /**
- * More scenarios than one 64-lane plane holds: two chunks at W=64
- * (pinning the cross-chunk boundary replay on the shared counter) and
- * one multi-word plane at W=128 (pinning cross-word lane placement).
- * The cycle budget is capped so every run retires by exhaustion.
+ * More scenarios than one 64-lane plane holds: two chunks, pinning the
+ * cross-chunk boundary replay on the shared counter and the lane
+ * placement of the second chunk. The cycle budget is capped so every
+ * run retires by exhaustion.
  */
 TEST(GateBatch, MatchesScalarAcrossChunksAndWords)
 {
@@ -252,13 +248,12 @@ TEST(GateBatch, MatchesScalarAcrossChunksAndWords)
     AsmProgram prog = w.assembleProgram();
     auto inputs = genInputs(w, 70, 7);
     auto scenarios = scenariosOf(prog, inputs);
-    std::vector<int> counted = {0, 63, 65, 69};  // straddle the word
+    std::vector<int> counted = {0, 63, 65, 69};  // straddle the chunks
 
     BatchResult ref = runReference(nl, w, scenarios, counted);
     for (const GateRun &r : ref.runs)
         ASSERT_FALSE(r.halted);
-    expectBatchEqual(ref, runBatch(nl, w, scenarios, counted, 64));
-    expectBatchEqual(ref, runBatch(nl, w, scenarios, counted, 128));
+    expectBatchEqual(ref, runBatch(nl, w, scenarios, counted));
 }
 
 /** IRQ workloads share the cycle-scheduled pulse across lanes. */
@@ -273,7 +268,7 @@ TEST(GateBatch, MatchesScalarIrqWorkload)
     BatchResult ref = runReference(nl, w, scenarios, {2});
     for (const GateRun &r : ref.runs)
         ASSERT_TRUE(r.halted);
-    expectBatchEqual(ref, runBatch(nl, w, scenarios, {2}, 64));
+    expectBatchEqual(ref, runBatch(nl, w, scenarios, {2}));
 }
 
 /** Per-lane program overlays (the mutant-sweep shape). */
@@ -290,7 +285,7 @@ TEST(GateBatch, MixedProgramsPerLane)
         scenarios[i].prog = &alt;
 
     BatchResult ref = runReference(nl, w, scenarios, {0, 1});
-    expectBatchEqual(ref, runBatch(nl, w, scenarios, {0, 1}, 64));
+    expectBatchEqual(ref, runBatch(nl, w, scenarios, {0, 1}));
 }
 
 /** Batches below kMinLaneBatch take the scalar fallback — and still
@@ -304,7 +299,7 @@ TEST(GateBatch, SmallBatchFallsBackToScalar)
     auto scenarios = scenariosOf(prog, inputs);
 
     BatchResult ref = runReference(nl, w, scenarios, {0, 2});
-    expectBatchEqual(ref, runBatch(nl, w, scenarios, {0, 2}, 512));
+    expectBatchEqual(ref, runBatch(nl, w, scenarios, {0, 2}));
 }
 
 /**
@@ -330,7 +325,7 @@ TEST(GateBatch, SharedCounterInterleavesWithScalarRuns)
     std::vector<WorkloadInput> rest(inputs.begin() + 1, inputs.end());
     GateBatchObservers obs;
     obs.toggles = &got;
-    runWorkloadGateBatch(nl, w, prog, rest, 64, obs, ctx);
+    runWorkloadGateBatch(nl, w, prog, rest, obs, ctx);
 
     EXPECT_EQ(countsOf(ref, nl), countsOf(got, nl));
     EXPECT_EQ(ref.cycles(), got.cycles());
@@ -347,9 +342,7 @@ TEST(GateBatch, NoObservers)
     std::vector<GateRun> ref;
     for (const WorkloadInput &in : inputs)
         ref.push_back(runWorkloadGate(nl, w, prog, in));
-    expectRunsEqual(ref, runWorkloadGateBatch(nl, w, prog, inputs, 64));
-    expectRunsEqual(ref,
-                    runWorkloadGateBatch(nl, w, prog, inputs, 512));
+    expectRunsEqual(ref, runWorkloadGateBatch(nl, w, prog, inputs));
 }
 
 } // namespace

@@ -7,9 +7,10 @@
  * detected / undetected and the switching-power delta — is
  * bit-identical to running the same mutants one at a time through the
  * scalar gate runner (opts.forceScalar). The quick suite pins a
- * representative workload subset at 64- and 256-bit planes; the full
- * sweep across all 15 paper workloads and every generated mutant
- * runs when BESPOKE_NIGHTLY is set (nightly workflow).
+ * representative workload subset, and a sweep with more scenarios
+ * than one 64-lane plane holds; the full sweep across all 15 paper
+ * workloads and every generated mutant runs when BESPOKE_NIGHTLY is
+ * set (nightly workflow).
  */
 
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include "src/cpu/bsp430.hh"
 #include "src/mutation/mutant_sweep.hh"
 #include "src/mutation/mutation.hh"
+#include "src/sim/lane_sim.hh"
 #include "src/timing/sta.hh"
 #include "src/verify/runner.hh"
 
@@ -45,10 +47,10 @@ core()
  */
 void
 expectLaneMatchesScalar(const Workload &w, size_t max_mutants,
-                        int inputs_per_mutant, int plane_bits,
+                        int inputs_per_mutant,
                         std::vector<MutantVerdict> *verdicts = nullptr)
 {
-    SCOPED_TRACE(w.name + " @" + std::to_string(plane_bits) + "b");
+    SCOPED_TRACE(w.name);
     std::vector<Mutant> mutants = generateMutants(w);
     if (max_mutants && mutants.size() > max_mutants)
         mutants.resize(max_mutants);
@@ -64,7 +66,6 @@ expectLaneMatchesScalar(const Workload &w, size_t max_mutants,
     std::vector<MutantVerdict> scalar = mutantConcreteSweep(prep, sopts);
 
     sopts.forceScalar = false;
-    sopts.planeBits = plane_bits;
     std::vector<MutantVerdict> lane = mutantConcreteSweep(prep, sopts);
 
     ASSERT_EQ(scalar.size(), lane.size());
@@ -84,16 +85,16 @@ expectLaneMatchesScalar(const Workload &w, size_t max_mutants,
         *verdicts = std::move(lane);
 }
 
-// Quick ctest slice: cheap workloads from the Table 4/5 set, a dozen
-// mutants each, at the default 64-bit plane.
+// Quick ctest slice: cheap workloads from the Table 4/5 set, a few
+// mutants each.
 TEST(MutantLane, QuickVerdictsMatchScalar)
 {
     for (const char *name : {"binSearch", "rle", "tea8"})
-        expectLaneMatchesScalar(workloadByName(name), 6, 2, 64);
+        expectLaneMatchesScalar(workloadByName(name), 6, 2);
     // mult's quick sweep (first 6 mutants x 2 inputs) detects every
     // mutant it generates: 5 of 5.
     std::vector<MutantVerdict> mult;
-    expectLaneMatchesScalar(workloadByName("mult"), 6, 2, 64, &mult);
+    expectLaneMatchesScalar(workloadByName("mult"), 6, 2, &mult);
     size_t detected = 0;
     for (const MutantVerdict &v : mult)
         detected += v.detected ? 1 : 0;
@@ -101,24 +102,26 @@ TEST(MutantLane, QuickVerdictsMatchScalar)
     EXPECT_EQ(detected, 5u);
 }
 
-// A multi-word plane.
-TEST(MutantLane, QuickVerdictsMatchScalarWidePlane)
+// 6 mutants x 12 inputs = 72 scenarios: the per-lane ROM overlays
+// span two LaneSoc batches, the second one partly filled.
+TEST(MutantLane, VerdictsMatchScalarAcrossTwoPlanes)
 {
-    expectLaneMatchesScalar(workloadByName("inSort"), 6, 2, 256);
+    std::vector<MutantVerdict> verdicts;
+    expectLaneMatchesScalar(workloadByName("inSort"), 6, 12, &verdicts);
+    ASSERT_EQ(verdicts.size(), 6u);
+    EXPECT_GT(verdicts.size() * 12, static_cast<size_t>(LaneSoc::kLanes));
 }
 
-// Full equivalence: every mutant of every paper workload, the bench's
-// input count, both at one-word and multi-word planes. Minutes of
-// scalar reference sweeps — nightly only.
+// Full equivalence: every mutant of every paper workload at the
+// bench's input count. Minutes of scalar reference sweeps — nightly
+// only.
 TEST(MutantLane, FullSweepAllWorkloads)
 {
     if (!std::getenv("BESPOKE_NIGHTLY"))
         GTEST_SKIP() << "full mutant equivalence runs in the nightly "
                         "workflow (set BESPOKE_NIGHTLY to force)";
-    for (const Workload &w : workloads()) {
-        expectLaneMatchesScalar(w, 0, 4, 64);
-        expectLaneMatchesScalar(w, 0, 4, 256);
-    }
+    for (const Workload &w : workloads())
+        expectLaneMatchesScalar(w, 0, 4);
 }
 
 } // namespace

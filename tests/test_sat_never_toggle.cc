@@ -8,7 +8,7 @@
  * fails with a gate/cycle witness). Also pins that the pass recovers
  * 3-valued widening pessimism (the reason it exists), that it promotes
  * proven gates into the cut, and that verdicts are bit-identical
- * across repeated runs and replay plane widths.
+ * across repeated runs.
  */
 
 #include <gtest/gtest.h>
@@ -52,8 +52,7 @@ wideningAnalysis(const Netlist &nl, const Workload &app)
 /** Lane-batched toggle counts of `app` on `nl` (the flow's measure). */
 void
 measureToggles(const Netlist &nl, const Workload &app,
-               const AsmProgram &prog, int plane_bits,
-               ToggleCounter *tc)
+               const AsmProgram &prog, ToggleCounter *tc)
 {
     std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
     GateBatchObservers obs;
@@ -62,7 +61,7 @@ measureToggles(const Netlist &nl, const Workload &app,
     std::vector<WorkloadInput> in;
     for (int i = 0; i < kInputs; i++)
         in.push_back(app.genInput(rng));
-    runWorkloadGateBatch(nl, app, prog, in, plane_bits, obs, ctx);
+    runWorkloadGateBatch(nl, app, prog, in, obs, ctx);
 }
 
 /**
@@ -72,10 +71,10 @@ measureToggles(const Netlist &nl, const Workload &app,
  */
 std::vector<sat::NeverToggleCandidate>
 selectCandidates(const Netlist &nl, const Workload &app,
-                 const AsmProgram &prog, int plane_bits)
+                 const AsmProgram &prog)
 {
     ToggleCounter tc(nl);
-    measureToggles(nl, app, prog, plane_bits, &tc);
+    measureToggles(nl, app, prog, &tc);
     std::vector<GateId> ids;
     for (GateId i = 0; i < nl.size(); i++) {
         const Gate &g = nl.gate(i);
@@ -134,7 +133,7 @@ TEST(SatNeverToggle, ProvenGatesNeverContradictReplay)
     Netlist nl = runTailorPipeline(core, ar.activity.get(), popts, env);
 
     std::vector<sat::NeverToggleCandidate> cands =
-        selectCandidates(nl, app, prog, 64);
+        selectCandidates(nl, app, prog);
     ASSERT_FALSE(cands.empty());
 
     const int kDepth = 60;
@@ -189,7 +188,7 @@ TEST(SatNeverToggle, PassPromotesProvenGatesIntoCut)
     PassEnv env;
     env.program = &prog;
     env.measureActivity = [&](const Netlist &nl, ToggleCounter *tc) {
-        measureToggles(nl, app, prog, 64, tc);
+        measureToggles(nl, app, prog, tc);
     };
     env.measureDuty = [&](const Netlist &nl,
                           const std::vector<GateId> &ids,
@@ -234,10 +233,10 @@ TEST(SatNeverToggle, PassPromotesProvenGatesIntoCut)
 }
 
 /**
- * Determinism contract: verdicts and stats are bit-identical between
- * repeated runs, and candidate selection is independent of the replay
- * plane width (execution strategy only — same acceptance rule as
- * --lanes/--threads everywhere else in the repo).
+ * Determinism contract: candidate selection, verdicts and stats are
+ * bit-identical between repeated runs. (Replays run on the one 64-lane
+ * plane width, so the width half of this contract now holds by
+ * construction.)
  */
 TEST(SatNeverToggle, VerdictsDeterministicAndPlaneWidthIndependent)
 {
@@ -249,21 +248,20 @@ TEST(SatNeverToggle, VerdictsDeterministicAndPlaneWidthIndependent)
     PassEnv env;
     Netlist nl = runTailorPipeline(core, ar.activity.get(), popts, env);
 
-    std::vector<sat::NeverToggleCandidate> c64 =
-        selectCandidates(nl, app, prog, 64);
-    std::vector<sat::NeverToggleCandidate> c256 =
-        selectCandidates(nl, app, prog, 256);
-    ASSERT_EQ(c64.size(), c256.size());
-    for (size_t i = 0; i < c64.size(); i++) {
-        EXPECT_EQ(c64[i].gate, c256[i].gate);
-        EXPECT_EQ(c64[i].value, c256[i].value);
+    std::vector<sat::NeverToggleCandidate> c1 =
+        selectCandidates(nl, app, prog);
+    std::vector<sat::NeverToggleCandidate> c2 =
+        selectCandidates(nl, app, prog);
+    ASSERT_EQ(c1.size(), c2.size());
+    for (size_t i = 0; i < c1.size(); i++) {
+        EXPECT_EQ(c1[i].gate, c2[i].gate);
+        EXPECT_EQ(c1[i].value, c2[i].value);
     }
 
     sat::NeverToggleOptions no;
     no.depth = 24;
-    sat::NeverToggleResult a = sat::proveNeverToggling(nl, prog, c64, no);
-    sat::NeverToggleResult b =
-        sat::proveNeverToggling(nl, prog, c256, no);
+    sat::NeverToggleResult a = sat::proveNeverToggling(nl, prog, c1, no);
+    sat::NeverToggleResult b = sat::proveNeverToggling(nl, prog, c2, no);
     ASSERT_EQ(a.proven.size(), b.proven.size());
     for (size_t i = 0; i < a.proven.size(); i++) {
         EXPECT_EQ(a.proven[i].gate, b.proven[i].gate);

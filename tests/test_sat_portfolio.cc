@@ -357,7 +357,7 @@ TEST(SatPortfolio, NeverToggleVerdictsBitIdenticalAcrossThreadCounts)
         std::vector<WorkloadInput> in;
         for (int i = 0; i < 3; i++)
             in.push_back(app.genInput(rng));
-        runWorkloadGateBatch(nl, app, prog, in, 64, obs, sctx);
+        runWorkloadGateBatch(nl, app, prog, in, obs, sctx);
     }
     std::vector<NeverToggleCandidate> cands;
     for (GateId i = 0; i < nl.size(); i++) {

@@ -341,7 +341,7 @@ makeTailorEnv(const Workload &app)
         std::vector<WorkloadInput> in;
         for (int i = 0; i < kInputs; i++)
             in.push_back(app.genInput(rng));
-        runWorkloadGateBatch(nl, app, prog, in, 0, obs, ctx);
+        runWorkloadGateBatch(nl, app, prog, in, obs, ctx);
     };
     env.measureDuty = [&app](const Netlist &nl,
                              const std::vector<GateId> &ids,
