@@ -28,7 +28,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "ablation_analysis");
+    BenchIO io(argc, argv, "ablation_analysis", BenchIO::Flow);
     bool quick = io.quick();
 
     banner("Ablations of the reproduction's design choices",
@@ -50,10 +50,6 @@ main(int argc, char **argv)
             const Workload &w = workloadByName(name);
             for (int visits : {4, 16, 64, 256}) {
                 AnalysisOptions opts = io.analysisOptions();
-                // Always one worker: the checked counter columns are
-                // deterministic only then (workers race on the merge
-                // tables, which moves cycles and paths).
-                opts.threads = 1;
                 opts.concreteVisits = visits;
                 AnalysisResult r =
                     analyzeActivity(baseline, w, opts);

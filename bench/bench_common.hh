@@ -10,10 +10,14 @@
  *   --check [PATH]   diff results against a golden baseline JSON and
  *                    exit nonzero on mismatch; without PATH the file is
  *                    $BESPOKE_BASELINE_DIR/<bench>.<mode>.json
- *   --threads N      analysis/sweep worker threads (0 = all cores;
- *                    default 1). Table values are thread-count
- *                    independent, so baselines recorded at --threads 1
- *                    stay valid.
+ *
+ * Execution flags, accepted only by the benches that read them (each
+ * bench names its set when it constructs its BenchIO; any other flag
+ * exits 2, naming the flag and the bench):
+ *   --threads N      width of the bench's worker pool, which fans out
+ *                    one task per application or mutant (0 = all
+ *                    cores, default 1). Each analysis runs on its own
+ *                    task, so table values are the same at any width.
  *   --sat-threads N  SAT prover worker threads (candidate shards and
  *                    portfolio races; 0 = all cores, default 1).
  *                    Verdicts are bit-identical at any value — only
@@ -30,7 +34,7 @@
  *
  * Every bench builds its analysis and flow options from
  * BenchIO::analysisOptions() / flowOptions(), so each of these flags
- * reaches every bench that runs the stage it controls.
+ * reaches every stage it controls in the benches that accept it.
  *
  * Table values are compared exactly (they are deterministic); wall
  * clock is compared against a tolerance band (current must stay below
@@ -90,8 +94,20 @@ banner(const std::string &what, const std::string &paper_ref)
 class BenchIO
 {
   public:
-    BenchIO(int argc, char **argv, std::string name)
-        : name_(std::move(name)), start_(std::chrono::steady_clock::now())
+    /** Execution flags a bench reads, or-ed into BenchIO's `reads`. */
+    enum Reads : unsigned
+    {
+        Threads = 1u << 0,        ///< --threads
+        Lanes = 1u << 1,          ///< --lanes
+        SatThreads = 1u << 2,     ///< --sat-threads
+        CheckpointDir = 1u << 3,  ///< --checkpoint-dir
+        /** What flowOptions() carries. */
+        Flow = Lanes | CheckpointDir,
+    };
+
+    BenchIO(int argc, char **argv, std::string name, unsigned reads = 0)
+        : name_(std::move(name)), reads_(reads),
+          start_(std::chrono::steady_clock::now())
     {
         for (int i = 1; i < argc; i++) {
             std::string arg = argv[i];
@@ -137,20 +153,31 @@ class BenchIO
                     *v);
                 return true;
             };
-            if (take_number("--threads", FlagKind::Count, threads_) ||
-                take_number("--sat-threads", FlagKind::Count,
-                            satThreads_) ||
-                take_number("--lanes", FlagKind::Lanes, lanes_))
-                continue;
-            if (take_path("--checkpoint-dir", checkpointDir_)) {
+            auto read = [&](Reads flag, const char *text) {
+                if (!(reads_ & flag))
+                    die(name_ + " does not read " + text);
+            };
+            if (take_number("--threads", FlagKind::Count, threads_)) {
+                read(Threads, "--threads");
+            } else if (take_number("--sat-threads", FlagKind::Count,
+                                   satThreads_)) {
+                read(SatThreads, "--sat-threads");
+            } else if (take_number("--lanes", FlagKind::Lanes, lanes_)) {
+                read(Lanes, "--lanes");
+            } else if (take_path("--checkpoint-dir", checkpointDir_)) {
+                read(CheckpointDir, "--checkpoint-dir");
                 if (checkpointDir_ == kAutoPath)
                     die("--checkpoint-dir requires a path");
-                continue;
+            } else {
+                die("unknown bench flag '" + arg + "' (" + name_ +
+                    " reads --quick, --json PATH, --check [PATH]" +
+                    (reads_ & Threads ? ", --threads N" : "") +
+                    (reads_ & SatThreads ? ", --sat-threads N" : "") +
+                    (reads_ & Lanes ? ", --lanes N" : "") +
+                    (reads_ & CheckpointDir ? ", --checkpoint-dir DIR"
+                                            : "") +
+                    ")");
             }
-            die("unknown bench flag '" + arg +
-                "' (expected --quick, --json PATH, --check [PATH], "
-                "--threads N, --sat-threads N, --lanes N, "
-                "--checkpoint-dir DIR)");
         }
         if (checkMode_ && checkPath_ == kAutoPath) {
             const char *dir = std::getenv("BESPOKE_BASELINE_DIR");
@@ -165,34 +192,42 @@ class BenchIO
 
     bool quick() const { return quick_; }
     const std::string &name() const { return name_; }
-    /** --threads value for AnalysisOptions::threads (default 1). */
-    int threads() const { return threads_; }
+    /** --threads value: the bench's worker-pool width (default 1). */
+    int threads() const
+    {
+        requireRead(Threads);
+        return threads_;
+    }
     /** --sat-threads value for the SAT prover layer (default 1). */
-    int satThreads() const { return satThreads_; }
+    int satThreads() const
+    {
+        requireRead(SatThreads);
+        return satThreads_;
+    }
     /** --lanes value for AnalysisOptions::laneWidth (library default). */
-    int lanes() const { return lanes_; }
+    int lanes() const
+    {
+        requireRead(Lanes);
+        return lanes_;
+    }
 
-    /** Analysis options carrying --threads and --lanes. */
+    /** Analysis options carrying --lanes. */
     AnalysisOptions
     analysisOptions() const
     {
         AnalysisOptions a;
-        a.threads = threads_;
-        a.laneWidth = lanes_;
+        a.laneWidth = lanes();
         return a;
     }
 
-    /**
-     * Flow options carrying analysisOptions(), --checkpoint-dir and
-     * --sat-threads (for the SAT pass, when a bench enables it).
-     */
+    /** Flow options carrying analysisOptions() and --checkpoint-dir. */
     FlowOptions
     flowOptions() const
     {
+        requireRead(Flow);
         FlowOptions f;
         f.analysis = analysisOptions();
         f.checkpointDir = checkpointDir_;
-        f.passes.sat.threads = satThreads_;
         return f;
     }
 
@@ -243,7 +278,7 @@ class BenchIO
      * Record an informational counter (work done, not results
      * computed: gate evaluations, lane utilization, ...). Counters go
      * to the JSON document but are never compared by --check — they
-     * legitimately vary with --threads/--lanes while every table and
+     * legitimately vary with --lanes while every table and
      * metric stays identical.
      */
     void
@@ -292,6 +327,14 @@ class BenchIO
     }
 
     std::string mode() const { return quick_ ? "quick" : "full"; }
+
+    /** A bench must name every execution flag whose value it uses. */
+    void
+    requireRead(unsigned flags) const
+    {
+        bespoke_assert((reads_ & flags) == flags, "bench '", name_,
+                       "' uses an execution flag it does not accept");
+    }
 
     void
     mismatch(const std::string &what)
@@ -439,6 +482,7 @@ class BenchIO
     }
 
     std::string name_;
+    unsigned reads_;
     bool quick_ = false;
     int threads_ = 1;
     int satThreads_ = 1;

@@ -36,7 +36,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "ext_core_overprovisioning");
+    BenchIO io(argc, argv, "ext_core_overprovisioning", BenchIO::Lanes);
     bool quick = io.quick();
 
     banner("Bespoke savings grow with IP over-provisioning",

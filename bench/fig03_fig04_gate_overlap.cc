@@ -76,7 +76,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig03_fig04_gate_overlap");
+    BenchIO io(argc, argv, "fig03_fig04_gate_overlap", BenchIO::Lanes);
 
     banner("Unused-gate overlap between applications",
            "Figures 3 and 4");

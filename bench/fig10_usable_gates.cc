@@ -18,7 +18,8 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig10_usable_gates");
+    BenchIO io(argc, argv, "fig10_usable_gates",
+               BenchIO::Threads | BenchIO::Lanes);
 
     banner("Input-independent usable-gate fractions per module",
            "Figure 10");
@@ -50,13 +51,12 @@ main(int argc, char **argv)
     }
 
     // One task per benchmark on the shared pool; each analysis runs
-    // serially inside its task, so the numbers are identical to the
-    // historical one-app-at-a-time sweep (and to the committed
-    // baselines) for any --threads value. Rows are emitted in workload
-    // order after the pool drains.
+    // inside its task, so the numbers are identical to a
+    // one-app-at-a-time sweep (and to the committed baselines) for any
+    // --threads value. Rows are emitted in workload order after the
+    // pool drains.
     const std::vector<Workload> &apps = workloads();
     AnalysisOptions aopts = io.analysisOptions();
-    aopts.threads = 1;
     struct AppRow
     {
         size_t toggledPerModule[kNumModules] = {};

@@ -15,7 +15,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig11_savings");
+    BenchIO io(argc, argv, "fig11_savings", BenchIO::Flow);
 
     banner("Bespoke gate/area/power savings vs. baseline core",
            "Figure 11");

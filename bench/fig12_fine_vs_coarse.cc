@@ -15,7 +15,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig12_fine_vs_coarse");
+    BenchIO io(argc, argv, "fig12_fine_vs_coarse", BenchIO::Flow);
 
     banner("Fine-grained (gate) vs. coarse-grained (module) bespoke",
            "Figure 12");

@@ -19,7 +19,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig13_multiprogram");
+    BenchIO io(argc, argv, "fig13_multiprogram", BenchIO::Flow);
     bool quick = io.quick();
     const int samples_per_n = quick ? 4 : 12;
 

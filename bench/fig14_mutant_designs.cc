@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig14_mutant_designs");
+    BenchIO io(argc, argv, "fig14_mutant_designs", BenchIO::Flow);
     bool quick = io.quick();
 
     banner("Bespoke designs supporting all mutants (in-field updates)",

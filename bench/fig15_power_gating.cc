@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig15_power_gating");
+    BenchIO io(argc, argv, "fig15_power_gating", BenchIO::Flow);
     int inputs = io.quick() ? 1 : 2;
 
     banner("Oracle module-level power gating vs. bespoke design",

@@ -121,18 +121,15 @@ BM_ActivityAnalysis(benchmark::State &state)
     const Workload &w = workloadByName("div");
     AsmProgram prog = w.assembleProgram();
     AnalysisOptions opts;
-    opts.threads = static_cast<int>(state.range(0));
-    opts.laneWidth = static_cast<int>(state.range(1));
+    opts.laneWidth = static_cast<int>(state.range(0));
     for (auto _ : state) {
         AnalysisResult r = analyzeActivity(core(), prog, opts);
         benchmark::DoNotOptimize(r.untoggledCells());
     }
 }
 BENCHMARK(BM_ActivityAnalysis)
-    ->Args({1, 1})
-    ->Args({1, 64})  // lane-batched frontier exploration
-    ->Args({0, 1})   // threads 0 = one worker per hardware thread
-    ->Args({0, 64})
+    ->Args({1})   // reference scalar lane evaluator
+    ->Args({64})  // bit-plane lane evaluator (the default)
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -66,7 +66,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "resynth_cost");
+    BenchIO io(argc, argv, "resynth_cost", BenchIO::Flow);
     int inputs = io.quick() ? 1 : 2;
 
     banner("Cost-driven rewrite search + clock gating vs. fixed flow",

@@ -121,7 +121,8 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "sat_recovery");
+    BenchIO io(argc, argv, "sat_recovery",
+               BenchIO::Threads | BenchIO::Lanes | BenchIO::SatThreads);
 
     banner("SAT never-toggle recovery over widened X-analysis",
            "Fig. 10 companion (exact backstop)");
@@ -130,7 +131,6 @@ main(int argc, char **argv)
     const std::vector<Workload> &apps = workloads();
 
     AnalysisOptions aopts = io.analysisOptions();
-    aopts.threads = 1;
     aopts.concreteVisits = 1;  // widen aggressively: see header comment
 
     std::vector<AppRow> rows(apps.size());
@@ -272,10 +272,8 @@ main(int argc, char **argv)
                 double sat_ms = msSince(t0);
 
                 // Default precision.
-                AnalysisOptions vopts = io.analysisOptions();
-                vopts.threads = 1;
                 EquivResult sym = checkSymbolicEquivalence(
-                    core, sat_nl, prog, vopts);
+                    core, sat_nl, prog, io.analysisOptions());
                 sat::SatEquivOptions seq;
                 seq.depth = 16;
                 seq.threads = io.satThreads();

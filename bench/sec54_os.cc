@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "sec54_os");
+    BenchIO io(argc, argv, "sec54_os", BenchIO::Flow);
     bool quick = io.quick();
 
     banner("System code: bespoke design with an OS (minios)",

@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table2_slack");
+    BenchIO io(argc, argv, "table2_slack", BenchIO::Flow);
 
     banner("Exploiting timing slack exposed by gate cutting",
            "Table 2");

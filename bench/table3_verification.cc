@@ -26,7 +26,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table3_verification");
+    BenchIO io(argc, argv, "table3_verification", BenchIO::Flow);
     bool quick = io.quick();
 
     banner("Verification runtime and coverage", "Table 3 / Sec. 5.1");

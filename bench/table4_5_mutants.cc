@@ -22,7 +22,8 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table4_5_mutants");
+    BenchIO io(argc, argv, "table4_5_mutants",
+               BenchIO::Threads | BenchIO::Flow);
     bool quick = io.quick();
 
     banner("Mutant generation and bespoke support for in-field fixes",
@@ -56,10 +57,6 @@ main(int argc, char **argv)
         AnalysisOptions mopts = opts.analysis;
         mopts.maxTotalCycles = 4'000'000;
         mopts.maxPaths = 40'000;
-        // One task per mutant; each analysis runs serially inside its
-        // task so the per-mutant verdicts (and hence the committed
-        // baselines) are --threads independent.
-        mopts.threads = 1;
         enum : uint8_t { kSkipped, kAnalyzed, kSupported };
         std::vector<uint8_t> verdict(mutants.size(), kSkipped);
         for (size_t mi = 0; mi < mutants.size(); mi++) {

@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table_subneg_updates");
+    BenchIO io(argc, argv, "table_subneg_updates", BenchIO::Flow);
     bool quick = io.quick();
 
     banner("Turing-complete (subneg) update support overheads",

@@ -1,12 +1,9 @@
 #include "src/analysis/activity_analysis.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "src/analysis/path_explorer.hh"
 #include "src/util/logging.hh"
-#include "src/util/worker_pool.hh"
 
 namespace bespoke
 {
@@ -69,13 +66,9 @@ MachineState::hash() const
 }
 
 int
-resolveAnalysisThreads(const AnalysisOptions &opts)
+resolveAnalysisThreads(const AnalysisOptions &)
 {
-    int threads = opts.threads;
-    if (threads <= 0)
-        threads = WorkerPool::defaultThreadCount();
-    // More workers than this would only contend on the frontier.
-    return std::min(threads, 256);
+    return 1;
 }
 
 int
@@ -89,61 +82,32 @@ analyzeActivity(const Netlist &netlist, const AsmProgram &prog,
                 const AnalysisOptions &opts)
 {
     auto t0 = std::chrono::steady_clock::now();
-    const int threads = resolveAnalysisThreads(opts);
+    PathExplorer explorer(netlist, prog, opts);
+    explorer.run();
 
-    ExplorationContext ctx(netlist, prog, opts);
-    Frontier frontier(opts);
-
-    std::vector<std::unique_ptr<PathExplorer>> workers;
-    workers.reserve(threads);
-    for (int i = 0; i < threads; i++)
-        workers.push_back(
-            std::make_unique<PathExplorer>(ctx, frontier, i));
-    for (auto &w : workers)
-        w->prepare();
-
-    frontier.push(workers[0]->initialItem());
-    if (threads == 1) {
-        // Run inline: deterministic, with no pool threads to perturb
-        // timing-sensitive callers.
-        workers[0]->run();
-    } else {
-        WorkerPool pool(threads);
-        pool.runPerWorker([&](int i) { workers[i]->run(); });
-    }
-
-    // Toggle observations are commutative ORs, so merging the
-    // per-worker trackers in any order yields the same result.
-    for (int i = 1; i < threads; i++)
-        workers[0]->tracker().mergeFrom(workers[i]->tracker());
-
+    const Frontier &frontier = explorer.frontier();
     AnalysisResult res;
-    res.activity = std::make_unique<ActivityTracker>(
-        std::move(workers[0]->tracker()));
+    res.activity =
+        std::make_unique<ActivityTracker>(std::move(explorer.tracker()));
     res.pathsExplored = frontier.pathsExplored();
     res.cyclesSimulated = frontier.cycles();
     res.merges = frontier.merges();
+    res.forks = explorer.forks();
     res.completed = !frontier.capped();
-    res.threadsUsed = threads;
-    res.lanesUsed = ctx.lanes;
+    res.lanesUsed = explorer.lanes();
+    res.gatesEvaluated = explorer.gatesEvaluated();
+    res.laneSweeps = explorer.laneSweeps();
+    res.laneCycles = explorer.laneCycles();
     res.frontierPeak = frontier.frontierPeak();
     res.maxForkDepth = frontier.maxForkDepth();
-    res.workerStats.reserve(threads);
-    for (auto &w : workers) {
-        res.forks += w->forks();
-        res.gatesEvaluated += w->gatesEvaluated();
-        res.laneSweeps += w->laneSweeps();
-        res.laneCycles += w->laneCycles();
-        res.workerStats.push_back(
-            WorkerStats{w->pathsExplored(), w->cyclesSimulated()});
-    }
     res.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
+    if (!res.completed)
+        bespoke_warn("activity analysis hit exploration cap");
     bespoke_inform("activity analysis: ", res.pathsExplored, " paths, ",
                    res.cyclesSimulated, " cycles, ", res.forks,
-                   " forks, ", res.merges, " merges on ", threads,
-                   " thread(s) in ", res.seconds,
+                   " forks, ", res.merges, " merges in ", res.seconds,
                    " s (frontier peak ", res.frontierPeak,
                    ", max fork depth ", res.maxForkDepth,
                    res.completed ? ")" : ", CAPPED)");

@@ -30,7 +30,6 @@
 #define BESPOKE_ANALYSIS_ACTIVITY_ANALYSIS_HH
 
 #include <memory>
-#include <vector>
 
 #include "src/sim/soc.hh"
 #include "src/workloads/workload.hh"
@@ -64,28 +63,20 @@ struct AnalysisOptions
     /** Gate evaluator strategy for the exploration Soc. */
     GateSim::EvalMode simMode = GateSim::EvalMode::EventDriven;
     /**
-     * Path-exploration worker threads. 1 (the default) runs the batch
-     * schedule inline and is deterministic; 0 means one worker per
-     * hardware thread. More than one worker races on the shared merge
-     * tables, so counters (never the toggle fixpoint on the tier-1
-     * workloads) can vary from run to run.
-     */
-    int threads = 1;
-    /**
      * Selects how the one 64-wide batch schedule advances its lanes:
      * 1 runs the reference evaluator (64 scalar Socs in lane order, on
      * `simMode`), any other value the bit-plane LaneSoc, which
      * evaluates all 64 lanes per gate visit and is several times
      * faster. Results and counters are identical either way (pinned by
-     * tests), so like `threads` this is an execution knob excluded
-     * from hashAnalysisOptions.
+     * tests), so this is an execution knob excluded from
+     * hashAnalysisOptions.
      */
     int laneWidth = 64;
 };
 
 /**
- * The worker count analyzeActivity() will actually use for `opts`:
- * 0 resolves to the hardware thread count, capped at 256.
+ * Always 1: the analysis runs on the calling thread. Kept only for
+ * callers that still report an analysis thread count.
  */
 int resolveAnalysisThreads(const AnalysisOptions &opts);
 
@@ -94,13 +85,6 @@ int resolveAnalysisThreads(const AnalysisOptions &opts);
  * 1 (reference scalar lanes) if laneWidth is 1, else 64 (bit planes).
  */
 int resolveAnalysisLanes(const AnalysisOptions &opts);
-
-/** Per-worker share of one analysis, for load-balance observability. */
-struct WorkerStats
-{
-    uint64_t pathsExplored = 0;
-    uint64_t cyclesSimulated = 0;
-};
 
 struct AnalysisResult
 {
@@ -116,12 +100,11 @@ struct AnalysisResult
 
     /** @name Exploration observability */
     /// @{
-    int threadsUsed = 1;
     /** Resolved lane evaluator (1 = reference scalar, 64 = planes). */
     int lanesUsed = 1;
     /**
-     * Gate evaluations across all workers: scalar evaluations plus
-     * lane-sim gate visits (one visit evaluates every lane at once).
+     * Gate evaluations: scalar evaluations plus lane-sim gate visits
+     * (one visit evaluates every lane at once).
      */
     uint64_t gatesEvaluated = 0;
     /** Full 64-lane evaluation sweeps performed. */
@@ -133,8 +116,6 @@ struct AnalysisResult
     uint64_t frontierPeak = 0;
     /** Deepest fork nesting reached by any explored path. */
     uint32_t maxForkDepth = 0;
-    /** One entry per worker; sums match the totals above. */
-    std::vector<WorkerStats> workerStats;
     /// @}
 
     /** Untoggled real-cell count. */

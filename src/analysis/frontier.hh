@@ -1,44 +1,24 @@
 /**
  * @file
- * Shared state of one activity-analysis exploration: the work frontier
- * (unexplored machine states), the conservative-widening tables, and
- * the global exploration budgets. Many PathExplorer workers drive one
- * Frontier concurrently; everything here is internally synchronized.
+ * Bookkeeping of one activity-analysis exploration: the work frontier
+ * (unexplored machine states), the conservative-widening table, and
+ * the exploration budgets.
  *
  * Structure:
- *  - The frontier proper is a LIFO stack guarded by one mutex + condvar
- *    (paths are thousands of cycles long, so pop/push contention is
- *    negligible). LIFO order makes single-worker exploration
- *    deterministic, which the golden counter tests pin.
- *  - The merge tables (exact-seen hashes, concrete-visit counts, and
- *    the conservative widened state per (PC, decision-kind) key) are
- *    sharded by key: all three tables for one key live in one shard,
- *    so a mergePoint() call takes exactly one shard lock and the
- *    single-worker per-key discipline is preserved verbatim under
- *    concurrency.
- *  - Budgets (maxPaths, maxTotalCycles) are atomics. Paths are charged
- *    at pop time under the frontier lock; cycles are charged by
- *    workers as they simulate. The first worker to observe a blown
- *    budget stops the exploration for everyone.
- *
- * Widening discipline under concurrency: MachineState::merge is
- * commutative and associative, and a conservative entry only ever
- * widens (bits go to X, never back), so the table converges to the
- * same fixpoint regardless of worker interleaving. Races between
- * pruning and widening can change HOW MANY paths are explored — a
- * state may be pruned against an entry that another worker just
- * widened past what the one-worker schedule would have seen — but never
- * soundness: a pruned state is always a substate of a widened entry
- * whose exploration (by whichever worker widened it) observes a
- * superset of the pruned state's toggles.
+ *  - The frontier proper is a LIFO stack. LIFO order makes the
+ *    exploration deterministic, which the golden counter tests pin.
+ *  - The merge table holds, per (PC, decision-kind) key, the hashes of
+ *    the exact states already explored there, the concrete-visit count
+ *    and the conservative widened state.
+ *  - Budgets (maxPaths, maxTotalCycles) are plain counters. Paths are
+ *    charged at pop time; cycles are charged by the explorer as it
+ *    simulates. A pop that finds work queued but a budget spent stops
+ *    the exploration and marks it capped.
  */
 
 #ifndef BESPOKE_ANALYSIS_FRONTIER_HH
 #define BESPOKE_ANALYSIS_FRONTIER_HH
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -61,84 +41,46 @@ class Frontier
   public:
     explicit Frontier(const AnalysisOptions &opts);
 
-    /** @name Work distribution */
+    /** @name Work stack */
     /// @{
     void push(WorkItem item);
 
-    /** Mark one popped item fully explored. */
-    void finishItem();
-
     /**
-     * Blocking batch pop: clears `out`, blocks while the stack is empty
-     * but other workers may still push continuations, then drains up
-     * to `max` items in one critical section, in exact LIFO order.
-     * Returns false when the exploration is over: all work done, or a
-     * budget was hit (capped() distinguishes the two). Draining in one
-     * critical section means two batching workers never split a
-     * frontier that fits in one batch at the quiescence edge (pinned,
-     * with drain order, by tests/test_frontier_batch.cc). Every popped
-     * item must be balanced by finishItem().
+     * Appends up to `max` items to `out` in LIFO order and returns how
+     * many it took, charging one path each. It stops early when the
+     * stack drains or the exploration is capped; a pop that finds work
+     * queued but a budget spent declares the cap itself.
      */
-    bool popBatch(size_t max, std::vector<WorkItem> &out);
-
-    /**
-     * Non-blocking bulk pop, used by lane-batching workers to refill
-     * lanes freed mid-sweep (they hold live lanes, so they cannot
-     * block): appends up to `max` items to `out`, stopping early when
-     * the stack drains or a budget is reached (the next blocking
-     * popBatch() then declares the cap). Every popped item must be
-     * balanced by finishItem().
-     */
-    size_t popMore(size_t max, std::vector<WorkItem> &out);
+    size_t pop(size_t max, std::vector<WorkItem> &out);
     /// @}
 
     /** @name Budgets */
     /// @{
-    /** Charge one simulated cycle against the global budget. */
-    void chargeCycle()
-    {
-        cycles_.fetch_add(1, std::memory_order_relaxed);
-    }
     /** Charge n simulated cycles (one lane sweep charges per lane). */
-    void chargeCycles(uint64_t n)
-    {
-        cycles_.fetch_add(n, std::memory_order_relaxed);
-    }
-    uint64_t cycles() const
-    {
-        return cycles_.load(std::memory_order_relaxed);
-    }
+    void chargeCycles(uint64_t n) { cycles_ += n; }
+    bool cycleBudgetSpent() const { return cycles_ >= maxTotalCycles_; }
     /** True once a budget stopped the exploration early. */
-    bool capped() const
-    {
-        return capped_.load(std::memory_order_relaxed);
-    }
+    bool capped() const { return capped_; }
     /**
-     * Record that the cycle budget stopped the exploration.
-     * popBatch() declares the cap on its own when work is still
-     * queued; a
-     * lane-batching worker whose batch drained the stack must declare
-     * it explicitly when it abandons in-flight lanes, or the frontier
-     * would report a clean quiescent finish.
+     * Stop the exploration: the explorer abandoned work in flight
+     * because the cycle budget ran out, so even an empty stack is no
+     * clean finish.
      */
-    void declareCycleCap();
+    void declareCap() { capped_ = true; }
     /// @}
 
     /**
-     * Consult/update the conservative table for one merge key
-     * (atomically per key). Returns true if
-     * the path is subsumed (prune). May replace `cur` with a widened
-     * state (the caller must restore() it and re-evaluate).
+     * Consult/update the conservative table for one merge key. Returns
+     * true if the path is subsumed (prune). May replace `cur` with a
+     * widened state (the caller must restore() it and re-evaluate).
      */
     bool mergePoint(uint32_t key, MachineState &cur, bool &widened);
 
     /** @name Exploration statistics */
     /// @{
     uint64_t pathsExplored() const { return paths_; }
-    uint64_t merges() const
-    {
-        return merges_.load(std::memory_order_relaxed);
-    }
+    uint64_t cycles() const { return cycles_; }
+    uint64_t merges() const { return merges_; }
     uint64_t frontierPeak() const { return peak_; }
     uint32_t maxForkDepth() const { return maxDepth_; }
     /// @}
@@ -153,33 +95,18 @@ class Frontier
         MachineState conservative;
     };
 
-    struct Shard
-    {
-        std::mutex m;
-        std::unordered_map<uint32_t, KeyState> keys;
-    };
-
-    static constexpr uint32_t kShards = 64;
-
     const uint64_t maxPaths_;
     const uint64_t maxTotalCycles_;
     const int concreteVisits_;
 
-    // Frontier stack + termination detection.
-    std::mutex m_;
-    std::condition_variable cv_;
     std::vector<WorkItem> stack_;
-    int active_ = 0;          ///< popped-but-unfinished items
-    bool stopped_ = false;
+    std::unordered_map<uint32_t, KeyState> keys_;
+    bool capped_ = false;
     uint64_t paths_ = 0;      ///< pops so far (= paths explored)
+    uint64_t cycles_ = 0;     ///< simulated cycles charged so far
+    uint64_t merges_ = 0;     ///< widenings of a conservative entry
     uint64_t peak_ = 0;       ///< stack high-water mark
     uint32_t maxDepth_ = 0;   ///< deepest item ever pushed
-
-    std::atomic<uint64_t> cycles_{0};
-    std::atomic<uint64_t> merges_{0};
-    std::atomic<bool> capped_{false};
-
-    std::vector<Shard> shards_{kShards};
 };
 
 } // namespace bespoke

@@ -37,11 +37,12 @@ tableKey(uint16_t pc, DecKind kind)
 class PlaneLanes
 {
   public:
-    explicit PlaneLanes(const ExplorationContext &ctx)
-        : ls_(ctx.soc, ctx.prog)
+    PlaneLanes(const std::shared_ptr<const SocContext> &soc,
+               const AsmProgram &prog, const AnalysisOptions &opts)
+        : ls_(soc, prog)
     {
         ls_.setGpioIn(SWord::allX());
-        ls_.setIrqExt(ctx.opts.irqLineUnknown ? Logic::X : Logic::Zero);
+        ls_.setIrqExt(opts.irqLineUnknown ? Logic::X : Logic::Zero);
     }
 
     void load(int lane, const MachineState &s)
@@ -88,18 +89,20 @@ class PlaneLanes
 class ScalarLanes
 {
   public:
-    explicit ScalarLanes(const ExplorationContext &ctx) : ctx_(ctx) {}
+    ScalarLanes(const std::shared_ptr<const SocContext> &soc,
+                const AsmProgram &prog, const AnalysisOptions &opts)
+        : soc_(soc), prog_(prog), opts_(opts)
+    {
+    }
 
     void load(int lane, const MachineState &s)
     {
         std::unique_ptr<Soc> &soc = socs_[lane];
         if (!soc) {
-            soc = std::make_unique<Soc>(ctx_.soc, ctx_.prog,
-                                        /*ram_unknown=*/true,
-                                        ctx_.opts.simMode);
+            soc = std::make_unique<Soc>(soc_, prog_, /*ram_unknown=*/true,
+                                        opts_.simMode);
             soc->setGpioIn(SWord::allX());
-            soc->setIrqExt(ctx_.opts.irqLineUnknown ? Logic::X
-                                                    : Logic::Zero);
+            soc->setIrqExt(opts_.irqLineUnknown ? Logic::X : Logic::Zero);
         }
         soc->sim().restoreSeqState(s.seq);
         soc->restoreEnvState(s.env);
@@ -152,7 +155,9 @@ class ScalarLanes
     }
 
   private:
-    const ExplorationContext &ctx_;
+    const std::shared_ptr<const SocContext> &soc_;
+    const AsmProgram &prog_;
+    const AnalysisOptions &opts_;
     std::array<std::unique_ptr<Soc>, PathExplorer::kBatchLanes> socs_;
     std::array<uint16_t, PathExplorer::kBatchLanes> lastFetchPc_{};
     uint64_t fetchOne_{}, decisionX_{}, xferOne_{}, xferX_{};
@@ -160,53 +165,38 @@ class ScalarLanes
 
 } // namespace
 
-ExplorationContext::ExplorationContext(const Netlist &netlist,
-                                       const AsmProgram &prog,
-                                       const AnalysisOptions &opts)
-    : soc(SocContext::make(netlist)), prog(prog), opts(opts),
-      lanes(resolveAnalysisLanes(opts)), haltAddrs(haltAddresses(prog))
+PathExplorer::PathExplorer(const Netlist &netlist, const AsmProgram &prog,
+                           const AnalysisOptions &opts)
+    : socCtx_(SocContext::make(netlist)), prog_(prog), opts_(opts),
+      lanes_(resolveAnalysisLanes(opts)), haltAddrs_(haltAddresses(prog)),
+      frontier_(opts),
+      soc_(socCtx_, prog, /*ram_unknown=*/true, opts.simMode),
+      tracker_(socCtx_->netlist)
 {
-    std::sort(haltAddrs.begin(), haltAddrs.end());
-}
-
-bool
-ExplorationContext::isHaltPc(uint16_t pc) const
-{
-    return std::binary_search(haltAddrs.begin(), haltAddrs.end(), pc);
-}
-
-PathExplorer::PathExplorer(const ExplorationContext &ctx,
-                           Frontier &frontier, int worker_id)
-    : ctx_(ctx), frontier_(frontier), workerId_(worker_id),
-      soc_(ctx.soc, ctx.prog, /*ram_unknown=*/true, ctx.opts.simMode),
-      tracker_(ctx.soc->netlist)
-{
-}
-
-void
-PathExplorer::prepare()
-{
-    soc_.setGpioIn(SWord::allX());
-    soc_.setIrqExt(ctx_.opts.irqLineUnknown ? Logic::X : Logic::Zero);
-    soc_.reset();
-    tracker_.captureInitial(soc_.sim());
-}
-
-WorkItem
-PathExplorer::initialItem()
-{
-    MachineState init = capture();
-    init.lastFetchPc = 0;
-    return WorkItem{std::move(init), 0};
+    std::sort(haltAddrs_.begin(), haltAddrs_.end());
 }
 
 void
 PathExplorer::run()
 {
-    if (ctx_.lanes == 1)
+    soc_.setGpioIn(SWord::allX());
+    soc_.setIrqExt(opts_.irqLineUnknown ? Logic::X : Logic::Zero);
+    soc_.reset();
+    tracker_.captureInitial(soc_.sim());
+    MachineState init = capture();
+    init.lastFetchPc = 0;
+    frontier_.push(WorkItem{std::move(init), 0});
+
+    if (lanes_ == 1)
         runBatches<ScalarLanes>();
     else
         runBatches<PlaneLanes>();
+}
+
+bool
+PathExplorer::isHaltPc(uint16_t pc) const
+{
+    return std::binary_search(haltAddrs_.begin(), haltAddrs_.end(), pc);
 }
 
 uint64_t
@@ -316,7 +306,7 @@ PathExplorer::forkRec(const MachineState &pre,
         // Decision complete: finish the cycle and enqueue the
         // post-latch continuation state.
         soc_.finishCycle();
-        chargeCycle();
+        frontier_.chargeCycles(1);
         soc_.sim().clearForces();
         frontier_.push(WorkItem{capture(), curDepth_ + 1});
     }
@@ -333,7 +323,7 @@ void
 PathExplorer::enumerateSymbolicPc(SWord pc, const MachineState &base,
                                   uint32_t depth)
 {
-    const std::vector<int> &pc_seq_index = ctx_.soc->pcSeqIndex;
+    const std::vector<int> &pc_seq_index = socCtx_->pcSeqIndex;
     int x_bits = 0;
     for (int b = 0; b < 16; b++) {
         if (pc.bit(b) == Logic::X) {
@@ -346,7 +336,7 @@ PathExplorer::enumerateSymbolicPc(SWord pc, const MachineState &base,
     }
     auto push_candidate = [&](uint16_t cand) {
         // Candidate must be a real instruction head.
-        if ((cand & 1) || !ctx_.prog.addrToLine.count(cand))
+        if ((cand & 1) || !prog_.addrToLine.count(cand))
             return;
         MachineState s = base;
         for (int b = 0; b < 16; b++) {
@@ -374,7 +364,7 @@ PathExplorer::enumerateSymbolicPc(SWord pc, const MachineState &base,
         // Wide X PC (e.g. a fully merged return address): every
         // instruction head consistent with the known bits is a
         // possible successor.
-        for (const auto &[addr, line] : ctx_.prog.addrToLine) {
+        for (const auto &[addr, line] : prog_.addrToLine) {
             if (((addr ^ pc.val) & pc.known) == 0)
                 push_candidate(addr);
         }
@@ -386,8 +376,12 @@ PathExplorer::runPath(const MachineState &start)
 {
     restore(start);
     while (true) {
-        if (frontier_.cycles() >= ctx_.opts.maxTotalCycles)
+        if (frontier_.cycleBudgetSpent()) {
+            // Abandoning the path is only sound as a capped result,
+            // even when the stack holds nothing more.
+            frontier_.declareCap();
             return;
+        }
         soc_.evalOnly();
         tracker_.observe(soc_.sim());
 
@@ -402,11 +396,11 @@ PathExplorer::runPath(const MachineState &start)
                 return;
             }
             lastFetchPc_ = pc.val;
-            if (ctx_.isHaltPc(pc.val)) {
+            if (isHaltPc(pc.val)) {
                 // Observe the steady halt loop, then end the path.
                 for (int i = 0; i < 6; i++) {
                     soc_.finishCycle();
-                    chargeCycle();
+                    frontier_.chargeCycles(1);
                     soc_.evalOnly();
                     tracker_.observe(soc_.sim());
                 }
@@ -446,7 +440,7 @@ PathExplorer::runPath(const MachineState &start)
         }
 
         soc_.finishCycle();
-        chargeCycle();
+        frontier_.chargeCycles(1);
     }
 }
 
@@ -455,19 +449,19 @@ void
 PathExplorer::runBatches()
 {
     std::unique_ptr<Lanes> lanes;  // construction is not free: reuse
-    std::vector<WorkItem> batch;
-    while (frontier_.popBatch(kBatchLanes, batch)) {
-        paths_ += batch.size();
+    for (;;) {
+        std::vector<WorkItem> batch;
+        if (frontier_.pop(kBatchLanes, batch) == 0)
+            break;
         if (batch.size() == 1) {
-            // A lone state gains nothing from batching; the worker's
+            // A lone state gains nothing from batching; the explorer's
             // own Soc runs it faster.
             curDepth_ = batch[0].depth;
             runPath(batch[0].state);
-            frontier_.finishItem();
             continue;
         }
         if (!lanes)
-            lanes = std::make_unique<Lanes>(ctx_);
+            lanes = std::make_unique<Lanes>(socCtx_, prog_, opts_);
         laneSweep(*lanes, std::move(batch));
     }
     if (lanes)
@@ -503,23 +497,20 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
     for (size_t i = 0; i < batch.size(); i++)
         load(static_cast<int>(i), batch[i]);
 
-    // Retiring a lane = this worker stops simulating it; whatever
+    // Retiring a lane = the sweep stops simulating it; whatever
     // continuation it has was already pushed to the frontier or run to
     // completion on the scalar engine.
     auto retire = [&](int lane) {
         laneClear(active, lane);
         laneClear(control, lane);
-        frontier_.finishItem();
     };
 
     while (laneAny(active)) {
-        if (frontier_.cycles() >= ctx_.opts.maxTotalCycles) {
+        if (frontier_.cycleBudgetSpent()) {
             // Abandon every in-flight lane. The batch may have drained
-            // the whole stack, in which case nobody would be left to
-            // notice the blown budget — declare it here.
-            frontier_.declareCycleCap();
-            const uint64_t doomed = active;  // retire() edits `active`
-            forEachLane(doomed, [&](int lane) { retire(lane); });
+            // the whole stack, so no later pop would notice the blown
+            // budget — declare it here.
+            frontier_.declareCap();
             return;
         }
 
@@ -546,7 +537,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
                 return;
             }
             ls.setLastFetchPc(lane, pc.val);
-            if (ctx_.isHaltPc(pc.val)) {
+            if (isHaltPc(pc.val)) {
                 haltCnt[lane] = 6;
                 laneClear(control, lane);
             }
@@ -570,7 +561,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
             bespoke_fatal("ctl_xfer is X outside a decision fork");
 
         // Taken control transfers: the conservative-table discipline,
-        // one shard-locked mergePoint per lane, same as runPath.
+        // one mergePoint per lane, same as runPath.
         const uint64_t xfer = ls.ctlXferOneMask() & control;
         forEachLane(xfer, [&](int lane) {
             MachineState cur = ls.capture(lane);
@@ -593,7 +584,6 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
 
         ls.finishCycle(active);
         uint64_t n = laneCount(active);
-        cycles_ += n;
         laneCycles_ += n;
         frontier_.chargeCycles(n);
         const uint64_t counting = active & ~control;
@@ -607,8 +597,7 @@ PathExplorer::laneSweep(Lanes &ls, std::vector<WorkItem> batch)
         size_t free = kBatchLanes - laneCount(active);
         if (free > 0) {
             batch.clear();
-            frontier_.popMore(free, batch);
-            paths_ += batch.size();
+            frontier_.pop(free, batch);
             int lane = 0;
             for (WorkItem &it : batch) {
                 while (laneTest(active, lane))
@@ -636,7 +625,7 @@ PathExplorer::continueWidened(const MachineState &cur, uint32_t depth)
     // the post-latch state through the frontier is the same computation
     // (work items are self-describing machine states).
     soc_.finishCycle();
-    chargeCycle();
+    frontier_.chargeCycles(1);
     frontier_.push(WorkItem{capture(), depth});
 }
 

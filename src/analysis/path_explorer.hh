@@ -1,22 +1,19 @@
 /**
  * @file
- * One worker of the activity-analysis exploration engine.
+ * The activity-analysis exploration engine.
  *
- * A PathExplorer owns everything one worker needs to simulate paths
- * of the execution tree without synchronizing with anyone: its own
- * Soc (stamped out cheaply from the shared per-netlist SocContext),
- * its own ActivityTracker (merged into the final result via
- * ActivityTracker::mergeFrom, which is commutative), and its own
- * path/cycle/fork counters. Everything shared — the work frontier,
- * the conservative-widening tables, the global budgets — lives behind
- * the Frontier, which is the only object workers touch concurrently.
+ * A PathExplorer owns everything one analysis needs: the resolved
+ * per-netlist simulation context, the program, the options, the
+ * sorted halt-address table, the Frontier (work stack, merge table
+ * and budgets), a scalar Soc for the path machinery and the
+ * ActivityTracker that collects the toggle set.
  *
- * run() is the worker loop, one deterministic batch schedule: pop up
- * to kBatchLanes frontier states, advance them together cycle by cycle,
- * and hand a state to the scalar path machinery (runPath) whenever it
- * reaches a fork, a merge point or a symbolic PC; freed lanes refill
- * from the frontier. How a batch's lanes advance one cycle is the only
- * thing the lane width selects — 64-bit planes on one LaneSoc, or the
+ * run() is one deterministic batch schedule: pop up to kBatchLanes
+ * frontier states, advance them together cycle by cycle, and hand a
+ * state to the scalar path machinery (runPath) whenever it reaches a
+ * fork, a merge point or a symbolic PC; freed lanes refill from the
+ * frontier. How a batch's lanes advance one cycle is the only thing
+ * the lane width selects — 64-bit planes on one LaneSoc, or the
  * reference evaluator's 64 scalar Socs in lane order — so results and
  * counters depend on the program and the analysis options alone.
  */
@@ -35,57 +32,30 @@
 namespace bespoke
 {
 
-/**
- * Read-only state shared by all workers of one analysis: the resolved
- * per-netlist simulation context, the program, the (thread-resolved)
- * options, and the sorted halt-address table.
- */
-struct ExplorationContext
-{
-    ExplorationContext(const Netlist &netlist, const AsmProgram &prog,
-                       const AnalysisOptions &opts);
-
-    std::shared_ptr<const SocContext> soc;
-    const AsmProgram &prog;
-    AnalysisOptions opts;
-    /** Resolved lane width: 1 = reference evaluator, 64 = planes. */
-    int lanes;
-    /** Sorted `jmp .` addresses; membership via binary search. */
-    std::vector<uint16_t> haltAddrs;
-
-    bool isHaltPc(uint16_t pc) const;
-};
-
 class PathExplorer
 {
   public:
-    PathExplorer(const ExplorationContext &ctx, Frontier &frontier,
-                 int worker_id);
+    PathExplorer(const Netlist &netlist, const AsmProgram &prog,
+                 const AnalysisOptions &opts);
+
+    /** Frontier states advanced together per cycle. */
+    static constexpr int kBatchLanes = 64;
 
     /**
      * Drive the Soc to the analysis entry state (all inputs X, IRQ
-     * line per options, reset) and capture the reset-time values in
-     * this worker's tracker. Deterministic: every worker captures the
-     * identical initial state.
+     * line per options, reset), capture the reset-time values, and
+     * explore paths from there until the frontier is exhausted or a
+     * budget is spent.
      */
-    void prepare();
-
-    /** The root work item (reset state, PC 0); push exactly one. */
-    WorkItem initialItem();
-
-    /** Frontier states one worker advances together per cycle. */
-    static constexpr int kBatchLanes = 64;
-
-    /** Worker loop: explore paths until the frontier is exhausted. */
     void run();
 
     ActivityTracker &tracker() { return tracker_; }
+    const Frontier &frontier() const { return frontier_; }
 
-    /** @name Per-worker statistics */
+    /** @name Statistics not kept by the Frontier */
     /// @{
-    int workerId() const { return workerId_; }
-    uint64_t pathsExplored() const { return paths_; }
-    uint64_t cyclesSimulated() const { return cycles_; }
+    /** Resolved lane width: 1 = reference evaluator, 64 = planes. */
+    int lanes() const { return lanes_; }
     uint64_t forks() const { return forks_; }
     /** Scalar gate evaluations plus lane-sim gate visits. */
     uint64_t gatesEvaluated() const;
@@ -96,6 +66,7 @@ class PathExplorer
   private:
     MachineState capture() const;
     void restore(const MachineState &s);
+    bool isHaltPc(uint16_t pc) const;
 
     /** First decision net that is X after evaluation, if any. */
     struct XDec
@@ -114,8 +85,9 @@ class PathExplorer
     /** @name Batch schedule */
     /// @{
     /**
-     * run() on one lane evaluator type (PlaneLanes or ScalarLanes in
-     * path_explorer.cc), built lazily and reused across batches.
+     * The batch loop on one lane evaluator type (PlaneLanes or
+     * ScalarLanes in path_explorer.cc), built lazily and reused
+     * across batches.
      */
     template <class Lanes>
     void runBatches();
@@ -131,24 +103,19 @@ class PathExplorer
     void continueWidened(const MachineState &cur, uint32_t depth);
     /// @}
 
-    /** Simulated one cycle to completion: charge both budgets. */
-    void chargeCycle()
-    {
-        cycles_++;
-        frontier_.chargeCycle();
-    }
-
-    const ExplorationContext &ctx_;
-    Frontier &frontier_;
-    const int workerId_;
+    const std::shared_ptr<const SocContext> socCtx_;
+    const AsmProgram &prog_;
+    const AnalysisOptions opts_;
+    const int lanes_;
+    /** Sorted `jmp .` addresses; membership via binary search. */
+    std::vector<uint16_t> haltAddrs_;
+    Frontier frontier_;
     Soc soc_;
     ActivityTracker tracker_;
-    /** Gate evaluations of this worker's (already destroyed) lanes. */
+    /** Gate evaluations of the (already destroyed) batch lanes. */
     uint64_t laneGateVisits_ = 0;
     uint16_t lastFetchPc_ = 0;
     uint32_t curDepth_ = 0;  ///< fork depth of the current path
-    uint64_t paths_ = 0;
-    uint64_t cycles_ = 0;
     uint64_t forks_ = 0;
     uint64_t laneSweeps_ = 0;
     uint64_t laneCycles_ = 0;

@@ -316,21 +316,10 @@ analysisToJson(const AnalysisResult &r)
             JsonValue::number(static_cast<double>(r.merges)));
     doc.set("forks", JsonValue::number(static_cast<double>(r.forks)));
     doc.set("seconds", JsonValue::number(r.seconds));
-    doc.set("threads",
-            JsonValue::number(static_cast<double>(r.threadsUsed)));
     doc.set("frontier_peak",
             JsonValue::number(static_cast<double>(r.frontierPeak)));
     doc.set("max_fork_depth",
             JsonValue::number(static_cast<double>(r.maxForkDepth)));
-    JsonValue workers = JsonValue::array();
-    for (const WorkerStats &w : r.workerStats) {
-        JsonValue jw = JsonValue::array();
-        jw.push(JsonValue::number(static_cast<double>(w.pathsExplored)));
-        jw.push(
-            JsonValue::number(static_cast<double>(w.cyclesSimulated)));
-        workers.push(std::move(jw));
-    }
-    doc.set("workers", std::move(workers));
     return doc;
 }
 
@@ -396,31 +385,13 @@ analysisFromJson(const JsonValue &doc, const Netlist &netlist,
         !getDouble(doc, "seconds", &r.seconds, err) ||
         !getCount(doc, "frontier_peak", &r.frontierPeak, err))
         return false;
-    uint64_t threads = 0, depth = 0;
-    if (!getCount(doc, "threads", &threads, err) ||
-        !getCount(doc, "max_fork_depth", &depth, err))
+    // Artifacts written while the analysis had worker threads also
+    // carry "threads" and "workers"; neither affects the design, so
+    // both are ignored.
+    uint64_t depth = 0;
+    if (!getCount(doc, "max_fork_depth", &depth, err))
         return false;
-    r.threadsUsed = static_cast<int>(threads);
     r.maxForkDepth = static_cast<uint32_t>(depth);
-    if (const JsonValue *workers = doc.find("workers")) {
-        if (!workers->isArray()) {
-            *err = "\"workers\" is not an array";
-            return false;
-        }
-        for (const JsonValue &jw : workers->items()) {
-            if (!jw.isArray() || jw.items().size() != 2 ||
-                !jw.items()[0].isNumber() || !jw.items()[1].isNumber()) {
-                *err = "malformed \"workers\" entry";
-                return false;
-            }
-            WorkerStats w;
-            w.pathsExplored =
-                static_cast<uint64_t>(jw.items()[0].asNumber());
-            w.cyclesSimulated =
-                static_cast<uint64_t>(jw.items()[1].asNumber());
-            r.workerStats.push_back(w);
-        }
-    }
     r.completed = true;
     r.activity = std::make_unique<ActivityTracker>(netlist);
     r.activity->restore(std::move(init_v), std::move(tog_v));

@@ -105,10 +105,11 @@ uint64_t hashCombine(uint64_t h, uint64_t v);
 uint64_t hashProgram(const AsmProgram &prog);
 
 /**
- * Hash of the analysis options that affect the *result*. `threads` and
- * `simMode` are deliberately excluded: both engines and any worker
- * count produce bit-identical toggle sets and counters (pinned by the
- * tier-1 equivalence tests), so artifacts are shared across them.
+ * Hash of the analysis options that affect the *result*. `simMode`
+ * and `laneWidth` are deliberately excluded: every gate engine and
+ * lane evaluator produces bit-identical toggle sets and counters
+ * (pinned by the tier-1 equivalence tests), so artifacts are shared
+ * across them.
  */
 uint64_t hashAnalysisOptions(const AnalysisOptions &opts);
 

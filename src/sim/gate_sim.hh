@@ -75,7 +75,7 @@ class GateSim
     /**
      * @param prep shared evaluation-order/fanout prep for this netlist;
      *        built on the spot when null. Pass one SimPrep to many
-     *        simulators (e.g. one per analysis worker) to amortize it.
+     *        simulators (e.g. the analysis's lane Socs) to amortize it.
      */
     explicit GateSim(const Netlist &netlist,
                      EvalMode mode = EvalMode::EventDriven,

@@ -5,9 +5,10 @@
  * Building a GateSim used to recompute the levelized evaluation order
  * and the event-propagation structures (topological levels, fanout
  * CSR) from scratch, and every Soc re-resolved its port ids. That was
- * fine when one simulator lived for a whole analysis, but the parallel
- * path-exploration engine constructs one Soc per worker; the read-only
- * prep is hoisted here so N workers share one copy.
+ * fine when one simulator lived for a whole analysis, but the
+ * path-exploration engine constructs many Socs (its path Soc, up to 64
+ * reference-evaluator lanes, the LaneSoc); the read-only prep is
+ * hoisted here so they all share one copy.
  *
  * Everything in this file is computed once from a const Netlist and
  * never mutated afterwards, so concurrent readers need no locking. The

@@ -66,8 +66,8 @@ class Soc
     /**
      * Construct from a pre-built shared context (port ids + simulator
      * prep resolved once per netlist). This is the cheap constructor
-     * the parallel activity analysis uses to stamp out one Soc per
-     * worker; behavior is identical to the netlist constructor.
+     * the activity analysis uses to stamp out its path and lane Socs;
+     * behavior is identical to the netlist constructor.
      */
     Soc(std::shared_ptr<const SocContext> ctx, const AsmProgram &prog,
         bool ram_unknown,

@@ -53,14 +53,6 @@ WorkerPool::drain()
 }
 
 void
-WorkerPool::runPerWorker(const std::function<void(int)> &body)
-{
-    for (int i = 0; i < size(); i++)
-        post([&body, i] { body(i); });
-    drain();
-}
-
-void
 WorkerPool::workerLoop()
 {
     std::unique_lock<std::mutex> lk(m_);

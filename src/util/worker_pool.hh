@@ -7,10 +7,9 @@
  * the queue is empty AND every in-flight task has returned, so a task
  * may post further tasks and drain() still waits for the whole wave.
  *
- * The parallel activity analysis posts one long-lived task per worker
- * (each pops exploration states from a shared frontier until it is
- * exhausted); other subsystems can reuse the pool for any
- * embarrassingly parallel sweep.
+ * The SAT prover fans its candidate shards and portfolio races out
+ * over a pool, and the benches fan out one task per application or
+ * mutant; any embarrassingly parallel sweep can reuse it.
  *
  * Tasks must not throw: the library's error discipline is
  * panic/fatal (abort/exit), and an exception escaping a task would
@@ -52,12 +51,6 @@ class WorkerPool
 
     /** Block until the queue is empty and no task is running. */
     void drain();
-
-    /**
-     * Convenience for SPMD work: run body(i) for every worker index
-     * i in [0, size()) concurrently and block until all return.
-     */
-    void runPerWorker(const std::function<void(int)> &body);
 
   private:
     void workerLoop();

@@ -4,9 +4,8 @@
  * soundness with respect to concrete executions (every gate that
  * toggles in any concrete run must be marked toggleable), constant
  * discovery, decision forking, and termination on unbounded loops.
- * Every invariant is checked on the reference lane evaluator (one
- * worker and four) and on four workers running the bit-plane
- * evaluator.
+ * Every invariant is checked on the reference lane evaluator and on
+ * the bit-plane evaluator.
  */
 
 #include <deque>
@@ -41,13 +40,12 @@ prog(const std::string &body)
     return keep.back();
 }
 
-/** `base` at each execution configuration: (threads, lane width). */
+/** `base` at each lane evaluator: reference scalar, bit planes. */
 std::vector<AnalysisOptions>
 execConfigs(AnalysisOptions base = {})
 {
     std::vector<AnalysisOptions> out;
-    for (auto [threads, lanes] : {std::pair{1, 1}, {4, 1}, {4, 64}}) {
-        base.threads = threads;
+    for (int lanes : {1, 64}) {
         base.laneWidth = lanes;
         out.push_back(base);
     }
@@ -57,8 +55,7 @@ execConfigs(AnalysisOptions base = {})
 std::string
 execName(const AnalysisOptions &opts)
 {
-    return "threads " + std::to_string(opts.threads) + ", lanes " +
-           std::to_string(opts.laneWidth);
+    return "lanes " + std::to_string(opts.laneWidth);
 }
 
 TEST(Analysis, StraightLineCodeHasNoForks)

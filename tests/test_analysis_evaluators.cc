@@ -5,8 +5,10 @@
  * reference evaluator of 64 scalar Socs (laneWidth 1). Everything the
  * analysis reports must be a function of the program and the options,
  * never of the evaluator: the toggle set, the proven constants,
- * `completed`, and the path / cycle / fork / merge counters (the
- * cycle count is the horizon the flow resolves `--sat-depth 0` to).
+ * `completed`, the path / cycle / fork / merge counters (the cycle
+ * count is the horizon the flow resolves `--sat-depth 0` to), the lane
+ * sweep and lane-cycle counts, the frontier peak and the fork depth.
+ * Only `gatesEvaluated` differs, since a plane visit counts once.
  *
  * Per PR this covers the 15 Table-1 programs, the two mutants whose
  * toggle sets once differed between two exploration schedules, and a
@@ -65,6 +67,10 @@ expectSameResultAtBothEvaluators(const Workload &w)
     EXPECT_EQ(ref.cyclesSimulated, planes.cyclesSimulated);
     EXPECT_EQ(ref.forks, planes.forks);
     EXPECT_EQ(ref.merges, planes.merges);
+    EXPECT_EQ(ref.laneSweeps, planes.laneSweeps);
+    EXPECT_EQ(ref.laneCycles, planes.laneCycles);
+    EXPECT_EQ(ref.frontierPeak, planes.frontierPeak);
+    EXPECT_EQ(ref.maxForkDepth, planes.maxForkDepth);
     for (GateId i = 0; i < core().size(); i++) {
         ASSERT_EQ(ref.activity->toggled(i), planes.activity->toggled(i))
             << "gate " << i;

@@ -286,10 +286,10 @@ TEST(Checkpoint, KeysTrackContentNotNames)
 
     AnalysisOptions ao;
     uint64_t base = hashAnalysisOptions(ao);
-    ao.threads = 7;
     ao.simMode = GateSim::EvalMode::FullEval;
-    // Engine and worker count do not affect results, so artifacts are
-    // shared across them.
+    ao.laneWidth = 1;
+    // Gate engine and lane evaluator do not affect results, so
+    // artifacts are shared across them.
     EXPECT_EQ(hashAnalysisOptions(ao), base);
     ao.concreteVisits++;
     EXPECT_NE(hashAnalysisOptions(ao), base);
@@ -366,7 +366,6 @@ TEST(Checkpoint, AnalysisArtifactValidation)
     r.completed = true;
     r.pathsExplored = 3;
     r.cyclesSimulated = 99;
-    r.workerStats.push_back({3, 99});
 
     JsonValue doc = analysisToJson(r);
     AnalysisResult back;
@@ -375,8 +374,8 @@ TEST(Checkpoint, AnalysisArtifactValidation)
     EXPECT_TRUE(back.completed);
     EXPECT_EQ(back.pathsExplored, 3u);
     EXPECT_EQ(back.cyclesSimulated, 99u);
-    ASSERT_EQ(back.workerStats.size(), 1u);
-    EXPECT_EQ(back.workerStats[0].cyclesSimulated, 99u);
+    EXPECT_EQ(doc.find("threads"), nullptr);
+    EXPECT_EQ(doc.find("workers"), nullptr);
     for (GateId i = 0; i < nl.size(); i++) {
         EXPECT_EQ(back.activity->toggled(i), r.activity->toggled(i));
         EXPECT_EQ(back.activity->initialValue(i),
@@ -396,6 +395,56 @@ TEST(Checkpoint, AnalysisArtifactValidation)
     bad.set("toggled", JsonValue::str(flags));
     EXPECT_FALSE(analysisFromJson(bad, nl, &back, &err));
     EXPECT_NE(err.find("not marked toggled"), std::string::npos);
+}
+
+TEST(Checkpoint, LegacyThreadKeysServeTheSameDesign)
+{
+    // Analysis artifacts written while the analysis ran on worker
+    // threads also carry "threads" and "workers". They must still load,
+    // and the design rebuilt from one must be what a fresh flow
+    // computes.
+    std::string dir = freshDir("ckpt_legacy");
+    const Workload &w = workloadByName("div");
+    {
+        BespokeFlow seeder(fastOpts(dir));
+        seeder.tailor(w);
+    }
+
+    std::string analysis_path = stageFile(dir, "analysis");
+    JsonValue doc;
+    {
+        std::ifstream in(analysis_path, std::ios::binary);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        std::string err;
+        ASSERT_TRUE(JsonValue::parse(text, doc, err)) << err;
+    }
+    EXPECT_EQ(doc.find("threads"), nullptr);
+    doc.set("threads", JsonValue::number(4));
+    JsonValue workers = JsonValue::array();
+    for (int i = 0; i < 4; i++) {
+        JsonValue jw = JsonValue::array();
+        jw.push(JsonValue::number(55));
+        jw.push(JsonValue::number(780));
+        workers.push(std::move(jw));
+    }
+    doc.set("workers", std::move(workers));
+    // A measured field the design does not depend on marks the served
+    // analysis as the stored one rather than a recomputation.
+    doc.set("seconds", JsonValue::number(1234.5));
+    {
+        std::ofstream out(analysis_path, std::ios::binary);
+        out << doc.dump(1) << "\n";
+    }
+    fs::remove(stageFile(dir, "design"));
+    fs::remove(stageFile(dir, "metrics"));
+
+    BespokeFlow served(fastOpts(dir));
+    BespokeDesign d = served.tailor(w);
+    EXPECT_EQ(d.analysis.seconds, 1234.5);
+    BespokeFlow fresh(fastOpts());
+    expectSameDesign(fresh.tailor(w), d);
+    fs::remove_all(dir);
 }
 
 TEST(Checkpoint, DisabledStoreIsInert)

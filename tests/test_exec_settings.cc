@@ -1,13 +1,12 @@
 /**
  * @file
  * Execution settings come only from explicit options. The gate
- * evaluator mode and the analysis thread count and lane width are
- * fields; the lane-plane width is fixed at 64. No environment variable
- * changes them, so a library result depends only on what the caller
- * passes in.
+ * evaluator mode and the analysis lane width are fields; the analysis
+ * runs on the calling thread and the lane-plane width is fixed at 64.
+ * No environment variable changes them, so a library result depends
+ * only on what the caller passes in.
  */
 
-#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -16,7 +15,6 @@
 
 #include "src/analysis/activity_analysis.hh"
 #include "src/builder/net_builder.hh"
-#include "src/util/worker_pool.hh"
 #include "src/verify/runner.hh"
 
 namespace bespoke
@@ -64,11 +62,6 @@ TEST(ExecSettings, EnvironmentDoesNotOverrideOptions)
 
     AnalysisOptions opts;
     EXPECT_EQ(resolveAnalysisThreads(opts), 1);
-    opts.threads = 3;
-    EXPECT_EQ(resolveAnalysisThreads(opts), 3);
-    opts.threads = 0;  // all cores
-    EXPECT_EQ(resolveAnalysisThreads(opts),
-              std::min(WorkerPool::defaultThreadCount(), 256));
 
     EXPECT_EQ(resolveAnalysisLanes(opts), 64);
     opts.laneWidth = 1;

@@ -1,26 +1,15 @@
 /**
  * @file
- * Regression tests for Frontier batch popping at the quiescence edge.
+ * Tests for Frontier::pop, the one way the analysis takes work off the
+ * frontier: a whole batch at the start of a lane sweep, or the few
+ * states that refill lanes freed mid-sweep. These tests pin:
  *
- * The lane-batching analysis workers ask the frontier for up to one
- * item per plane lane. The original pop() + popMore() pair took the
- * frontier lock twice, so when several batching workers raced a
- * frontier holding fewer states than one batch (the quiescence edge —
- * e.g. 3 states left, 64 lanes requested), a second worker could wake
- * between the two acquisitions and both would come away with splinter
- * batches of work that fit entirely in one. popBatch() drains in a
- * single critical section; these tests pin:
- *
- *  - exact LIFO drain order, single- and multi-threaded;
- *  - a 3-state frontier at popBatch(64) with 4 threads lands in ONE
- *    worker's batch, whole;
- *  - no deadlock: losing workers block until the winner finishes its
- *    items, then unblock with a clean quiescent false;
- *  - popMore() stays non-blocking and never over-pops.
+ *  - exact LIFO drain order;
+ *  - a pop respects its maximum and leaves the remainder queued;
+ *  - pop never blocks, appends to its output and never over-pops;
+ *  - a spent path budget stops the pop and marks the result capped.
  */
 
-#include <algorithm>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,136 +47,43 @@ TEST(FrontierBatch, SingleThreadDrainsLifo)
         f.push(tagged(t));
 
     std::vector<WorkItem> batch;
-    ASSERT_TRUE(f.popBatch(64, batch));
+    ASSERT_EQ(f.pop(64, batch), 3u);
     EXPECT_EQ(tagsOf(batch), (std::vector<uint16_t>{3, 2, 1}));
 
-    for (size_t i = 0; i < batch.size(); i++)
-        f.finishItem();
-    EXPECT_FALSE(f.popBatch(64, batch));
+    batch.clear();
+    EXPECT_EQ(f.pop(64, batch), 0u);
     EXPECT_TRUE(batch.empty());
     EXPECT_FALSE(f.capped());
+    EXPECT_EQ(f.pathsExplored(), 3u);
+    EXPECT_EQ(f.frontierPeak(), 3u);
 }
 
 TEST(FrontierBatch, BatchRespectsMaxAndLeavesRemainder)
 {
     Frontier f{AnalysisOptions{}};
     for (uint16_t t = 1; t <= 5; t++)
-        f.push(tagged(t));
+        f.push(tagged(t, t));
 
     std::vector<WorkItem> batch;
-    ASSERT_TRUE(f.popBatch(2, batch));
+    ASSERT_EQ(f.pop(2, batch), 2u);
     EXPECT_EQ(tagsOf(batch), (std::vector<uint16_t>{5, 4}));
 
     // The remainder is still there, still LIFO.
     std::vector<WorkItem> rest;
-    ASSERT_TRUE(f.popBatch(64, rest));
+    ASSERT_EQ(f.pop(64, rest), 3u);
     EXPECT_EQ(tagsOf(rest), (std::vector<uint16_t>{3, 2, 1}));
-
-    for (size_t i = 0; i < batch.size() + rest.size(); i++)
-        f.finishItem();
-    EXPECT_FALSE(f.popBatch(64, batch));
-}
-
-/**
- * The quiescence-edge scenario from the lane engine: 4 batching
- * workers, 64 lanes each, 3 frontier states. Exactly one worker must
- * receive all three states in LIFO order; the others must block (not
- * deadlock, not splinter the batch) until the winner finishes, then
- * observe the clean quiescent finish.
- */
-TEST(FrontierBatch, ThreeStatesFourThreadsOneWholeBatch)
-{
-    constexpr int kThreads = 4;
-    constexpr size_t kLanes = 64;
-
-    for (int round = 0; round < 50; round++) {
-        Frontier f{AnalysisOptions{}};
-        for (uint16_t t = 1; t <= 3; t++)
-            f.push(tagged(t));
-
-        std::vector<std::vector<uint16_t>> got(kThreads);
-        std::vector<std::thread> workers;
-        for (int w = 0; w < kThreads; w++) {
-            workers.emplace_back([&f, &got, w] {
-                std::vector<WorkItem> batch;
-                while (f.popBatch(kLanes, batch)) {
-                    for (const WorkItem &it : batch)
-                        got[w].push_back(it.state.lastFetchPc);
-                    for (size_t i = 0; i < batch.size(); i++)
-                        f.finishItem();
-                }
-            });
-        }
-        for (std::thread &t : workers)
-            t.join();
-
-        // All three states drained, by exactly one worker, in LIFO
-        // order — no splinter batches.
-        int winners = 0;
-        for (int w = 0; w < kThreads; w++) {
-            if (got[w].empty())
-                continue;
-            winners++;
-            EXPECT_EQ(got[w], (std::vector<uint16_t>{3, 2, 1}))
-                << "round " << round << " worker " << w;
-        }
-        EXPECT_EQ(winners, 1) << "round " << round;
-        EXPECT_FALSE(f.capped());
-    }
-}
-
-/**
- * Workers that push continuations while others block on an empty
- * stack: popBatch must wake them for the new work and still terminate
- * cleanly once the tree is exhausted.
- */
-TEST(FrontierBatch, ContinuationsWakeBlockedWorkersNoDeadlock)
-{
-    constexpr int kThreads = 4;
-    constexpr uint32_t kDepth = 7;  // 2^7 leaf items per root
-
-    Frontier f{AnalysisOptions{}};
-    f.push(tagged(1, 0));
-
-    std::vector<uint64_t> drained(kThreads, 0);
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kThreads; w++) {
-        workers.emplace_back([&f, &drained, w] {
-            std::vector<WorkItem> batch;
-            while (f.popBatch(64, batch)) {
-                for (const WorkItem &it : batch) {
-                    drained[w]++;
-                    if (it.depth < kDepth) {
-                        f.push(tagged(2, it.depth + 1));
-                        f.push(tagged(3, it.depth + 1));
-                    }
-                }
-                for (size_t i = 0; i < batch.size(); i++)
-                    f.finishItem();
-            }
-        });
-    }
-    for (std::thread &t : workers)
-        t.join();
-
-    // Full binary tree of depth kDepth: 2^(kDepth+1) - 1 items.
-    uint64_t total = 0;
-    for (uint64_t d : drained)
-        total += d;
-    EXPECT_EQ(total, (1ull << (kDepth + 1)) - 1);
+    EXPECT_EQ(f.pop(64, rest), 0u);
     EXPECT_FALSE(f.capped());
-    EXPECT_EQ(f.pathsExplored(), total);
-    EXPECT_EQ(f.maxForkDepth(), kDepth);
+    EXPECT_EQ(f.maxForkDepth(), 5u);
 }
 
 TEST(FrontierBatch, PopMoreIsNonBlockingAndBounded)
 {
     Frontier f{AnalysisOptions{}};
 
-    // Empty stack: returns 0 immediately (a blocking popMore would
-    // hang this single-threaded test).
+    // Empty stack: returns 0 immediately.
     std::vector<WorkItem> out;
-    EXPECT_EQ(f.popMore(64, out), 0u);
+    EXPECT_EQ(f.pop(64, out), 0u);
     EXPECT_TRUE(out.empty());
 
     for (uint16_t t = 1; t <= 3; t++)
@@ -195,17 +91,14 @@ TEST(FrontierBatch, PopMoreIsNonBlockingAndBounded)
 
     // Appends (does not clear), respects max, drains LIFO.
     out.push_back(tagged(99));
-    EXPECT_EQ(f.popMore(2, out), 2u);
+    EXPECT_EQ(f.pop(2, out), 2u);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(tagsOf(out), (std::vector<uint16_t>{99, 3, 2}));
-    EXPECT_EQ(f.popMore(64, out), 1u);
+    EXPECT_EQ(f.pop(0, out), 0u);
+    EXPECT_EQ(f.pop(64, out), 1u);
     EXPECT_EQ(out.back().state.lastFetchPc, 1);
-    EXPECT_EQ(f.popMore(64, out), 0u);
-
-    for (int i = 0; i < 3; i++)
-        f.finishItem();
-    std::vector<WorkItem> batch;
-    EXPECT_FALSE(f.popBatch(64, batch));
+    EXPECT_EQ(f.pop(64, out), 0u);
+    EXPECT_FALSE(f.capped());
 }
 
 TEST(FrontierBatch, PathBudgetCapsBatch)
@@ -216,15 +109,32 @@ TEST(FrontierBatch, PathBudgetCapsBatch)
     for (uint16_t t = 1; t <= 3; t++)
         f.push(tagged(t));
 
+    // The third state is still queued but the budget is spent: the pop
+    // hands out what the budget allows and declares the cap.
     std::vector<WorkItem> batch;
-    ASSERT_TRUE(f.popBatch(64, batch));
+    ASSERT_EQ(f.pop(64, batch), 2u);
     EXPECT_EQ(tagsOf(batch), (std::vector<uint16_t>{3, 2}));
-    for (size_t i = 0; i < batch.size(); i++)
-        f.finishItem();
+    EXPECT_TRUE(f.capped());
+    EXPECT_EQ(f.pop(64, batch), 0u);
+    EXPECT_EQ(f.pathsExplored(), 2u);
+}
 
-    // The third state is still queued but the budget is spent: the
-    // next pop declares the cap instead of handing out work.
-    EXPECT_FALSE(f.popBatch(64, batch));
+TEST(FrontierBatch, CycleBudgetCapsOnlyQueuedWork)
+{
+    AnalysisOptions opts;
+    opts.maxTotalCycles = 10;
+    Frontier f{opts};
+    f.chargeCycles(10);
+    EXPECT_TRUE(f.cycleBudgetSpent());
+
+    // Nothing queued: a spent budget is still a clean finish.
+    std::vector<WorkItem> batch;
+    EXPECT_EQ(f.pop(64, batch), 0u);
+    EXPECT_FALSE(f.capped());
+
+    // Queued work that the budget no longer covers caps the result.
+    f.push(tagged(1));
+    EXPECT_EQ(f.pop(64, batch), 0u);
     EXPECT_TRUE(f.capped());
 }
 

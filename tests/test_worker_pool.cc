@@ -1,13 +1,10 @@
 /**
  * @file
- * Tests for the general-purpose worker pool: task execution, drain
- * semantics (including tasks that post further tasks), and the SPMD
- * runPerWorker helper.
+ * Tests for the general-purpose worker pool: task execution and drain
+ * semantics (including tasks that post further tasks).
  */
 
 #include <atomic>
-#include <mutex>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -50,18 +47,6 @@ TEST(WorkerPool, DrainWaitsForTasksPostedByTasks)
     }
     pool.drain();
     EXPECT_EQ(count.load(), 8 + 8 * 4);
-}
-
-TEST(WorkerPool, RunPerWorkerCoversEveryIndexAndBlocks)
-{
-    WorkerPool pool(4);
-    std::mutex m;
-    std::set<int> seen;
-    pool.runPerWorker([&](int i) {
-        std::lock_guard<std::mutex> lk(m);
-        seen.insert(i);
-    });
-    EXPECT_EQ(seen, (std::set<int>{0, 1, 2, 3}));
 }
 
 TEST(WorkerPool, ReusableAfterDrain)

@@ -13,7 +13,7 @@
  *   bespoke_io hash    -i FILE | --core default|extended
  *       Print the canonical content hash.
  *   bespoke_io tailor  -i FILE --app NAME -o FILE
- *                      [--checkpoint-dir DIR] [--verify] [--threads N]
+ *                      [--checkpoint-dir DIR] [--verify]
  *                      [--passes LIST] [--status-json FILE]
  *                      [--sat-depth N] [--sat-threads N]
  *       Import an external netlist, run activity analysis for the
@@ -103,8 +103,7 @@ usage(const std::string &msg = "")
         "  bespoke_io convert -i FILE -o FILE\n"
         "  bespoke_io hash    -i FILE | --core default|extended\n"
         "  bespoke_io tailor  -i FILE --app NAME -o FILE\n"
-        "                     [--checkpoint-dir DIR] [--verify]"
-        " [--threads N]\n"
+        "                     [--checkpoint-dir DIR] [--verify]\n"
         "                     [--passes LIST] [--status-json FILE]"
         " [--sat-depth N]\n"
         "                     [--sat-threads N]\n"
@@ -199,7 +198,6 @@ struct Args
     std::string passes;
     bool verify = false;
     bool miter = false;
-    int threads = 1;
     int satDepth = 0;    ///< 0 = per-command default
     int satThreads = 1;  ///< 0 = all hardware threads
 };
@@ -250,8 +248,6 @@ parseArgs(int argc, char **argv)
             a.satDepth = count();
         else if (arg == "--sat-threads")
             a.satThreads = count();
-        else if (arg == "--threads")
-            a.threads = count();
         else
             usage("unknown flag '" + arg + "'");
     }
@@ -518,7 +514,6 @@ cmdTailor(const Args &a)
     const Workload &app = workloadByName(a.app);
     AsmProgram prog = app.assembleProgram();
     AnalysisOptions opts;
-    opts.threads = a.threads;
     CheckpointStore store(a.checkpointDir);
 
     AnalysisResult r = analyzeWithStore(original, prog, opts, store);
@@ -601,10 +596,7 @@ cmdCheck(const Args &a)
 
     const Workload &app = workloadByName(a.app);
     AsmProgram prog = app.assembleProgram();
-    AnalysisOptions opts;
-    opts.threads = a.threads;
-    EquivResult eq =
-        checkSymbolicEquivalence(reference, candidate, prog, opts);
+    EquivResult eq = checkSymbolicEquivalence(reference, candidate, prog);
     if (!eq.equivalent || !eq.completed)
         fail("NOT equivalent for '" + a.app + "': " + eq.firstMismatch);
     std::printf("equivalent for '%s': %llu outputs compared across"
