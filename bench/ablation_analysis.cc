@@ -107,7 +107,7 @@ main(int argc, char **argv)
             // Full pipeline, with and without the re-sizing pass.
             BespokeDesign full = flow.tailor(w);
             Netlist no_resize =
-                cutAndStitch(flow.baseline(), *r.activity);
+                runTailorPipeline(flow.baseline(), r.activity.get());
             // (drive strengths inherited from the sized baseline)
             DesignMetrics m_no_resize =
                 flow.measure(no_resize, {&w});

@@ -13,7 +13,7 @@
 #include "src/analysis/activity_analysis.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/timing/sta.hh"
-#include "src/transform/bespoke_transform.hh"
+#include "src/transform/pass_pipeline.hh"
 
 using namespace bespoke;
 
@@ -65,8 +65,8 @@ main(int argc, char **argv)
         const Workload &w = workloadByName(name);
         AnalysisResult rb = analyzeActivity(base.netlist, w, aopts);
         AnalysisResult re = analyzeActivity(ext.netlist, w, aopts);
-        Netlist db = cutAndStitch(base.netlist, *rb.activity);
-        Netlist de = cutAndStitch(ext.netlist, *re.activity);
+        Netlist db = runTailorPipeline(base.netlist, rb.activity.get());
+        Netlist de = runTailorPipeline(ext.netlist, re.activity.get());
         table.row()
             .add(w.name)
             .add(static_cast<long>(db.numCells()))
@@ -85,7 +85,7 @@ main(int argc, char **argv)
     for (const char *name : {"uartTx", "timerTick"}) {
         const Workload &w = workloadByName(name);
         AnalysisResult re = analyzeActivity(ext.netlist, w, aopts);
-        Netlist de = cutAndStitch(ext.netlist, *re.activity);
+        Netlist de = runTailorPipeline(ext.netlist, re.activity.get());
         table.row()
             .add(w.name)
             .add("-")

@@ -83,7 +83,7 @@ main(int argc, char **argv)
                 merged.mergeFrom(*acts[combo[k]].activity);
                 members.push_back(&apps[combo[k]]);
             }
-            Netlist design = cutAndStitch(flow.baseline(), merged);
+            Netlist design = runTailorPipeline(flow.baseline(), &merged);
             sizeForLoads(design, opts.timing);
             DesignMetrics m = flow.measure(design, members);
             double g = static_cast<double>(m.gates) /

@@ -58,7 +58,7 @@ main(int argc, char **argv)
             merged_count++;
         }
 
-        Netlist design = cutAndStitch(flow.baseline(), merged);
+        Netlist design = runTailorPipeline(flow.baseline(), &merged);
         sizeForLoads(design, opts.timing);
         DesignMetrics m = flow.measure(design, {&w});
 

@@ -2,8 +2,8 @@
  * @file
  * Infrastructure microbenchmarks (google-benchmark): throughput of the
  * levelized three-valued simulator and the flow's power replay on it,
- * the symbolic activity analysis,
- * STA, and cutting & stitching on the bsp430 core. These are not paper
+ * the symbolic activity analysis and equivalence check, STA, and
+ * cutting & stitching on the bsp430 core. These are not paper
  * results; they quantify the cost of the methodology itself (paper
  * Sec. 3.2 footnote: "complete analysis of our most complex benchmark
  * takes 3 hours" on the authors' infrastructure).
@@ -12,9 +12,11 @@
 #include <benchmark/benchmark.h>
 
 #include "src/analysis/activity_analysis.hh"
+#include "src/bespoke/equiv_check.hh"
 #include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/sim/lane_sim.hh"
+#include "src/util/logging.hh"
 #include "src/verify/runner.hh"
 
 namespace
@@ -122,6 +124,7 @@ BM_ActivityAnalysis(benchmark::State &state)
     AsmProgram prog = w.assembleProgram();
     AnalysisOptions opts;
     opts.laneWidth = static_cast<int>(state.range(0));
+    setVerbose(false);  // keep the per-run info line out of the timing
     for (auto _ : state) {
         AnalysisResult r = analyzeActivity(core(), prog, opts);
         benchmark::DoNotOptimize(r.untoggledCells());
@@ -133,13 +136,33 @@ BENCHMARK(BM_ActivityAnalysis)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_SymbolicEquivalence(benchmark::State &state)
+{
+    const Workload &w = workloadByName("inSort");
+    AsmProgram prog = w.assembleProgram();
+    static const Netlist tailored = runTailorPipeline(
+        core(), analyzeActivity(core(), prog).activity.get());
+    AnalysisOptions opts;
+    opts.laneWidth = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        EquivResult eq =
+            checkSymbolicEquivalence(core(), tailored, prog, opts);
+        benchmark::DoNotOptimize(eq.outputsCompared);
+    }
+}
+BENCHMARK(BM_SymbolicEquivalence)
+    ->Args({1})   // reference scalar lane evaluator
+    ->Args({64})  // bit-plane lane evaluator (the default)
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_CutAndStitch(benchmark::State &state)
 {
     const Workload &w = workloadByName("binSearch");
     AsmProgram prog = w.assembleProgram();
     AnalysisResult r = analyzeActivity(core(), prog);
     for (auto _ : state) {
-        Netlist out = cutAndStitch(core(), *r.activity);
+        Netlist out = runTailorPipeline(core(), r.activity.get());
         benchmark::DoNotOptimize(out.numCells());
     }
 }

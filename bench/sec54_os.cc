@@ -63,7 +63,7 @@ main(int argc, char **argv)
         merged.mergeFrom(*app.activity);
         all_union.mergeFrom(*app.activity);
 
-        Netlist design = cutAndStitch(nl, merged);
+        Netlist design = runTailorPipeline(nl, &merged);
         table.row()
             .add(w.name + " + minios")
             .add(100.0 *
@@ -75,7 +75,7 @@ main(int argc, char **argv)
                  1)
             .add(savingsPct(nl.stats().area, design.stats().area), 1);
     }
-    Netlist all_design = cutAndStitch(nl, all_union);
+    Netlist all_design = runTailorPipeline(nl, &all_union);
     table.row()
         .add("ALL apps + minios")
         .add(100.0 *

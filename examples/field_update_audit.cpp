@@ -63,7 +63,7 @@ main()
                 supported, analyzed);
 
     // Harden the die to support every anticipated fix.
-    Netlist hard_nl = cutAndStitch(flow.baseline(), hardened);
+    Netlist hard_nl = runTailorPipeline(flow.baseline(), &hardened);
     sizeForLoads(hard_nl, flow.options().timing);
     DesignMetrics hm = flow.measure(hard_nl, {&app});
     std::printf("hardened die: %zu cells (+%.1f%% vs shipped, still "

@@ -65,6 +65,24 @@ MachineState::hash() const
     return h;
 }
 
+bool
+PairState::substateOf(const PairState &c) const
+{
+    return a.substateOf(c.a) && b.substateOf(c.b);
+}
+
+PairState
+PairState::merge(const PairState &x, const PairState &y)
+{
+    return {MachineState::merge(x.a, y.a), MachineState::merge(x.b, y.b)};
+}
+
+uint64_t
+PairState::hash() const
+{
+    return a.hash() * 0x9e3779b97f4a7c15ull + b.hash();
+}
+
 int
 resolveAnalysisThreads(const AnalysisOptions &)
 {
@@ -77,18 +95,44 @@ resolveAnalysisLanes(const AnalysisOptions &opts)
     return opts.laneWidth == 1 ? 1 : 64;
 }
 
+std::vector<MachineState>
+SocCore::pcCandidates(SWord pc, const MachineState &base) const
+{
+    const std::vector<int> &pc_seq_index = ctx_->pcSeqIndex;
+    for (int b = 0; b < 16; b++) {
+        bespoke_assert(pc.bit(b) != Logic::X || pc_seq_index[b] >= 0,
+                       "X PC bit ", b,
+                       " is not a flop output; cannot enumerate");
+    }
+    // Every instruction head consistent with the known bits, in address
+    // order (e.g. a merged return address on the stack).
+    std::vector<MachineState> out;
+    for (const auto &[addr, line] : prog_.addrToLine) {
+        if ((addr & 1) || ((addr ^ pc.val) & pc.known))
+            continue;
+        MachineState s = base;
+        for (int b = 0; b < 16; b++) {
+            s.seq[pc_seq_index[b]] = static_cast<uint8_t>(
+                (addr >> b) & 1 ? Logic::One : Logic::Zero);
+        }
+        s.lastFetchPc = addr;
+        out.push_back(std::move(s));
+    }
+    return out;
+}
+
 AnalysisResult
 analyzeActivity(const Netlist &netlist, const AsmProgram &prog,
                 const AnalysisOptions &opts)
 {
     auto t0 = std::chrono::steady_clock::now();
-    PathExplorer explorer(netlist, prog, opts);
+    AnalysisResult res;
+    res.activity = std::make_unique<ActivityTracker>(netlist);
+    PathExplorer<SocCore> explorer(SocContext::make(netlist), prog, opts,
+                                   *res.activity);
     explorer.run();
 
-    const Frontier &frontier = explorer.frontier();
-    AnalysisResult res;
-    res.activity =
-        std::make_unique<ActivityTracker>(std::move(explorer.tracker()));
+    const Frontier<MachineState> &frontier = explorer.frontier();
     res.pathsExplored = frontier.pathsExplored();
     res.cyclesSimulated = frontier.cycles();
     res.merges = frontier.merges();

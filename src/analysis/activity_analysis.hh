@@ -50,6 +50,21 @@ struct MachineState
     uint64_t hash() const;
 };
 
+/**
+ * Joint state of two cores run in lockstep (the symbolic equivalence
+ * check): the product of their MachineStates, which share one
+ * lastFetchPc. A pair is a substate only if both halves are.
+ */
+struct PairState
+{
+    MachineState a;  ///< the original core
+    MachineState b;  ///< the bespoke core
+
+    bool substateOf(const PairState &c) const;
+    static PairState merge(const PairState &x, const PairState &y);
+    uint64_t hash() const;
+};
+
 struct AnalysisOptions
 {
     /** Visits of one merge key before widening begins. */

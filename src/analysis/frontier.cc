@@ -3,14 +3,16 @@
 namespace bespoke
 {
 
-Frontier::Frontier(const AnalysisOptions &opts)
+template <class State>
+Frontier<State>::Frontier(const AnalysisOptions &opts)
     : maxPaths_(opts.maxPaths), maxTotalCycles_(opts.maxTotalCycles),
       concreteVisits_(opts.concreteVisits)
 {
 }
 
+template <class State>
 void
-Frontier::push(WorkItem item)
+Frontier<State>::push(WorkItem<State> item)
 {
     if (item.depth > maxDepth_)
         maxDepth_ = item.depth;
@@ -19,11 +21,12 @@ Frontier::push(WorkItem item)
         peak_ = stack_.size();
 }
 
+template <class State>
 size_t
-Frontier::pop(size_t max, std::vector<WorkItem> &out)
+Frontier<State>::pop(size_t max, std::vector<WorkItem<State>> &out)
 {
     size_t n = 0;
-    while (n < max && !stack_.empty() && !capped_) {
+    while (n < max && !stack_.empty() && !capped_ && !stopped_) {
         if (paths_ >= maxPaths_ || cycleBudgetSpent()) {
             capped_ = true;
             break;
@@ -36,8 +39,9 @@ Frontier::pop(size_t max, std::vector<WorkItem> &out)
     return n;
 }
 
+template <class State>
 bool
-Frontier::mergePoint(uint32_t key, MachineState &cur, bool &widened)
+Frontier<State>::mergePoint(uint32_t key, State &cur, bool &widened)
 {
     widened = false;
     KeyState &ks = keys_[key];
@@ -57,10 +61,13 @@ Frontier::mergePoint(uint32_t key, MachineState &cur, bool &widened)
     if (cur.substateOf(ks.conservative))
         return true;
     merges_++;
-    ks.conservative = MachineState::merge(ks.conservative, cur);
+    ks.conservative = State::merge(ks.conservative, cur);
     cur = ks.conservative;
     widened = true;
     return false;
 }
+
+template class Frontier<MachineState>;
+template class Frontier<PairState>;
 
 } // namespace bespoke

@@ -1,8 +1,8 @@
 /**
  * @file
- * Bookkeeping of one activity-analysis exploration: the work frontier
- * (unexplored machine states), the conservative-widening table, and
- * the exploration budgets.
+ * Bookkeeping of one exploration of the symbolic execution tree: the
+ * work frontier (unexplored machine states), the conservative-widening
+ * table, and the exploration budgets.
  *
  * Structure:
  *  - The frontier proper is a LIFO stack. LIFO order makes the
@@ -14,6 +14,11 @@
  *    charged at pop time; cycles are charged by the explorer as it
  *    simulates. A pop that finds work queued but a budget spent stops
  *    the exploration and marks it capped.
+ *
+ * The frontier is generic in the state it holds: MachineState for the
+ * activity analysis (one core), PairState for the symbolic equivalence
+ * check (two cores in lockstep). A State provides substateOf(), the
+ * static merge() and hash().
  */
 
 #ifndef BESPOKE_ANALYSIS_FRONTIER_HH
@@ -29,13 +34,15 @@ namespace bespoke
 {
 
 /** One unit of exploration work: a machine state to continue from. */
+template <class State>
 struct WorkItem
 {
-    MachineState state;
+    State state;
     /** Forks (decision or symbolic-PC) between the root and here. */
     uint32_t depth = 0;
 };
 
+template <class State>
 class Frontier
 {
   public:
@@ -43,7 +50,7 @@ class Frontier
 
     /** @name Work stack */
     /// @{
-    void push(WorkItem item);
+    void push(WorkItem<State> item);
 
     /**
      * Appends up to `max` items to `out` in LIFO order and returns how
@@ -51,7 +58,7 @@ class Frontier
      * stack drains or the exploration is capped; a pop that finds work
      * queued but a budget spent declares the cap itself.
      */
-    size_t pop(size_t max, std::vector<WorkItem> &out);
+    size_t pop(size_t max, std::vector<WorkItem<State>> &out);
     /// @}
 
     /** @name Budgets */
@@ -67,6 +74,13 @@ class Frontier
      * clean finish.
      */
     void declareCap() { capped_ = true; }
+    /**
+     * End the exploration early but not capped: the explorer's
+     * observer rejected what it saw (an equivalence mismatch), so no
+     * further pop hands out work.
+     */
+    void stop() { stopped_ = true; }
+    bool stopped() const { return stopped_; }
     /// @}
 
     /**
@@ -74,7 +88,7 @@ class Frontier
      * true if the path is subsumed (prune). May replace `cur` with a
      * widened state (the caller must restore() it and re-evaluate).
      */
-    bool mergePoint(uint32_t key, MachineState &cur, bool &widened);
+    bool mergePoint(uint32_t key, State &cur, bool &widened);
 
     /** @name Exploration statistics */
     /// @{
@@ -92,16 +106,17 @@ class Frontier
         std::unordered_set<uint64_t> exactSeen;
         int visits = 0;
         bool hasConservative = false;
-        MachineState conservative;
+        State conservative;
     };
 
     const uint64_t maxPaths_;
     const uint64_t maxTotalCycles_;
     const int concreteVisits_;
 
-    std::vector<WorkItem> stack_;
+    std::vector<WorkItem<State>> stack_;
     std::unordered_map<uint32_t, KeyState> keys_;
     bool capped_ = false;
+    bool stopped_ = false;
     uint64_t paths_ = 0;      ///< pops so far (= paths explored)
     uint64_t cycles_ = 0;     ///< simulated cycles charged so far
     uint64_t merges_ = 0;     ///< widenings of a conservative entry

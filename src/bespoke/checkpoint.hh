@@ -29,7 +29,6 @@
 
 #include "src/analysis/activity_analysis.hh"
 #include "src/isa/assembler.hh"
-#include "src/transform/bespoke_transform.hh"
 #include "src/transform/pass_pipeline.hh"
 #include "src/util/json.hh"
 

@@ -1,11 +1,9 @@
 #include "src/bespoke/equiv_check.hh"
 
+#include <bit>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "src/util/logging.hh"
-#include "src/verify/runner.hh"
+#include "src/analysis/path_explorer.hh"
 
 namespace bespoke
 {
@@ -13,318 +11,250 @@ namespace bespoke
 namespace
 {
 
-/** Joint state of the two machines. */
-struct PairState
+/** Both designs' contexts and the output ports compared each cycle. */
+struct PairContext
 {
-    MachineState a;
-    MachineState b;
+    std::shared_ptr<const SocContext> a;  ///< the original core
+    std::shared_ptr<const SocContext> b;  ///< the bespoke core
 
-    bool
-    substateOf(const PairState &c) const
+    /** An output port present in both designs. */
+    struct Port
     {
-        return a.substateOf(c.a) && b.substateOf(c.b);
-    }
-
-    static PairState
-    merge(const PairState &x, const PairState &y)
-    {
-        return {MachineState::merge(x.a, y.a),
-                MachineState::merge(x.b, y.b)};
-    }
-
-    uint64_t
-    hash() const
-    {
-        return a.hash() * 0x9e3779b97f4a7c15ull + b.hash();
-    }
+        GateId a;
+        GateId b;
+        std::string name;
+    };
+    std::vector<Port> ports;
 };
 
-class EquivEngine
+/**
+ * Record the first mismatch: an output both designs drive to known,
+ * different values. Returns false (the exploration stops).
+ */
+bool
+outputMismatch(EquivResult &res, const std::string &port, uint64_t cycle,
+               uint16_t pc, Logic va, Logic vb)
 {
-  public:
-    EquivEngine(const Netlist &na, const Netlist &nb,
-                const AsmProgram &prog, const AnalysisOptions &opts)
-        : prog_(prog), opts_(opts), socA_(na, prog, true),
-          socB_(nb, prog, true), haltAddrs_(haltAddresses(prog))
-    {
-        // Output ports to compare, by name (present in both designs).
-        for (const auto &[name, id] : na.ports()) {
-            if (na.gate(id).type != CellType::OUTPUT)
-                continue;
-            if (nb.hasPort(name))
-                ports_.push_back({id, nb.port(name), name});
+    std::ostringstream os;
+    os << "output '" << port << "' differs at cycle " << cycle
+       << " (pc 0x" << std::hex << pc << "): original=" << logicChar(va)
+       << " bespoke=" << logicChar(vb);
+    res.firstMismatch = os.str();
+    res.equivalent = false;
+    return false;
+}
+
+/** Compare two data memories at a path's halt; false on a mismatch. */
+bool
+compareRam(EquivResult &res, const std::vector<SWord> &ra,
+           const std::vector<SWord> &rb)
+{
+    for (size_t i = 0; i < ra.size(); i++) {
+        uint16_t both = ra[i].known & rb[i].known;
+        if ((ra[i].val ^ rb[i].val) & both) {
+            std::ostringstream os;
+            os << "data memory differs at 0x" << std::hex
+               << (kRamBase + 2 * i) << ": original " << ra[i].toString()
+               << " vs bespoke " << rb[i].toString();
+            res.firstMismatch = os.str();
+            res.equivalent = false;
+            return false;
         }
     }
+    return true;
+}
 
-    EquivResult
-    run()
+/**
+ * The pair's plane evaluator: each design advances on its own SocPlanes,
+ * and a port's mismatching lanes are kA & kB & (vA ^ vB).
+ */
+class PairPlanes
+{
+  public:
+    PairPlanes(const PairContext &ctx, const AsmProgram &prog,
+               const AnalysisOptions &opts)
+        : ctx_(ctx), a_(ctx.a, prog, opts), b_(ctx.b, prog, opts)
     {
-        EquivResult res;
-        socA_.setGpioIn(SWord::allX());
-        socA_.setIrqExt(Logic::X);
-        socA_.reset();
-        socB_.setGpioIn(SWord::allX());
-        socB_.setIrqExt(Logic::X);
-        socB_.reset();
+    }
 
-        work_.push_back(capture());
-        while (!work_.empty() && res.equivalent) {
-            if (res.pathsExplored >= opts_.maxPaths ||
-                cycles_ >= opts_.maxTotalCycles) {
-                res.completed = false;
-                break;
+    void load(int lane, const PairState &s)
+    {
+        a_.load(lane, s.a);
+        b_.load(lane, s.b);
+    }
+    PairState capture(int lane) const
+    {
+        return {a_.capture(lane), b_.capture(lane)};
+    }
+    uint16_t lastFetchPc(int lane) const { return a_.lastFetchPc(lane); }
+    void setLastFetchPc(int lane, uint16_t pc)
+    {
+        a_.setLastFetchPc(lane, pc);
+        b_.setLastFetchPc(lane, pc);
+    }
+    SWord pc(int lane) const { return a_.pc(lane); }
+
+    bool eval(uint64_t active, EquivResult &res, uint64_t cycle)
+    {
+        a_.lanes().evalOnly();
+        b_.lanes().evalOnly();
+        res.outputsCompared += ctx_.ports.size() * laneCount(active);
+        const LaneSim &sa = a_.lanes().sim(), &sb = b_.lanes().sim();
+        auto differs = [&](const PairContext::Port &p) {
+            return sa.knownPlane(p.a) & sb.knownPlane(p.b) &
+                   (sa.valPlane(p.a) ^ sb.valPlane(p.b)) & active;
+        };
+        uint64_t bad = 0;
+        for (const PairContext::Port &p : ctx_.ports)
+            bad |= differs(p);
+        if (!bad)
+            return true;
+        // The lowest lane, then its first port: the reference
+        // evaluator's order.
+        int lane = std::countr_zero(bad);
+        for (const PairContext::Port &p : ctx_.ports) {
+            if (laneTest(differs(p), lane)) {
+                return outputMismatch(res, p.name, cycle, lastFetchPc(lane),
+                                      sa.value(p.a, lane),
+                                      sb.value(p.b, lane));
             }
-            PairState s = std::move(work_.back());
-            work_.pop_back();
-            res.pathsExplored++;
-            runPath(std::move(s), res);
         }
-        res.cyclesChecked = cycles_;
-        return res;
+        return true;
+    }
+    uint64_t fetchOneMask() const { return a_.fetchOneMask(); }
+    uint64_t decisionXMask() const
+    {
+        return a_.decisionXMask() | b_.decisionXMask();
+    }
+    uint64_t ctlXferOneMask() const { return a_.ctlXferOneMask(); }
+    uint64_t ctlXferXMask() const { return a_.ctlXferXMask(); }
+    bool halted(int lane, EquivResult &res)
+    {
+        return compareRam(res, a_.lanes().envLane(lane).ram,
+                          b_.lanes().envLane(lane).ram);
+    }
+    void finishCycle(uint64_t active)
+    {
+        a_.finishCycle(active);
+        b_.finishCycle(active);
+    }
+    uint64_t gatesEvaluated() const
+    {
+        return a_.gatesEvaluated() + b_.gatesEvaluated();
     }
 
   private:
-    PairState
-    capture() const
+    const PairContext &ctx_;
+    SocPlanes a_;
+    SocPlanes b_;
+};
+
+/**
+ * The equivalence check's machine (see PathExplorer): two SocCores, the
+ * original and the bespoke core, in lockstep. The original leads
+ * control (fetch, PC, control transfer); a decision is X if it is X in
+ * either core and is forced in both. Every observed cycle compares the
+ * known output bits, every halting path the data memories.
+ */
+class CorePair
+{
+  public:
+    using State = PairState;
+    using Context = PairContext;
+    using Sink = EquivResult;
+    using Planes = PairPlanes;
+
+    CorePair(const PairContext &ctx, const AsmProgram &prog,
+             const AnalysisOptions &opts)
+        : ctx_(ctx), a_(ctx.a, prog, opts), b_(ctx.b, prog, opts)
     {
-        PairState s;
-        s.a.seq = socA_.sim().seqState();
-        s.a.env = socA_.envState();
-        s.a.lastFetchPc = lastFetchPc_;
-        s.b.seq = socB_.sim().seqState();
-        s.b.env = socB_.envState();
-        s.b.lastFetchPc = lastFetchPc_;
-        return s;
     }
 
-    void
-    restore(const PairState &s)
+    void reset(EquivResult &)
     {
-        socA_.sim().restoreSeqState(s.a.seq);
-        socA_.restoreEnvState(s.a.env);
-        socB_.sim().restoreSeqState(s.b.seq);
-        socB_.restoreEnvState(s.b.env);
-        lastFetchPc_ = s.a.lastFetchPc;
+        a_.soc().reset();
+        b_.soc().reset();
+    }
+    PairState capture() const { return {a_.capture(), b_.capture()}; }
+    void restore(const PairState &s)
+    {
+        a_.restore(s.a);
+        b_.restore(s.b);
+    }
+    uint16_t lastFetchPc() const { return a_.lastFetchPc(); }
+    void setLastFetchPc(uint16_t pc)
+    {
+        a_.setLastFetchPc(pc);
+        b_.setLastFetchPc(pc);
     }
 
-    void
-    evalBoth()
+    void eval()
     {
-        socA_.evalOnly();
-        socB_.evalOnly();
+        a_.eval();
+        b_.eval();
     }
-
-    void
-    finishBoth()
+    bool observe(EquivResult &res, uint64_t cycle)
     {
-        socA_.finishCycle();
-        socB_.finishCycle();
-        cycles_++;
-    }
-
-    bool
-    compareOutputs(EquivResult &res)
-    {
-        for (const auto &p : ports_) {
-            Logic va = socA_.sim().value(p.idA);
-            Logic vb = socB_.sim().value(p.idB);
-            res.outputsCompared++;
-            if (isKnown(va) && isKnown(vb) && va != vb) {
-                std::ostringstream os;
-                os << "output '" << p.name << "' differs at cycle "
-                   << cycles_ << " (pc 0x" << std::hex << lastFetchPc_
-                   << "): original=" << logicChar(va)
-                   << " bespoke=" << logicChar(vb);
-                res.firstMismatch = os.str();
-                res.equivalent = false;
-                return false;
-            }
+        res.outputsCompared += ctx_.ports.size();
+        if (!res.equivalent)
+            return false;  // a lower lane already differed this cycle
+        for (const PairContext::Port &p : ctx_.ports) {
+            Logic va = a_.soc().sim().value(p.a);
+            Logic vb = b_.soc().sim().value(p.b);
+            if (isKnown(va) && isKnown(vb) && va != vb)
+                return outputMismatch(res, p.name, cycle, lastFetchPc(),
+                                      va, vb);
         }
         return true;
     }
-
-    bool
-    compareRam(EquivResult &res)
+    bool halted(EquivResult &res)
     {
-        const auto &ra = socA_.ram();
-        const auto &rb = socB_.ram();
-        for (size_t i = 0; i < ra.size(); i++) {
-            uint16_t both = ra[i].known & rb[i].known;
-            if ((ra[i].val ^ rb[i].val) & both) {
-                std::ostringstream os;
-                os << "data memory differs at 0x" << std::hex
-                   << (kRamBase + 2 * i) << ": original "
-                   << ra[i].toString() << " vs bespoke "
-                   << rb[i].toString();
-                res.firstMismatch = os.str();
-                res.equivalent = false;
-                return false;
-            }
-        }
-        return true;
+        return compareRam(res, a_.soc().ram(), b_.soc().ram());
+    }
+    void finishCycle()
+    {
+        a_.finishCycle();
+        b_.finishCycle();
     }
 
-    bool
-    mergePoint(uint32_t key, PairState &cur, bool &widened)
+    bool fetching() const { return a_.fetching(); }
+    SWord pc() const { return a_.pc(); }
+    Logic ctlXfer() const { return a_.ctlXfer(); }
+    std::optional<DecKind> firstXDecision() const
     {
-        widened = false;
-        if (!exactSeen_[key].insert(cur.hash()).second)
-            return true;
-        int &visits = visitCount_[key];
-        visits++;
-        if (visits <= opts_.concreteVisits)
-            return false;
-        auto it = conservative_.find(key);
-        if (it == conservative_.end()) {
-            conservative_.emplace(key, cur);
-            return false;
-        }
-        if (cur.substateOf(it->second))
-            return true;
-        it->second = PairState::merge(it->second, cur);
-        cur = it->second;
-        widened = true;
-        return false;
-    }
-
-    /** Decision values come from machine A; forced in both. */
-    struct XDec
-    {
-        GateId netA;
-        GateId netB;
-        int kind;
-    };
-
-    std::optional<XDec>
-    firstXDecision() const
-    {
-        if (socA_.decIrq0() == Logic::X || socB_.decIrq0() == Logic::X)
-            return XDec{socA_.decIrq0Net(), socB_.decIrq0Net(), 1};
-        if (socA_.decIrq1() == Logic::X || socB_.decIrq1() == Logic::X)
-            return XDec{socA_.decIrq1Net(), socB_.decIrq1Net(), 2};
-        if (socA_.decBranch() == Logic::X ||
-            socB_.decBranch() == Logic::X) {
-            return XDec{socA_.decBranchNet(), socB_.decBranchNet(), 0};
+        for (DecKind kind : kForkKinds) {
+            if (a_.decision(kind) == Logic::X ||
+                b_.decision(kind) == Logic::X)
+                return kind;
         }
         return std::nullopt;
     }
-
-    void
-    forkRec(const PairState &pre,
-            const std::vector<std::pair<XDec, Logic>> &forces)
+    void force(DecKind kind, Logic v)
     {
-        for (Logic v : {Logic::Zero, Logic::One}) {
-            restore(pre);
-            socA_.sim().clearForces();
-            socB_.sim().clearForces();
-            for (const auto &[dec, val] : forces) {
-                socA_.sim().force(dec.netA, val);
-                socB_.sim().force(dec.netB, val);
-            }
-            evalBoth();
-            auto d = firstXDecision();
-            bespoke_assert(d, "fork invariant violated");
-            socA_.sim().force(d->netA, v);
-            socB_.sim().force(d->netB, v);
-            evalBoth();
-            if (firstXDecision()) {
-                auto f = forces;
-                f.push_back({*d, v});
-                socA_.sim().clearForces();
-                socB_.sim().clearForces();
-                forkRec(pre, f);
-                continue;
-            }
-            finishBoth();
-            socA_.sim().clearForces();
-            socB_.sim().clearForces();
-            work_.push_back(capture());
-        }
+        a_.force(kind, v);
+        b_.force(kind, v);
+    }
+    void clearForces()
+    {
+        a_.clearForces();
+        b_.clearForces();
     }
 
-    void
-    runPath(PairState start, EquivResult &res)
+    /** A symbolic PC ends the path, everything up to it compared. */
+    std::vector<PairState> pcCandidates(SWord, const PairState &) const
     {
-        restore(start);
-        while (true) {
-            if (cycles_ >= opts_.maxTotalCycles)
-                return;
-            evalBoth();
-            if (!compareOutputs(res))
-                return;
-
-            if (socA_.stFetch() == Logic::One) {
-                SWord pc = socA_.pc();
-                if (!pc.fullyKnown())
-                    return;  // PC enumeration handled by the analysis;
-                             // for equivalence we stop this path after
-                             // having compared everything up to here.
-                lastFetchPc_ = pc.val;
-                bool halted = false;
-                for (uint16_t h : haltAddrs_)
-                    halted |= h == pc.val;
-                if (halted) {
-                    compareRam(res);
-                    return;
-                }
-            }
-
-            auto d = firstXDecision();
-            if (d) {
-                PairState cur = capture();
-                bool widened;
-                if (mergePoint((lastFetchPc_ << 2) |
-                                   static_cast<uint32_t>(d->kind),
-                               cur, widened)) {
-                    return;
-                }
-                if (widened)
-                    restore(cur);
-                forkRec(cur, {});
-                return;
-            }
-
-            if (socA_.ctlXfer() == Logic::One) {
-                PairState cur = capture();
-                bool widened;
-                if (mergePoint((lastFetchPc_ << 2) | 3u, cur, widened))
-                    return;
-                if (widened) {
-                    restore(cur);
-                    evalBoth();
-                    if (!compareOutputs(res))
-                        return;
-                    if (firstXDecision()) {
-                        PairState cur2 = capture();
-                        forkRec(cur2, {});
-                        return;
-                    }
-                }
-            }
-            finishBoth();
-        }
+        return {};
     }
 
-    struct PortPair
+    uint64_t gatesEvaluated() const
     {
-        GateId idA;
-        GateId idB;
-        std::string name;
-    };
+        return a_.gatesEvaluated() + b_.gatesEvaluated();
+    }
 
-    const AsmProgram &prog_;
-    AnalysisOptions opts_;
-    Soc socA_;
-    Soc socB_;
-    std::vector<uint16_t> haltAddrs_;
-    std::vector<PortPair> ports_;
-    std::vector<PairState> work_;
-    std::unordered_map<uint32_t, PairState> conservative_;
-    std::unordered_map<uint32_t, int> visitCount_;
-    std::unordered_map<uint32_t, std::unordered_set<uint64_t>>
-        exactSeen_;
-    uint16_t lastFetchPc_ = 0;
-    uint64_t cycles_ = 0;
+  private:
+    const PairContext &ctx_;
+    SocCore a_;
+    SocCore b_;
 };
 
 } // namespace
@@ -335,8 +265,21 @@ checkSymbolicEquivalence(const Netlist &original,
                          const AsmProgram &prog,
                          const AnalysisOptions &opts)
 {
-    EquivEngine engine(original, bespoke_nl, prog, opts);
-    return engine.run();
+    PairContext ctx{SocContext::make(original),
+                    SocContext::make(bespoke_nl), {}};
+    for (const auto &[name, id] : original.ports()) {
+        if (original.gate(id).type == CellType::OUTPUT &&
+            bespoke_nl.hasPort(name))
+            ctx.ports.push_back({id, bespoke_nl.port(name), name});
+    }
+
+    EquivResult res;
+    PathExplorer<CorePair> explorer(std::move(ctx), prog, opts, res);
+    explorer.run();
+    res.completed = !explorer.frontier().capped();
+    res.pathsExplored = explorer.frontier().pathsExplored();
+    res.cyclesChecked = explorer.frontier().cycles();
+    return res;
 }
 
 } // namespace bespoke

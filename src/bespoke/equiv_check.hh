@@ -4,11 +4,25 @@
  * processor (paper Sec. 5.1, first verification method).
  *
  * Both netlists are driven through the same input-independent symbolic
- * execution tree (same X inputs, same forced decisions at forks); every
- * cycle, all primary outputs are compared, and at the end of every path
- * the data memories are compared. A mismatch is any net/location where
- * both designs hold *known* values that differ — an X in the original
- * is an over-approximation and cannot witness inequivalence.
+ * execution tree (same X inputs, same forced decisions at forks): the
+ * check runs the two cores in lockstep on the activity analysis's
+ * exploration engine (PathExplorer, with the same merge/widen rules,
+ * budgets and batch schedule). Every observed cycle, all primary
+ * outputs present in both designs are compared; when a path halts, the
+ * data memories are compared after the six-cycle halt window. A
+ * mismatch is any net/location where both designs hold *known* values
+ * that differ — an X in the original is an over-approximation and
+ * cannot witness inequivalence. The first mismatch stops the whole
+ * exploration.
+ *
+ * A path whose fetch PC goes symbolic ends there: everything up to
+ * that cycle is compared, nothing after it (the activity analysis
+ * enumerates the candidate PCs; this check does not).
+ *
+ * Options: the budgets and `concreteVisits` apply as in the analysis;
+ * `irqLineUnknown` drives the IRQ line of both cores; `laneWidth`
+ * selects the lane evaluator (64-lane planes, or 1 for the reference
+ * scalar evaluator), with the same verdict and counters either way.
  *
  * Note that industrial equivalence checkers cannot perform this check:
  * the designs are only equivalent *for this application*, not in
@@ -34,8 +48,9 @@ struct EquivResult
 };
 
 /**
- * Check that `bespoke_nl` is output-equivalent to `original` for every
- * possible execution of the program.
+ * Check that `bespoke_nl` is output-equivalent to `original` on every
+ * path of the program's symbolic execution tree, up to the first
+ * symbolic PC on each path.
  */
 EquivResult checkSymbolicEquivalence(const Netlist &original,
                                      const Netlist &bespoke_nl,

@@ -21,7 +21,6 @@
 #include "src/analysis/activity_analysis.hh"
 #include "src/bespoke/checkpoint.hh"
 #include "src/power/power_model.hh"
-#include "src/transform/bespoke_transform.hh"
 #include "src/transform/pass_pipeline.hh"
 #include "src/workloads/workload.hh"
 

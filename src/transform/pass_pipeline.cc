@@ -48,7 +48,7 @@ nowMs()
 /**
  * The legacy re-synthesis fixpoint, verbatim: constant propagation to a
  * local fixpoint on one Rewriter, compact, dead sweep, repeat while the
- * design shrinks. Bit-identical to the pre-pipeline resynthesize().
+ * design shrinks. Bit-identical to the pre-pipeline re-synthesis loop.
  */
 size_t
 resynthFixpoint(Netlist &current)

@@ -5,11 +5,15 @@
  * configurable sequence of TransformPass stages over one working
  * netlist.
  *
- * The default configuration (constant folding only) reproduces the
- * original monolithic cutAndStitch()/resynthesize() flow bit-
- * identically: the fixpoint group below runs the exact same mark /
- * compact / sweep sequence the monolith ran, so every committed bench
- * baseline is unchanged until the optional passes are switched on.
+ * runTailorPipeline() is the one entry point: with an activity result
+ * it cuts and stitches (paper Section 3.2: every gate the analysis
+ * proved untoggleable is removed and its fanout pins tied to the proven
+ * constant), without one it only re-synthesizes. The default
+ * configuration (constant folding only) reproduces the original
+ * monolithic cut-and-stitch / re-synthesis flow bit-identically: the
+ * fixpoint group below runs the exact same mark / compact / sweep
+ * sequence the monolith ran, so every committed bench baseline is
+ * unchanged until the optional passes are switched on.
  *
  * Optional passes:
  *  - rewrite-search: for every recorded DatapathInstance (adders, mux
@@ -41,11 +45,18 @@
 #include <utility>
 
 #include "src/gating/clock_gating.hh"
-#include "src/transform/bespoke_transform.hh"
 #include "src/transform/pass.hh"
 
 namespace bespoke
 {
+
+/** Cell counts of one tailoring run. */
+struct CutStats
+{
+    size_t gatesBefore = 0;
+    size_t gatesCutDirect = 0;   ///< untoggled gates removed
+    size_t gatesAfter = 0;       ///< after full re-synthesis
+};
 
 /** Knobs of the cost-driven datapath rewrite search. */
 struct RewriteSearchOptions
@@ -198,14 +209,17 @@ size_t constantFoldOnce(Rewriter &rw);
 
 /**
  * Run the tailoring pipeline. `activity` selects the cut pass (null =
- * re-synthesis only, e.g. for already-cut or imported designs); the
- * env's providers feed the optional cost-driven passes. Stats and the
+ * re-synthesis only, e.g. for already-cut or imported designs; the
+ * tracker's netlist must be `src`); opts.moduleCut cuts whole modules
+ * instead (the coarse-grained baseline of paper Fig. 12); the env's
+ * providers feed the optional cost-driven passes. Stats and the
  * report are optional outputs.
  */
 Netlist runTailorPipeline(const Netlist &src,
                           const ActivityTracker *activity,
-                          const PassPipelineOptions &opts,
-                          const PassEnv &env, CutStats *stats = nullptr,
+                          const PassPipelineOptions &opts = {},
+                          const PassEnv &env = {},
+                          CutStats *stats = nullptr,
                           PipelineReport *report = nullptr);
 
 } // namespace bespoke

@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <regex>
 #include <utility>
 #include <vector>
 
@@ -175,18 +176,122 @@ TEST(BespokeFlow, EquivalenceCheckerDetectsRealDifferences)
 {
     // Negative test: tailor to app A but check equivalence against a
     // DIFFERENT app whose execution needs gates A never uses. The
-    // checker must flag non-equivalence (or at minimum not certify
-    // equivalence with full completion and zero mismatches while the
-    // designs produce different known outputs).
+    // checker must finish and flag the first differing output, at both
+    // lane evaluators.
     const Workload &a = workloadByName("binSearch");
     const Workload &b = workloadByName("mult");
     BespokeDesign da = flow().tailor(a);
     AsmProgram prog_b = b.assembleProgram();
-    EquivResult eq = checkSymbolicEquivalence(flow().baseline(),
-                                              da.netlist, prog_b);
-    EXPECT_FALSE(eq.equivalent && eq.completed)
-        << "binSearch-tailored core cannot be equivalent to the "
-           "baseline when running mult";
+    for (int lanes : {1, 64}) {
+        SCOPED_TRACE(lanes);
+        AnalysisOptions opts;
+        opts.laneWidth = lanes;
+        EquivResult eq = checkSymbolicEquivalence(flow().baseline(),
+                                                  da.netlist, prog_b, opts);
+        EXPECT_TRUE(eq.completed);
+        EXPECT_FALSE(eq.equivalent)
+            << "binSearch-tailored core cannot be equivalent to the "
+               "baseline when running mult";
+        EXPECT_TRUE(std::regex_match(
+            eq.firstMismatch,
+            std::regex("output '.+' differs at cycle [0-9]+ "
+                       "\\(pc 0x[0-9a-f]+\\): .*")))
+            << eq.firstMismatch;
+    }
+}
+
+/**
+ * Run the equivalence check at both lane evaluators and require the
+ * same verdict and counters; returns the plane evaluator's result.
+ */
+EquivResult
+equivAtBothEvaluators(const Netlist &design, const AsmProgram &prog)
+{
+    EquivResult res[2];
+    for (int i = 0; i < 2; i++) {
+        AnalysisOptions opts;
+        opts.laneWidth = i == 0 ? 1 : 64;
+        res[i] = checkSymbolicEquivalence(flow().baseline(), design, prog,
+                                          opts);
+    }
+    EXPECT_EQ(res[0].equivalent, res[1].equivalent);
+    EXPECT_EQ(res[0].completed, res[1].completed);
+    EXPECT_EQ(res[0].pathsExplored, res[1].pathsExplored);
+    EXPECT_EQ(res[0].cyclesChecked, res[1].cyclesChecked);
+    EXPECT_EQ(res[0].outputsCompared, res[1].outputsCompared);
+    EXPECT_EQ(res[0].firstMismatch, res[1].firstMismatch);
+    return res[1];
+}
+
+TEST(BespokeFlow, EquivalenceIdenticalAtBothEvaluators)
+{
+    for (const char *name : {"intAVG", "inSort", "irq"}) {
+        SCOPED_TRACE(name);
+        const Workload &w = workloadByName(name);
+        EquivResult eq = equivAtBothEvaluators(flow().tailor(w).netlist,
+                                               w.assembleProgram());
+        EXPECT_TRUE(eq.equivalent) << eq.firstMismatch;
+        EXPECT_TRUE(eq.completed);
+        EXPECT_GT(eq.pathsExplored, 1u);
+    }
+    for (auto [app, name] :
+         {std::pair{"binSearch", "binSearch-mut3-rra2rla"},
+          std::pair{"inSort", "inSort-mut10-rla2rra"}}) {
+        SCOPED_TRACE(name);
+        std::vector<Mutant> all = generateMutants(workloadByName(app));
+        auto it = std::find_if(all.begin(), all.end(), [&](const Mutant &m) {
+            return m.workload.name == name;
+        });
+        ASSERT_NE(it, all.end());
+        const Workload &w = it->workload;
+        EquivResult eq = equivAtBothEvaluators(flow().tailor(w).netlist,
+                                               w.assembleProgram());
+        EXPECT_TRUE(eq.equivalent) << eq.firstMismatch;
+        EXPECT_TRUE(eq.completed);
+    }
+}
+
+TEST(BespokeFlow, EquivalenceRejectsInjectedFaultAtBothEvaluators)
+{
+    // Single-gate faults: one tie-fed input pin of a kept cell re-tied
+    // to the opposite constant. Most such pins sit on logic the
+    // program never observes; take the first fault (in gate order) that
+    // a short scan (a few paths) rejects past the first fork, so the
+    // mismatch surfaces inside a lane sweep, and require both
+    // evaluators' full checks to reject it identically.
+    const Workload &w = workloadByName("intAVG");
+    const Netlist design = flow().tailor(w).netlist;
+    AsmProgram prog = w.assembleProgram();
+    AnalysisOptions scan;
+    scan.maxPaths = 8;
+    for (GateId g = 0; g < design.size(); g++) {
+        const Gate &gate = design.gate(g);
+        if (cellPseudo(gate.type) || gate.type == CellType::DFF ||
+            gate.type == CellType::DFFE)
+            continue;
+        for (int pin = 0; pin < gate.numInputs(); pin++) {
+            CellType tie = design.gate(gate.in[pin]).type;
+            if (tie != CellType::TIE0 && tie != CellType::TIE1)
+                continue;
+            Netlist faulty = design;
+            faulty.setFanin(g, pin,
+                            faulty.tie(tie == CellType::TIE0,
+                                       design.gate(gate.in[pin]).module));
+            EquivResult eq = checkSymbolicEquivalence(flow().baseline(),
+                                                      faulty, prog, scan);
+            if (eq.equivalent || eq.pathsExplored < 2)
+                continue;
+            SCOPED_TRACE(g);
+            eq = equivAtBothEvaluators(faulty, prog);
+            EXPECT_FALSE(eq.equivalent);
+            EXPECT_TRUE(eq.completed);
+            EXPECT_EQ(eq.firstMismatch.rfind("output '", 0), 0u)
+                << eq.firstMismatch;
+            return;
+        }
+    }
+    FAIL() << "no tie flip of the tailored design was rejected past the "
+              "first fork";
 }
 
 } // namespace

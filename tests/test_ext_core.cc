@@ -13,7 +13,7 @@
 #include "src/analysis/activity_analysis.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/netlist/verilog_export.hh"
-#include "src/transform/bespoke_transform.hh"
+#include "src/transform/pass_pipeline.hh"
 #include "src/verify/runner.hh"
 
 namespace bespoke
@@ -145,7 +145,7 @@ TEST(ExtCore, BespokeStripsUnusedPeripherals)
                 << moduleName(g.module) << " flop " << i;
         }
     }
-    Netlist cut = cutAndStitch(extCore(), *r.activity);
+    Netlist cut = runTailorPipeline(extCore(), r.activity.get());
     // Nothing left but (at most) the tie cell driving the preserved
     // uart_tx output port at its proven-constant idle value.
     for (GateId i = 0; i < cut.size(); i++) {
@@ -162,7 +162,7 @@ TEST(ExtCore, BespokeStripsUnusedPeripherals)
     AnalysisResult ru =
         analyzeActivity(extCore(), workloadByName("uartTx"));
     ASSERT_TRUE(ru.completed);
-    Netlist cut_u = cutAndStitch(extCore(), *ru.activity);
+    Netlist cut_u = runTailorPipeline(extCore(), ru.activity.get());
     EXPECT_GT(cut_u.moduleStats(Module::Uart).numCells, 50u);
     EXPECT_EQ(cut_u.moduleStats(Module::Timer).numCells, 0u);
 }
@@ -173,7 +173,7 @@ TEST(VerilogExport, StructureAndPorts)
     Netlist base = buildBsp430();
     AnalysisResult r = analyzeActivity(base, w);
     // Export the baseline-derived bespoke design.
-    Netlist design = cutAndStitch(base, *r.activity);
+    Netlist design = runTailorPipeline(base, r.activity.get());
     std::ostringstream os;
     exportVerilog(design, "bespoke_div", os);
     std::string v = os.str();

@@ -22,31 +22,31 @@ namespace
 {
 
 /** A work item tagged through lastFetchPc so drain order is visible. */
-WorkItem
+WorkItem<MachineState>
 tagged(uint16_t tag, uint32_t depth = 0)
 {
-    WorkItem it;
+    WorkItem<MachineState> it;
     it.state.lastFetchPc = tag;
     it.depth = depth;
     return it;
 }
 
 std::vector<uint16_t>
-tagsOf(const std::vector<WorkItem> &items)
+tagsOf(const std::vector<WorkItem<MachineState>> &items)
 {
     std::vector<uint16_t> tags;
-    for (const WorkItem &it : items)
+    for (const WorkItem<MachineState> &it : items)
         tags.push_back(it.state.lastFetchPc);
     return tags;
 }
 
 TEST(FrontierBatch, SingleThreadDrainsLifo)
 {
-    Frontier f{AnalysisOptions{}};
+    Frontier<MachineState> f{AnalysisOptions{}};
     for (uint16_t t = 1; t <= 3; t++)
         f.push(tagged(t));
 
-    std::vector<WorkItem> batch;
+    std::vector<WorkItem<MachineState>> batch;
     ASSERT_EQ(f.pop(64, batch), 3u);
     EXPECT_EQ(tagsOf(batch), (std::vector<uint16_t>{3, 2, 1}));
 
@@ -60,16 +60,16 @@ TEST(FrontierBatch, SingleThreadDrainsLifo)
 
 TEST(FrontierBatch, BatchRespectsMaxAndLeavesRemainder)
 {
-    Frontier f{AnalysisOptions{}};
+    Frontier<MachineState> f{AnalysisOptions{}};
     for (uint16_t t = 1; t <= 5; t++)
         f.push(tagged(t, t));
 
-    std::vector<WorkItem> batch;
+    std::vector<WorkItem<MachineState>> batch;
     ASSERT_EQ(f.pop(2, batch), 2u);
     EXPECT_EQ(tagsOf(batch), (std::vector<uint16_t>{5, 4}));
 
     // The remainder is still there, still LIFO.
-    std::vector<WorkItem> rest;
+    std::vector<WorkItem<MachineState>> rest;
     ASSERT_EQ(f.pop(64, rest), 3u);
     EXPECT_EQ(tagsOf(rest), (std::vector<uint16_t>{3, 2, 1}));
     EXPECT_EQ(f.pop(64, rest), 0u);
@@ -79,10 +79,10 @@ TEST(FrontierBatch, BatchRespectsMaxAndLeavesRemainder)
 
 TEST(FrontierBatch, PopMoreIsNonBlockingAndBounded)
 {
-    Frontier f{AnalysisOptions{}};
+    Frontier<MachineState> f{AnalysisOptions{}};
 
     // Empty stack: returns 0 immediately.
-    std::vector<WorkItem> out;
+    std::vector<WorkItem<MachineState>> out;
     EXPECT_EQ(f.pop(64, out), 0u);
     EXPECT_TRUE(out.empty());
 
@@ -105,13 +105,13 @@ TEST(FrontierBatch, PathBudgetCapsBatch)
 {
     AnalysisOptions opts;
     opts.maxPaths = 2;
-    Frontier f{opts};
+    Frontier<MachineState> f{opts};
     for (uint16_t t = 1; t <= 3; t++)
         f.push(tagged(t));
 
     // The third state is still queued but the budget is spent: the pop
     // hands out what the budget allows and declares the cap.
-    std::vector<WorkItem> batch;
+    std::vector<WorkItem<MachineState>> batch;
     ASSERT_EQ(f.pop(64, batch), 2u);
     EXPECT_EQ(tagsOf(batch), (std::vector<uint16_t>{3, 2}));
     EXPECT_TRUE(f.capped());
@@ -123,12 +123,12 @@ TEST(FrontierBatch, CycleBudgetCapsOnlyQueuedWork)
 {
     AnalysisOptions opts;
     opts.maxTotalCycles = 10;
-    Frontier f{opts};
+    Frontier<MachineState> f{opts};
     f.chargeCycles(10);
     EXPECT_TRUE(f.cycleBudgetSpent());
 
     // Nothing queued: a spent budget is still a clean finish.
-    std::vector<WorkItem> batch;
+    std::vector<WorkItem<MachineState>> batch;
     EXPECT_EQ(f.pop(64, batch), 0u);
     EXPECT_FALSE(f.capped());
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pass pipeline: the default configuration must reproduce the original
- * monolithic cutAndStitch()/resynthesize() flow bit-identically (the
+ * monolithic cut-and-stitch / re-synthesis flow bit-identically (the
  * legacy loops are replicated verbatim here and compared by content
  * hash); pass-list parsing and option hashing; the cost-driven rewrite
  * search choosing different adder microarchitectures for hot and cold
@@ -18,7 +18,6 @@
 #include "src/io/netlist_json.hh"
 #include "src/sim/gate_sim.hh"
 #include "src/timing/sta.hh"
-#include "src/transform/bespoke_transform.hh"
 #include "src/transform/pass_pipeline.hh"
 #include "src/util/logging.hh"
 #include "src/util/rng.hh"
@@ -75,7 +74,7 @@ randomNetlist(Rng &rng, int num_inputs, int num_gates, int num_flops,
 }
 
 /**
- * The pre-pipeline resynthesize() loop, replicated verbatim: constant
+ * The pre-pipeline re-synthesis loop, replicated verbatim: constant
  * propagation to a local fixpoint, compact, dead sweep, repeat until
  * the cell count stops shrinking. The pipeline's constant-fold pass
  * must reproduce this gate for gate.
@@ -106,7 +105,7 @@ legacyResynthesize(const Netlist &src)
     return current;
 }
 
-/** The pre-pipeline cutAndStitch() body, replicated verbatim. */
+/** The pre-pipeline cut-and-stitch body, replicated verbatim. */
 Netlist
 legacyCutAndStitch(const Netlist &src, const ActivityTracker &activity,
                    CutStats *stats)

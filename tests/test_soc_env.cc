@@ -151,7 +151,7 @@ TEST(Transforms, ResizingAfterCutReducesPower)
     BespokeFlow flow(o);
     const Workload &w = workloadByName("binSearch");
     AnalysisResult r = flow.analyze(w);
-    Netlist inherited = cutAndStitch(flow.baseline(), *r.activity);
+    Netlist inherited = runTailorPipeline(flow.baseline(), r.activity.get());
     Netlist resized = inherited;
     sizeForLoads(resized, o.timing);
     DesignMetrics mi = flow.measure(inherited, {&w});

@@ -1,6 +1,6 @@
 /**
  * @file
- * Transform correctness: stripBuffers / sweepDead / resynthesize must
+ * Transform correctness: stripBuffers / sweepDead / re-synthesis must
  * preserve the simulated behavior of the design. Checked structurally
  * on hand-built cases and behaviorally on randomized netlists
  * (simulation equivalence over random stimulus).
@@ -10,7 +10,7 @@
 
 #include "src/builder/net_builder.hh"
 #include "src/sim/gate_sim.hh"
-#include "src/transform/bespoke_transform.hh"
+#include "src/transform/pass_pipeline.hh"
 #include "src/transform/rewrite.hh"
 #include "src/util/rng.hh"
 
@@ -115,7 +115,7 @@ TEST_P(TransformSweep, ResynthesizePreservesBehavior)
 {
     Rng rng(GetParam() + 50);
     Netlist nl = randomNetlist(rng, 5, 80, 6, /*with_ties=*/true);
-    Netlist opt = resynthesize(nl);
+    Netlist opt = runTailorPipeline(nl, nullptr);
     EXPECT_LE(opt.numCells(), nl.numCells());
     expectBehaviorEquivalent(nl, opt, GetParam() * 13 + 3, 24);
 }
@@ -146,7 +146,7 @@ TEST(Transform, ConstantFoldingCases)
     nl.addOutput("or_self", b.or2(a, a));
     nl.validate();
 
-    Netlist opt = resynthesize(nl);
+    Netlist opt = runTailorPipeline(nl, nullptr);
     // and0 -> tie0; nand1/xor1 -> one INV each (may share); mux -> a;
     // or_self -> a. Expect a drastic reduction.
     EXPECT_LE(opt.numCells(), 4u);
@@ -167,7 +167,7 @@ TEST(Transform, DffWithConstantInputs)
     nl.addOutput("q2", q2);
     nl.validate();
 
-    Netlist opt = resynthesize(nl);
+    Netlist opt = runTailorPipeline(nl, nullptr);
     size_t flops = opt.stats().numSequential;
     EXPECT_EQ(flops, 1u);  // only q2 survives as a flop
     for (const Gate &g : opt.gates()) {
@@ -206,7 +206,7 @@ TEST(Transform, CutAndStitchHonorsActivity)
     }
 
     CutStats stats;
-    Netlist cut = cutAndStitch(nl, tracker, &stats);
+    Netlist cut = runTailorPipeline(nl, &tracker, {}, {}, &stats);
     EXPECT_GT(stats.gatesCutDirect, 0u);
     EXPECT_LT(cut.numCells(), nl.numCells());
 
@@ -276,7 +276,9 @@ TEST(Transform, ModuleLevelCutKeepsUsedModules)
     sim.evalComb();
     tracker.observe(sim);
     // Mult gates toggled here, so the whole module must be kept.
-    Netlist cut = cutWholeModules(nl, tracker);
+    PassPipelineOptions module_cut;
+    module_cut.moduleCut = true;
+    Netlist cut = runTailorPipeline(nl, &tracker, module_cut);
     EXPECT_EQ(cut.moduleStats(Module::Mult).numCells, 2u);
 }
 

@@ -78,7 +78,6 @@
 #include "src/io/verilog_import.hh"
 #include "src/netlist/verilog_export.hh"
 #include "src/timing/sta.hh"
-#include "src/transform/bespoke_transform.hh"
 #include "src/transform/pass_pipeline.hh"
 #include "src/util/flag_value.hh"
 #include "src/util/logging.hh"
