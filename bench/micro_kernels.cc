@@ -2,8 +2,9 @@
  * @file
  * Infrastructure microbenchmarks (google-benchmark): throughput of the
  * levelized three-valued simulator and the flow's power replay on it,
- * the symbolic activity analysis and equivalence check, STA, and
- * cutting & stitching on the bsp430 core. These are not paper
+ * the symbolic activity analysis and equivalence check, STA, cutting &
+ * stitching, and two per-op fixed costs (simulation prep, SAT miter
+ * encoding) on the bsp430 core. These are not paper
  * results; they quantify the cost of the methodology itself (paper
  * Sec. 3.2 footnote: "complete analysis of our most complex benchmark
  * takes 3 hours" on the authors' infrastructure).
@@ -15,6 +16,7 @@
 #include "src/bespoke/equiv_check.hh"
 #include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
+#include "src/sat/equiv_prover.hh"
 #include "src/sim/lane_sim.hh"
 #include "src/util/logging.hh"
 #include "src/verify/runner.hh"
@@ -187,6 +189,45 @@ BM_Levelize(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Levelize)->Unit(benchmark::kMillisecond);
+
+void
+BM_SocContextBuild(benchmark::State &state)
+{
+    // The per-netlist simulation prep (levelize, level/opcode order,
+    // eval program, fanout CSR, port ids) every Soc, LaneSoc and SAT
+    // unroller is built on; paid several times per flow op.
+    for (auto _ : state) {
+        SocContext ctx(core());
+        benchmark::DoNotOptimize(ctx.prep->order.size());
+    }
+}
+BENCHMARK(BM_SocContextBuild)->Unit(benchmark::kMicrosecond);
+
+void
+BM_MiterEncode(benchmark::State &state)
+{
+    // The `tailor --verify` SAT miter (depth 24) of an app's tailored
+    // design against the core, encoded into a clause container. On
+    // intFilt every frame folds at encode time (the common case); irq's
+    // free interrupt line keeps it symbolic (137 k clauses).
+    const char *apps[] = {"intFilt", "irq"};
+    const Workload &w = workloadByName(apps[state.range(0)]);
+    AsmProgram prog = w.assembleProgram();
+    setVerbose(false);
+    const Netlist tailored = runTailorPipeline(
+        core(), analyzeActivity(core(), prog).activity.get());
+    for (auto _ : state) {
+        sat::Cnf cnf;
+        sat::SocUnroller un(core(), prog, cnf, sat::UnrollOptions{});
+        un.attachFollower(tailored);
+        sat::Lit miter = sat::encodeMiter(un, core(), tailored, 24);
+        benchmark::DoNotOptimize(miter);
+    }
+}
+BENCHMARK(BM_MiterEncode)
+    ->Arg(0)  // intFilt
+    ->Arg(1)  // irq
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_BuildCore(benchmark::State &state)

@@ -265,7 +265,7 @@ jumpName(JumpCond c)
 std::string
 modeString(int reg, AddrMode mode)
 {
-    std::string r = "r" + std::to_string(reg);
+    std::string r = std::string("r").append(std::to_string(reg));
     switch (mode) {
       case AddrMode::Register:
         return r;

@@ -70,11 +70,49 @@ struct CellParams
     bool sequential;        ///< true for DFF/DFFE
 };
 
+/**
+ * The cell table: X1 parameters per cell type, indexed by CellType.
+ * Synthetic but representative 65 nm GP values (see the file comment).
+ */
+//                                     name     in  area  leak  cap  d0     R    seq
+inline constexpr CellParams kCellTable[kNumCellTypes] = {
+    /* INPUT  */ {"INPUT",   0, 0.00,  0.0, 0.0,   0.0, 0.0, false},
+    /* OUTPUT */ {"OUTPUT",  1, 0.00,  0.0, 0.5,   0.0, 0.0, false},
+    /* TIE0   */ {"TIE0",    0, 0.72,  0.9, 0.0,   0.0, 0.0, false},
+    /* TIE1   */ {"TIE1",    0, 0.72,  0.9, 0.0,   0.0, 0.0, false},
+    /* BUF    */ {"BUF",     1, 1.44,  2.5, 1.5,  25.0, 5.5, false},
+    /* INV    */ {"INV",     1, 1.08,  2.1, 1.6,  12.0, 6.0, false},
+    /* AND2   */ {"AND2",    2, 1.80,  3.3, 1.7,  28.0, 6.0, false},
+    /* AND3   */ {"AND3",    3, 2.16,  4.1, 1.8,  32.0, 6.5, false},
+    /* OR2    */ {"OR2",     2, 1.80,  3.1, 1.7,  30.0, 6.0, false},
+    /* OR3    */ {"OR3",     3, 2.16,  3.9, 1.8,  34.0, 6.5, false},
+    /* NAND2  */ {"NAND2",   2, 1.44,  2.9, 1.8,  16.0, 7.0, false},
+    /* NAND3  */ {"NAND3",   3, 1.80,  3.8, 1.9,  21.0, 9.0, false},
+    /* NOR2   */ {"NOR2",    2, 1.44,  2.7, 1.8,  19.0, 8.0, false},
+    /* NOR3   */ {"NOR3",    3, 1.80,  3.6, 1.9,  26.0, 10.0, false},
+    /* XOR2   */ {"XOR2",    2, 2.88,  5.2, 2.4,  35.0, 9.0, false},
+    /* XNOR2  */ {"XNOR2",   2, 2.88,  5.2, 2.4,  35.0, 9.0, false},
+    /* MUX2   */ {"MUX2",    3, 2.52,  4.6, 2.0,  33.0, 8.0, false},
+    /* AOI21  */ {"AOI21",   3, 1.80,  3.4, 1.9,  22.0, 9.0, false},
+    /* OAI21  */ {"OAI21",   3, 1.80,  3.4, 1.9,  22.0, 9.0, false},
+    /* DFF    */ {"DFF",     1, 4.68,  9.5, 2.2, 120.0, 7.0, true},
+    /* DFFE   */ {"DFFE",    2, 5.40, 11.0, 2.2, 120.0, 7.0, true},
+};
+
 /** Parameters of a cell type at drive X1. */
 const CellParams &cellParams(CellType type);
 
-/** Number of fanin pins for a cell type. */
-int cellNumInputs(CellType type);
+/**
+ * Number of fanin pins for a cell type. Like cellSequential(), a
+ * plain table lookup for the simulators' and encoders' inner loops:
+ * every CellType in a netlist is a valid enumerator (the interchange
+ * loaders accept only names from the table, via cellByName()).
+ */
+constexpr int
+cellNumInputs(CellType type)
+{
+    return kCellTable[static_cast<int>(type)].numInputs;
+}
 
 /** Library cell name, including drive suffix, e.g. "NAND2_X2". */
 std::string cellName(CellType type, Drive drive);
@@ -103,10 +141,18 @@ double cellIntrinsicDelay(CellType type, Drive drive);
 double cellDriveRes(CellType type, Drive drive);
 
 /** True for DFF/DFFE. */
-bool cellSequential(CellType type);
+constexpr bool
+cellSequential(CellType type)
+{
+    return kCellTable[static_cast<int>(type)].sequential;
+}
 
 /** True for INPUT/OUTPUT pseudo-cells (not silicon). */
-bool cellPseudo(CellType type);
+constexpr bool
+cellPseudo(CellType type)
+{
+    return type == CellType::INPUT || type == CellType::OUTPUT;
+}
 
 /**
  * Evaluate the combinational function of a cell over three-valued

@@ -232,64 +232,94 @@ Netlist::sequentialIds() const
     return ids;
 }
 
+namespace
+{
+
+/** Values available at the start of a cycle: INPUT, TIE, DFF, DFFE. */
+bool
+isCombSource(CellType t)
+{
+    return t == CellType::INPUT || t == CellType::TIE0 ||
+           t == CellType::TIE1 || cellSequential(t);
+}
+
+/**
+ * Kahn's algorithm over combinational edges only: sources never appear
+ * in the result. Gates with no combinational fanin seed the queue in
+ * ascending id order, and each released gate's consumers are visited
+ * in ascending (consumer id, pin) order, so the order is a pure
+ * function of the gate array. Consumers are kept in one CSR array (a
+ * gate feeding a consumer on two pins is listed twice and counted
+ * twice in `pending`). On a combinational loop the gates on or behind
+ * it are missing from the result; *comb_total counts every
+ * combinational gate.
+ */
+std::vector<GateId>
+combOrder(const std::vector<Gate> &gates, size_t *comb_total)
+{
+    size_t n = gates.size();
+    std::vector<uint8_t> source(n);
+    size_t comb = 0;
+    for (size_t i = 0; i < n; i++) {
+        source[i] = isCombSource(gates[i].type);
+        comb += source[i] ? 0 : 1;
+    }
+    // The result is allocated before the scratch arrays, so freeing
+    // them leaves no hole below it in the heap.
+    std::vector<GateId> order;
+    order.reserve(comb);
+
+    // head[v] counts v's combinational consumers, then (inclusive
+    // prefix sum, filled back to front) becomes the start of v's slice.
+    std::vector<uint32_t> pending(n, 0);
+    std::vector<uint32_t> head(n + 1, 0);
+    for (size_t i = 0; i < n; i++) {
+        if (source[i])
+            continue;
+        const Gate &g = gates[i];
+        for (int p = 0; p < g.numInputs(); p++) {
+            if (!source[g.in[p]]) {
+                pending[i]++;
+                head[g.in[p]]++;
+            }
+        }
+    }
+    for (size_t v = 0; v < n; v++)
+        head[v + 1] += head[v];
+    std::vector<GateId> consumer(head[n]);
+    for (size_t i = n; i-- > 0;) {
+        if (source[i])
+            continue;
+        const Gate &g = gates[i];
+        for (int p = g.numInputs() - 1; p >= 0; p--) {
+            if (!source[g.in[p]])
+                consumer[--head[g.in[p]]] = static_cast<GateId>(i);
+        }
+    }
+
+    // The order doubles as the ready queue.
+    for (size_t i = 0; i < n; i++) {
+        if (!source[i] && pending[i] == 0)
+            order.push_back(static_cast<GateId>(i));
+    }
+    for (size_t q = 0; q < order.size(); q++) {
+        GateId id = order[q];
+        for (uint32_t e = head[id]; e < head[id + 1]; e++) {
+            if (--pending[consumer[e]] == 0)
+                order.push_back(consumer[e]);
+        }
+    }
+    *comb_total = comb;
+    return order;
+}
+
+} // namespace
+
 std::vector<GateId>
 Netlist::levelize() const
 {
-    // Kahn's algorithm over combinational edges only. Sources (INPUT,
-    // TIE, DFF, DFFE) have their values available at the start of a
-    // cycle and never appear in the order.
-    auto is_source = [&](GateId id) {
-        const Gate &g = gates_[id];
-        return g.type == CellType::INPUT || g.type == CellType::TIE0 ||
-               g.type == CellType::TIE1 || cellSequential(g.type);
-    };
-
-    std::vector<int> pending(gates_.size(), 0);
-    std::vector<GateId> ready;
-    for (GateId i = 0; i < gates_.size(); i++) {
-        if (is_source(i))
-            continue;
-        const Gate &g = gates_[i];
-        int n = g.numInputs();
-        int deps = 0;
-        for (int p = 0; p < n; p++) {
-            if (!is_source(g.in[p]))
-                deps++;
-        }
-        pending[i] = deps;
-        if (deps == 0)
-            ready.push_back(i);
-    }
-
-    // Combinational fanout lists (edges into non-source gates only).
-    std::vector<std::vector<GateId>> comb_fanout(gates_.size());
-    for (GateId i = 0; i < gates_.size(); i++) {
-        if (is_source(i))
-            continue;
-        const Gate &g = gates_[i];
-        for (int p = 0; p < g.numInputs(); p++) {
-            if (!is_source(g.in[p]))
-                comb_fanout[g.in[p]].push_back(i);
-        }
-    }
-
-    std::vector<GateId> order;
-    order.reserve(gates_.size());
-    size_t head = 0;
-    while (head < ready.size()) {
-        GateId id = ready[head++];
-        order.push_back(id);
-        for (GateId out : comb_fanout[id]) {
-            if (--pending[out] == 0)
-                ready.push_back(out);
-        }
-    }
-
     size_t comb_total = 0;
-    for (GateId i = 0; i < gates_.size(); i++) {
-        if (!is_source(i))
-            comb_total++;
-    }
+    std::vector<GateId> order = combOrder(gates_, &comb_total);
     if (order.size() != comb_total)
         bespoke_panic("combinational loop: levelized ", order.size(),
                       " of ", comb_total, " combinational gates");
@@ -299,61 +329,21 @@ Netlist::levelize() const
 bool
 Netlist::hasCombLoop(GateId *example) const
 {
-    // Kahn's algorithm over combinational edges, like levelize(), but
-    // reporting instead of panicking.
-    auto is_source = [&](GateId id) {
-        const Gate &g = gates_[id];
-        return g.type == CellType::INPUT || g.type == CellType::TIE0 ||
-               g.type == CellType::TIE1 || cellSequential(g.type);
-    };
-
-    std::vector<int> pending(gates_.size(), 0);
-    std::vector<GateId> ready;
-    std::vector<std::vector<GateId>> comb_fanout(gates_.size());
+    size_t comb_total = 0;
+    std::vector<GateId> order = combOrder(gates_, &comb_total);
+    if (order.size() == comb_total)
+        return false;
+    // Name the lowest-id combinational gate Kahn never released.
+    std::vector<uint8_t> done(gates_.size(), 0);
+    for (GateId id : order)
+        done[id] = 1;
     for (GateId i = 0; i < gates_.size(); i++) {
-        if (is_source(i))
-            continue;
-        const Gate &g = gates_[i];
-        int deps = 0;
-        for (int p = 0; p < g.numInputs(); p++) {
-            if (!is_source(g.in[p])) {
-                deps++;
-                comb_fanout[g.in[p]].push_back(i);
-            }
-        }
-        pending[i] = deps;
-        if (deps == 0)
-            ready.push_back(i);
-    }
-
-    size_t head = 0;
-    while (head < ready.size()) {
-        GateId id = ready[head++];
-        for (GateId out : comb_fanout[id]) {
-            if (--pending[out] == 0)
-                ready.push_back(out);
-        }
-    }
-
-    for (GateId i = 0; i < gates_.size(); i++) {
-        if (!is_source(i) && pending[i] > 0) {
+        if (!done[i] && !isCombSource(gates_[i].type)) {
             *example = i;
-            return true;
+            break;
         }
     }
-    return false;
-}
-
-std::vector<std::vector<GateId>>
-Netlist::fanouts() const
-{
-    std::vector<std::vector<GateId>> fo(gates_.size());
-    for (GateId i = 0; i < gates_.size(); i++) {
-        const Gate &g = gates_[i];
-        for (int p = 0; p < g.numInputs(); p++)
-            fo[g.in[p]].push_back(i);
-    }
-    return fo;
+    return true;
 }
 
 void
@@ -522,6 +512,15 @@ Netlist::contentHash() const
         mix32(pos[id]);
     }
     return h;
+}
+
+size_t
+Netlist::numCells() const
+{
+    size_t n = 0;
+    for (const Gate &g : gates_)
+        n += cellPseudo(g.type) ? 0 : 1;
+    return n;
 }
 
 NetlistStats

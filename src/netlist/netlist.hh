@@ -198,9 +198,6 @@ class Netlist
      */
     std::vector<GateId> levelize() const;
 
-    /** Per-gate fanout lists (indices of gates this gate feeds). */
-    std::vector<std::vector<GateId>> fanouts() const;
-
     /** Ids of all sequential cells. */
     std::vector<GateId> sequentialIds() const;
 
@@ -255,8 +252,9 @@ class Netlist
     NetlistStats stats() const;
     /** Stats restricted to one module label. */
     NetlistStats moduleStats(Module m) const;
-    /** Number of real silicon cells (excludes INPUT/OUTPUT pseudo). */
-    size_t numCells() const { return stats().numCells; }
+    /** Number of real silicon cells (excludes INPUT/OUTPUT pseudo);
+     *  equals stats().numCells without the area/leakage sums. */
+    size_t numCells() const;
     /// @}
 
   private:

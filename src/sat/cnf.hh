@@ -80,10 +80,6 @@ class CnfSink
         Lit d[3] = {a, b, c};
         addClause(d, 3);
     }
-    void clause(const std::vector<Lit> &lits)
-    {
-        addClause(lits.data(), lits.size());
-    }
 };
 
 /**

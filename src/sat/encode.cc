@@ -9,44 +9,50 @@ namespace bespoke::sat
 {
 
 Lit
-Tseitin::andL(std::vector<Lit> ins)
+Tseitin::conj(std::span<const Lit> ins, bool negate)
 {
-    std::sort(ins.begin(), ins.end());
-    std::vector<Lit> xs;
-    xs.reserve(ins.size());
-    for (Lit l : ins) {
+    // Scratch copy with one spare slot for the output literal of the
+    // long clause below.
+    Lit stack[kStackFanin + 1];
+    std::vector<Lit> heap;
+    Lit *xs = stack;
+    if (ins.size() > kStackFanin) {
+        heap.resize(ins.size() + 1);
+        xs = heap.data();
+    }
+    size_t n = ins.size();
+    for (size_t i = 0; i < n; i++)
+        xs[i] = negate ? ~ins[i] : ins[i];
+
+    // Sort, then drop constants-true and repeats in place; a false
+    // input or a complementary pair folds the whole AND.
+    std::sort(xs, xs + n);
+    size_t m = 0;
+    for (size_t i = 0; i < n; i++) {
+        Lit l = xs[i];
         if (l == kTrue)
             continue;
         if (l == kFalse)
             return kFalse;
-        if (!xs.empty() && xs.back() == l)
+        if (m > 0 && xs[m - 1] == l)
             continue;
-        if (!xs.empty() && xs.back() == ~l)
+        if (m > 0 && xs[m - 1] == ~l)
             return kFalse;  // x AND NOT x
-        xs.push_back(l);
+        xs[m++] = l;
     }
-    if (xs.empty())
+    if (m == 0)
         return kTrue;
-    if (xs.size() == 1)
+    if (m == 1)
         return xs[0];
     Lit g = fresh();
-    std::vector<Lit> big;
-    big.reserve(xs.size() + 1);
-    big.push_back(g);
-    for (Lit x : xs) {
-        sink_.binary(~g, x);
-        big.push_back(~x);
-    }
-    sink_.clause(big);
+    for (size_t i = 0; i < m; i++)
+        sink_.binary(~g, xs[i]);
+    // Long clause (g, ~x0, ~x1, ...), built in place.
+    for (size_t i = m; i > 0; i--)
+        xs[i] = ~xs[i - 1];
+    xs[0] = g;
+    sink_.addClause(xs, m + 1);
     return g;
-}
-
-Lit
-Tseitin::orL(std::vector<Lit> ins)
-{
-    for (Lit &l : ins)
-        l = ~l;
-    return ~andL(std::move(ins));
 }
 
 Lit
@@ -129,25 +135,25 @@ encodeCombFrame(const Netlist &nl, const std::vector<GateId> &order,
             v[id] = ts.andL(a, b);
             break;
           case CellType::AND3:
-            v[id] = ts.andL({a, b, c});
+            v[id] = ts.andL(a, b, c);
             break;
           case CellType::OR2:
             v[id] = ts.orL(a, b);
             break;
           case CellType::OR3:
-            v[id] = ts.orL({a, b, c});
+            v[id] = ts.orL(a, b, c);
             break;
           case CellType::NAND2:
             v[id] = ~ts.andL(a, b);
             break;
           case CellType::NAND3:
-            v[id] = ~ts.andL({a, b, c});
+            v[id] = ~ts.andL(a, b, c);
             break;
           case CellType::NOR2:
             v[id] = ~ts.orL(a, b);
             break;
           case CellType::NOR3:
-            v[id] = ~ts.orL({a, b, c});
+            v[id] = ~ts.orL(a, b, c);
             break;
           case CellType::XOR2:
             v[id] = ts.xorL(a, b);
@@ -198,6 +204,19 @@ SocUnroller::initDesign(Design *d, const Netlist &nl)
     d->nl = &nl;
     d->order = nl.levelize();
     d->seqIds = nl.sequentialIds();
+    // Every INPUT the memory model and the shared stimulus do not
+    // drive gets a fresh free variable per frame, in ascending id order.
+    const SocContext &c = *d->ctx;
+    std::vector<uint8_t> driven(nl.size(), 0);
+    for (int b = 0; b < 16; b++) {
+        driven[c.pMemRdata[b]] = 1;
+        driven[c.pGpioIn[b]] = 1;
+    }
+    driven[c.pIrqExt] = 1;
+    for (GateId id : nl.inputIds()) {
+        if (!driven[id])
+            d->otherInputs.push_back(id);
+    }
 }
 
 Lit
@@ -218,19 +237,13 @@ SocUnroller::driveAndEval(Design *d, int frame,
     std::vector<Lit> &v = d->vals.back();
     for (size_t i = 0; i < d->seqIds.size(); i++)
         v[d->seqIds[i]] = d->nextState[i];
-    std::vector<uint8_t> covered(d->nl->size(), 0);
     for (int b = 0; b < 16; b++) {
         v[c.pMemRdata[b]] = rdata_[b];
         v[c.pGpioIn[b]] = gpio[b];
-        covered[c.pMemRdata[b]] = 1;
-        covered[c.pGpioIn[b]] = 1;
     }
     v[c.pIrqExt] = irq;
-    covered[c.pIrqExt] = 1;
-    for (GateId id : d->nl->inputIds()) {
-        if (!covered[id])
-            v[id] = freeVar(FreeVarInfo::Kind::OtherInput, frame, id, 0);
-    }
+    for (GateId id : d->otherInputs)
+        v[id] = freeVar(FreeVarInfo::Kind::OtherInput, frame, id, 0);
     encodeCombFrame(*d->nl, d->order, ts_, &v);
 }
 
@@ -264,13 +277,12 @@ SocUnroller::romMuxRead(const std::array<Lit, 16> &addr)
         uint16_t w = prog_.romWord(static_cast<uint16_t>(kRomBase + 2 * k));
         if (w == 0xffff)
             continue;
-        std::vector<Lit> conj;
-        conj.reserve(11);
+        std::array<Lit, 11> conj;
         for (int bi = 0; bi < 11; bi++) {
             Lit abit = addr[1 + bi];
-            conj.push_back(((k >> bi) & 1) ? abit : ~abit);
+            conj[bi] = ((k >> bi) & 1) ? abit : ~abit;
         }
-        Lit eq = ts_.andL(std::move(conj));
+        Lit eq = ts_.andL(conj);
         for (int b = 0; b < 16; b++) {
             if (!((w >> b) & 1))
                 zeros[b].push_back(eq);
@@ -278,7 +290,7 @@ SocUnroller::romMuxRead(const std::array<Lit, 16> &addr)
     }
     std::array<Lit, 16> out;
     for (int b = 0; b < 16; b++)
-        out[b] = ~ts_.orL(std::move(zeros[b]));
+        out[b] = ~ts_.orL(zeros[b]);
     return out;
 }
 
@@ -314,8 +326,8 @@ SocUnroller::readData(const std::array<Lit, 16> &addr)
                                   a, b);
         }
     } else if (opts_.romMux) {
-        Lit isrom =
-            ts_.andL({addr[15], addr[14], addr[13], addr[12]});
+        const Lit top[] = {addr[15], addr[14], addr[13], addr[12]};
+        Lit isrom = ts_.andL(top);
         std::array<Lit, 16> rom = romMuxRead(addr);
         for (int b = 0; b < 16; b++) {
             Lit f = freeVar(FreeVarInfo::Kind::MemFresh, frames_,
@@ -390,7 +402,7 @@ SocUnroller::stepMemory(const Design &d, int frame)
     }
 
     // --- Reads (synchronous, data presented next cycle). ---
-    Lit r = ts_.andL({en, ~wen0, ~wen1});
+    Lit r = ts_.andL(en, ~wen0, ~wen1);
     if (r == kFalse)
         return;  // rdata holds
     std::array<Lit, 16> data = readData(addr);

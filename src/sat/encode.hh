@@ -31,6 +31,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/isa/assembler.hh"
@@ -46,6 +47,12 @@ namespace bespoke::sat
  * folding (inputs equal to kTrue/kFalse, repeated or complementary
  * inputs). All emitted variable numbers depend only on the call
  * sequence, never on addresses or hashes: encoding is deterministic.
+ *
+ * andL/orL take their inputs as a span (a vector, an array or the
+ * two/three-input overloads) and fold them in a scratch copy that
+ * lives on the stack up to kStackFanin inputs, so encoding a gate
+ * allocates nothing; only wide fan-ins (ROM mux terms, miter and
+ * candidate disjunctions) use the heap.
  */
 class Tseitin
 {
@@ -57,15 +64,39 @@ class Tseitin
     /** A fresh unconstrained variable, as a positive literal. */
     Lit fresh() { return mkLit(sink_.newVar()); }
 
-    Lit andL(std::vector<Lit> ins);
-    Lit orL(std::vector<Lit> ins);
-    Lit andL(Lit a, Lit b) { return andL(std::vector<Lit>{a, b}); }
-    Lit orL(Lit a, Lit b) { return orL(std::vector<Lit>{a, b}); }
+    Lit andL(std::span<const Lit> ins) { return conj(ins, false); }
+    Lit orL(std::span<const Lit> ins) { return ~conj(ins, true); }
+    Lit andL(Lit a, Lit b)
+    {
+        const Lit ins[] = {a, b};
+        return andL(ins);
+    }
+    Lit orL(Lit a, Lit b)
+    {
+        const Lit ins[] = {a, b};
+        return orL(ins);
+    }
+    Lit andL(Lit a, Lit b, Lit c)
+    {
+        const Lit ins[] = {a, b, c};
+        return andL(ins);
+    }
+    Lit orL(Lit a, Lit b, Lit c)
+    {
+        const Lit ins[] = {a, b, c};
+        return orL(ins);
+    }
     Lit xorL(Lit a, Lit b);
     /** out = sel ? a1 : a0 (MUX2 pin convention). */
     Lit muxL(Lit sel, Lit a0, Lit a1);
 
   private:
+    /** Widest fan-in folded in an on-stack scratch copy. */
+    static constexpr size_t kStackFanin = 16;
+
+    /** AND of the inputs, each complemented first when `negate`. */
+    Lit conj(std::span<const Lit> ins, bool negate);
+
     CnfSink &sink_;
 };
 
@@ -151,6 +182,8 @@ class SocUnroller
         std::shared_ptr<const SocContext> ctx;
         std::vector<GateId> order;     ///< levelize()
         std::vector<GateId> seqIds;
+        /** INPUT ids outside mem_rdata/gpio_in/irq_ext, ascending. */
+        std::vector<GateId> otherInputs;
         std::vector<std::vector<Lit>> vals;  ///< per frame, per gate
         std::vector<Lit> nextState;    ///< per seqIds entry
     };

@@ -106,7 +106,7 @@ runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
             }
             encoded++;
         }
-        Lit chunk_bad = ts.orL(std::move(bad));
+        Lit chunk_bad = ts.orL(bad);
         if (chunk_bad == kFalse)
             continue;  // these frames folded identical at encode time
         res.queries++;
@@ -244,7 +244,7 @@ encodeMiter(SocUnroller &un, const Netlist &original,
                 bad.push_back(x);
         }
     }
-    return ts.orL(std::move(bad));
+    return ts.orL(bad);
 }
 
 SatEquivResult

@@ -117,7 +117,7 @@ runShard(const Netlist &nl, const AsmProgram &prog,
                 for (int f = prev; f < target; f++)
                     ds.push_back(
                         differsAt(un, cands[i].gate, cands[i].value, f));
-                Lit b = ts.orL(std::move(ds));
+                Lit b = ts.orL(ds);
                 if (b == kTrue) {
                     verdict[i] = Verdict::Refuted;
                     continue;
@@ -137,7 +137,7 @@ runShard(const Netlist &nl, const AsmProgram &prog,
                 ds.reserve(pending.size());
                 for (size_t i : pending)
                     ds.push_back(diff[i]);
-                Lit any = ts.orL(std::move(ds));
+                Lit any = ts.orL(ds);
                 st.queries++;
                 SolveResult r = s.solve({any}, opts.conflictBudget);
                 if (r == SolveResult::Unsat)

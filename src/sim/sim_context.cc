@@ -29,17 +29,26 @@ SimPrep::SimPrep(const Netlist &netlist)
 
     // Group the order by level. Within a level no gate reads another's
     // output, so the gates of a level can be put in any order without
-    // changing an evaluated value; sort them by opcode (gate id as the
-    // deterministic tie-break): the eval kernels' per-gate dispatch
-    // then sees long same-opcode runs instead of a random sequence,
-    // which the branch predictor rewards.
-    std::sort(order.begin(), order.end(), [&](GateId a, GateId b) {
-        if (level[a] != level[b])
-            return level[a] < level[b];
-        if (gates[a].type != gates[b].type)
-            return gates[a].type < gates[b].type;
-        return a < b;
-    });
+    // changing an evaluated value; group them by opcode, in ascending
+    // gate id within a group: the eval kernels' per-gate dispatch then
+    // sees long same-opcode runs instead of a random sequence, which
+    // the branch predictor rewards. A counting sort on (level, opcode)
+    // that visits ids in ascending order gives exactly the order of a
+    // comparison sort by (level, type, id), in linear time.
+    auto bucket_of = [&](GateId id) {
+        return static_cast<size_t>(level[id] - 1) * kNumCellTypes +
+               static_cast<size_t>(gates[id].type);
+    };
+    std::vector<uint32_t> bucket_start(
+        static_cast<size_t>(max_level) * kNumCellTypes + 1, 0);
+    for (GateId id : order)
+        bucket_start[bucket_of(id) + 1]++;
+    for (size_t b = 1; b < bucket_start.size(); b++)
+        bucket_start[b] += bucket_start[b - 1];
+    for (GateId id = 0; id < n; id++) {
+        if (level[id] > 0)  // combinational: in the order
+            order[bucket_start[bucket_of(id)]++] = id;
+    }
     posOf.assign(n, kNone);
     for (uint32_t pos = 0; pos < order.size(); pos++)
         posOf[order[pos]] = pos;
@@ -97,22 +106,24 @@ SimPrep::SimPrep(const Netlist &netlist)
         i = j;
     }
 
-    // CSR fanout lists of consumer positions. A consumer is one level
-    // above its deepest fanin, so it always sits at a higher position.
+    // CSR fanout lists of consumer positions, ascending per net. A
+    // consumer is one level above its deepest fanin, so it always sits
+    // at a higher position. foHead[v] first counts v's consumers, then
+    // (inclusive prefix sum, filled back to front) becomes the start
+    // of v's slice.
     foHead.assign(n + 1, 0);
     for (uint32_t pos = 0; pos < order.size(); pos++) {
         const Gate &g = gates[order[pos]];
         for (int p = 0; p < g.numInputs(); p++)
-            foHead[g.in[p] + 1]++;
+            foHead[g.in[p]]++;
     }
     for (size_t i = 0; i < n; i++)
         foHead[i + 1] += foHead[i];
     foPos.resize(foHead[n]);
-    std::vector<uint32_t> cursor(foHead.begin(), foHead.end() - 1);
-    for (uint32_t pos = 0; pos < order.size(); pos++) {
+    for (auto pos = static_cast<uint32_t>(order.size()); pos-- > 0;) {
         const Gate &g = gates[order[pos]];
-        for (int p = 0; p < g.numInputs(); p++)
-            foPos[cursor[g.in[p]]++] = pos;
+        for (int p = g.numInputs(); p-- > 0;)
+            foPos[--foHead[g.in[p]]] = pos;
     }
 
     seqD.resize(seqIds.size());

@@ -120,7 +120,7 @@ struct RandomDesign
         for (GateId ph : placeholders)
             nl.setFanin(ph, 0, pick());
         for (int i = 0; i < 4; i++)
-            nl.addOutput("o" + std::to_string(i), pick());
+            nl.addOutput(std::string("o").append(std::to_string(i)), pick());
         nl.validate();
     }
 };

@@ -205,7 +205,7 @@ TEST_P(XMonotone, MuxTreeAndDecoder)
     std::vector<Bus> choices;
     // Non-power-of-two choice count: the odd tail must stay sound too.
     for (int i = 0; i < 3; i++)
-        choices.push_back(h.in("c" + std::to_string(i), 8));
+        choices.push_back(h.in(std::string("c").append(std::to_string(i)), 8));
     h.out("mux", h.b().muxTree(sel, choices));
     h.out("dec", h.b().decoder(sel));
     h.out("mux2", h.b().muxBus(sel[0], choices[0], choices[1]));

@@ -64,7 +64,7 @@ randomProgram(Rng &rng, int instructions)
         bool byte_mode = rng.chance(1, 4);
         std::string suffix = byte_mode ? ".b" : "";
         auto reg = [&]() {
-            return "r" + std::to_string(4 + rng.below(9));
+            return std::string("r").append(std::to_string(4 + rng.below(9)));
         };
         auto src = [&]() -> std::string {
             switch (rng.below(6)) {
@@ -116,7 +116,7 @@ randomProgram(Rng &rng, int instructions)
             // seeds.
             const char *conds[] = {"jne", "jeq", "jnc", "jc",
                                    "jn",  "jge", "jl"};
-            std::string label = "l" + std::to_string(i);
+            std::string label = std::string("l").append(std::to_string(i));
             os << "        cmp " << reg() << ", " << reg() << "\n";
             os << "        " << conds[rng.below(7)] << " " << label
                << "\n";

@@ -3,7 +3,7 @@
  * Unit and property tests for the netlist graph and the structural
  * builder: datapath blocks are checked against uint16 arithmetic over
  * randomized operands (parameterized sweeps), and graph utilities
- * (levelize, fanouts, stats) are checked on known structures.
+ * (levelize, stats) are checked on known structures.
  */
 
 #include <gtest/gtest.h>
@@ -181,7 +181,8 @@ TEST_P(BuilderSweep, MuxTreeSelects)
     Bus sel = h.in("sel", 3);
     std::vector<Bus> choices;
     for (int i = 0; i < 8; i++)
-        choices.push_back(h.in("c" + std::to_string(i), 16));
+        choices.push_back(
+            h.in(std::string("c").append(std::to_string(i)), 16));
     h.out("out", h.b().muxTree(sel, choices));
 
     Rng rng(GetParam() + 4000);
@@ -268,7 +269,8 @@ TEST_P(BuilderSweep, MuxTreeNonPowerOfTwo)
     Bus sel = h.in("sel", 3);
     std::vector<Bus> choices;
     for (int i = 0; i < 5; i++)
-        choices.push_back(h.in("c" + std::to_string(i), 16));
+        choices.push_back(
+            h.in(std::string("c").append(std::to_string(i)), 16));
     h.out("out", h.b().muxTree(sel, choices));
 
     Rng rng(GetParam() + 7000);
@@ -288,7 +290,8 @@ TEST(Builder, MuxTreeThreeChoices)
     Bus sel = h.in("sel", 2);
     std::vector<Bus> choices;
     for (int i = 0; i < 3; i++)
-        choices.push_back(h.in("c" + std::to_string(i), 16));
+        choices.push_back(
+            h.in(std::string("c").append(std::to_string(i)), 16));
     h.out("out", h.b().muxTree(sel, choices));
     for (uint16_t v = 0; v < 3; v++) {
         h.eval({v, 0x1111, 0x2222, 0x3333});
@@ -305,7 +308,8 @@ TEST_P(BuilderSweep, MuxTreeDefaultOutOfRange)
     Bus sel = h.in("sel", 3);
     std::vector<Bus> choices;
     for (int i = 0; i < 5; i++)
-        choices.push_back(h.in("c" + std::to_string(i), 16));
+        choices.push_back(
+            h.in(std::string("c").append(std::to_string(i)), 16));
     Bus dflt = h.in("dflt", 16);
     h.out("out", h.b().muxTree(sel, choices, dflt));
 
@@ -333,7 +337,7 @@ TEST(Builder, MuxTreeDefaultNonPowerOfTwoWidths)
             std::vector<Bus> choices;
             for (size_t i = 0; i < n; i++)
                 choices.push_back(
-                    h.in("c" + std::to_string(i), 16));
+                    h.in(std::string("c").append(std::to_string(i)), 16));
             Bus dflt = h.in("dflt", 16);
             h.out("out", h.b().muxTree(sel, choices, dflt));
             for (size_t v = 0; v < slots; v++) {

@@ -21,12 +21,15 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/activity_analysis.hh"
 #include "src/builder/net_builder.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/sat/cdcl.hh"
 #include "src/sat/encode.hh"
+#include "src/sat/equiv_prover.hh"
 #include "src/sim/gate_sim.hh"
 #include "src/sim/soc.hh"
+#include "src/transform/pass_pipeline.hh"
 #include "src/util/rng.hh"
 #include "src/workloads/workload.hh"
 
@@ -314,6 +317,71 @@ TEST(SatEncode, UnrollerVariableNumberingIsDeterministic)
         EXPECT_EQ(static_cast<int>(fa[i].kind),
                   static_cast<int>(fb[i].kind));
     }
+}
+
+/**
+ * FNV-1a over a whole clause stream: the variable count, then every
+ * clause in order as its size followed by its literal codes.
+ */
+uint64_t
+clauseStreamHash(const Cnf &cnf)
+{
+    uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; i++) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(cnf.numVars());
+    for (size_t c = 0; c < cnf.numClauses(); c++) {
+        mix(cnf.clauseSize(c));
+        const Lit *ls = cnf.clauseLits(c);
+        for (size_t j = 0; j < cnf.clauseSize(c); j++)
+            mix(ls[j].code);
+    }
+    return h;
+}
+
+// The encodings below are pinned clause for clause: variable numbering,
+// clause order and every literal. Encoder rewrites must reproduce them
+// exactly, since the CDCL search (and so every SAT counter and
+// verdict) follows the clause stream. irq is the app whose free
+// interrupt line keeps the core symbolic; on most apps both encodings
+// fold to a few hundred clauses.
+
+TEST(SatEncode, MiterClauseStreamIsPinned)
+{
+    Netlist core = buildBsp430();
+    const Workload &app = workloadByName("irq");
+    AsmProgram prog = app.assembleProgram();
+    AnalysisResult ar = analyzeActivity(core, prog);
+    ASSERT_TRUE(ar.completed);
+    Netlist tailored = runTailorPipeline(core, ar.activity.get());
+
+    Cnf cnf;
+    UnrollOptions uo;
+    SocUnroller un(core, prog, cnf, uo);
+    un.attachFollower(tailored);
+    Lit miter = encodeMiter(un, core, tailored, 24);
+    EXPECT_EQ(miter.code, 81181u);
+    EXPECT_EQ(cnf.numVars(), 40591u);
+    EXPECT_EQ(cnf.numClauses(), 136800u);
+    EXPECT_EQ(clauseStreamHash(cnf), 6401646133211970909ull);
+}
+
+TEST(SatEncode, NeverToggleUnrollingClauseStreamIsPinned)
+{
+    Netlist core = buildBsp430();
+    AsmProgram prog = workloadByName("irq").assembleProgram();
+    Cnf cnf;
+    UnrollOptions uo;
+    SocUnroller un(core, prog, cnf, uo);
+    for (int f = 0; f < 30; f++)
+        un.addFrame();
+    EXPECT_EQ(cnf.numVars(), 53886u);
+    EXPECT_EQ(cnf.numClauses(), 184060u);
+    EXPECT_EQ(clauseStreamHash(cnf), 6259663330737128700ull);
 }
 
 } // namespace

@@ -45,7 +45,7 @@ TEST(Timing, LoadIncreasesDelay)
         GateId g = b.inv(a);
         GateId x = b.inv(g);
         for (int i = 0; i < fanout; i++)
-            nl.addOutput("o" + std::to_string(i), b.inv(g));
+            nl.addOutput(std::string("o").append(std::to_string(i)), b.inv(g));
         nl.addOutput("x", x);
         return analyzeTiming(nl).criticalPathPs;
     };
@@ -60,7 +60,7 @@ TEST(Timing, SizingReducesCriticalPathUnderLoad)
     GateId heavy = b.inv(a);
     GateId sink = heavy;
     for (int i = 0; i < 30; i++)
-        nl.addOutput("o" + std::to_string(i), b.inv(heavy));
+        nl.addOutput(std::string("o").append(std::to_string(i)), b.inv(heavy));
     nl.addOutput("s", b.inv(sink));
     double before = analyzeTiming(nl).criticalPathPs;
     size_t upsized = sizeForLoads(nl);
