@@ -18,10 +18,6 @@
  *                    one task per application or mutant (0 = all
  *                    cores, default 1). Each analysis runs on its own
  *                    task, so table values are the same at any width.
- *   --sat-threads N  SAT prover worker threads (candidate shards and
- *                    portfolio races; 0 = all cores, default 1).
- *                    Verdicts are bit-identical at any value — only
- *                    wall time moves.
  *   --lanes N        lane evaluator of the activity analysis: 64 (the
  *                    default) advances each batch of frontier states
  *                    on bit planes, 1 on the reference scalar
@@ -99,8 +95,7 @@ class BenchIO
     {
         Threads = 1u << 0,        ///< --threads
         Lanes = 1u << 1,          ///< --lanes
-        SatThreads = 1u << 2,     ///< --sat-threads
-        CheckpointDir = 1u << 3,  ///< --checkpoint-dir
+        CheckpointDir = 1u << 2,  ///< --checkpoint-dir
         /** What flowOptions() carries. */
         Flow = Lanes | CheckpointDir,
     };
@@ -159,9 +154,6 @@ class BenchIO
             };
             if (take_number("--threads", FlagKind::Count, threads_)) {
                 read(Threads, "--threads");
-            } else if (take_number("--sat-threads", FlagKind::Count,
-                                   satThreads_)) {
-                read(SatThreads, "--sat-threads");
             } else if (take_number("--lanes", FlagKind::Lanes, lanes_)) {
                 read(Lanes, "--lanes");
             } else if (take_path("--checkpoint-dir", checkpointDir_)) {
@@ -172,7 +164,6 @@ class BenchIO
                 die("unknown bench flag '" + arg + "' (" + name_ +
                     " reads --quick, --json PATH, --check [PATH]" +
                     (reads_ & Threads ? ", --threads N" : "") +
-                    (reads_ & SatThreads ? ", --sat-threads N" : "") +
                     (reads_ & Lanes ? ", --lanes N" : "") +
                     (reads_ & CheckpointDir ? ", --checkpoint-dir DIR"
                                             : "") +
@@ -197,12 +188,6 @@ class BenchIO
     {
         requireRead(Threads);
         return threads_;
-    }
-    /** --sat-threads value for the SAT prover layer (default 1). */
-    int satThreads() const
-    {
-        requireRead(SatThreads);
-        return satThreads_;
     }
     /** --lanes value for AnalysisOptions::laneWidth (library default). */
     int lanes() const
@@ -485,7 +470,6 @@ class BenchIO
     unsigned reads_;
     bool quick_ = false;
     int threads_ = 1;
-    int satThreads_ = 1;
     bool checkMode_ = false;
     bool ok_ = true;
     std::string jsonPath_, checkPath_, checkpointDir_;

@@ -218,7 +218,7 @@ BM_MiterEncode(benchmark::State &state)
         core(), analyzeActivity(core(), prog).activity.get());
     for (auto _ : state) {
         sat::Cnf cnf;
-        sat::SocUnroller un(core(), prog, cnf, sat::UnrollOptions{});
+        sat::SocUnroller un(core(), prog, cnf);
         un.attachFollower(tailored);
         sat::Lit miter = sat::encodeMiter(un, core(), tailored, 24);
         benchmark::DoNotOptimize(miter);

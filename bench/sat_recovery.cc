@@ -20,11 +20,10 @@
  * uniform bound keeps rows comparable; beyond the interrupt latency
  * the irq app's free-interrupt envelope starts legitimately refuting
  * almost everything, see EXPERIMENTS.md), plus solver observability:
- * conflicts and propagations (exact — solver work is deterministic
- * and thread-count-independent) and the SAT-pass wall time (volatile,
- * excluded from --check). --sat-threads parallelizes both the per-app
- * fan-out and each prover's candidate shards without moving any
- * checked value.
+ * conflicts and propagations (exact — solver work is deterministic)
+ * and the SAT-pass wall time (volatile, excluded from --check).
+ * --threads fans the apps out over a worker pool without moving any
+ * checked value; each app's prover runs on its own task.
  *
  * Full mode additionally tailors the tractable-horizon apps with the
  * SAT pass at a fixed per-app full-horizon depth and re-proves every
@@ -122,7 +121,7 @@ main(int argc, char **argv)
 {
     setVerbose(false);
     BenchIO io(argc, argv, "sat_recovery",
-               BenchIO::Threads | BenchIO::Lanes | BenchIO::SatThreads);
+               BenchIO::Threads | BenchIO::Lanes);
 
     banner("SAT never-toggle recovery over widened X-analysis",
            "Fig. 10 companion (exact backstop)");
@@ -134,11 +133,7 @@ main(int argc, char **argv)
     aopts.concreteVisits = 1;  // widen aggressively: see header comment
 
     std::vector<AppRow> rows(apps.size());
-    // The per-app jobs are the outer parallelism; --sat-threads sizes
-    // the pool too so a SAT-threaded run keeps every worker busy even
-    // when --threads is left at 1 (each app's prover then shards its
-    // candidates across the same workers it would otherwise idle).
-    WorkerPool pool(std::max(io.threads(), io.satThreads()));
+    WorkerPool pool(io.threads());
     for (size_t a = 0; a < apps.size(); a++) {
         pool.post([&, a] {
             const Workload &app = apps[a];
@@ -158,7 +153,6 @@ main(int argc, char **argv)
             PassPipelineOptions with_sat = base;
             with_sat.satNeverToggle = true;
             with_sat.sat.depth = kTableDepth;
-            with_sat.sat.threads = io.satThreads();
             PipelineReport report;
             auto t0 = std::chrono::steady_clock::now();
             Netlist sat_nl =
@@ -177,7 +171,7 @@ main(int argc, char **argv)
     pool.drain();
 
     // conflicts/propagations are exact columns: solver work is a pure
-    // function of the sharded sessions, identical at any --sat-threads.
+    // function of the sharded sessions, identical at any --threads.
     // Only the wall-time column ("sat ms") is machine-dependent.
     Table table({"benchmark", "merges", "candidates", "recovered",
                  "refuted", "unknown", "cells x-only", "cells +sat",
@@ -250,7 +244,7 @@ main(int argc, char **argv)
             {"mult", 1026}, {"binSearch", 1206}, {"div", 1477},
             {"dbg", 1245},  {"convEn", 1522},    {"tea8", 1755}};
         std::vector<VRow> vrows(verified_apps.size());
-        WorkerPool vpool(std::max(io.threads(), io.satThreads()));
+        WorkerPool vpool(io.threads());
         for (size_t v = 0; v < verified_apps.size(); v++) {
             vpool.post([&, v] {
                 const Workload &app =
@@ -262,7 +256,6 @@ main(int argc, char **argv)
                 PassPipelineOptions with_sat;
                 with_sat.satNeverToggle = true;
                 with_sat.sat.depth = verified_apps[v].depth;
-                with_sat.sat.threads = io.satThreads();
                 PipelineReport report;
                 CutStats cut;
                 auto t0 = std::chrono::steady_clock::now();
@@ -276,7 +269,6 @@ main(int argc, char **argv)
                     core, sat_nl, prog, io.analysisOptions());
                 sat::SatEquivOptions seq;
                 seq.depth = 16;
-                seq.threads = io.satThreads();
                 sat::SatEquivResult smt =
                     sat::proveEquivalentSat(core, sat_nl, prog, seq);
 

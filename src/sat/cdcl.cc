@@ -603,8 +603,6 @@ CdclSolver::solve(const std::vector<Lit> &assumptions,
             } else {
                 if (budget_end && conflicts_ >= budget_end)
                     return kSearchBudget;
-                if (stop_ && stop_->load(std::memory_order_relaxed))
-                    return kSearchBudget;
                 if (conflictc >= nof_conflicts) {
                     cancelUntil(0);
                     return kSearchRestart;

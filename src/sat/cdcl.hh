@@ -31,7 +31,6 @@
 #ifndef BESPOKE_SAT_CDCL_HH
 #define BESPOKE_SAT_CDCL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -44,7 +43,7 @@ enum class SolveResult : uint8_t
 {
     Sat,
     Unsat,
-    Unknown,  ///< conflict budget exhausted (or externally stopped)
+    Unknown,  ///< conflict budget exhausted
 };
 
 /**
@@ -102,14 +101,6 @@ class CdclSolver : public CnfSink
      * own.
      */
     const std::vector<Lit> &failedAssumptions() const { return core_; }
-
-    /**
-     * Cooperative cancellation for portfolio racing: when the pointed-to
-     * flag becomes true, in-flight solves return Unknown at the next
-     * conflict. A cancelled result must be discarded by the caller —
-     * determinism only covers uncancelled runs.
-     */
-    void setStopFlag(const std::atomic<bool> *stop) { stop_ = stop; }
 
     size_t numVars() const { return nVars_; }
     uint64_t conflicts() const { return conflicts_; }
@@ -203,8 +194,6 @@ class CdclSolver : public CnfSink
     /** Live learned clauses, in arena order. */
     std::vector<CRef> learned_;
     size_t reduceLimit_ = 2000;
-
-    const std::atomic<bool> *stop_ = nullptr;
 
     uint64_t conflicts_ = 0;
     uint64_t decisions_ = 0;

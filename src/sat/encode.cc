@@ -178,12 +178,9 @@ encodeCombFrame(const Netlist &nl, const std::vector<GateId> &order,
 }
 
 SocUnroller::SocUnroller(const Netlist &nl, const AsmProgram &prog,
-                         CnfSink &sink, const UnrollOptions &opts)
-    : prog_(prog), ts_(sink), opts_(opts)
+                         CnfSink &sink)
+    : prog_(prog), ts_(sink), leader_(nl)
 {
-    leaderCtx_ = SocContext::make(nl);
-    leader_.ctx = leaderCtx_;
-    initDesign(&leader_, nl);
     ram_.assign(kRamSize / 2, MemWord{});
 }
 
@@ -192,30 +189,24 @@ SocUnroller::attachFollower(const Netlist &other)
 {
     bespoke_assert(frames_ == 0,
                    "attachFollower must precede the first addFrame");
-    follower_ = std::make_unique<Design>();
-    followerCtx_ = SocContext::make(other);
-    follower_->ctx = followerCtx_;
-    initDesign(follower_.get(), other);
+    follower_ = std::make_unique<Design>(other);
 }
 
-void
-SocUnroller::initDesign(Design *d, const Netlist &nl)
+SocUnroller::Design::Design(const Netlist &netlist)
+    : nl(netlist), ports(netlist), order(netlist.levelize()),
+      seqIds(netlist.sequentialIds())
 {
-    d->nl = &nl;
-    d->order = nl.levelize();
-    d->seqIds = nl.sequentialIds();
     // Every INPUT the memory model and the shared stimulus do not
     // drive gets a fresh free variable per frame, in ascending id order.
-    const SocContext &c = *d->ctx;
     std::vector<uint8_t> driven(nl.size(), 0);
     for (int b = 0; b < 16; b++) {
-        driven[c.pMemRdata[b]] = 1;
-        driven[c.pGpioIn[b]] = 1;
+        driven[ports.pMemRdata[b]] = 1;
+        driven[ports.pGpioIn[b]] = 1;
     }
-    driven[c.pIrqExt] = 1;
+    driven[ports.pIrqExt] = 1;
     for (GateId id : nl.inputIds()) {
         if (!driven[id])
-            d->otherInputs.push_back(id);
+            otherInputs.push_back(id);
     }
 }
 
@@ -232,8 +223,8 @@ void
 SocUnroller::driveAndEval(Design *d, int frame,
                           const std::array<Lit, 16> &gpio, Lit irq)
 {
-    const SocContext &c = *d->ctx;
-    d->vals.emplace_back(d->nl->size(), kFalse);
+    const SocPorts &c = d->ports;
+    d->vals.emplace_back(d->nl.size(), kFalse);
     std::vector<Lit> &v = d->vals.back();
     for (size_t i = 0; i < d->seqIds.size(); i++)
         v[d->seqIds[i]] = d->nextState[i];
@@ -244,7 +235,7 @@ SocUnroller::driveAndEval(Design *d, int frame,
     v[c.pIrqExt] = irq;
     for (GateId id : d->otherInputs)
         v[id] = freeVar(FreeVarInfo::Kind::OtherInput, frame, id, 0);
-    encodeCombFrame(*d->nl, d->order, ts_, &v);
+    encodeCombFrame(d->nl, d->order, ts_, &v);
 }
 
 void
@@ -265,7 +256,7 @@ SocUnroller::trackWord(uint32_t word_idx)
 }
 
 std::array<Lit, 16>
-SocUnroller::romMuxRead(const std::array<Lit, 16> &addr)
+SocUnroller::symbolicRomRead(const std::array<Lit, 16> &addr)
 {
     // Word index = addr bits 11..1 (bit 0 ignored: word-aligned reads,
     // top nibble pinned to 0xF by the caller's isRom guard). The ROM
@@ -325,19 +316,15 @@ SocUnroller::readData(const std::array<Lit, 16> &addr)
                 data[b] = freeVar(FreeVarInfo::Kind::MemFresh, frames_,
                                   a, b);
         }
-    } else if (opts_.romMux) {
+    } else {
         const Lit top[] = {addr[15], addr[14], addr[13], addr[12]};
         Lit isrom = ts_.andL(top);
-        std::array<Lit, 16> rom = romMuxRead(addr);
+        std::array<Lit, 16> rom = symbolicRomRead(addr);
         for (int b = 0; b < 16; b++) {
             Lit f = freeVar(FreeVarInfo::Kind::MemFresh, frames_,
                             0xffffffffu, b);
             data[b] = ts_.muxL(isrom, f, rom[b]);
         }
-    } else {
-        for (int b = 0; b < 16; b++)
-            data[b] = freeVar(FreeVarInfo::Kind::MemFresh, frames_,
-                              0xffffffffu, b);
     }
     return data;
 }
@@ -345,7 +332,7 @@ SocUnroller::readData(const std::array<Lit, 16> &addr)
 void
 SocUnroller::stepMemory(const Design &d, int frame)
 {
-    const SocContext &c = *d.ctx;
+    const SocPorts &c = d.ports;
     const std::vector<Lit> &v = d.vals[frame];
     Lit en = v[c.pMemEn];
     Lit wen0 = v[c.pMemWen0];
@@ -423,14 +410,8 @@ SocUnroller::addFrame()
                 continue;
             d->nextState.resize(d->seqIds.size());
             for (size_t i = 0; i < d->seqIds.size(); i++) {
-                GateId id = d->seqIds[i];
-                if (opts_.fromReset) {
-                    d->nextState[i] =
-                        d->nl->gate(id).resetValue ? kTrue : kFalse;
-                } else {
-                    d->nextState[i] = freeVar(
-                        FreeVarInfo::Kind::InitFlop, 0, id, 0);
-                }
+                d->nextState[i] =
+                    d->nl.gate(d->seqIds[i]).resetValue ? kTrue : kFalse;
             }
         }
     }
@@ -452,7 +433,7 @@ SocUnroller::addFrame()
         const std::vector<Lit> &v = d->vals[f];
         for (size_t i = 0; i < d->seqIds.size(); i++) {
             GateId id = d->seqIds[i];
-            const Gate &g = d->nl->gate(id);
+            const Gate &g = d->nl.gate(id);
             Lit dv = v[g.in[0]];
             Lit q = v[id];
             d->nextState[i] = g.type == CellType::DFF

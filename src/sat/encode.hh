@@ -117,7 +117,6 @@ struct FreeVarInfo
         GpioIn,     ///< gpio_in bit `index`, at `frame`
         IrqExt,     ///< irq_ext, at `frame`
         OtherInput, ///< unclassified INPUT port (gate id `index`)
-        InitFlop,   ///< frame-0 flop value (gate id `index`)
         InitRdata,  ///< frame-0 mem_rdata hold register bit `index`
         RamInit,    ///< initial RAM word `index` (word idx), bit `bit`
         MemFresh,   ///< unconstrained memory read bit (periph/havoc)
@@ -129,27 +128,16 @@ struct FreeVarInfo
     Var var;
 };
 
-struct UnrollOptions
-{
-    /** Frame 0 from reset state (true) or fully free state (false,
-     *  for induction-step queries). */
-    bool fromReset = true;
-    /** Lower symbolic-address ROM reads to an exact ROM-content mux
-     *  instead of fresh free variables. */
-    bool romMux = true;
-};
-
 /**
- * Bounded unrolling of one SoC netlist (plus, optionally, a second
- * "follower" netlist sharing the same inputs and memory bus — the
- * miter configuration). The leader's memory port drives the memory
+ * Bounded unrolling of one SoC netlist from reset (plus, optionally, a
+ * second "follower" netlist sharing the same inputs and memory bus —
+ * the miter configuration). The leader's memory port drives the memory
  * model; both designs see the same mem_rdata.
  */
 class SocUnroller
 {
   public:
-    SocUnroller(const Netlist &nl, const AsmProgram &prog, CnfSink &sink,
-                const UnrollOptions &opts);
+    SocUnroller(const Netlist &nl, const AsmProgram &prog, CnfSink &sink);
 
     /** Attach the miter follower. Must precede the first addFrame(). */
     void attachFollower(const Netlist &other);
@@ -169,17 +157,16 @@ class SocUnroller
         return follower_->vals[f][id];
     }
 
-    const SocContext &ctx() const { return *leaderCtx_; }
-    const SocContext &followerCtx() const { return *followerCtx_; }
-
     /** Every free variable allocated so far, in allocation order. */
     const std::vector<FreeVarInfo> &freeVars() const { return free_; }
 
   private:
     struct Design
     {
-        const Netlist *nl = nullptr;
-        std::shared_ptr<const SocContext> ctx;
+        explicit Design(const Netlist &netlist);
+
+        const Netlist &nl;
+        SocPorts ports;
         std::vector<GateId> order;     ///< levelize()
         std::vector<GateId> seqIds;
         /** INPUT ids outside mem_rdata/gpio_in/irq_ext, ascending. */
@@ -203,21 +190,17 @@ class SocUnroller
 
     Lit freeVar(FreeVarInfo::Kind kind, int frame, uint32_t index,
                 uint32_t bit);
-    void initDesign(Design *d, const Netlist &nl);
     void driveAndEval(Design *d, int frame,
                       const std::array<Lit, 16> &gpio, Lit irq);
     void trackWord(uint32_t word_idx);
     std::array<Lit, 16> readData(const std::array<Lit, 16> &addr);
-    std::array<Lit, 16> romMuxRead(const std::array<Lit, 16> &addr);
+    std::array<Lit, 16> symbolicRomRead(const std::array<Lit, 16> &addr);
     void stepMemory(const Design &d, int frame);
 
     const AsmProgram &prog_;
     Tseitin ts_;
-    UnrollOptions opts_;
     Design leader_;
     std::unique_ptr<Design> follower_;
-    std::shared_ptr<const SocContext> leaderCtx_;
-    std::shared_ptr<const SocContext> followerCtx_;
 
     int frames_ = 0;
     std::vector<FreeVarInfo> free_;

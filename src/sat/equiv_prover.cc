@@ -36,6 +36,9 @@ sharedOutputs(const Netlist &a, const Netlist &b,
     return out;
 }
 
+/** Portfolio attempts when a conflict budget can exhaust. */
+constexpr int kPortfolioAttempts = 4;
+
 /** Incremental deepening schedule: 8, 16, 32, ..., depth. */
 std::vector<int>
 miterChunks(int depth)
@@ -59,24 +62,19 @@ miterChunks(int depth)
  * chunk short-circuits with a witness at the shallowest depth that has
  * one — the common inequivalent case never pays for the full-depth
  * encoding. `budget_out` reports whether the session died of conflict
- * budget (or cancellation) rather than reaching a real verdict.
+ * budget rather than reaching a real verdict.
  */
 SatEquivResult
 runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
                 const AsmProgram &prog, const SatEquivOptions &opts,
-                const CdclConfig &config, const std::atomic<bool> *stop,
-                bool *budget_out)
+                const CdclConfig &config, bool *budget_out)
 {
     SatEquivResult res;
     res.depth = opts.depth;
     *budget_out = false;
 
     CdclSolver solver(config);
-    solver.setStopFlag(stop);
-    UnrollOptions uo;
-    uo.fromReset = true;
-    uo.romMux = opts.romMux;
-    SocUnroller un(original, prog, solver, uo);
+    SocUnroller un(original, prog, solver);
     un.attachFollower(bespoke_nl);
     auto ports = sharedOutputs(original, bespoke_nl);
     Tseitin ts(solver);
@@ -169,7 +167,7 @@ runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
                                                   | (1u << fv.bit));
             break;
           default:
-            break;  // InitFlop absent (fromReset); MemFresh unreplayable
+            break;  // MemFresh and OtherInput bits are not replayed
         }
     }
 
@@ -252,28 +250,19 @@ proveEquivalentSat(const Netlist &original, const Netlist &bespoke_nl,
                    const AsmProgram &prog, const SatEquivOptions &opts)
 {
     // A deterministic portfolio over permuted solver configs. An
-    // attempt is "decisive" unless it died of conflict budget (or was
-    // cancelled); the winner is the lowest-index decisive attempt, a
-    // pure function of the problem — identical at any thread count
-    // (see src/sat/portfolio.hh). With an unlimited budget config 0 is
-    // always decisive and the portfolio collapses to the single
-    // default-config session.
-    int attempts = std::max(1, opts.portfolio);
-    if (opts.conflictBudget == 0)
-        attempts = 1;
-    int threads = resolveSatThreads(opts.threads);
+    // attempt is "decisive" unless it died of conflict budget; the
+    // winner is the lowest-index decisive attempt, a pure function of
+    // the problem (see src/sat/portfolio.hh). With an unlimited budget
+    // config 0 is always decisive and the portfolio collapses to the
+    // single default-config session.
+    int attempts = opts.conflictBudget == 0 ? 1 : kPortfolioAttempts;
     std::vector<SatEquivResult> results(attempts);
-    std::vector<uint8_t> budget_died(attempts, 0);
-    int winner = runPortfolio(
-        attempts, threads,
-        [&](int i, const std::atomic<bool> *stop) {
-            bool budget = false;
-            results[i] =
-                runMiterSession(original, bespoke_nl, prog, opts,
-                                portfolioConfig(i), stop, &budget);
-            budget_died[i] = budget ? 1 : 0;
-            return !budget;
-        });
+    int winner = runPortfolio(attempts, [&](int i) {
+        bool budget = false;
+        results[i] = runMiterSession(original, bespoke_nl, prog, opts,
+                                     portfolioConfig(i), &budget);
+        return !budget;
+    });
     SatEquivResult res =
         winner >= 0 ? std::move(results[winner]) : std::move(results[0]);
     res.config = winner >= 0 ? winner : 0;

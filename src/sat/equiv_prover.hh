@@ -25,9 +25,9 @@
  * leaves the solver (learned clauses, activities, phases) primed for
  * the next, and a SAT chunk short-circuits with a witness at the
  * shallowest depth that has one. When a conflict budget is set, a
- * budget-exhausted session is retried under deterministically permuted
- * solver configs (a fixed-priority portfolio — the winner is the
- * lowest-index decisive attempt, identical at any thread count; see
+ * budget-exhausted session is retried, one after the other, under up
+ * to three deterministically permuted solver configs (a fixed-priority
+ * portfolio — the winner is the lowest-index decisive attempt; see
  * src/sat/portfolio.hh).
  *
  * encodeMiter() is exposed separately so `bespoke_io export-cnf` can
@@ -54,15 +54,12 @@ struct SatEquivOptions
     int depth = 24;
     /** Solver conflict budget (0 = unlimited). */
     uint64_t conflictBudget = 0;
-    /** Exact ROM mux for symbolic-address reads. */
-    bool romMux = true;
-    /** Worker threads for racing portfolio attempts (1 = sequential
-     *  with first-decisive early exit, 0 = all hardware threads). The
-     *  verdict is identical at any value. */
+    /**
+     * Ignored: the prover is sequential. Kept only because the
+     * perfbench driver reads it; remove with the benchmark's next
+     * revision.
+     */
     int threads = 1;
-    /** Portfolio attempts when a conflict budget can exhaust (ignored
-     *  when conflictBudget == 0: config 0 is then always decisive). */
-    int portfolio = 4;
 };
 
 enum class SatEquivVerdict : uint8_t

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/worker_pool.hh"
-
 namespace bespoke::sat
 {
 
@@ -58,60 +56,13 @@ shardRanges(size_t n, size_t min_per_shard, size_t max_shards)
 }
 
 int
-runPortfolio(
-    int attempts, int threads,
-    const std::function<bool(int, const std::atomic<bool> *)> &try_one)
+runPortfolio(int attempts, const std::function<bool(int)> &try_one)
 {
-    if (attempts <= 0)
-        return -1;
-    if (threads <= 1 || attempts == 1) {
-        // Sequential schedule: first decisive attempt in index order —
-        // by construction the same winner the parallel race picks.
-        for (int i = 0; i < attempts; i++) {
-            if (try_one(i, nullptr))
-                return i;
-        }
-        return -1;
-    }
-    std::vector<std::atomic<bool>> stops(attempts);
-    std::vector<uint8_t> decisive(attempts, 0);
-    for (auto &s : stops)
-        s.store(false, std::memory_order_relaxed);
-    // Lowest decisive index seen so far; attempts above it are
-    // cancelled, attempts below it still run to completion so the
-    // winner is the true index-order minimum.
-    std::atomic<int> best(attempts);
-    {
-        WorkerPool pool(std::min(threads, attempts));
-        for (int i = 0; i < attempts; i++) {
-            pool.post([&, i] {
-                if (best.load(std::memory_order_acquire) < i)
-                    return;  // a lower index already won
-                if (try_one(i, &stops[i])) {
-                    decisive[i] = 1;
-                    int cur = best.load(std::memory_order_acquire);
-                    while (i < cur &&
-                           !best.compare_exchange_weak(
-                               cur, i, std::memory_order_acq_rel)) {
-                    }
-                    for (int k = i + 1; k < attempts; k++)
-                        stops[k].store(true, std::memory_order_release);
-                }
-            });
-        }
-        pool.drain();
-    }
     for (int i = 0; i < attempts; i++) {
-        if (decisive[i])
+        if (try_one(i))
             return i;
     }
     return -1;
-}
-
-int
-resolveSatThreads(int requested)
-{
-    return requested <= 0 ? WorkerPool::defaultThreadCount() : requested;
 }
 
 } // namespace bespoke::sat

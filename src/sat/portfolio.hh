@@ -1,36 +1,25 @@
 /**
  * @file
- * Deterministic portfolio and partitioning helpers for parallel SAT.
+ * Deterministic portfolio and partitioning helpers for the SAT layer.
  *
- * Two orthogonal parallelization shapes, both with thread-count-
- * independent verdicts (the reproducibility discipline the analysis
- * engines established):
- *
- * 1. Config portfolio (`runPortfolio`): N attempts of the same
+ * 1. Config portfolio (`runPortfolio`): up to N attempts of the same
  *    problem, each a differently-permuted but individually
- *    deterministic CDCL search (`portfolioConfig`). The winner is the
- *    LOWEST-INDEX decisive attempt — a pure function of the problem,
- *    not of wall-clock order. Sequential execution scans configs in
- *    index order and stops at the first decisive one; parallel
- *    execution races all configs and cancels only attempts with an
- *    index HIGHER than a decisive finisher, then waits for every
- *    lower-index attempt, so both schedules pick the identical winner
- *    (and its model/stats). The race only buys wall time when config 0
- *    is indecisive (conflict-budget exhaustion) — that is the point:
- *    a budgeted Unknown gets N deterministic chances instead of one.
+ *    deterministic CDCL search (`portfolioConfig`), scanned in index
+ *    order; the winner is the LOWEST-INDEX decisive attempt, a pure
+ *    function of the problem. The scan only goes past config 0 when it
+ *    is indecisive (conflict-budget exhaustion) — that is the point: a
+ *    budgeted Unknown gets N deterministic chances instead of one.
  *
  * 2. Candidate partitioning (`shardRanges`): a pending candidate set
- *    is split into contiguous shards whose count depends ONLY on the
- *    candidate count, never on the thread count; shards then run as
- *    self-contained deterministic sessions on a `WorkerPool` and merge
- *    in index order. Verdicts are bit-identical at any `--sat-threads`.
+ *    is split into contiguous shards whose count depends only on the
+ *    candidate count; each shard is a self-contained deterministic
+ *    session, and the sessions run and merge in index order.
  */
 
 #ifndef BESPOKE_SAT_PORTFOLIO_HH
 #define BESPOKE_SAT_PORTFOLIO_HH
 
 #include <cstddef>
-#include <atomic>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -49,30 +38,20 @@ CdclConfig portfolioConfig(int index);
 
 /**
  * Fixed partition of [0, n) into contiguous shards. The shard count is
- * ceil(n / min_per_shard) capped at max_shards — a function of n only,
- * so partition-dependent verdicts cannot depend on the thread count.
+ * ceil(n / min_per_shard) capped at max_shards; shard lengths differ
+ * by at most one.
  */
 std::vector<std::pair<size_t, size_t>>
 shardRanges(size_t n, size_t min_per_shard, size_t max_shards);
 
 /**
- * Run up to `attempts` deterministic tries of one problem and return
- * the index of the lowest decisive attempt, or -1 if every attempt was
- * indecisive. `try_one(index, stop)` must be a pure function of the
- * index (plus the shared problem), returning true when decisive; it
- * should poll `stop` (via CdclSolver::setStopFlag) so a decisive
- * lower-index finisher can cancel it — a cancelled attempt simply
- * reports indecisive and its result is never read.
- *
- * `threads` <= 1 runs sequentially with first-decisive early exit;
- * both schedules return the same winner by construction.
+ * Run deterministic tries of one problem in index order, stopping at
+ * the first decisive one, and return its index, or -1 if all
+ * `attempts` were indecisive. `try_one(index)` must be a pure function
+ * of the index (plus the shared problem), returning true when
+ * decisive.
  */
-int runPortfolio(
-    int attempts, int threads,
-    const std::function<bool(int, const std::atomic<bool> *)> &try_one);
-
-/** Resolve a --sat-threads-style knob: <= 0 means all hardware threads. */
-int resolveSatThreads(int requested);
+int runPortfolio(int attempts, const std::function<bool(int)> &try_one);
 
 } // namespace bespoke::sat
 

@@ -135,8 +135,7 @@ SimPrep::SimPrep(const Netlist &netlist)
     }
 }
 
-SocContext::SocContext(const Netlist &nl)
-    : netlist(nl), prep(std::make_shared<const SimPrep>(nl))
+SocPorts::SocPorts(const Netlist &nl)
 {
     pMemRdata = nl.bus("mem_rdata", 16);
     pGpioIn = nl.bus("gpio_in", 16);
@@ -156,7 +155,11 @@ SocContext::SocContext(const Netlist &nl)
     decBranchSrc = nl.gate(pDecBranch).in[0];
     decIrq0Src = nl.gate(pDecIrq0).in[0];
     decIrq1Src = nl.gate(pDecIrq1).in[0];
+}
 
+SocContext::SocContext(const Netlist &nl)
+    : SocPorts(nl), netlist(nl), prep(std::make_shared<const SimPrep>(nl))
+{
     // Locate the PC flops through the pc_out port; the activity
     // analysis patches these SeqState slots when it enumerates the
     // concrete candidates of a partially-known fetch PC.

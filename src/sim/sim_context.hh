@@ -106,12 +106,26 @@ struct SimPrep
 };
 
 /**
- * SimPrep plus the resolved bsp430 port/bus ids a Soc needs, and the
- * PC-flop index map the activity analysis uses to enumerate symbolic
- * fetch addresses. Requires the standard core ports (see bsp430.hh);
+ * The resolved bsp430 port/bus ids (names as in bsp430.hh) a Soc and
+ * the SAT unroller drive and sample. Requires the standard core ports;
  * valid on original and transformed netlists alike.
  */
-struct SocContext
+struct SocPorts
+{
+    explicit SocPorts(const Netlist &netlist);
+
+    std::vector<GateId> pMemRdata, pGpioIn, pMemAddr, pMemWdata;
+    std::vector<GateId> pPcOut, pGpioOut;
+    GateId pIrqExt, pMemEn, pMemWen0, pMemWen1;
+    GateId pStFetch, pCtlXfer, pDecBranch, pDecIrq0, pDecIrq1;
+    GateId decBranchSrc, decIrq0Src, decIrq1Src;
+};
+
+/**
+ * SimPrep plus the SoC's port ids, and the PC-flop index map the
+ * activity analysis uses to enumerate symbolic fetch addresses.
+ */
+struct SocContext : SocPorts
 {
     explicit SocContext(const Netlist &netlist);
 
@@ -123,13 +137,6 @@ struct SocContext
 
     const Netlist &netlist;
     std::shared_ptr<const SimPrep> prep;
-
-    // Port / bus ids (names as in bsp430.hh).
-    std::vector<GateId> pMemRdata, pGpioIn, pMemAddr, pMemWdata;
-    std::vector<GateId> pPcOut, pGpioOut;
-    GateId pIrqExt, pMemEn, pMemWen0, pMemWen1;
-    GateId pStFetch, pCtlXfer, pDecBranch, pDecIrq0, pDecIrq1;
-    GateId decBranchSrc, decIrq0Src, decIrq1Src;
 
     /**
      * For each pc_out bit, the index of its driving flop in SeqState

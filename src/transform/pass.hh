@@ -1,14 +1,11 @@
 /**
  * @file
- * Transform pass framework: the interface every netlist transform pass
- * implements plus the shared analysis context passes draw from.
+ * Transform pass framework: the environment, the shared analysis
+ * context, and the per-pass statistics of the tailoring pipeline.
  *
- * A pass expresses its effect as Rewriter marks against the pipeline's
- * current working netlist; the pipeline owns compaction, dead sweeping,
- * and analysis invalidation between passes. Passes that must *grow* the
- * netlist first (e.g. the datapath rewrite search, which appends a
- * rebuilt block and then aliases the old block's outputs onto it) do so
- * in prepare(), which runs before the pipeline constructs the Rewriter.
+ * A pass expresses its effect as Rewriter marks (src/transform/rewrite)
+ * against the pipeline's current working netlist; the pipeline owns
+ * compaction, dead sweeping, and analysis invalidation between passes.
  *
  * PassContext carries the expensive shared analyses — measured toggle
  * activity and the per-gate arrival/required/slack query — computed
@@ -28,7 +25,6 @@
 #include "src/power/power_model.hh"
 #include "src/sim/gate_sim.hh"
 #include "src/timing/sta.hh"
-#include "src/transform/rewrite.hh"
 
 namespace bespoke
 {
@@ -129,34 +125,6 @@ struct PassStats
     double depthBeforePs = -1.0;
     double depthAfterPs = -1.0;
     double wallMs = 0.0;
-};
-
-/**
- * One transform pass. The pipeline drives each pass as:
- *   prepare(working, ctx)      — optional netlist growth
- *   Rewriter rw(working); n = run(rw, ctx)
- *   if (n) working = rw.compact() [+ sweepDead when sweeps() is true]
- *   finish(working, ctx)       — optional post-compaction fixup
- * Analyses in ctx are invalidated whenever the netlist changes.
- */
-class TransformPass
-{
-  public:
-    virtual ~TransformPass() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Grow or annotate the working netlist before marking. */
-    virtual void prepare(Netlist & /*nl*/, PassContext & /*ctx*/) {}
-
-    /** Apply rewrite marks; return the number of marks made. */
-    virtual size_t run(Rewriter &rw, PassContext &ctx) = 0;
-
-    /** Post-compaction hook (e.g. instance-table fixup). */
-    virtual void finish(Netlist & /*nl*/, PassContext & /*ctx*/) {}
-
-    /** Whether the pipeline should sweep dead logic after this pass. */
-    virtual bool sweeps() const { return true; }
 };
 
 } // namespace bespoke

@@ -402,18 +402,17 @@ scoreVariant(const Netlist &base, const std::vector<double> &baseDensity,
  * λ-dependent decision are split (scoreRewriteCandidates /
  * rewriteDecisionsAtLambda) so λ-sweeps reuse one scoring pass.
  */
-class RewriteSearchPass : public TransformPass
+class RewriteSearchPass
 {
   public:
     explicit RewriteSearchPass(const RewriteSearchOptions &opts)
         : opts_(opts)
     {}
 
-    const char *name() const override { return "rewrite-search"; }
     size_t rewritten() const { return rewritten_; }
 
     void
-    prepare(Netlist &nl, PassContext &ctx) override
+    prepare(Netlist &nl, PassContext &ctx)
     {
         double period = ctx.clockPeriodPs();
 
@@ -447,7 +446,7 @@ class RewriteSearchPass : public TransformPass
     }
 
     size_t
-    run(Rewriter &rw, PassContext & /*ctx*/) override
+    run(Rewriter &rw)
     {
         for (auto [o, nn] : pending_)
             rw.makeAlias(o, nn);
@@ -455,7 +454,7 @@ class RewriteSearchPass : public TransformPass
     }
 
     void
-    finish(Netlist &nl, PassContext & /*ctx*/) override
+    finish(Netlist &nl)
     {
         dedupInstances(nl);
     }
@@ -476,7 +475,7 @@ class RewriteSearchPass : public TransformPass
  * proof alone justifies the rewrite (its envelope covers every real
  * execution); the measured evidence only selects candidates.
  */
-class SatNeverTogglePass : public TransformPass
+class SatNeverTogglePass
 {
   public:
     static constexpr int kMaxSatFrames = 100000;
@@ -485,10 +484,8 @@ class SatNeverTogglePass : public TransformPass
         : opts_(opts)
     {}
 
-    const char *name() const override { return "sat-never-toggle"; }
-
     size_t
-    run(Rewriter &rw, PassContext &ctx) override
+    run(Rewriter &rw, PassContext &ctx)
     {
         const PassEnv &env = ctx.env();
         if (!env.program || !ctx.hasActivity() || opts_.depth <= 0)
@@ -542,13 +539,8 @@ class SatNeverTogglePass : public TransformPass
         if (cands.empty())
             return 0;
         sat::NeverToggleOptions no;
-        no.mode = opts_.induction
-                      ? sat::NeverToggleOptions::Mode::Induction
-                      : sat::NeverToggleOptions::Mode::BoundedEnvelope;
         no.depth = opts_.depth;
         no.conflictBudget = opts_.conflictBudget;
-        no.romMux = opts_.romMux;
-        no.threads = opts_.threads;
         candidates_ = cands.size();
         sat::NeverToggleResult res =
             sat::proveNeverToggling(nl, *env.program, cands, no);
@@ -926,11 +918,6 @@ hashPassPipelineOptions(const PassPipelineOptions &opts)
     h = fnv64(h, opts.satNeverToggle);
     h = fnv64(h, static_cast<uint64_t>(opts.sat.depth));
     h = fnv64(h, opts.sat.conflictBudget);
-    h = fnv64(h, opts.sat.romMux);
-    h = fnv64(h, opts.sat.induction);
-    // sat.threads is deliberately NOT hashed: the prover's verdicts
-    // are bit-identical at any thread count, so checkpoints produced
-    // at different --sat-threads values are interchangeable.
     return h;
 }
 
@@ -1111,7 +1098,7 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
             report->satRefuted = pass.refuted();
             report->satUnknown = pass.unknown();
             const sat::NeverToggleStats &st = pass.stats();
-            report->satConflicts = st.baseConflicts + st.stepConflicts;
+            report->satConflicts = st.conflicts;
             report->satPropagations = st.propagations;
             report->satLearned = st.learnedClauses;
             report->satKept = st.keptClauses;
@@ -1136,14 +1123,13 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
         pass.prepare(current, ctx);
         ctx.invalidate();
         Rewriter rw(current);
-        size_t n = pass.run(rw, ctx);
+        size_t n = pass.run(rw);
         if (n > 0) {
             current = rw.compact().netlist;
-            if (pass.sweeps())
-                current = sweepDead(current).netlist;
+            current = sweepDead(current).netlist;
             ctx.invalidate();
         }
-        pass.finish(current, ctx);
+        pass.finish(current);
         if (report)
             report->rewrittenInstances = pass.rewritten();
         // Rebuilt blocks can fold against constant operands.

@@ -2,8 +2,7 @@
  * @file
  * The tailoring pass pipeline: cutting & stitching, re-synthesis, the
  * cost-driven datapath rewrite search, and clock-gating planning, as a
- * configurable sequence of TransformPass stages over one working
- * netlist.
+ * configurable sequence of passes over one working netlist.
  *
  * runTailorPipeline() is the one entry point: with an activity result
  * it cuts and stitches (paper Section 3.2: every gate the analysis
@@ -29,7 +28,7 @@
  *  - clock-gating: plan ICGs for DFFE banks with rare write enables
  *    (src/gating/clock_gating.hh); annotation-only, the netlist is
  *    unchanged.
- *  - sat-never-toggle: prove, by CDCL k-induction over the unrolled
+ *  - sat-never-toggle: prove, by a bounded CDCL check over the unrolled
  *    design (src/sat/never_toggle.hh), that gates the X-propagating
  *    activity analysis left toggleable can in fact never leave their
  *    observed constant value; proven gates are promoted into the cut
@@ -46,6 +45,7 @@
 
 #include "src/gating/clock_gating.hh"
 #include "src/transform/pass.hh"
+#include "src/transform/rewrite.hh"
 
 namespace bespoke
 {
@@ -130,14 +130,11 @@ struct SatNeverToggleOptions
     int depth = 0;
     /** Per-query CDCL conflict budget (0 = unlimited). */
     uint64_t conflictBudget = 50000;
-    /** Exact ROM mux for symbolic-address reads. */
-    bool romMux = true;
-    /** Require an unbounded k-induction proof on top of the bounded
-     *  envelope proof (rarely succeeds; see src/sat/never_toggle.hh). */
-    bool induction = false;
-    /** Worker threads for the prover's sharded candidate partition
-     *  (1 = serial, 0 = all hardware threads). Verdicts are identical
-     *  at any value, so this is NOT part of the checkpoint hash. */
+    /**
+     * Ignored: the prover is sequential. Kept only because the
+     * perfbench driver reads it; remove with the benchmark's next
+     * revision. Excluded from hashPassPipelineOptions().
+     */
     int threads = 1;
 };
 
@@ -190,7 +187,7 @@ struct PipelineReport
     size_t satRefuted = 0;
     size_t satUnknown = 0;
     /** Solver-side observability, summed over the prover's candidate
-     *  shards (thread-count-independent, like the verdicts). */
+     *  shards. */
     uint64_t satConflicts = 0;
     uint64_t satPropagations = 0;
     uint64_t satLearned = 0;      ///< learned clauses ever recorded

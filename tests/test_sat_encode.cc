@@ -217,8 +217,7 @@ TEST(SatEncode, UnrolledCoreMatchesSocReplay)
     AsmProgram prog = app.assembleProgram();
 
     CdclSolver solver;
-    UnrollOptions uo;
-    SocUnroller un(core, prog, solver, uo);
+    SocUnroller un(core, prog, solver);
     for (int f = 0; f < kDepth; f++)
         un.addFrame();
 
@@ -299,8 +298,7 @@ TEST(SatEncode, UnrollerVariableNumberingIsDeterministic)
     AsmProgram prog = app.assembleProgram();
     auto build = [&](std::vector<FreeVarInfo> *fv) {
         Cnf cnf;
-        UnrollOptions uo;
-        SocUnroller un(core, prog, cnf, uo);
+        SocUnroller un(core, prog, cnf);
         for (int f = 0; f < 6; f++)
             un.addFrame();
         *fv = un.freeVars();
@@ -360,8 +358,7 @@ TEST(SatEncode, MiterClauseStreamIsPinned)
     Netlist tailored = runTailorPipeline(core, ar.activity.get());
 
     Cnf cnf;
-    UnrollOptions uo;
-    SocUnroller un(core, prog, cnf, uo);
+    SocUnroller un(core, prog, cnf);
     un.attachFollower(tailored);
     Lit miter = encodeMiter(un, core, tailored, 24);
     EXPECT_EQ(miter.code, 81181u);
@@ -375,8 +372,7 @@ TEST(SatEncode, NeverToggleUnrollingClauseStreamIsPinned)
     Netlist core = buildBsp430();
     AsmProgram prog = workloadByName("irq").assembleProgram();
     Cnf cnf;
-    UnrollOptions uo;
-    SocUnroller un(core, prog, cnf, uo);
+    SocUnroller un(core, prog, cnf);
     for (int f = 0; f < 30; f++)
         un.addFrame();
     EXPECT_EQ(cnf.numVars(), 53886u);

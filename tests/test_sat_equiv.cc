@@ -131,9 +131,7 @@ TEST(SatEquiv, DimacsAndSmt2ExportsAreWellFormed)
     }());
 
     sat::Cnf cnf;
-    sat::UnrollOptions uo;
-    uo.fromReset = true;
-    sat::SocUnroller un(core, prog, cnf, uo);
+    sat::SocUnroller un(core, prog, cnf);
     un.attachFollower(bad);
     sat::Lit miter = sat::encodeMiter(un, core, bad, 4);
     ASSERT_NE(miter, sat::kFalse);

@@ -270,7 +270,7 @@ TEST(SatNeverToggle, VerdictsDeterministicAndPlaneWidthIndependent)
     EXPECT_EQ(a.refuted, b.refuted);
     EXPECT_EQ(a.unknown, b.unknown);
     EXPECT_EQ(a.stats.queries, b.stats.queries);
-    EXPECT_EQ(a.stats.baseConflicts, b.stats.baseConflicts);
+    EXPECT_EQ(a.stats.conflicts, b.stats.conflicts);
 }
 
 } // namespace

@@ -15,7 +15,7 @@
  *   bespoke_io tailor  -i FILE --app NAME -o FILE
  *                      [--checkpoint-dir DIR] [--verify]
  *                      [--passes LIST] [--status-json FILE]
- *                      [--sat-depth N] [--sat-threads N]
+ *                      [--sat-depth N]
  *       Import an external netlist, run activity analysis for the
  *       application on it, run the tailoring pass pipeline, re-size,
  *       and export the bespoke result, printing one summary line per
@@ -27,9 +27,7 @@
  *       and SAT never-toggle verdict counts plus solver counters
  *       (conflicts, propagations, learned/kept clauses, DB
  *       reductions) as JSON; --sat-depth bounds the SAT pass's
- *       unrolling envelope (0 = the analysis horizon); --sat-threads
- *       parallelizes the prover's candidate shards (0 = all hardware
- *       threads) with verdicts identical at any thread count.
+ *       unrolling envelope (0 = the analysis horizon).
  *       --verify additionally proves the result symbolically
  *       equivalent to the imported original for the application and
  *       cross-checks with a bounded CDCL miter (fixed shallow depth
@@ -41,16 +39,14 @@
  *       built baseline core (or a second imported file) for one
  *       application.
  *   bespoke_io prove   -i FILE --app NAME [--against FILE]
- *                      [--sat-depth N] [--sat-threads N]
+ *                      [--sat-depth N]
  *       Independent SAT equivalence check (src/sat/): bounded miter
  *       over the CNF unrolling, incrementally deepened on one CDCL
  *       solver, with any witness confirmed by concrete 3-valued
  *       replay. Complements `check` — a completely separate prover
- *       over a different value domain. --sat-threads races the
- *       deterministic config portfolio (relevant only when the
- *       conflict budget can exhaust); the verdict is identical at any
- *       thread count. Prints solver counters (conflicts,
- *       propagations, learned/kept clauses, DB reductions).
+ *       over a different value domain. Prints solver counters
+ *       (conflicts, propagations, learned/kept clauses, DB
+ *       reductions) and the winning portfolio config.
  *   bespoke_io export-cnf --app NAME -o FILE[.cnf|.smt2]
  *                      [-i FILE] [--miter [--against FILE]]
  *                      [--sat-depth N]
@@ -105,11 +101,9 @@ usage(const std::string &msg = "")
         "                     [--checkpoint-dir DIR] [--verify]\n"
         "                     [--passes LIST] [--status-json FILE]"
         " [--sat-depth N]\n"
-        "                     [--sat-threads N]\n"
         "  bespoke_io check   -i FILE --app NAME [--against FILE]\n"
         "  bespoke_io prove   -i FILE --app NAME [--against FILE]"
         " [--sat-depth N]\n"
-        "                     [--sat-threads N]\n"
         "  bespoke_io export-cnf --app NAME -o FILE [-i FILE]"
         " [--miter]\n"
         "                     [--against FILE] [--sat-depth N]\n"
@@ -197,8 +191,7 @@ struct Args
     std::string passes;
     bool verify = false;
     bool miter = false;
-    int satDepth = 0;    ///< 0 = per-command default
-    int satThreads = 1;  ///< 0 = all hardware threads
+    int satDepth = 0;  ///< 0 = per-command default
 };
 
 Args
@@ -245,8 +238,6 @@ parseArgs(int argc, char **argv)
             a.miter = true;
         else if (arg == "--sat-depth")
             a.satDepth = count();
-        else if (arg == "--sat-threads")
-            a.satThreads = count();
         else
             usage("unknown flag '" + arg + "'");
     }
@@ -506,7 +497,6 @@ cmdTailor(const Args &a)
     popts.collectMetrics = true;
     if (a.satDepth > 0)
         popts.sat.depth = a.satDepth;
-    popts.sat.threads = a.satThreads;
     Netlist original = importFile(a.in);
     printStats("imported", original);
 
@@ -623,7 +613,6 @@ cmdProve(const Args &a)
     // Finite (if generous) budget so a pathological miter fails with
     // an "undecided" diagnosis instead of spinning forever.
     so.conflictBudget = 5000000;
-    so.threads = a.satThreads;
     sat::SatEquivResult sr =
         sat::proveEquivalentSat(reference, candidate, prog, so);
     std::printf("sat prove (depth %d): %llu vars, %llu conflicts\n",
@@ -662,7 +651,6 @@ cmdExportCnf(const Args &a)
     int depth = a.satDepth > 0 ? a.satDepth : 8;
 
     sat::Cnf cnf;
-    sat::UnrollOptions uo;
     Netlist leader;
     Netlist follower;
     if (a.miter) {
@@ -672,7 +660,7 @@ cmdExportCnf(const Args &a)
     } else {
         leader = a.in.empty() ? buildCore(a.core) : importFile(a.in);
     }
-    sat::SocUnroller un(leader, prog, cnf, uo);
+    sat::SocUnroller un(leader, prog, cnf);
     if (a.miter) {
         un.attachFollower(follower);
         sat::Lit bad = sat::encodeMiter(un, leader, follower, depth);
