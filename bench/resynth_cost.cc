@@ -27,40 +27,8 @@
 #include "bench/bench_common.hh"
 #include "src/bespoke/equiv_check.hh"
 #include "src/bespoke/flow.hh"
-#include "src/sim/gate_sim.hh"
-#include "src/util/rng.hh"
-#include "src/verify/runner.hh"
 
 using namespace bespoke;
-
-namespace
-{
-
-/** Replay activity provider over one app, mirroring the flow's
- *  tailor-time convention (fixed seed, `inputs` runs). */
-PassEnv
-makeActivityEnv(const Workload &app, int inputs,
-                const FlowOptions &fopts)
-{
-    PassEnv env;
-    env.timing = &fopts.timing;
-    env.power = &fopts.power;
-    env.measureActivity = [&app, inputs](const Netlist &nl,
-                                         ToggleCounter *tc) {
-        std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
-        GateBatchObservers obs;
-        obs.toggles = tc;
-        Rng rng(2024);
-        AsmProgram prog = app.assembleProgram();
-        std::vector<WorkloadInput> in;
-        for (int i = 0; i < inputs; i++)
-            in.push_back(app.genInput(rng));
-        runWorkloadGateBatch(nl, app, prog, in, 0, obs, ctx);
-    };
-    return env;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -143,7 +111,9 @@ main(int argc, char **argv)
     size_t scored_entries = 0;
     auto t0 = std::chrono::steady_clock::now();
     for (auto &[w, nl] : sweep_designs) {
-        PassEnv env = makeActivityEnv(*w, inputs, fixed_opts);
+        PassEnv env = replayEnv({w}, inputs, fixed_opts.powerSeed);
+        env.timing = &fixed_opts.timing;
+        env.power = &fixed_opts.power;
         PassContext ctx(env);
         ctx.bind(nl);
         RewriteSearchOptions ropts;

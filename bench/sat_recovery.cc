@@ -35,13 +35,11 @@
 #include "bench/bench_common.hh"
 #include "src/analysis/activity_analysis.hh"
 #include "src/bespoke/equiv_check.hh"
+#include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/sat/equiv_prover.hh"
-#include "src/sim/gate_sim.hh"
 #include "src/transform/pass_pipeline.hh"
-#include "src/util/rng.hh"
 #include "src/util/worker_pool.hh"
-#include "src/verify/runner.hh"
 
 using namespace bespoke;
 
@@ -51,44 +49,6 @@ namespace
 constexpr uint64_t kSeed = 2024;
 constexpr int kInputs = 2;
 constexpr int kTableDepth = 30;
-
-/** Replay-measuring PassEnv over one app (the flow's providers). */
-PassEnv
-makeEnv(const Workload &app, const AsmProgram &prog)
-{
-    PassEnv env;
-    env.measureActivity = [&app, &prog](const Netlist &nl,
-                                        ToggleCounter *tc) {
-        std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
-        GateBatchObservers obs;
-        obs.toggles = tc;
-        Rng rng(kSeed);
-        std::vector<WorkloadInput> in;
-        for (int i = 0; i < kInputs; i++)
-            in.push_back(app.genInput(rng));
-        runWorkloadGateBatch(nl, app, prog, in, obs, ctx);
-    };
-    env.measureDuty = [&app, &prog](const Netlist &nl,
-                                    const std::vector<GateId> &ids,
-                                    std::vector<uint64_t> *high,
-                                    uint64_t *cycles) {
-        high->assign(ids.size(), 0);
-        *cycles = 0;
-        Rng rng(kSeed);
-        auto per_cycle = [&](const GateSim &sim) {
-            (*cycles)++;
-            for (size_t k = 0; k < ids.size(); k++)
-                if (sim.value(ids[k]) != Logic::Zero)
-                    (*high)[k]++;
-        };
-        for (int i = 0; i < kInputs; i++) {
-            WorkloadInput in = app.genInput(rng);
-            runWorkloadGate(nl, app, prog, in, nullptr, nullptr,
-                            per_cycle);
-        }
-    };
-    return env;
-}
 
 struct AppRow
 {
@@ -142,7 +102,7 @@ main(int argc, char **argv)
             AppRow &row = rows[a];
             row.merges = ar.merges;
 
-            PassEnv env = makeEnv(app, prog);
+            PassEnv env = replayEnv({&app}, kInputs, kSeed);
             env.program = &prog;
             PassPipelineOptions base;
             CutStats cut;
@@ -251,7 +211,7 @@ main(int argc, char **argv)
                     workloadByName(verified_apps[v].name);
                 AsmProgram prog = app.assembleProgram();
                 AnalysisResult ar = analyzeActivity(core, app, aopts);
-                PassEnv env = makeEnv(app, prog);
+                PassEnv env = replayEnv({&app}, kInputs, kSeed);
                 env.program = &prog;
                 PassPipelineOptions with_sat;
                 with_sat.satNeverToggle = true;

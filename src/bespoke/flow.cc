@@ -21,7 +21,73 @@ hashApps(const std::vector<const Workload *> &apps)
     return h;
 }
 
+/** One application's seeded replay: its program and drawn inputs. */
+struct AppReplay
+{
+    const Workload *app;
+    AsmProgram prog;
+    std::vector<WorkloadInput> inputs;
+};
+
 } // namespace
+
+PassEnv
+replayEnv(const std::vector<const Workload *> &apps, int inputs,
+          uint64_t seed)
+{
+    std::vector<AppReplay> drawn;
+    Rng rng(seed);
+    for (const Workload *w : apps) {
+        AppReplay &r = drawn.emplace_back(
+            AppReplay{w, w->assembleProgram(), {}});
+        for (int i = 0; i < inputs; i++)
+            r.inputs.push_back(w->genInput(rng));
+    }
+    auto replays =
+        std::make_shared<const std::vector<AppReplay>>(std::move(drawn));
+    PassEnv env;
+    // Lane-parallel per app, bit-identical to the sequential loop (the
+    // batch runner replays cross-run counter boundaries in run order);
+    // one simulation context serves every run on this netlist.
+    env.measureActivity = [replays](const Netlist &nl,
+                                    ToggleCounter *tc) {
+        std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
+        GateBatchObservers obs;
+        obs.toggles = tc;
+        for (const AppReplay &r : *replays) {
+            for (const GateRun &run : runWorkloadGateBatch(
+                     nl, *r.app, r.prog, r.inputs, obs, ctx)) {
+                if (!run.halted) {
+                    bespoke_warn("replay run of ", r.app->name,
+                                 " did not halt within its cycle budget");
+                }
+            }
+        }
+    };
+    // Scalar replay sampling the requested enable nets every cycle (X
+    // counts as high: a maybe-writing bank cannot be gated).
+    env.measureDuty = [replays](const Netlist &nl,
+                                const std::vector<GateId> &ids,
+                                std::vector<uint64_t> *high,
+                                uint64_t *cycles) {
+        high->assign(ids.size(), 0);
+        *cycles = 0;
+        auto per_cycle = [&](const GateSim &sim) {
+            (*cycles)++;
+            for (size_t k = 0; k < ids.size(); k++) {
+                if (sim.value(ids[k]) != Logic::Zero)
+                    (*high)[k]++;
+            }
+        };
+        for (const AppReplay &r : *replays) {
+            for (const WorkloadInput &in : r.inputs) {
+                runWorkloadGate(nl, *r.app, r.prog, in, nullptr,
+                                nullptr, per_cycle);
+            }
+        }
+    };
+    return env;
+}
 
 BespokeFlow::BespokeFlow(FlowOptions opts)
     : BespokeFlow(std::move(opts), buildBsp430())
@@ -76,29 +142,10 @@ BespokeFlow::measure(const Netlist &netlist,
     m.slackFraction =
         (clockPeriodPs_ - rep.criticalPathPs) / clockPeriodPs_;
 
-    // Switching activity from concrete representative runs, replayed
-    // lane-parallel per app (bit-identical to the sequential loop: the
-    // batch runner replays cross-run counter boundaries in run order).
-    // One simulation context serves every run on this netlist.
-    std::shared_ptr<const SocContext> ctx = SocContext::make(netlist);
+    // Switching activity from concrete representative runs.
     ToggleCounter toggles(netlist);
-    GateBatchObservers obs;
-    obs.toggles = &toggles;
-    Rng rng(opts_.powerSeed);
-    for (const Workload *w : apps) {
-        AsmProgram prog = w->assembleProgram();
-        std::vector<WorkloadInput> inputs;
-        for (int i = 0; i < opts_.powerInputsPerWorkload; i++)
-            inputs.push_back(w->genInput(rng));
-        std::vector<GateRun> runs = runWorkloadGateBatch(
-            netlist, *w, prog, inputs, obs, ctx);
-        for (const GateRun &run : runs) {
-            if (!run.halted) {
-                bespoke_warn("power run of ", w->name,
-                             " did not halt within its cycle budget");
-            }
-        }
-    }
+    replayEnv(apps, opts_.powerInputsPerWorkload, opts_.powerSeed)
+        .measureActivity(netlist, &toggles);
     m.powerNominal =
         computePower(netlist, toggles, opts_.power, opts_.timing);
     m.vmin = vminForPeriod(rep.criticalPathPs, clockPeriodPs_,
@@ -170,107 +217,17 @@ BespokeFlow::obtainDesign(
     return netlist;
 }
 
-PassEnv
-BespokeFlow::makePassEnv(std::vector<const Workload *> apps) const
-{
-    PassEnv env;
-    env.timing = &opts_.timing;
-    env.power = &opts_.power;
-    env.clockPeriodPs = clockPeriodPs_;
-    int inputs = opts_.powerInputsPerWorkload;
-    uint64_t seed = opts_.powerSeed;
-    // Activity provider: the same lane-batched replay measure() uses
-    // for the final power numbers, so the rewrite search optimizes the
-    // metric the flow actually reports.
-    env.measureActivity = [apps, inputs, seed](
-                              const Netlist &nl, ToggleCounter *tc) {
-        std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
-        GateBatchObservers obs;
-        obs.toggles = tc;
-        Rng rng(seed);
-        for (const Workload *w : apps) {
-            AsmProgram prog = w->assembleProgram();
-            std::vector<WorkloadInput> in;
-            for (int i = 0; i < inputs; i++)
-                in.push_back(w->genInput(rng));
-            runWorkloadGateBatch(nl, *w, prog, in, obs, ctx);
-        }
-    };
-    // Duty provider: scalar replay sampling the requested enable nets
-    // every cycle (X counts as high — a maybe-writing bank cannot be
-    // gated).
-    env.measureDuty = [apps, inputs, seed](
-                          const Netlist &nl,
-                          const std::vector<GateId> &ids,
-                          std::vector<uint64_t> *high,
-                          uint64_t *cycles) {
-        high->assign(ids.size(), 0);
-        *cycles = 0;
-        Rng rng(seed);
-        auto per_cycle = [&](const GateSim &sim) {
-            (*cycles)++;
-            for (size_t k = 0; k < ids.size(); k++) {
-                if (sim.value(ids[k]) != Logic::Zero)
-                    (*high)[k]++;
-            }
-        };
-        for (const Workload *w : apps) {
-            AsmProgram prog = w->assembleProgram();
-            for (int i = 0; i < inputs; i++) {
-                WorkloadInput in = w->genInput(rng);
-                runWorkloadGate(nl, *w, prog, in, nullptr, nullptr,
-                                per_cycle);
-            }
-        }
-    };
-    return env;
-}
-
 BespokeDesign
 BespokeFlow::tailor(const Workload &app)
 {
-    BespokeDesign d;
-    std::string err;
-    bespoke_assert(tryTailor(app, &d, &err), err);
-    return d;
+    return tailorMulti({&app});
 }
 
 bool
 BespokeFlow::tryTailor(const Workload &app, BespokeDesign *out,
                        std::string *err)
 {
-    AsmProgram prog = app.assembleProgram();
-    AnalysisResult analysis = analyzeProgram(prog, app.name);
-    if (!analysis.completed) {
-        *err = "analysis hit caps for " + app.name;
-        return false;
-    }
-    CutStats cut;
-    PipelineReport report;
-    Netlist bespoke_nl = obtainDesign(
-        hashProgram(prog), "design", &cut, &report,
-        [&](CutStats *c, PipelineReport *r) {
-            PassEnv env = makePassEnv({&app});
-            // Single-program tailoring: the SAT never-toggle pass can
-            // reason about the full SoC. (Multi-program tailoring
-            // leaves env.program null — a proof would have to hold
-            // for every program, which the pass does not yet do.)
-            env.program = &prog;
-            PassPipelineOptions popts = opts_.passes;
-            // Auto depth: cover exactly the analysis's bounded
-            // envelope. Derived from inputs already in the checkpoint
-            // key, so resolving it here keeps keys stable.
-            if (popts.satNeverToggle && popts.sat.depth == 0) {
-                popts.sat.depth =
-                    static_cast<int>(analysis.cyclesSimulated);
-            }
-            return runTailorPipeline(baseline_, analysis.activity.get(),
-                                     popts, env, c, r);
-        });
-    *out = BespokeDesign{std::move(bespoke_nl), cut, {},
-                         std::move(analysis), std::move(report)};
-    out->metrics = measure(out->netlist, {&app});
-    return true;
+    return tryTailorMulti({&app}, out, err);
 }
 
 BespokeDesign
@@ -287,35 +244,58 @@ BespokeFlow::tryTailorMulti(const std::vector<const Workload *> &apps,
                             BespokeDesign *out, std::string *err)
 {
     bespoke_assert(!apps.empty());
-    ActivityTracker merged(baseline_);
+    std::vector<AsmProgram> progs;
+    uint64_t progs_hash = kHashBasis;
+    std::unique_ptr<ActivityTracker> merged;
     AnalysisResult last;
-    uint64_t progs = kHashBasis;
     for (const Workload *w : apps) {
-        AsmProgram prog = w->assembleProgram();
-        progs = hashCombine(progs, hashProgram(prog));
-        AnalysisResult r = analyzeProgram(prog, w->name);
+        progs.push_back(w->assembleProgram());
+        progs_hash = hashCombine(progs_hash, hashProgram(progs.back()));
+        AnalysisResult r = analyzeProgram(progs.back(), w->name);
         if (!r.completed) {
             *err = "analysis hit caps for " + w->name;
             return false;
         }
-        if (!merged.initialCaptured()) {
-            merged = std::move(*r.activity);
-        } else {
-            merged.mergeFrom(*r.activity);
-        }
+        if (!merged)
+            merged = std::move(r.activity);
+        else
+            merged->mergeFrom(*r.activity);
         last = std::move(r);
     }
     CutStats cut;
     PipelineReport report;
     Netlist bespoke_nl = obtainDesign(
-        progs, "design", &cut, &report,
+        progs_hash, "design", &cut, &report,
         [&](CutStats *c, PipelineReport *r) {
-            PassEnv env = makePassEnv(apps);
-            return runTailorPipeline(baseline_, &merged, opts_.passes,
+            // The runs measure() replays for the final power numbers,
+            // so the rewrite search optimizes the metric the flow
+            // reports.
+            PassEnv env = replayEnv(apps, opts_.powerInputsPerWorkload,
+                                    opts_.powerSeed);
+            env.timing = &opts_.timing;
+            env.power = &opts_.power;
+            env.clockPeriodPs = clockPeriodPs_;
+            PassPipelineOptions popts = opts_.passes;
+            // Single-program tailoring: the SAT never-toggle pass can
+            // reason about the full SoC. (A multi-program proof would
+            // have to hold for every program, which the pass does not
+            // yet do, so it is skipped there.)
+            if (apps.size() == 1) {
+                env.program = &progs.front();
+                // Auto depth: cover exactly the analysis's bounded
+                // envelope. Derived from inputs already in the
+                // checkpoint key, so resolving it here keeps keys
+                // stable.
+                if (popts.satNeverToggle && popts.sat.depth == 0) {
+                    popts.sat.depth =
+                        static_cast<int>(last.cyclesSimulated);
+                }
+            }
+            return runTailorPipeline(baseline_, merged.get(), popts,
                                      env, c, r);
         });
     // Keep the merged tracker with the result for callers that need it.
-    last.activity = std::make_unique<ActivityTracker>(std::move(merged));
+    last.activity = std::move(merged);
     *out = BespokeDesign{std::move(bespoke_nl), cut, {},
                          std::move(last), std::move(report)};
     out->metrics = measure(out->netlist, apps);

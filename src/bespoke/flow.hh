@@ -82,6 +82,19 @@ struct FlowOptions
     std::string checkpointDir;
 };
 
+/**
+ * Seeded replay providers over a workload set: each program is
+ * assembled once, and `inputs` inputs per app are drawn from Rng(seed)
+ * in app order, exactly the runs BespokeFlow::measure() replays for
+ * its power numbers. measureActivity replays them lane-batched into a
+ * ToggleCounter; measureDuty replays them scalar for clock gating's
+ * enable duty. Only the two providers are set: the program image,
+ * model parameters and clock budget are the caller's. The workloads
+ * must outlive the returned environment.
+ */
+PassEnv replayEnv(const std::vector<const Workload *> &apps, int inputs,
+                  uint64_t seed);
+
 class BespokeFlow
 {
   public:
@@ -116,7 +129,13 @@ class BespokeFlow
     bool tryTailor(const Workload &app, BespokeDesign *out,
                    std::string *err);
 
-    /** tryTailor() over a workload set (union of toggleable gates). */
+    /**
+     * tryTailor() over a workload set (union of toggleable gates): the
+     * one tailoring body, which every tailor*() call runs. With exactly
+     * one app the pipeline also gets the program image (the SAT
+     * never-toggle pass needs it) and an auto SAT depth resolves to
+     * that app's analysis horizon.
+     */
     bool tryTailorMulti(const std::vector<const Workload *> &apps,
                         BespokeDesign *out, std::string *err);
 
@@ -153,14 +172,6 @@ class BespokeFlow
         PipelineReport *report,
         const std::function<Netlist(CutStats *, PipelineReport *)>
             &build);
-    /**
-     * Pass environment for the tailoring pipeline: flow model
-     * parameters, the baseline clock budget, and replay providers over
-     * `apps` mirroring measure()'s power replay (same seed and input
-     * count, so rewrite-search scores are measured the same way the
-     * final design is).
-     */
-    PassEnv makePassEnv(std::vector<const Workload *> apps) const;
 
     FlowOptions opts_;
     Netlist baseline_;

@@ -63,7 +63,7 @@ struct PassEnv
      * Count, for each gate in `ids`, the number of replay cycles in
      * which its value was 1 or X (X counts as high: a net that may be
      * high cannot justify gating). Writes the total observed cycle
-     * count to *cycles. Used for clock-gating enable duty.
+     * count to *cycles. Read by the clock-gating pass only.
      */
     std::function<void(const Netlist &nl, const std::vector<GateId> &ids,
                        std::vector<uint64_t> *high, uint64_t *cycles)>

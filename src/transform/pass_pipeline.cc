@@ -1076,9 +1076,7 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
     // SAT never-toggle proving: exact recovery of cut opportunities
     // X-pessimism left behind. Runs before the rewrite search so
     // promoted constants shrink its search space.
-    if (opts.satNeverToggle && env.program && env.measureActivity &&
-        env.measureDuty)
-    {
+    if (opts.satNeverToggle && env.program && env.measureActivity) {
         double pb, db;
         before_metrics(&pb, &db);
         double t0 = nowMs();

@@ -142,6 +142,37 @@ TEST(BespokeFlow, MultiAppDesignCoversMembers)
     }
 }
 
+/**
+ * tailor() and a one-app tailorMulti() are the same tailoring body:
+ * same netlist and metrics, with default passes and with the SAT
+ * never-toggle pass (which needs the single program image).
+ */
+TEST(BespokeFlow, SingleAppTailorMultiMatchesTailor)
+{
+    FlowOptions sat_opts;
+    sat_opts.powerInputsPerWorkload = 1;
+    sat_opts.passes.satNeverToggle = true;
+    sat_opts.passes.sat.depth = 30;
+    BespokeFlow sat_flow(sat_opts);
+    const Workload &app = workloadByName("rle");
+    for (BespokeFlow *f : {&flow(), &sat_flow}) {
+        SCOPED_TRACE(f->options().passes.satNeverToggle ? "sat"
+                                                        : "default");
+        BespokeDesign one = f->tailor(app);
+        BespokeDesign multi = f->tailorMulti({&app});
+        EXPECT_EQ(one.netlist.contentHash(), multi.netlist.contentHash());
+        EXPECT_EQ(one.metrics.gates, multi.metrics.gates);
+        EXPECT_EQ(one.metrics.areaUm2, multi.metrics.areaUm2);
+        EXPECT_EQ(one.metrics.criticalPathPs,
+                  multi.metrics.criticalPathPs);
+        EXPECT_EQ(one.metrics.powerNominal.totalUW(),
+                  multi.metrics.powerNominal.totalUW());
+        EXPECT_EQ(one.metrics.vmin, multi.metrics.vmin);
+        EXPECT_EQ(one.pipeline.satCandidates,
+                  multi.pipeline.satCandidates);
+    }
+}
+
 TEST(BespokeFlow, CoarseNeverSmallerThanFine)
 {
     for (const char *name : {"binSearch", "tea8"}) {

@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "src/analysis/activity_analysis.hh"
+#include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/sat/never_toggle.hh"
 #include "src/sim/gate_sim.hh"
-#include "src/sim/soc.hh"
 #include "src/transform/pass_pipeline.hh"
 #include "src/util/rng.hh"
 #include "src/verify/runner.hh"
@@ -49,63 +49,27 @@ wideningAnalysis(const Netlist &nl, const Workload &app)
     return analyzeActivity(nl, app, aopts);
 }
 
-/** Lane-batched toggle counts of `app` on `nl` (the flow's measure). */
-void
-measureToggles(const Netlist &nl, const Workload &app,
-               const AsmProgram &prog, ToggleCounter *tc)
-{
-    std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
-    GateBatchObservers obs;
-    obs.toggles = tc;
-    Rng rng(kSeed);
-    std::vector<WorkloadInput> in;
-    for (int i = 0; i < kInputs; i++)
-        in.push_back(app.genInput(rng));
-    runWorkloadGateBatch(nl, app, prog, in, obs, ctx);
-}
-
 /**
  * Candidate selection exactly as the pass does it: zero-toggle
- * non-pseudo gates, polarity from duty (both polarities where the
- * always-1/always-X cases are indistinguishable).
+ * non-pseudo gates over the flow's seeded replay, pinned at 0 where
+ * that one observed value was 0, both polarities where it was 1 or X
+ * (always-1 and always-X are indistinguishable there).
  */
 std::vector<sat::NeverToggleCandidate>
-selectCandidates(const Netlist &nl, const Workload &app,
-                 const AsmProgram &prog)
+selectCandidates(const Netlist &nl, const Workload &app)
 {
     ToggleCounter tc(nl);
-    measureToggles(nl, app, prog, &tc);
-    std::vector<GateId> ids;
+    replayEnv({&app}, kInputs, kSeed).measureActivity(nl, &tc);
+    std::vector<sat::NeverToggleCandidate> cands;
     for (GateId i = 0; i < nl.size(); i++) {
         const Gate &g = nl.gate(i);
         if (cellPseudo(g.type) || g.type == CellType::TIE0 ||
-            g.type == CellType::TIE1) {
+            g.type == CellType::TIE1 || tc.count(i) != 0) {
             continue;
         }
-        if (tc.count(i) == 0)
-            ids.push_back(i);
-    }
-    std::vector<uint64_t> high(ids.size(), 0);
-    uint64_t cycles = 0;
-    Rng rng(kSeed);
-    auto per_cycle = [&](const GateSim &sim) {
-        cycles++;
-        for (size_t k = 0; k < ids.size(); k++)
-            if (sim.value(ids[k]) != Logic::Zero)
-                high[k]++;
-    };
-    for (int i = 0; i < kInputs; i++) {
-        WorkloadInput in = app.genInput(rng);
-        runWorkloadGate(nl, app, prog, in, nullptr, nullptr, per_cycle);
-    }
-    std::vector<sat::NeverToggleCandidate> cands;
-    for (size_t k = 0; k < ids.size(); k++) {
-        if (high[k] == 0) {
-            cands.push_back({ids[k], false});
-        } else if (high[k] == cycles) {
-            cands.push_back({ids[k], true});
-            cands.push_back({ids[k], false});
-        }
+        if (tc.lastValue(i) != Logic::Zero)
+            cands.push_back({i, true});
+        cands.push_back({i, false});
     }
     return cands;
 }
@@ -133,7 +97,7 @@ TEST(SatNeverToggle, ProvenGatesNeverContradictReplay)
     Netlist nl = runTailorPipeline(core, ar.activity.get(), popts, env);
 
     std::vector<sat::NeverToggleCandidate> cands =
-        selectCandidates(nl, app, prog);
+        selectCandidates(nl, app);
     ASSERT_FALSE(cands.empty());
 
     const int kDepth = 60;
@@ -176,7 +140,9 @@ TEST(SatNeverToggle, ProvenGatesNeverContradictReplay)
 /**
  * The pipeline pass promotes proven candidates into the cut: the
  * SAT-enabled design must be strictly smaller, with report counters
- * that add up.
+ * that add up. The environment holds only the program image and an
+ * activity provider: the pass keys candidate polarity on the replay's
+ * observed value and reads no enable duty.
  */
 TEST(SatNeverToggle, PassPromotesProvenGatesIntoCut)
 {
@@ -187,28 +153,8 @@ TEST(SatNeverToggle, PassPromotesProvenGatesIntoCut)
 
     PassEnv env;
     env.program = &prog;
-    env.measureActivity = [&](const Netlist &nl, ToggleCounter *tc) {
-        measureToggles(nl, app, prog, tc);
-    };
-    env.measureDuty = [&](const Netlist &nl,
-                          const std::vector<GateId> &ids,
-                          std::vector<uint64_t> *high,
-                          uint64_t *cycles) {
-        high->assign(ids.size(), 0);
-        *cycles = 0;
-        Rng rng(kSeed);
-        auto per_cycle = [&](const GateSim &sim) {
-            (*cycles)++;
-            for (size_t k = 0; k < ids.size(); k++)
-                if (sim.value(ids[k]) != Logic::Zero)
-                    (*high)[k]++;
-        };
-        for (int i = 0; i < kInputs; i++) {
-            WorkloadInput in = app.genInput(rng);
-            runWorkloadGate(nl, app, prog, in, nullptr, nullptr,
-                            per_cycle);
-        }
-    };
+    env.measureActivity =
+        replayEnv({&app}, kInputs, kSeed).measureActivity;
 
     PassPipelineOptions base;
     CutStats base_cut;
@@ -249,9 +195,9 @@ TEST(SatNeverToggle, VerdictsDeterministicAndPlaneWidthIndependent)
     Netlist nl = runTailorPipeline(core, ar.activity.get(), popts, env);
 
     std::vector<sat::NeverToggleCandidate> c1 =
-        selectCandidates(nl, app, prog);
+        selectCandidates(nl, app);
     std::vector<sat::NeverToggleCandidate> c2 =
-        selectCandidates(nl, app, prog);
+        selectCandidates(nl, app);
     ASSERT_EQ(c1.size(), c2.size());
     for (size_t i = 0; i < c1.size(); i++) {
         EXPECT_EQ(c1[i].gate, c2[i].gate);

@@ -16,10 +16,13 @@
  *                      [--checkpoint-dir DIR] [--verify]
  *                      [--passes LIST] [--status-json FILE]
  *                      [--sat-depth N]
- *       Import an external netlist, run activity analysis for the
- *       application on it, run the tailoring pass pipeline, re-size,
- *       and export the bespoke result, printing one summary line per
- *       pass (changes, gates, delta power, delta depth, wall time).
+ *       Import an external netlist and run BespokeFlow on it as the
+ *       baseline core (drive-sized, and every design held to its
+ *       clock): activity analysis for the application, the tailoring
+ *       pass pipeline, re-sizing, and power replay. Exports the
+ *       bespoke result, printing one summary line per pass (changes,
+ *       gates, delta power, delta depth, wall time) and one metrics
+ *       line (area, critical path, power nominal and at Vmin).
  *       --passes selects pipeline passes ("default", "rewrite-search",
  *       "clock-gating", "sat-never-toggle", "all", comma-separated;
  *       "all" does NOT include the opt-in SAT pass); --status-json
@@ -32,8 +35,9 @@
  *       equivalent to the imported original for the application and
  *       cross-checks with a bounded CDCL miter (fixed shallow depth
  *       and conflict budget — use `prove` for deeper miters).
- *       --checkpoint-dir caches the analysis artifact keyed by
- *       (netlist hash, program hash, options hash).
+ *       --checkpoint-dir is the flow's checkpoint store: analysis,
+ *       design and metrics, keyed by (sized netlist hash, program
+ *       hash, options hash).
  *   bespoke_io check   -i FILE --app NAME [--against FILE]
  *       Symbolic equivalence of an imported netlist against a freshly
  *       built baseline core (or a second imported file) for one
@@ -64,9 +68,8 @@
 #include <sstream>
 #include <string>
 
-#include "src/analysis/activity_analysis.hh"
-#include "src/bespoke/checkpoint.hh"
 #include "src/bespoke/equiv_check.hh"
+#include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/sat/cdcl.hh"
 #include "src/sat/equiv_prover.hh"
@@ -77,8 +80,6 @@
 #include "src/transform/pass_pipeline.hh"
 #include "src/util/flag_value.hh"
 #include "src/util/logging.hh"
-#include "src/util/rng.hh"
-#include "src/verify/runner.hh"
 #include "src/workloads/workload.hh"
 
 using namespace bespoke;
@@ -288,71 +289,6 @@ cmdHash(const Args &a)
     return 0;
 }
 
-/** Analysis with an optional checkpoint store in front of it. */
-AnalysisResult
-analyzeWithStore(const Netlist &nl, const AsmProgram &prog,
-                 const AnalysisOptions &opts,
-                 const CheckpointStore &store)
-{
-    CheckpointKey key{nl.contentHash(), hashProgram(prog),
-                      hashAnalysisOptions(opts)};
-    JsonValue doc;
-    if (store.load(key, "analysis", &doc)) {
-        AnalysisResult r;
-        std::string err;
-        if (analysisFromJson(doc, nl, &r, &err))
-            return r;
-        bespoke_warn("checkpoint: ", err, "; re-analyzing");
-    }
-    AnalysisResult r = analyzeActivity(nl, prog, opts);
-    if (r.completed)
-        store.save(key, "analysis", analysisToJson(r));
-    return r;
-}
-
-/** Tailor-time replay providers over one application (2 runs, fixed
- *  seed), mirroring BespokeFlow::makePassEnv(). */
-PassEnv
-makeTailorEnv(const Workload &app)
-{
-    constexpr int kInputs = 2;
-    constexpr uint64_t kSeed = 2024;
-    PassEnv env;
-    env.measureActivity = [&app](const Netlist &nl, ToggleCounter *tc) {
-        std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
-        GateBatchObservers obs;
-        obs.toggles = tc;
-        Rng rng(kSeed);
-        AsmProgram prog = app.assembleProgram();
-        std::vector<WorkloadInput> in;
-        for (int i = 0; i < kInputs; i++)
-            in.push_back(app.genInput(rng));
-        runWorkloadGateBatch(nl, app, prog, in, obs, ctx);
-    };
-    env.measureDuty = [&app](const Netlist &nl,
-                             const std::vector<GateId> &ids,
-                             std::vector<uint64_t> *high,
-                             uint64_t *cycles) {
-        high->assign(ids.size(), 0);
-        *cycles = 0;
-        Rng rng(kSeed);
-        AsmProgram prog = app.assembleProgram();
-        auto per_cycle = [&](const GateSim &sim) {
-            (*cycles)++;
-            for (size_t k = 0; k < ids.size(); k++) {
-                if (sim.value(ids[k]) != Logic::Zero)
-                    (*high)[k]++;
-            }
-        };
-        for (int i = 0; i < kInputs; i++) {
-            WorkloadInput in = app.genInput(rng);
-            runWorkloadGate(nl, app, prog, in, nullptr, nullptr,
-                            per_cycle);
-        }
-    };
-    return env;
-}
-
 /** One human-readable summary line per pipeline pass. */
 void
 printPassSummary(const PipelineReport &report)
@@ -490,48 +426,43 @@ cmdTailor(const Args &a)
 {
     if (a.in.empty() || a.out.empty() || a.app.empty())
         usage("tailor needs -i FILE, --app NAME, and -o FILE");
-    PassPipelineOptions popts;
+    FlowOptions fopts;
     std::string perr;
-    if (!parsePassList(a.passes, &popts, &perr))
+    if (!parsePassList(a.passes, &fopts.passes, &perr))
         usage("--passes: " + perr);
-    popts.collectMetrics = true;
+    fopts.passes.collectMetrics = true;
     if (a.satDepth > 0)
-        popts.sat.depth = a.satDepth;
+        fopts.passes.sat.depth = a.satDepth;
+    fopts.checkpointDir = a.checkpointDir;
     Netlist original = importFile(a.in);
     printStats("imported", original);
 
     const Workload &app = workloadByName(a.app);
-    AsmProgram prog = app.assembleProgram();
-    AnalysisOptions opts;
-    CheckpointStore store(a.checkpointDir);
-
-    AnalysisResult r = analyzeWithStore(original, prog, opts, store);
-    if (!r.completed)
-        fail("analysis hit its caps; the toggle set is incomplete");
+    BespokeFlow flow(fopts, original);
+    BespokeDesign d;
+    std::string err;
+    if (!flow.tryTailor(app, &d, &err))
+        fail(err + "; the toggle set is incomplete");
+    const AnalysisResult &r = d.analysis;
     std::printf("analysis: %llu paths, %llu cycles, %zu cells provably"
                 " untoggled\n",
                 static_cast<unsigned long long>(r.pathsExplored),
                 static_cast<unsigned long long>(r.cyclesSimulated),
                 r.untoggledCells());
-
-    CutStats cut;
-    PipelineReport report;
-    PassEnv env = makeTailorEnv(app);
-    env.program = &prog;
-    // Auto depth: the SAT pass's bounded proof covers exactly the
-    // envelope the X-analysis explored.
-    if (popts.satNeverToggle && popts.sat.depth == 0)
-        popts.sat.depth = static_cast<int>(r.cyclesSimulated);
-    Netlist bespoke_nl = runTailorPipeline(original, r.activity.get(),
-                                           popts, env, &cut, &report);
-    sizeForLoads(bespoke_nl);
-    std::printf("cut: %zu -> %zu cells\n", cut.gatesBefore,
-                cut.gatesAfter);
-    printPassSummary(report);
+    std::printf("cut: %zu -> %zu cells\n", d.cut.gatesBefore,
+                d.cut.gatesAfter);
+    printPassSummary(d.pipeline);
+    const DesignMetrics &m = d.metrics;
+    std::printf("metrics: %.0f um^2, %.0f ps critical at a %.0f ps"
+                " clock, %.2f uW nominal, %.2f uW at vmin %.2f V\n",
+                m.areaUm2, m.criticalPathPs, flow.clockPeriodPs(),
+                m.powerNominal.totalUW(), m.powerAtVmin.totalUW(),
+                m.vmin);
 
     if (a.verify) {
-        EquivResult eq =
-            checkSymbolicEquivalence(original, bespoke_nl, prog, opts);
+        AsmProgram prog = app.assembleProgram();
+        EquivResult eq = checkSymbolicEquivalence(
+            original, d.netlist, prog, flow.options().analysis);
         if (!eq.equivalent || !eq.completed)
             fail("equivalence check failed: " + eq.firstMismatch);
         std::printf("verified: %llu outputs compared across %llu"
@@ -550,7 +481,7 @@ cmdTailor(const Args &a)
         sat::SatEquivOptions so;
         so.conflictBudget = 200000;
         sat::SatEquivResult sr =
-            sat::proveEquivalentSat(original, bespoke_nl, prog, so);
+            sat::proveEquivalentSat(original, d.netlist, prog, so);
         if (sr.verdict == sat::SatEquivVerdict::NotEquivalent)
             fail("SAT cross-check disagrees with the symbolic prover: " +
                  sr.detail);
@@ -564,13 +495,14 @@ cmdTailor(const Args &a)
         std::ofstream os(a.statusJson);
         if (!os)
             fail("cannot write '" + a.statusJson + "'");
-        os << tailorStatusJson(a, cut, report, a.verify).dump(2) << "\n";
+        os << tailorStatusJson(a, d.cut, d.pipeline, a.verify).dump(2)
+           << "\n";
         if (!os)
             fail("write to '" + a.statusJson + "' failed");
     }
 
-    exportFile(bespoke_nl, a.out, "bespoke_" + a.app);
-    printStats(a.out.c_str(), bespoke_nl);
+    exportFile(d.netlist, a.out, "bespoke_" + a.app);
+    printStats(a.out.c_str(), d.netlist);
     return 0;
 }
 
