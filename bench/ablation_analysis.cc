@@ -19,7 +19,6 @@
 #include "bench/bench_common.hh"
 #include "src/analysis/activity_analysis.hh"
 #include "src/bespoke/flow.hh"
-#include "src/cpu/bsp430.hh"
 #include "src/transform/rewrite.hh"
 
 using namespace bespoke;
@@ -34,8 +33,10 @@ main(int argc, char **argv)
     banner("Ablations of the reproduction's design choices",
            "methodology (DESIGN.md)");
 
-    Netlist baseline = buildBsp430();
-    sizeForLoads(baseline);
+    FlowOptions fopts = io.flowOptions();
+    fopts.powerInputsPerWorkload = 1;
+    BespokeFlow flow(fopts);
+    const Netlist &baseline = flow.baseline();
     double total = static_cast<double>(baseline.numCells());
 
     // ------------------------------------------------------ ablation 1
@@ -78,9 +79,6 @@ main(int argc, char **argv)
         Table t({"benchmark", "cells: cut only", "+ resynthesis",
                  "resynth extra %", "power: no resize uW",
                  "+ resize uW"});
-        FlowOptions fopts = io.flowOptions();
-        fopts.powerInputsPerWorkload = 1;
-        BespokeFlow flow(fopts);
         std::vector<const char *> names =
             quick ? std::vector<const char *>{"binSearch"}
                   : std::vector<const char *>{"binSearch", "intFilt",
@@ -106,6 +104,7 @@ main(int argc, char **argv)
 
             // Full pipeline, with and without the re-sizing pass.
             BespokeDesign full = flow.tailor(w);
+            // The no-resize ablation arm: the pipeline without sizing.
             Netlist no_resize =
                 runTailorPipeline(flow.baseline(), r.activity.get());
             // (drive strengths inherited from the sized baseline)

@@ -23,10 +23,6 @@
  *                    on bit planes, 1 on the reference scalar
  *                    evaluator. Execution strategy only — results
  *                    and counters are identical at both.
- *   --checkpoint-dir DIR  persist flow stage artifacts in DIR and
- *                    reuse them on later runs (content-hashed keys;
- *                    see src/bespoke/checkpoint.hh). Results are
- *                    identical with or without it.
  *
  * Every bench builds its analysis and flow options from
  * BenchIO::analysisOptions() / flowOptions(), so each of these flags
@@ -93,11 +89,10 @@ class BenchIO
     /** Execution flags a bench reads, or-ed into BenchIO's `reads`. */
     enum Reads : unsigned
     {
-        Threads = 1u << 0,        ///< --threads
-        Lanes = 1u << 1,          ///< --lanes
-        CheckpointDir = 1u << 2,  ///< --checkpoint-dir
+        Threads = 1u << 0,  ///< --threads
+        Lanes = 1u << 1,    ///< --lanes
         /** What flowOptions() carries. */
-        Flow = Lanes | CheckpointDir,
+        Flow = Lanes,
     };
 
     BenchIO(int argc, char **argv, std::string name, unsigned reads = 0)
@@ -156,18 +151,11 @@ class BenchIO
                 read(Threads, "--threads");
             } else if (take_number("--lanes", FlagKind::Lanes, lanes_)) {
                 read(Lanes, "--lanes");
-            } else if (take_path("--checkpoint-dir", checkpointDir_)) {
-                read(CheckpointDir, "--checkpoint-dir");
-                if (checkpointDir_ == kAutoPath)
-                    die("--checkpoint-dir requires a path");
             } else {
                 die("unknown bench flag '" + arg + "' (" + name_ +
                     " reads --quick, --json PATH, --check [PATH]" +
                     (reads_ & Threads ? ", --threads N" : "") +
-                    (reads_ & Lanes ? ", --lanes N" : "") +
-                    (reads_ & CheckpointDir ? ", --checkpoint-dir DIR"
-                                            : "") +
-                    ")");
+                    (reads_ & Lanes ? ", --lanes N" : "") + ")");
             }
         }
         if (checkMode_ && checkPath_ == kAutoPath) {
@@ -205,14 +193,13 @@ class BenchIO
         return a;
     }
 
-    /** Flow options carrying analysisOptions() and --checkpoint-dir. */
+    /** Flow options carrying analysisOptions(). */
     FlowOptions
     flowOptions() const
     {
         requireRead(Flow);
         FlowOptions f;
         f.analysis = analysisOptions();
-        f.checkpointDir = checkpointDir_;
         return f;
     }
 
@@ -472,7 +459,7 @@ class BenchIO
     int threads_ = 1;
     bool checkMode_ = false;
     bool ok_ = true;
-    std::string jsonPath_, checkPath_, checkpointDir_;
+    std::string jsonPath_, checkPath_;
     int lanes_ = AnalysisOptions{}.laneWidth;
     JsonValue tables_ = JsonValue::object();
     JsonValue metrics_ = JsonValue::object();

@@ -10,47 +10,32 @@
  */
 
 #include "bench/bench_common.hh"
-#include "src/analysis/activity_analysis.hh"
+#include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
-#include "src/timing/sta.hh"
-#include "src/transform/pass_pipeline.hh"
 
 using namespace bespoke;
-
-namespace
-{
-
-struct CoreCtx
-{
-    Netlist netlist;
-    explicit CoreCtx(const CpuConfig &cfg)
-        : netlist(buildBsp430(nullptr, cfg))
-    {
-        sizeForLoads(netlist);
-    }
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "ext_core_overprovisioning", BenchIO::Lanes);
+    BenchIO io(argc, argv, "ext_core_overprovisioning", BenchIO::Flow);
     bool quick = io.quick();
 
     banner("Bespoke savings grow with IP over-provisioning",
            "extension of Sec. 2's argument");
 
-    CoreCtx base(CpuConfig{});
-    CoreCtx ext(CpuConfig::extended());
+    FlowOptions opts = io.flowOptions();
+    BespokeFlow base(opts, buildBsp430(nullptr, CpuConfig{}));
+    BespokeFlow ext(opts, buildBsp430(nullptr, CpuConfig::extended()));
+    const double base_cells =
+        static_cast<double>(base.baseline().numCells());
+    const double ext_cells = static_cast<double>(ext.baseline().numCells());
     std::printf("default core: %zu cells; extended core (+timer, "
                 "+uart): %zu cells\n\n",
-                base.netlist.numCells(), ext.netlist.numCells());
-    io.metric("default_core_cells",
-              static_cast<double>(base.netlist.numCells()));
-    io.metric("extended_core_cells",
-              static_cast<double>(ext.netlist.numCells()));
+                base.baseline().numCells(), ext.baseline().numCells());
+    io.metric("default_core_cells", base_cells);
+    io.metric("extended_core_cells", ext_cells);
 
     Table table({"benchmark", "bespoke cells (default core)",
                  "savings %", "bespoke cells (extended core)",
@@ -60,41 +45,28 @@ main(int argc, char **argv)
                                       "tea8", "convEn", "dbg"};
     if (quick)
         names.resize(2);
-    const AnalysisOptions aopts = io.analysisOptions();
     for (const std::string &name : names) {
         const Workload &w = workloadByName(name);
-        AnalysisResult rb = analyzeActivity(base.netlist, w, aopts);
-        AnalysisResult re = analyzeActivity(ext.netlist, w, aopts);
-        Netlist db = runTailorPipeline(base.netlist, rb.activity.get());
-        Netlist de = runTailorPipeline(ext.netlist, re.activity.get());
+        size_t db = base.tailor(w).metrics.gates;
+        size_t de = ext.tailor(w).metrics.gates;
         table.row()
             .add(w.name)
-            .add(static_cast<long>(db.numCells()))
-            .add(savingsPct(
-                     static_cast<double>(base.netlist.numCells()),
-                     static_cast<double>(db.numCells())),
-                 1)
-            .add(static_cast<long>(de.numCells()))
-            .add(savingsPct(
-                     static_cast<double>(ext.netlist.numCells()),
-                     static_cast<double>(de.numCells())),
-                 1);
+            .add(static_cast<long>(db))
+            .add(savingsPct(base_cells, static_cast<double>(db)), 1)
+            .add(static_cast<long>(de))
+            .add(savingsPct(ext_cells, static_cast<double>(de)), 1);
     }
 
     // The peripheral-using apps, for contrast.
     for (const char *name : {"uartTx", "timerTick"}) {
         const Workload &w = workloadByName(name);
-        AnalysisResult re = analyzeActivity(ext.netlist, w, aopts);
-        Netlist de = runTailorPipeline(ext.netlist, re.activity.get());
+        size_t de = ext.tailor(w).metrics.gates;
         table.row()
             .add(w.name)
             .add("-")
             .add("-")
-            .add(static_cast<long>(de.numCells()))
-            .add(savingsPct(
-                     static_cast<double>(ext.netlist.numCells()),
-                     static_cast<double>(de.numCells())),
-                 1);
+            .add(static_cast<long>(de))
+            .add(savingsPct(ext_cells, static_cast<double>(de)), 1);
     }
     io.table("overprovisioning", table,
              "Tailored gate counts on both cores. Unused "

@@ -76,16 +76,19 @@ main(int argc, char **argv)
         double gmin = 1e18, gmax = 0, amin = 1e18, amax = 0;
         double pmin = 1e18, pmax = 0;
         for (const auto &combo : combos) {
-            ActivityTracker merged = *acts[combo[0]].activity;
+            AnalysisResult merged;
+            merged.activity =
+                std::make_unique<ActivityTracker>(*acts[combo[0]].activity);
+            merged.completed = true;
             std::vector<const Workload *> members;
-            members.push_back(&apps[combo[0]]);
-            for (size_t k = 1; k < combo.size(); k++) {
-                merged.mergeFrom(*acts[combo[k]].activity);
-                members.push_back(&apps[combo[k]]);
+            for (int i : combo) {
+                if (i != combo[0])
+                    merged.activity->mergeFrom(*acts[i].activity);
+                merged.completed &= acts[i].completed;
+                members.push_back(&apps[i]);
             }
-            Netlist design = runTailorPipeline(flow.baseline(), &merged);
-            sizeForLoads(design, opts.timing);
-            DesignMetrics m = flow.measure(design, members);
+            DesignMetrics m =
+                flow.tailorAnalysis(std::move(merged), members).metrics;
             double g = static_cast<double>(m.gates) /
                        static_cast<double>(base.gates);
             double a = m.areaUm2 / base.areaUm2;

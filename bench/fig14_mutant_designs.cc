@@ -43,7 +43,7 @@ main(int argc, char **argv)
         if (quick && mutants.size() > 10)
             mutants.resize(10);
 
-        ActivityTracker merged = *plain.analysis.activity;
+        AnalysisResult merged = std::move(plain.analysis);
         AnalysisOptions mopts = opts.analysis;
         mopts.maxTotalCycles = 4'000'000;
         mopts.maxPaths = 40'000;
@@ -54,13 +54,10 @@ main(int argc, char **argv)
                 analyzeActivity(flow.baseline(), mp, mopts);
             if (!r.completed)
                 continue;
-            merged.mergeFrom(*r.activity);
+            merged.activity->mergeFrom(*r.activity);
             merged_count++;
         }
-
-        Netlist design = runTailorPipeline(flow.baseline(), &merged);
-        sizeForLoads(design, opts.timing);
-        DesignMetrics m = flow.measure(design, {&w});
+        DesignMetrics m = flow.tailorAnalysis(std::move(merged), {&w}).metrics;
 
         table.row()
             .add(w.name)

@@ -142,6 +142,7 @@ BM_SymbolicEquivalence(benchmark::State &state)
 {
     const Workload &w = workloadByName("inSort");
     AsmProgram prog = w.assembleProgram();
+    // Kernel timing needs only the cut, not the flow's sizing and power.
     static const Netlist tailored = runTailorPipeline(
         core(), analyzeActivity(core(), prog).activity.get());
     AnalysisOptions opts;
@@ -164,6 +165,7 @@ BM_CutAndStitch(benchmark::State &state)
     AsmProgram prog = w.assembleProgram();
     AnalysisResult r = analyzeActivity(core(), prog);
     for (auto _ : state) {
+        // The timed kernel: the cut-and-stitch pipeline alone.
         Netlist out = runTailorPipeline(core(), r.activity.get());
         benchmark::DoNotOptimize(out.numCells());
     }
@@ -214,6 +216,7 @@ BM_MiterEncode(benchmark::State &state)
     const Workload &w = workloadByName(apps[state.range(0)]);
     AsmProgram prog = w.assembleProgram();
     setVerbose(false);
+    // Kernel timing needs only the cut, not the flow's sizing and power.
     const Netlist tailored = runTailorPipeline(
         core(), analyzeActivity(core(), prog).activity.get());
     for (auto _ : state) {

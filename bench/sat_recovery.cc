@@ -106,6 +106,7 @@ main(int argc, char **argv)
             env.program = &prog;
             PassPipelineOptions base;
             CutStats cut;
+            // Base vs SAT cut at a fixed envelope, both unsized: no flow.
             Netlist base_nl = runTailorPipeline(
                 core, ar.activity.get(), base, env, &cut);
             row.cellsBase = base_nl.numCells();
@@ -115,6 +116,7 @@ main(int argc, char **argv)
             with_sat.sat.depth = kTableDepth;
             PipelineReport report;
             auto t0 = std::chrono::steady_clock::now();
+            // The SAT cut, timed, on the same unsized footing as base_nl.
             Netlist sat_nl =
                 runTailorPipeline(core, ar.activity.get(), with_sat,
                                   env, &cut, &report);
@@ -219,6 +221,7 @@ main(int argc, char **argv)
                 PipelineReport report;
                 CutStats cut;
                 auto t0 = std::chrono::steady_clock::now();
+                // Timed SAT cut at the app's pinned depth, verified below.
                 Netlist sat_nl =
                     runTailorPipeline(core, ar.activity.get(),
                                       with_sat, env, &cut, &report);

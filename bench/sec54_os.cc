@@ -63,6 +63,7 @@ main(int argc, char **argv)
         merged.mergeFrom(*app.activity);
         all_union.mergeFrom(*app.activity);
 
+        // Unsized on purpose: the golden pins the area before re-sizing.
         Netlist design = runTailorPipeline(nl, &merged);
         table.row()
             .add(w.name + " + minios")
@@ -75,6 +76,7 @@ main(int argc, char **argv)
                  1)
             .add(savingsPct(nl.stats().area, design.stats().area), 1);
     }
+    // Unsized on purpose, like the per-app rows above.
     Netlist all_design = runTailorPipeline(nl, &all_union);
     table.row()
         .add("ALL apps + minios")

@@ -35,7 +35,10 @@ main()
     AnalysisOptions mopts;
     mopts.maxTotalCycles = 4'000'000;
     mopts.maxPaths = 40'000;
-    ActivityTracker hardened = *shipped.analysis.activity;
+    AnalysisResult hardened;
+    hardened.activity =
+        std::make_unique<ActivityTracker>(*shipped.analysis.activity);
+    hardened.completed = true;
     int supported = 0, analyzed = 0;
     for (const Mutant &m : mutants) {
         AsmProgram prog = m.workload.assembleProgram();
@@ -56,16 +59,15 @@ main()
                     m.sourceLine, m.from.c_str(), m.to.c_str(),
                     mutantTypeName(m.type),
                     ok ? "supported as-is" : "needs extra gates");
-        hardened.mergeFrom(*r.activity);
+        hardened.activity->mergeFrom(*r.activity);
     }
     std::printf("\n%d of %d analyzable fixes deploy on the shipped "
                 "die unchanged\n",
                 supported, analyzed);
 
     // Harden the die to support every anticipated fix.
-    Netlist hard_nl = runTailorPipeline(flow.baseline(), &hardened);
-    sizeForLoads(hard_nl, flow.options().timing);
-    DesignMetrics hm = flow.measure(hard_nl, {&app});
+    DesignMetrics hm =
+        flow.tailorAnalysis(std::move(hardened), {&app}).metrics;
     std::printf("hardened die: %zu cells (+%.1f%% vs shipped, still "
                 "-%.1f%% vs baseline)\n",
                 hm.gates,

@@ -83,8 +83,7 @@ struct AnalysisOptions
      * `simMode`), any other value the bit-plane LaneSoc, which
      * evaluates all 64 lanes per gate visit and is several times
      * faster. Results and counters are identical either way (pinned by
-     * tests), so this is an execution knob excluded from
-     * hashAnalysisOptions.
+     * tests), so this is an execution knob only.
      */
     int laneWidth = 64;
 };

@@ -11,16 +11,6 @@ namespace bespoke
 namespace
 {
 
-/** Key material for a workload set, order-sensitive. */
-uint64_t
-hashApps(const std::vector<const Workload *> &apps)
-{
-    uint64_t h = kHashBasis;
-    for (const Workload *w : apps)
-        h = hashCombine(h, hashProgram(w->assembleProgram()));
-    return h;
-}
-
 /** One application's seeded replay: its program and drawn inputs. */
 struct AppReplay
 {
@@ -95,8 +85,7 @@ BespokeFlow::BespokeFlow(FlowOptions opts)
 }
 
 BespokeFlow::BespokeFlow(FlowOptions opts, Netlist baseline)
-    : opts_(std::move(opts)), baseline_(std::move(baseline)),
-      store_(opts_.checkpointDir)
+    : opts_(std::move(opts)), baseline_(std::move(baseline))
 {
     sizeForLoads(baseline_, opts_.timing);
     TimingReport rep = analyzeTiming(baseline_, opts_.timing);
@@ -104,11 +93,6 @@ BespokeFlow::BespokeFlow(FlowOptions opts, Netlist baseline)
     // operation at" its achievable frequency (paper Sec. 4.2): hold
     // every design to the baseline's critical path plus a small margin.
     clockPeriodPs_ = rep.criticalPathPs * 1.02;
-    // Checkpoint keys hash the *sized* baseline: every stage artifact
-    // is derived from the netlist as the flow actually analyzes it.
-    baselineHash_ = baseline_.contentHash();
-    analysisOptsHash_ = hashAnalysisOptions(opts_.analysis);
-    flowOptsHash_ = hashFlowOptions(opts_);
     bespoke_inform("baseline: ", baseline_.numCells(), " cells, ",
                    formatFixed(rep.criticalPathPs, 0), " ps critical (",
                    formatFixed(1e6 / clockPeriodPs_, 1), " MHz)");
@@ -118,19 +102,6 @@ DesignMetrics
 BespokeFlow::measure(const Netlist &netlist,
                      const std::vector<const Workload *> &apps)
 {
-    CheckpointKey key;
-    if (store_.enabled()) {
-        key = {netlist.contentHash(), hashApps(apps), flowOptsHash_};
-        JsonValue doc;
-        DesignMetrics cached;
-        std::string err;
-        if (store_.load(key, "metrics", &doc)) {
-            if (metricsFromJson(doc, &cached, &err))
-                return cached;
-            bespoke_warn("checkpoint metrics: ", err, "; re-measuring");
-        }
-    }
-
     DesignMetrics m;
     NetlistStats stats = netlist.stats();
     m.gates = stats.numCells;
@@ -152,9 +123,6 @@ BespokeFlow::measure(const Netlist &netlist,
                            opts_.timing);
     m.powerAtVmin =
         scaleToVoltage(m.powerNominal, m.vmin, opts_.power);
-
-    if (store_.enabled())
-        store_.save(key, "metrics", metricsToJson(m));
     return m;
 }
 
@@ -167,54 +135,8 @@ BespokeFlow::measureBaseline(const std::vector<const Workload *> &apps)
 AnalysisResult
 BespokeFlow::analyze(const Workload &app)
 {
-    return analyzeProgram(app.assembleProgram(), app.name);
-}
-
-AnalysisResult
-BespokeFlow::analyzeProgram(const AsmProgram &prog,
-                            const std::string &name)
-{
-    CheckpointKey key{baselineHash_, hashProgram(prog),
-                      analysisOptsHash_};
-    JsonValue doc;
-    AnalysisResult cached;
-    std::string err;
-    if (store_.load(key, "analysis", &doc)) {
-        if (analysisFromJson(doc, baseline_, &cached, &err))
-            return cached;
-        bespoke_warn("checkpoint analysis for ", name, ": ", err,
-                     "; re-analyzing");
-    }
-    AnalysisResult r = analyzeActivity(baseline_, prog, opts_.analysis);
-    // Capped (incomplete) runs are never checkpointed: a rerun with
-    // higher caps must not resume from a partial toggle set.
-    if (store_.enabled() && r.completed)
-        store_.save(key, "analysis", analysisToJson(r));
-    return r;
-}
-
-Netlist
-BespokeFlow::obtainDesign(
-    uint64_t program_hash, const char *stage, CutStats *cut,
-    PipelineReport *report,
-    const std::function<Netlist(CutStats *, PipelineReport *)> &build)
-{
-    CheckpointKey key{baselineHash_, program_hash, flowOptsHash_};
-    JsonValue doc;
-    Netlist cached;
-    std::string err;
-    if (store_.load(key, stage, &doc)) {
-        if (designFromJson(doc, &cached, cut, &err, report))
-            return cached;
-        bespoke_warn("checkpoint ", stage, ": ", err, "; re-cutting");
-    }
-    Netlist netlist = build(cut, report);
-    // Re-size for the (smaller) loads: the paper's slack-driven
-    // replacement with smaller cells falls out of re-running sizing.
-    sizeForLoads(netlist, opts_.timing);
-    if (store_.enabled())
-        store_.save(key, stage, designToJson(netlist, *cut, report));
-    return netlist;
+    return analyzeActivity(baseline_, app.assembleProgram(),
+                           opts_.analysis);
 }
 
 BespokeDesign
@@ -244,14 +166,12 @@ BespokeFlow::tryTailorMulti(const std::vector<const Workload *> &apps,
                             BespokeDesign *out, std::string *err)
 {
     bespoke_assert(!apps.empty());
-    std::vector<AsmProgram> progs;
-    uint64_t progs_hash = kHashBasis;
+    AsmProgram prog;
     std::unique_ptr<ActivityTracker> merged;
     AnalysisResult last;
     for (const Workload *w : apps) {
-        progs.push_back(w->assembleProgram());
-        progs_hash = hashCombine(progs_hash, hashProgram(progs.back()));
-        AnalysisResult r = analyzeProgram(progs.back(), w->name);
+        prog = w->assembleProgram();
+        AnalysisResult r = analyzeActivity(baseline_, prog, opts_.analysis);
         if (!r.completed) {
             *err = "analysis hit caps for " + w->name;
             return false;
@@ -262,70 +182,70 @@ BespokeFlow::tryTailorMulti(const std::vector<const Workload *> &apps,
             merged->mergeFrom(*r.activity);
         last = std::move(r);
     }
-    CutStats cut;
-    PipelineReport report;
-    Netlist bespoke_nl = obtainDesign(
-        progs_hash, "design", &cut, &report,
-        [&](CutStats *c, PipelineReport *r) {
-            // The runs measure() replays for the final power numbers,
-            // so the rewrite search optimizes the metric the flow
-            // reports.
-            PassEnv env = replayEnv(apps, opts_.powerInputsPerWorkload,
-                                    opts_.powerSeed);
-            env.timing = &opts_.timing;
-            env.power = &opts_.power;
-            env.clockPeriodPs = clockPeriodPs_;
-            PassPipelineOptions popts = opts_.passes;
-            // Single-program tailoring: the SAT never-toggle pass can
-            // reason about the full SoC. (A multi-program proof would
-            // have to hold for every program, which the pass does not
-            // yet do, so it is skipped there.)
-            if (apps.size() == 1) {
-                env.program = &progs.front();
-                // Auto depth: cover exactly the analysis's bounded
-                // envelope. Derived from inputs already in the
-                // checkpoint key, so resolving it here keeps keys
-                // stable.
-                if (popts.satNeverToggle && popts.sat.depth == 0) {
-                    popts.sat.depth =
-                        static_cast<int>(last.cyclesSimulated);
-                }
-            }
-            return runTailorPipeline(baseline_, merged.get(), popts,
-                                     env, c, r);
-        });
-    // Keep the merged tracker with the result for callers that need it.
     last.activity = std::move(merged);
-    *out = BespokeDesign{std::move(bespoke_nl), cut, {},
-                         std::move(last), std::move(report)};
-    out->metrics = measure(out->netlist, apps);
+    // A proof about one program does not hold for a union, so the
+    // program image goes along only for a single app.
+    *out = tailorAnalysis(std::move(last), apps,
+                          apps.size() == 1 ? &prog : nullptr);
     return true;
+}
+
+BespokeDesign
+BespokeFlow::tailorAnalysis(AnalysisResult analysis,
+                            const std::vector<const Workload *> &apps,
+                            const AsmProgram *program)
+{
+    bespoke_assert(!apps.empty() && analysis.activity &&
+                       analysis.completed,
+                   "tailoring needs a completed analysis");
+    // The runs measure() replays for the final power numbers, so the
+    // rewrite search optimizes the metric the flow reports.
+    PassEnv env =
+        replayEnv(apps, opts_.powerInputsPerWorkload, opts_.powerSeed);
+    env.timing = &opts_.timing;
+    env.power = &opts_.power;
+    env.clockPeriodPs = clockPeriodPs_;
+    env.program = program;
+    PassPipelineOptions popts = opts_.passes;
+    if (program && popts.satNeverToggle) {
+        // Auto depth: cover exactly the analysis's bounded envelope.
+        int horizon = static_cast<int>(analysis.cyclesSimulated);
+        if (popts.sat.depth == 0) {
+            popts.sat.depth = horizon;
+        } else if (popts.sat.depth < horizon) {
+            bespoke_warn("SAT never-toggle depth ", popts.sat.depth,
+                         " is below ", apps.front()->name,
+                         "'s analysis horizon of ", horizon,
+                         " cycles: the design is proven only over the"
+                         " first ", popts.sat.depth, " cycles");
+        }
+    }
+    BespokeDesign d;
+    d.netlist = runTailorPipeline(baseline_, analysis.activity.get(),
+                                  popts, env, &d.cut, &d.pipeline);
+    // Re-size for the (smaller) loads: the paper's slack-driven
+    // replacement with smaller cells falls out of re-running sizing.
+    sizeForLoads(d.netlist, opts_.timing);
+    d.metrics = measure(d.netlist, apps);
+    d.analysis = std::move(analysis);
+    return d;
 }
 
 BespokeDesign
 BespokeFlow::tailorCoarse(const Workload &app)
 {
-    AsmProgram prog = app.assembleProgram();
-    AnalysisResult analysis = analyzeProgram(prog, app.name);
-    bespoke_assert(analysis.completed,
+    BespokeDesign d;
+    d.analysis = analyze(app);
+    bespoke_assert(d.analysis.completed,
                    "analysis hit caps for ", app.name);
-    CutStats cut;
-    PipelineReport report;
-    // Module-level cutting shares the flow options with the
-    // fine-grained design, so the artifact lives under its own stage.
     // The coarse baseline always runs the module-cut default pipeline:
     // it exists as the paper's Fig. 12 comparison point, not as a
     // target for the optional optimization passes.
-    Netlist coarse = obtainDesign(
-        hashProgram(prog), "coarse", &cut, &report,
-        [&](CutStats *c, PipelineReport *r) {
-            PassPipelineOptions coarse_opts;
-            coarse_opts.moduleCut = true;
-            return runTailorPipeline(baseline_, analysis.activity.get(),
-                                     coarse_opts, {}, c, r);
-        });
-    BespokeDesign d{std::move(coarse), cut, {}, std::move(analysis),
-                    std::move(report)};
+    PassPipelineOptions coarse_opts;
+    coarse_opts.moduleCut = true;
+    d.netlist = runTailorPipeline(baseline_, d.analysis.activity.get(),
+                                  coarse_opts, {}, &d.cut, &d.pipeline);
+    sizeForLoads(d.netlist, opts_.timing);
     d.metrics = measure(d.netlist, {&app});
     return d;
 }

@@ -9,17 +9,17 @@
  * application: activity analysis -> cutting & stitching -> re-synthesis
  * -> re-sizing (downsizing, now that fanouts shrank) -> STA -> power.
  * tailorMulti() unions the toggleable-gate sets of several applications
- * before cutting (Fig. 8).
+ * before cutting (Fig. 8); tailorAnalysis() cuts a union the caller has
+ * already merged (per-app analyses reused across combinations, or an
+ * app plus its mutants, Sec. 5.3).
  */
 
 #ifndef BESPOKE_BESPOKE_FLOW_HH
 #define BESPOKE_BESPOKE_FLOW_HH
 
-#include <functional>
 #include <memory>
 
 #include "src/analysis/activity_analysis.hh"
-#include "src/bespoke/checkpoint.hh"
 #include "src/power/power_model.hh"
 #include "src/transform/pass_pipeline.hh"
 #include "src/workloads/workload.hh"
@@ -46,9 +46,11 @@ struct BespokeDesign
     Netlist netlist;
     CutStats cut;
     DesignMetrics metrics;
-    AnalysisResult analysis;  ///< analysis of the *last* application
+    /** The analysis the design was cut by; tailorMulti() keeps the
+     *  merged tracker with the last application's counters. */
+    AnalysisResult analysis;
     /** What the tailoring pipeline did (per-pass stats, rewrite count,
-     *  clock-gating plan). Restored from checkpointed designs. */
+     *  clock-gating plan). */
     PipelineReport pipeline;
 };
 
@@ -61,7 +63,7 @@ struct FlowOptions
     /**
      * Ignored: power replays always run on 64-lane planes. Kept only
      * because the perfbench driver reads it; remove with the
-     * benchmark's next revision. Excluded from hashFlowOptions().
+     * benchmark's next revision.
      */
     int planeBits = 0;
     TimingParams timing;
@@ -69,17 +71,9 @@ struct FlowOptions
     /**
      * Tailoring pass pipeline configuration. The default reproduces the
      * historical cut + re-synthesis flow bit-identically; enabling the
-     * optional passes (rewrite search, clock gating) changes design
-     * artifacts, so the configuration is part of hashFlowOptions().
+     * optional passes (rewrite search, clock gating) changes the design.
      */
     PassPipelineOptions passes;
-    /**
-     * When non-empty, stage artifacts (analysis, cut design, metrics)
-     * are persisted here and reused by later runs with matching
-     * content-hashed keys; a killed run resumes at the last completed
-     * stage, a repeated run short-circuits entirely. "" disables.
-     */
-    std::string checkpointDir;
 };
 
 /**
@@ -101,8 +95,8 @@ class BespokeFlow
     explicit BespokeFlow(FlowOptions opts = {});
     /**
      * Flow over an externally supplied baseline core (e.g. an imported
-     * netlist): it is drive-sized and timed exactly like the built-in
-     * core, and every checkpoint key hashes the sized input.
+     * netlist, or the extended core): it is drive-sized and timed
+     * exactly like the built-in core.
      */
     BespokeFlow(FlowOptions opts, Netlist baseline);
 
@@ -130,14 +124,27 @@ class BespokeFlow
                    std::string *err);
 
     /**
-     * tryTailor() over a workload set (union of toggleable gates): the
-     * one tailoring body, which every tailor*() call runs. With exactly
-     * one app the pipeline also gets the program image (the SAT
-     * never-toggle pass needs it) and an auto SAT depth resolves to
-     * that app's analysis horizon.
+     * tryTailor() over a workload set (union of toggleable gates):
+     * analyzes each app, merges the toggle sets in app order and hands
+     * the union to tailorAnalysis(), with the program image when there
+     * is exactly one app.
      */
     bool tryTailorMulti(const std::vector<const Workload *> &apps,
                         BespokeDesign *out, std::string *err);
+
+    /**
+     * The one tailoring body, which every tailor*() call runs: cut and
+     * re-synthesize baseline() by a completed analysis of it (one
+     * app's, or a union the caller merged), re-size, and measure()
+     * against `apps`. Pass `program` only when the
+     * analysis is that one program's: the SAT never-toggle pass needs
+     * it, and an auto SAT depth resolves to the analysis horizon
+     * (cyclesSimulated). An explicit depth below the horizon warns,
+     * since the design is then proven only over that shorter envelope.
+     */
+    BespokeDesign tailorAnalysis(AnalysisResult analysis,
+                                 const std::vector<const Workload *> &apps,
+                                 const AsmProgram *program = nullptr);
 
     /** Module-level coarse-grained baseline (paper Fig. 12). */
     BespokeDesign tailorCoarse(const Workload &app);
@@ -154,32 +161,10 @@ class BespokeFlow
 
     const FlowOptions &options() const { return opts_; }
 
-    /** The stage-artifact store (disabled unless checkpointDir set). */
-    const CheckpointStore &checkpoints() const { return store_; }
-
   private:
-    /** analyze() body, reusing an already-assembled program. */
-    AnalysisResult analyzeProgram(const AsmProgram &prog,
-                                  const std::string &name);
-    /**
-     * Cut-design stage with checkpointing: load the sized bespoke
-     * netlist (and its pipeline report) for (baseline, program set,
-     * options) from the store, or run `build` + sizeForLoads and save
-     * the result.
-     */
-    Netlist obtainDesign(
-        uint64_t program_hash, const char *stage, CutStats *cut,
-        PipelineReport *report,
-        const std::function<Netlist(CutStats *, PipelineReport *)>
-            &build);
-
     FlowOptions opts_;
     Netlist baseline_;
     double clockPeriodPs_ = 0.0;
-    CheckpointStore store_;
-    uint64_t baselineHash_ = 0;
-    uint64_t analysisOptsHash_ = 0;
-    uint64_t flowOptsHash_ = 0;
 };
 
 } // namespace bespoke

@@ -4,10 +4,9 @@
  *
  * The JSON form is an *exact* representation: gate ids are preserved,
  * so `netlistFromJson(netlistToJson(N))` reproduces N bit for bit
- * (same ids, same ports, same debug names). This exactness is what
- * flow checkpointing relies on — analysis artifacts (untoggled-gate
- * sets, toggle counts) are indexed by gate id and must survive a
- * save/load round trip unchanged.
+ * (same ids, same ports, same debug names). This exactness lets a file
+ * stand in for the in-memory netlist: gate-indexed data (untoggled-gate
+ * sets, toggle counts) computed on N stays valid on the reloaded copy.
  *
  * Serialization order is deterministic: gates in id order, ports and
  * debug names sorted by name/id, so dumping the same netlist twice

@@ -9,8 +9,9 @@
  * The solver is strictly deterministic: no randomness, all tie-breaks
  * by variable index, single-threaded. Two identical clause/solve
  * sequences produce identical verdicts, models, cores, and statistics
- * on any machine — the SAT pass's verdicts are checkpointed and diffed
- * bit-for-bit in CI, so this is a contract, not an aspiration.
+ * on any machine — the SAT pass's verdicts and counters are pinned in
+ * golden baselines and diffed bit-for-bit in CI, so this is a
+ * contract, not an aspiration.
  * `CdclConfig` permutes the search (branching order, restart schedule,
  * initial phase) for portfolio solving; every config is individually
  * deterministic.

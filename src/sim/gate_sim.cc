@@ -421,20 +421,6 @@ ActivityTracker::mergeFrom(const ActivityTracker &other)
 }
 
 void
-ActivityTracker::restore(std::vector<uint8_t> initial,
-                         std::vector<uint8_t> toggled)
-{
-    bespoke_assert(initial.size() == nl_->size() &&
-                   toggled.size() == nl_->size(),
-                   "restoring tracker state of the wrong size");
-    initial_ = std::move(initial);
-    toggled_ = std::move(toggled);
-    initialCaptured_ = true;
-    // Restored toggle bits may be 0 where the list assumed 1.
-    lanePendingValid_ = false;
-}
-
-void
 ValueMirror::assign(std::vector<uint8_t> v)
 {
     values_ = std::move(v);

@@ -277,14 +277,6 @@ class ActivityTracker
     /** Merge another tracker's observations (multi-app designs). */
     void mergeFrom(const ActivityTracker &other);
 
-    /**
-     * Rebuild a finished tracker from checkpointed state: one byte-coded
-     * Logic per gate for the reset-time values and one 0/1 flag per gate
-     * for the toggle set. Sizes must match the netlist.
-     */
-    void restore(std::vector<uint8_t> initial,
-                 std::vector<uint8_t> toggled);
-
     const Netlist &netlist() const { return *nl_; }
 
   private:

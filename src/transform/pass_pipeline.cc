@@ -17,25 +17,6 @@ namespace bespoke
 namespace
 {
 
-uint64_t
-fnv64(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; i++) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-uint64_t
-fnvDouble(uint64_t h, double v)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    return fnv64(h, bits);
-}
-
 double
 nowMs()
 {
@@ -899,26 +880,6 @@ constantFoldOnce(Rewriter &rw)
         }
     }
     return changed;
-}
-
-uint64_t
-hashPassPipelineOptions(const PassPipelineOptions &opts)
-{
-    uint64_t h = 1469598103934665603ull;
-    h = fnv64(h, opts.constantFold);
-    h = fnv64(h, opts.moduleCut);
-    h = fnv64(h, opts.rewriteSearch);
-    h = fnv64(h, opts.clockGating);
-    h = fnv64(h, opts.rewrite.minAdderWidth);
-    h = fnvDouble(h, opts.rewrite.lambdaUWPerPs);
-    h = fnvDouble(h, opts.rewrite.minGainFraction);
-    h = fnvDouble(h, opts.gating.maxDuty);
-    h = fnv64(h, opts.gating.minBankBits);
-    h = fnvDouble(h, opts.gating.icgFlopEquivalents);
-    h = fnv64(h, opts.satNeverToggle);
-    h = fnv64(h, static_cast<uint64_t>(opts.sat.depth));
-    h = fnv64(h, opts.sat.conflictBudget);
-    return h;
 }
 
 bool

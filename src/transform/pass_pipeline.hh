@@ -133,7 +133,7 @@ struct SatNeverToggleOptions
     /**
      * Ignored: the prover is sequential. Kept only because the
      * perfbench driver reads it; remove with the benchmark's next
-     * revision. Excluded from hashPassPipelineOptions().
+     * revision.
      */
     int threads = 1;
 };
@@ -155,9 +155,6 @@ struct PassPipelineOptions
     ClockGatingOptions gating;
     SatNeverToggleOptions sat;
 };
-
-/** Hash of every behavior-relevant pipeline option (checkpoint keys). */
-uint64_t hashPassPipelineOptions(const PassPipelineOptions &opts);
 
 /**
  * Parse a comma-separated pass list into options: "default" (or "")

@@ -36,6 +36,9 @@ TEST(BenchIODeathTest, RejectsUnknownAndUnreadFlags)
                                 BenchIO::Threads | BenchIO::Lanes),
                 ::testing::ExitedWithCode(2),
                 "unknown bench flag '--sat-threads'");
+    EXPECT_EXIT(parseBenchFlags({"--checkpoint-dir", "ck"}, BenchIO::Flow),
+                ::testing::ExitedWithCode(2),
+                "unknown bench flag '--checkpoint-dir'");
     EXPECT_EXIT(parseBenchFlags({"--threads", "2"}, BenchIO::Lanes),
                 ::testing::ExitedWithCode(2),
                 "probe does not read --threads");

@@ -173,6 +173,97 @@ TEST(BespokeFlow, SingleAppTailorMultiMatchesTailor)
     }
 }
 
+/** The design metrics the analysis-entry test compares. */
+void
+expectSameDesign(const Netlist &want_nl, const DesignMetrics &want,
+                 const Netlist &got_nl, const DesignMetrics &got)
+{
+    EXPECT_EQ(want_nl.contentHash(), got_nl.contentHash());
+    EXPECT_EQ(want.gates, got.gates);
+    EXPECT_EQ(want.areaUm2, got.areaUm2);
+    EXPECT_EQ(want.powerNominal.totalUW(), got.powerNominal.totalUW());
+    EXPECT_EQ(want.vmin, got.vmin);
+}
+
+/**
+ * tailorAnalysis() over a union the caller merged (fig13's per-app
+ * analyses reused across combinations, fig14's app plus mutants) is
+ * the hand-wired pipeline + sizing + measure, and for app unions also
+ * tailorMulti().
+ */
+TEST(BespokeFlow, AnalysisEntryMatchesHandPipeline)
+{
+    // tailorMulti()'s union: the first tracker, merged in member order.
+    auto merge = [](const std::vector<const AnalysisResult *> &parts) {
+        AnalysisResult u;
+        u.activity = std::make_unique<ActivityTracker>(*parts[0]->activity);
+        u.completed = true;
+        for (size_t k = 1; k < parts.size(); k++)
+            u.activity->mergeFrom(*parts[k]->activity);
+        return u;
+    };
+    auto hand = [](const ActivityTracker &t,
+                   const std::vector<const Workload *> &measured,
+                   Netlist *nl) {
+        *nl = runTailorPipeline(flow().baseline(), &t);
+        sizeForLoads(*nl, flow().options().timing);
+        return flow().measure(*nl, measured);
+    };
+
+    std::vector<AnalysisResult> acts;
+    std::vector<const Workload *> all;
+    for (const Workload &w : workloads()) {
+        acts.push_back(flow().analyze(w));
+        ASSERT_TRUE(acts.back().completed) << w.name;
+        all.push_back(&w);
+    }
+    ASSERT_EQ(all.size(), 15u);
+    std::vector<std::vector<size_t>> combos = {{4}, {9, 2, 13}, {}};
+    for (size_t i = 0; i < all.size(); i++)
+        combos.back().push_back(i);
+    for (const std::vector<size_t> &combo : combos) {
+        SCOPED_TRACE(combo.size());
+        std::vector<const AnalysisResult *> parts;
+        std::vector<const Workload *> members;
+        for (size_t i : combo) {
+            parts.push_back(&acts[i]);
+            members.push_back(all[i]);
+        }
+        AnalysisResult u = merge(parts);
+        Netlist hand_nl;
+        DesignMetrics hand_m = hand(*u.activity, members, &hand_nl);
+        BespokeDesign entry = flow().tailorAnalysis(std::move(u), members);
+        expectSameDesign(hand_nl, hand_m, entry.netlist, entry.metrics);
+        BespokeDesign multi = flow().tailorMulti(members);
+        expectSameDesign(hand_nl, hand_m, multi.netlist, multi.metrics);
+    }
+
+    // fig14: the app plus its completed mutant analyses, measured on
+    // the app alone.
+    const Workload &app = workloadByName("binSearch");
+    AnalysisResult app_act = flow().analyze(app);
+    std::vector<AnalysisResult> mutant_acts;
+    std::vector<Mutant> mutants = generateMutants(app);
+    mutants.resize(std::min<size_t>(mutants.size(), 8));
+    for (const Mutant &m : mutants) {
+        AnalysisResult r = analyzeActivity(
+            flow().baseline(), m.workload, flow().options().analysis);
+        if (r.completed)
+            mutant_acts.push_back(std::move(r));
+    }
+    ASSERT_GE(mutant_acts.size(), 2u);
+    std::vector<const AnalysisResult *> parts = {&app_act};
+    for (const AnalysisResult &r : mutant_acts)
+        parts.push_back(&r);
+    AnalysisResult u = merge(parts);
+    Netlist hand_nl;
+    DesignMetrics hand_m = hand(*u.activity, {&app}, &hand_nl);
+    BespokeDesign entry = flow().tailorAnalysis(std::move(u), {&app});
+    expectSameDesign(hand_nl, hand_m, entry.netlist, entry.metrics);
+    // The mutants widen the design beyond the app's own.
+    EXPECT_GT(entry.metrics.gates, flow().tailor(app).metrics.gates);
+}
+
 TEST(BespokeFlow, CoarseNeverSmallerThanFine)
 {
     for (const char *name : {"binSearch", "tea8"}) {

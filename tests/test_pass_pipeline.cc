@@ -266,37 +266,6 @@ TEST(PassPipeline, ParsePassList)
     EXPECT_FALSE(err.empty());
 }
 
-TEST(PassPipeline, OptionHashDistinguishesConfigurations)
-{
-    PassPipelineOptions base;
-    EXPECT_EQ(hashPassPipelineOptions(base),
-              hashPassPipelineOptions(PassPipelineOptions{}));
-
-    PassPipelineOptions o = base;
-    o.rewriteSearch = true;
-    EXPECT_NE(hashPassPipelineOptions(o), hashPassPipelineOptions(base));
-
-    o = base;
-    o.clockGating = true;
-    EXPECT_NE(hashPassPipelineOptions(o), hashPassPipelineOptions(base));
-
-    o = base;
-    o.moduleCut = true;
-    EXPECT_NE(hashPassPipelineOptions(o), hashPassPipelineOptions(base));
-
-    o = base;
-    o.constantFold = false;
-    EXPECT_NE(hashPassPipelineOptions(o), hashPassPipelineOptions(base));
-
-    o = base;
-    o.rewrite.lambdaUWPerPs = 2.5;
-    EXPECT_NE(hashPassPipelineOptions(o), hashPassPipelineOptions(base));
-
-    o = base;
-    o.gating.maxDuty = 0.5;
-    EXPECT_NE(hashPassPipelineOptions(o), hashPassPipelineOptions(base));
-}
-
 /**
  * Two same-width carry-select adders: "h*" operands toggle every cycle,
  * "c*" operands never move. Same depth, same gate count — only the

@@ -12,8 +12,7 @@
  *       Import (validating), then re-export in the other format.
  *   bespoke_io hash    -i FILE | --core default|extended
  *       Print the canonical content hash.
- *   bespoke_io tailor  -i FILE --app NAME -o FILE
- *                      [--checkpoint-dir DIR] [--verify]
+ *   bespoke_io tailor  -i FILE --app NAME -o FILE [--verify]
  *                      [--passes LIST] [--status-json FILE]
  *                      [--sat-depth N]
  *       Import an external netlist and run BespokeFlow on it as the
@@ -30,14 +29,13 @@
  *       and SAT never-toggle verdict counts plus solver counters
  *       (conflicts, propagations, learned/kept clauses, DB
  *       reductions) as JSON; --sat-depth bounds the SAT pass's
- *       unrolling envelope (0 = the analysis horizon).
+ *       unrolling envelope (0 = the analysis horizon; a depth below
+ *       the horizon warns, since the cut is then proven only over
+ *       that many cycles).
  *       --verify additionally proves the result symbolically
  *       equivalent to the imported original for the application and
  *       cross-checks with a bounded CDCL miter (fixed shallow depth
  *       and conflict budget — use `prove` for deeper miters).
- *       --checkpoint-dir is the flow's checkpoint store: analysis,
- *       design and metrics, keyed by (sized netlist hash, program
- *       hash, options hash).
  *   bespoke_io check   -i FILE --app NAME [--against FILE]
  *       Symbolic equivalence of an imported netlist against a freshly
  *       built baseline core (or a second imported file) for one
@@ -98,8 +96,7 @@ usage(const std::string &msg = "")
         "  bespoke_io export  [--core default|extended] -o FILE\n"
         "  bespoke_io convert -i FILE -o FILE\n"
         "  bespoke_io hash    -i FILE | --core default|extended\n"
-        "  bespoke_io tailor  -i FILE --app NAME -o FILE\n"
-        "                     [--checkpoint-dir DIR] [--verify]\n"
+        "  bespoke_io tailor  -i FILE --app NAME -o FILE [--verify]\n"
         "                     [--passes LIST] [--status-json FILE]"
         " [--sat-depth N]\n"
         "  bespoke_io check   -i FILE --app NAME [--against FILE]\n"
@@ -187,7 +184,6 @@ struct Args
     std::string against;
     std::string app;
     std::string core;
-    std::string checkpointDir;
     std::string statusJson;
     std::string passes;
     bool verify = false;
@@ -227,8 +223,6 @@ parseArgs(int argc, char **argv)
             a.app = value();
         else if (arg == "--core")
             a.core = value();
-        else if (arg == "--checkpoint-dir")
-            a.checkpointDir = value();
         else if (arg == "--status-json")
             a.statusJson = value();
         else if (arg == "--passes")
@@ -433,7 +427,6 @@ cmdTailor(const Args &a)
     fopts.passes.collectMetrics = true;
     if (a.satDepth > 0)
         fopts.passes.sat.depth = a.satDepth;
-    fopts.checkpointDir = a.checkpointDir;
     Netlist original = importFile(a.in);
     printStats("imported", original);
 
