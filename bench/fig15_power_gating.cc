@@ -34,9 +34,18 @@ main(int argc, char **argv)
         GatingResult g = evaluateOracleGating(
             flow.baseline(), w, inputs, 77, opts.power, opts.timing);
         // Realizable counterpart to the oracle: ICGs on rarely-written
-        // register banks of the same baseline core, overhead included.
-        ClockGatingReport cg = evaluateClockGating(
-            flow.baseline(), w, inputs, 77, {}, opts.power);
+        // register banks of the same baseline core, overhead included,
+        // planned from the enable duty of the oracle's seeded runs.
+        std::vector<EnableBank> banks = enumerateEnableBanks(flow.baseline());
+        std::vector<GateId> enables;
+        for (const EnableBank &b : banks)
+            enables.push_back(b.enable);
+        std::vector<uint64_t> high;
+        uint64_t cycles = 0;
+        replayEnv({&w}, inputs, 77)
+            .measureDuty(flow.baseline(), enables, &high, &cycles);
+        ClockGatingReport cg =
+            planClockGating(banks, high, cycles, {}, opts.power);
         DesignMetrics base = flow.measureBaseline({&w});
         BespokeDesign d = flow.tailor(w);
         double base_uw = base.powerNominal.totalUW();

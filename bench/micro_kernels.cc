@@ -1,14 +1,17 @@
 /**
  * @file
  * Infrastructure microbenchmarks (google-benchmark): throughput of the
- * levelized three-valued simulator and the flow's power replay on it,
- * the symbolic activity analysis and equivalence check, STA, cutting &
- * stitching, and two per-op fixed costs (simulation prep, SAT miter
- * encoding) on the bsp430 core. These are not paper
+ * levelized three-valued simulator, the flow's power replay and the
+ * lane-batched mutant sweep on it, the symbolic activity analysis and
+ * equivalence check, STA, cutting & stitching, and two per-op fixed
+ * costs (simulation prep, SAT miter encoding) on the bsp430 core.
+ * These are not paper
  * results; they quantify the cost of the methodology itself (paper
  * Sec. 3.2 footnote: "complete analysis of our most complex benchmark
  * takes 3 hours" on the authors' infrastructure).
  */
+
+#include <algorithm>
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +19,8 @@
 #include "src/bespoke/equiv_check.hh"
 #include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
+#include "src/mutation/mutant_sweep.hh"
+#include "src/mutation/mutation.hh"
 #include "src/sat/equiv_prover.hh"
 #include "src/sim/lane_sim.hh"
 #include "src/util/logging.hh"
@@ -85,6 +90,54 @@ BM_PowerReplay(benchmark::State &state)
     state.SetItemsProcessed(cycles);
 }
 BENCHMARK(BM_PowerReplay)->Unit(benchmark::kMillisecond);
+
+void
+BM_MutantSweep(benchmark::State &state)
+{
+    // The lane runner's one production caller: table4_5_mutants'
+    // concrete differential sweep at its quick settings (binSearch's
+    // first 12 mutants, 2 inputs each: one 24-lane batch with a toggle
+    // counter per mutant). Items are simulated lane-cycles: every
+    // mutant run's cycle count under the sweep's adaptive cap, half
+    // again the longest base run plus 64 cycles.
+    const Workload &w = workloadByName("binSearch");
+    std::vector<Mutant> mutants = generateMutants(w);
+    mutants.resize(std::min<size_t>(mutants.size(), 12));
+    MutantPlanePrep prep(core(), w, mutants);
+    MutantSweepOptions opts;
+    opts.inputsPerMutant = 2;
+
+    Rng rng(opts.seed);
+    std::vector<WorkloadInput> inputs;
+    uint64_t base_max = 0;
+    for (int i = 0; i < opts.inputsPerMutant; i++) {
+        inputs.push_back(w.genInput(rng));
+        GateRun base = runWorkloadGate(core(), w, prep.baseProgram(),
+                                       inputs.back(), nullptr, nullptr,
+                                       nullptr, prep.context());
+        base_max = std::max(base_max, base.cycles);
+    }
+    Workload capped = w;
+    capped.maxCycles =
+        std::min(w.maxCycles, base_max + base_max / 2 + 64);
+    int64_t lane_cycles = 0;
+    for (size_t i = 0; i < prep.numMutants(); i++) {
+        for (const WorkloadInput &in : inputs) {
+            lane_cycles += static_cast<int64_t>(
+                runWorkloadGate(core(), capped, prep.mutantProgram(i), in,
+                                nullptr, nullptr, nullptr, prep.context())
+                    .cycles);
+        }
+    }
+
+    for (auto _ : state) {
+        std::vector<MutantVerdict> v = mutantConcreteSweep(prep, opts);
+        benchmark::DoNotOptimize(v.data());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            lane_cycles);
+}
+BENCHMARK(BM_MutantSweep)->Unit(benchmark::kMillisecond);
 
 void
 BM_LaneSimCycle(benchmark::State &state)

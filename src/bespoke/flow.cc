@@ -102,6 +102,18 @@ DesignMetrics
 BespokeFlow::measure(const Netlist &netlist,
                      const std::vector<const Workload *> &apps)
 {
+    return measureWith(
+        netlist,
+        replayEnv(apps, opts_.powerInputsPerWorkload, opts_.powerSeed)
+            .measureActivity);
+}
+
+DesignMetrics
+BespokeFlow::measureWith(
+    const Netlist &netlist,
+    const std::function<void(const Netlist &, ToggleCounter *)>
+        &measureActivity)
+{
     DesignMetrics m;
     NetlistStats stats = netlist.stats();
     m.gates = stats.numCells;
@@ -115,8 +127,7 @@ BespokeFlow::measure(const Netlist &netlist,
 
     // Switching activity from concrete representative runs.
     ToggleCounter toggles(netlist);
-    replayEnv(apps, opts_.powerInputsPerWorkload, opts_.powerSeed)
-        .measureActivity(netlist, &toggles);
+    measureActivity(netlist, &toggles);
     m.powerNominal =
         computePower(netlist, toggles, opts_.power, opts_.timing);
     m.vmin = vminForPeriod(rep.criticalPathPs, clockPeriodPs_,
@@ -199,7 +210,8 @@ BespokeFlow::tailorAnalysis(AnalysisResult analysis,
                        analysis.completed,
                    "tailoring needs a completed analysis");
     // The runs measure() replays for the final power numbers, so the
-    // rewrite search optimizes the metric the flow reports.
+    // rewrite search optimizes the metric the flow reports; the same
+    // drawn replay then measures the design.
     PassEnv env =
         replayEnv(apps, opts_.powerInputsPerWorkload, opts_.powerSeed);
     env.timing = &opts_.timing;
@@ -226,7 +238,7 @@ BespokeFlow::tailorAnalysis(AnalysisResult analysis,
     // Re-size for the (smaller) loads: the paper's slack-driven
     // replacement with smaller cells falls out of re-running sizing.
     sizeForLoads(d.netlist, opts_.timing);
-    d.metrics = measure(d.netlist, apps);
+    d.metrics = measureWith(d.netlist, env.measureActivity);
     d.analysis = std::move(analysis);
     return d;
 }

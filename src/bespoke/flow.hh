@@ -162,6 +162,13 @@ class BespokeFlow
     const FlowOptions &options() const { return opts_; }
 
   private:
+    /** measure() with the power replay supplied by the caller (a
+     *  replayEnv() over the same apps, seed and input count). */
+    DesignMetrics measureWith(
+        const Netlist &netlist,
+        const std::function<void(const Netlist &, ToggleCounter *)>
+            &measureActivity);
+
     FlowOptions opts_;
     Netlist baseline_;
     double clockPeriodPs_ = 0.0;

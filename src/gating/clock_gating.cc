@@ -1,10 +1,8 @@
 #include "src/gating/clock_gating.hh"
 
-#include <algorithm>
 #include <map>
 
 #include "src/util/logging.hh"
-#include "src/verify/runner.hh"
 
 namespace bespoke
 {
@@ -73,43 +71,6 @@ planClockGating(const std::vector<EnableBank> &banks,
         rep.banks.push_back(gb);
     }
     return rep;
-}
-
-ClockGatingReport
-evaluateClockGating(const Netlist &nl, const Workload &w, int inputs,
-                    uint64_t seed, const ClockGatingOptions &opts,
-                    const PowerParams &power)
-{
-    std::vector<EnableBank> banks = enumerateEnableBanks(nl);
-    std::vector<uint64_t> high(banks.size(), 0);
-    uint64_t cycles = 0;
-
-    if (!banks.empty()) {
-        AsmProgram prog = w.assembleProgram();
-        Rng rng(seed);
-        auto per_cycle = [&](const GateSim &sim) {
-            cycles++;
-            for (size_t k = 0; k < banks.size(); k++) {
-                Logic v = sim.value(banks[k].enable);
-                if (v != Logic::Zero)
-                    high[k]++;  // X counts as high (cannot gate)
-            }
-        };
-        for (int i = 0; i < inputs; i++) {
-            WorkloadInput in = w.genInput(rng);
-            GateRun run = runWorkloadGate(nl, w, prog, in, nullptr,
-                                          nullptr, per_cycle);
-            if (!run.halted)
-                bespoke_warn("clock-gating run of ", w.name,
-                             " did not halt");
-        }
-    }
-    if (cycles == 0) {
-        ClockGatingReport rep;
-        rep.candidateBanks = banks.size();
-        return rep;
-    }
-    return planClockGating(banks, high, cycles, opts, power);
 }
 
 } // namespace bespoke

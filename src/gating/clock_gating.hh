@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "src/power/power_model.hh"
-#include "src/workloads/workload.hh"
 
 namespace bespoke
 {
@@ -101,17 +100,6 @@ ClockGatingReport planClockGating(const std::vector<EnableBank> &banks,
                                   uint64_t cycles,
                                   const ClockGatingOptions &opts = {},
                                   const PowerParams &power = {});
-
-/**
- * Measure enable duty by concrete replay and plan gating in one step:
- * runs `inputs` random inputs of the workload on the netlist, counting
- * per-cycle enable values. Convenience wrapper for benches and tests.
- */
-ClockGatingReport evaluateClockGating(const Netlist &netlist,
-                                      const Workload &w, int inputs,
-                                      uint64_t seed,
-                                      const ClockGatingOptions &opts = {},
-                                      const PowerParams &power = {});
 
 } // namespace bespoke
 

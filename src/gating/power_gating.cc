@@ -11,26 +11,36 @@ evaluateOracleGating(const Netlist &nl, const Workload &w, int inputs,
                      uint64_t seed, const PowerParams &power,
                      const TimingParams &timing)
 {
-    // Per-cycle module activity plus aggregate toggles for the power
-    // model, collected lane-parallel by the batched runner.
+    // Aggregate toggles for the power model plus, per cycle, which
+    // modules had any gate change: each run's first cycle primes a
+    // fresh mirror, every later cycle counts.
     ToggleCounter toggles(nl);
-    ModuleIdleCounts idle;
-    GateBatchObservers obs;
-    obs.toggles = &toggles;
-    obs.moduleIdle = &idle;
+    std::array<uint64_t, kNumModules> idle_cycles{};
+    uint64_t total_cycles = 0;
 
     AsmProgram prog = w.assembleProgram();
+    std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
     Rng rng(seed);
-    std::vector<WorkloadInput> in;
-    for (int i = 0; i < inputs; i++)
-        in.push_back(w.genInput(rng));
-    std::vector<GateRun> runs = runWorkloadGateBatch(nl, w, prog, in, obs);
-    for (const GateRun &run : runs) {
+    for (int i = 0; i < inputs; i++) {
+        WorkloadInput input = w.genInput(rng);
+        ValueMirror last(nl.size());
+        auto per_cycle = [&](const GateSim &sim) {
+            bool active[kNumModules] = {};
+            if (!last.sync(sim, [&](GateId g) {
+                    active[static_cast<int>(nl.gate(g).module)] = true;
+                }))
+                return;
+            for (int m = 0; m < kNumModules; m++) {
+                if (!active[m])
+                    idle_cycles[m]++;
+            }
+            total_cycles++;
+        };
+        GateRun run = runWorkloadGate(nl, w, prog, input, &toggles,
+                                      nullptr, per_cycle, ctx);
         if (!run.halted)
             bespoke_warn("gating run of ", w.name, " did not halt");
     }
-    const std::array<uint64_t, kNumModules> &idle_cycles = idle.idle;
-    const uint64_t total_cycles = idle.totalCycles;
     bespoke_assert(total_cycles > 0);
 
     PowerReport base = computePower(nl, toggles, power, timing);

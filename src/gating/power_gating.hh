@@ -38,7 +38,8 @@ struct GatingResult
 
 /**
  * Evaluate oracle power gating for one workload on a netlist. The
- * concrete runs replay lane-parallel through the batched gate runner.
+ * concrete runs replay one by one on the scalar simulator, whose
+ * per-cycle hook diffs each module's gates against the previous cycle.
  * @param inputs number of concrete input sets to average over.
  */
 GatingResult evaluateOracleGating(const Netlist &netlist,

@@ -43,7 +43,7 @@ LaneSim::reset()
         val_[id] = rv ? kAllLanes : 0;
         known_[id] = kAllLanes;
     }
-    clearAllForces();
+    clearForces(kAllLanes);
 }
 
 void
@@ -60,20 +60,6 @@ LaneSim::setInput(GateId id, int lane, Logic v)
             laneSet(val_[id], lane);
         else
             laneClear(val_[id], lane);
-    }
-}
-
-void
-LaneSim::setInputAll(GateId id, Logic v)
-{
-    bespoke_assert(nl_.gate(id).type == CellType::INPUT,
-                   "setInput on non-input gate ", id);
-    if (v == Logic::X) {
-        val_[id] = 0;
-        known_[id] = 0;
-    } else {
-        known_[id] = kAllLanes;
-        val_[id] = v == Logic::One ? kAllLanes : 0;
     }
 }
 
@@ -271,14 +257,6 @@ LaneSim::seqStateLane(int lane) const
 }
 
 void
-LaneSim::laneValues(int lane, std::vector<uint8_t> &out) const
-{
-    out.resize(nl_.size());
-    for (GateId id = 0; id < nl_.size(); id++)
-        out[id] = static_cast<uint8_t>(value(id, lane));
-}
-
-void
 ActivityTracker::observe(const LaneSim &sim, uint64_t lanes)
 {
     bespoke_assert(initialCaptured_);
@@ -365,21 +343,6 @@ LaneSoc::setIrqExt(Logic v)
 {
     irqV_ = v == Logic::One ? kAllLanes : 0;
     irqK_ = v == Logic::X ? 0 : kAllLanes;
-}
-
-void
-LaneSoc::setIrqExtLane(int lane, Logic v)
-{
-    if (v == Logic::X) {
-        laneClear(irqV_, lane);
-        laneClear(irqK_, lane);
-    } else {
-        laneSet(irqK_, lane);
-        if (v == Logic::One)
-            laneSet(irqV_, lane);
-        else
-            laneClear(irqV_, lane);
-    }
 }
 
 void

@@ -58,8 +58,6 @@ class LaneSim
     /** @name Value access */
     /// @{
     void setInput(GateId id, int lane, Logic v);
-    /** Drive one input to the same value in every lane. */
-    void setInputAll(GateId id, Logic v);
     /** Drive one input's raw planes (val must be masked by known). */
     void setInputPlanes(GateId id, uint64_t val, uint64_t known);
     Logic value(GateId id, int lane) const
@@ -94,7 +92,6 @@ class LaneSim
     void force(GateId id, uint64_t lanes, uint64_t value);
     /** Release forces in the given lanes only. */
     void clearForces(uint64_t lanes);
-    void clearAllForces() { clearForces(kAllLanes); }
     /// @}
 
     /** @name Per-lane sequential state */
@@ -104,10 +101,6 @@ class LaneSim
     SeqState seqStateLane(int lane) const;
     const std::vector<GateId> &seqIds() const { return prep_->seqIds; }
     /// @}
-
-    /** Extract one lane's full value vector (byte-coded Logic per
-     *  gate), the currency of ToggleCounter run traces. */
-    void laneValues(int lane, std::vector<uint8_t> &out) const;
 
     /** Lifetime gate visits (each visit evaluates all 64 lanes). */
     uint64_t gateVisitsTotal() const { return gateVisitsTotal_; }
@@ -130,10 +123,10 @@ class LaneSim
  * Lane-parallel SoC: LaneSim plus one behavioral environment (RAM,
  * memory read port, last fetch PC) per lane. The scenario loaded into
  * a lane is a full MachineState, exactly the currency of the
- * activity-analysis frontier. GPIO and the IRQ line default to
- * uniform values (the activity analysis drives them identically), but
- * support per-lane overrides for scenario batching (verify runs with
- * distinct inputs per lane); the program ROM is shared unless a lane
+ * activity-analysis frontier. GPIO and the IRQ line are driven
+ * uniformly (the activity analysis drives them identically); GPIO also
+ * takes per-lane values for scenario batching (verify runs with
+ * distinct inputs per lane). The program ROM is shared unless a lane
  * is given its own image (mutant-per-lane sweeps).
  *
  * Memory behavior per lane is delegated to the same sampleMemory()
@@ -153,18 +146,13 @@ class LaneSoc
 
     void setGpioIn(SWord w);
     void setIrqExt(Logic v);
-    /** Per-lane overrides (scenario batching). */
+    /** Per-lane GPIO override (scenario batching). */
     void setGpioInLane(int lane, SWord w);
-    void setIrqExtLane(int lane, Logic v);
     /** Give one lane its own program ROM (mutant overlays). The image
      *  must outlive the LaneSoc; null restores the shared program. */
     void setProgLane(int lane, const AsmProgram *prog)
     {
         progLane_[lane] = prog ? prog : &prog_;
-    }
-    const AsmProgram &progForLane(int lane) const
-    {
-        return *progLane_[lane];
     }
 
     /** @name Lane lifecycle */

@@ -54,7 +54,6 @@ Soc::reset()
     env_.ram.assign(kRamSize / 2,
                     ramUnknown_ ? SWord::allX() : SWord::of(0));
     env_.rdata = SWord::allX();
-    cycles_ = 0;
     driveInputs();
     sim_.evalComb();
 }
@@ -181,7 +180,6 @@ Soc::finishCycle()
 {
     sampleMemoryRequest();
     sim_.latchSequential();
-    cycles_++;
 }
 
 void

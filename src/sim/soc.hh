@@ -121,7 +121,6 @@ class Soc
     SWord ramWord(uint16_t byte_addr) const;
     void pokeRamWord(uint16_t byte_addr, SWord w);
     const std::vector<SWord> &ram() const { return env_.ram; }
-    uint64_t cyclesRun() const { return cycles_; }
     /// @}
 
     /** @name State snapshot (machine = flops + environment) */
@@ -144,7 +143,6 @@ class Soc
     EnvState env_;
     SWord gpioIn_ = SWord::allX();
     Logic irqExt_ = Logic::X;
-    uint64_t cycles_ = 0;
 };
 
 } // namespace bespoke

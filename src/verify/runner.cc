@@ -1,7 +1,6 @@
 #include "src/verify/runner.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -153,9 +152,8 @@ envWord(const EnvState &env, uint16_t byte_addr)
 
 /**
  * Scalar fallback: the scenarios one by one through runWorkloadGate,
- * per-scenario counters and module-idle tracking fed through the
- * per-cycle hook. This path defines the semantics the lane path must
- * reproduce bit for bit.
+ * per-scenario counters fed through the per-cycle hook. This path
+ * defines the semantics the lane path must reproduce bit for bit.
  */
 std::vector<GateRun>
 runScenariosScalar(const Netlist &nl, const Workload &w,
@@ -166,29 +164,15 @@ runScenariosScalar(const Netlist &nl, const Workload &w,
     std::vector<GateRun> out;
     out.reserve(scenarios.size());
     for (const GateScenario &s : scenarios) {
-        ValueMirror last(nl.size());
         std::function<void(const GateSim &)> per_cycle;
-        if (s.toggles || obs.moduleIdle) {
+        if (s.toggles) {
             per_cycle = [&](const GateSim &sim) {
-                if (s.toggles)
-                    s.toggles->observe(sim);
-                if (!obs.moduleIdle)
-                    return;
-                bool active[kNumModules] = {};
-                if (!last.sync(sim, [&](GateId g) {
-                        active[static_cast<int>(nl.gate(g).module)] = true;
-                    }))
-                    return;
-                for (int m = 0; m < kNumModules; m++) {
-                    if (!active[m])
-                        obs.moduleIdle->idle[m]++;
-                }
-                obs.moduleIdle->totalCycles++;
+                s.toggles->observe(sim);
             };
         }
         out.push_back(runWorkloadGate(nl, w, *s.prog, *s.input,
-                                      obs.toggles, obs.activity,
-                                      per_cycle, ctx));
+                                      obs.toggles, nullptr, per_cycle,
+                                      ctx));
     }
     return out;
 }
@@ -211,25 +195,6 @@ extractLane(const std::vector<uint64_t> &val,
     }
 }
 
-/** IRQ pulse schedule shared with the scalar path. */
-constexpr uint64_t kBatchIrqAtCycle = 200;
-constexpr uint64_t kBatchIrqPulseCycles = 4;
-
-/**
- * Straggler handoff threshold: once this few lanes remain active, the
- * full plane sweep (every gate, every cycle) costs more than
- * continuing each survivor on the event-driven scalar simulator,
- * which only revisits gates whose fanins changed — for a mutant
- * spinning in a tight loop until the cycle cap, that is a handful of
- * gates per cycle instead of the whole netlist. Runs with observers
- * never hand off: the plane path amortizes toggle/idle observation
- * across every lane of a gate in one word operation. That rule was
- * measured when a scalar observe diffed all n gates; a scalar observe
- * now walks the simulator's change log, so it may no longer be the
- * cheaper choice.
- */
-constexpr size_t kScalarHandoffLanes = 8;
-
 std::vector<GateRun>
 runScenariosLanes(const Netlist &nl, const Workload &w,
                   const std::vector<GateScenario> &scenarios,
@@ -241,13 +206,10 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
     const size_t total = scenarios.size();
 
     // Fresh-Soc seed state (program-independent: the reset eval never
-    // touches the ROM) shared by every lane; also the initial-value
-    // capture point, identical to the scalar path's.
+    // touches the ROM) shared by every lane.
     Soc seed(ctx, *scenarios[0].prog, /*ram_unknown=*/false);
     const SeqState seed_seq = seed.sim().seqState();
     const EnvState seed_env = seed.envState();
-    if (obs.activity && !obs.activity->initialCaptured())
-        obs.activity->captureInitial(seed.sim());
 
     // Halt addresses per distinct program image.
     std::map<const AsmProgram *, std::vector<uint16_t>> halts_by_prog;
@@ -263,8 +225,6 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
         obs.toggles ||
         std::any_of(scenarios.begin(), scenarios.end(),
                     [](const GateScenario &s) { return s.toggles; });
-    const bool observing =
-        count_toggles || obs.activity || obs.moduleIdle;
 
     std::vector<GateRun> out(total);
     std::vector<uint64_t> shared_counts;
@@ -310,7 +270,7 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
         // boundary-exact toggle accounting.
         std::vector<uint64_t> last_v, last_k;
         uint64_t seen = 0;
-        if (count_toggles || obs.moduleIdle) {
+        if (count_toggles) {
             last_v.assign(n, 0);
             last_k.assign(n, 0);
         }
@@ -334,110 +294,10 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             laneClear(active, lane);
         };
 
-        // Continue one straggler lane to completion on the scalar
-        // event-driven simulator, reproducing every observer update
-        // the lane path would have made. The lane's machine state
-        // (flops + environment) transfers exactly; combinational
-        // values are recomputed by the next eval, so the scalar run
-        // is bit-identical from cycle c0 on.
-        auto scalar_continue = [&](int lane, uint64_t c0) {
-            const GateScenario &s = scenarios[base + lane];
-            Soc ssoc(ctx, soc.progForLane(lane), /*ram_unknown=*/false);
-            ssoc.sim().restoreSeqState(soc.seqLane(lane));
-            ssoc.restoreEnvState(soc.envLane(lane));
-            ssoc.setGpioIn(SWord::of(s.input->gpioIn));
-            ssoc.setIrqExt(Logic::Zero);
-            const std::vector<uint16_t> &h = *halts[lane];
-            const bool track = obs.toggles || s.toggles;
-            ValueMirror last(n);
-            if ((count_toggles || obs.moduleIdle) &&
-                laneTest(seen, lane)) {
-                std::vector<uint8_t> v;
-                extractLane(last_v, last_k, lane, v);
-                last.assign(std::move(v));
-            }
-
-            bool halted = false;
-            uint64_t cycles = completed[lane];
-            for (uint64_t c = c0; c < w.maxCycles; c++) {
-                if (w.usesIrq) {
-                    bool pulse =
-                        c >= kBatchIrqAtCycle &&
-                        c < kBatchIrqAtCycle + kBatchIrqPulseCycles;
-                    ssoc.setIrqExt(pulse ? Logic::One : Logic::Zero);
-                }
-                ssoc.evalOnly();
-                if (ssoc.stFetch() == Logic::One) {
-                    SWord pc = ssoc.pc();
-                    if (pc.fullyKnown() &&
-                        std::binary_search(h.begin(), h.end(),
-                                           pc.val)) {
-                        halted = true;
-                        break;
-                    }
-                }
-                if (observing) {
-                    if (count_toggles || obs.moduleIdle) {
-                        bool mod_act[kNumModules] = {};
-                        const bool counted =
-                            last.sync(ssoc.sim(), [&](GateId g) {
-                                if (obs.toggles)
-                                    shared_counts[g]++;
-                                if (s.toggles)
-                                    lane_counts[g * lanes_used + lane]++;
-                                if (obs.moduleIdle) {
-                                    mod_act[static_cast<int>(
-                                        nl.gate(g).module)] = true;
-                                }
-                            });
-                        if (!counted && track)
-                            trace[lane].first = last.values();
-                        if (counted && obs.moduleIdle) {
-                            for (int m = 0; m < kNumModules; m++) {
-                                if (!mod_act[m])
-                                    obs.moduleIdle->idle[m]++;
-                            }
-                            obs.moduleIdle->totalCycles++;
-                        }
-                        trace[lane].cycles++;
-                    }
-                    if (obs.activity)
-                        obs.activity->observe(ssoc.sim());
-                }
-                ssoc.finishCycle();
-                cycles = c + 1;
-            }
-
-            GateRun &r = out[base + lane];
-            r.halted = halted;
-            r.cycles = cycles;
-            for (int i = 0; i < w.outputWords; i++) {
-                r.out.push_back(ssoc.ramWord(
-                    static_cast<uint16_t>(kOutputBase + 2 * i)));
-            }
-            r.gpioOut = ssoc.gpioOut();
-            r.ram = ssoc.ram();
-            if (track && last.primed())
-                trace[lane].last = last.values();
-            laneClear(active, lane);
-        };
-
-        const size_t handoff_limit = observing ? 0 : kScalarHandoffLanes;
         for (uint64_t c = 0; c < w.maxCycles; c++) {
-            const size_t live = laneCount(active);
-            if (live == 0)
-                break;
-            if (live <= handoff_limit && live < lanes_used) {
-                std::vector<int> rem;
-                forEachLane(active,
-                            [&](int lane) { rem.push_back(lane); });
-                for (int lane : rem)
-                    scalar_continue(lane, c);
-                break;
-            }
             if (w.usesIrq) {
-                bool pulse = c >= kBatchIrqAtCycle &&
-                             c < kBatchIrqAtCycle + kBatchIrqPulseCycles;
+                bool pulse = c >= kIrqAtCycle &&
+                             c < kIrqAtCycle + kIrqPulseCycles;
                 soc.setIrqExt(pulse ? Logic::One : Logic::Zero);
             }
             soc.evalOnly();
@@ -454,59 +314,36 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             if (!laneAny(active))
                 break;
 
-            if (observing) {
-                const uint64_t obs_mask = active;
-                const uint64_t cnt_mask = obs_mask & seen;
-                if (count_toggles || obs.moduleIdle) {
-                    const std::vector<uint64_t> &vp = soc.sim().valPlanes();
-                    const std::vector<uint64_t> &kp =
-                        soc.sim().knownPlanes();
-                    uint64_t mod_active[kNumModules] = {};
-                    const uint64_t lane_cnt = cnt_mask & lane_tog_mask;
-                    for (size_t g = 0; g < n; g++) {
-                        uint64_t diff =
-                            ((vp[g] ^ last_v[g]) | (kp[g] ^ last_k[g])) &
-                            cnt_mask;
-                        last_v[g] = vp[g];
-                        last_k[g] = kp[g];
-                        if (!laneAny(diff))
-                            continue;
-                        if (obs.toggles)
-                            shared_counts[g] += laneCount(diff);
-                        if (obs.moduleIdle) {
-                            mod_active[static_cast<int>(
-                                nl.gate(g).module)] |= diff;
-                        }
-                        if (laneAny(diff & lane_cnt)) {
-                            forEachLane(diff & lane_cnt, [&](int lane) {
-                                lane_counts[g * lanes_used + lane]++;
-                            });
-                        }
+            if (count_toggles) {
+                const uint64_t cnt_mask = active & seen;
+                const std::vector<uint64_t> &vp = soc.sim().valPlanes();
+                const std::vector<uint64_t> &kp = soc.sim().knownPlanes();
+                const uint64_t lane_cnt = cnt_mask & lane_tog_mask;
+                for (size_t g = 0; g < n; g++) {
+                    uint64_t diff =
+                        ((vp[g] ^ last_v[g]) | (kp[g] ^ last_k[g])) &
+                        cnt_mask;
+                    last_v[g] = vp[g];
+                    last_k[g] = kp[g];
+                    if (!laneAny(diff))
+                        continue;
+                    if (obs.toggles)
+                        shared_counts[g] += laneCount(diff);
+                    if (laneAny(diff & lane_cnt)) {
+                        forEachLane(diff & lane_cnt, [&](int lane) {
+                            lane_counts[g * lanes_used + lane]++;
+                        });
                     }
-                    if (obs.moduleIdle) {
-                        for (int m = 0; m < kNumModules; m++) {
-                            obs.moduleIdle->idle[m] += laneCount(
-                                cnt_mask & ~mod_active[m]);
-                        }
-                        obs.moduleIdle->totalCycles +=
-                            laneCount(cnt_mask);
-                    }
-                    // First observe of a lane primes its last-planes
-                    // (copied above) without counting.
-                    forEachLane(obs_mask & ~seen, [&](int lane) {
-                        if (obs.toggles ||
-                            scenarios[base + lane].toggles) {
-                            extractLane(vp, kp, lane,
-                                        trace[lane].first);
-                        }
-                    });
-                    forEachLane(obs_mask, [&](int lane) {
-                        trace[lane].cycles++;
-                    });
-                    seen |= obs_mask;
                 }
-                if (obs.activity)
-                    obs.activity->observe(soc.sim(), obs_mask);
+                // First observe of a lane primes its last-planes
+                // (copied above) without counting.
+                forEachLane(active & ~seen, [&](int lane) {
+                    if (obs.toggles || scenarios[base + lane].toggles)
+                        extractLane(vp, kp, lane, trace[lane].first);
+                });
+                forEachLane(active,
+                            [&](int lane) { trace[lane].cycles++; });
+                seen |= active;
             }
 
             soc.finishCycle(active);

@@ -10,7 +10,6 @@
 #ifndef BESPOKE_VERIFY_RUNNER_HH
 #define BESPOKE_VERIFY_RUNNER_HH
 
-#include <array>
 #include <map>
 #include <set>
 
@@ -80,13 +79,6 @@ GateRun runWorkloadGate(const Netlist &netlist, const Workload &w,
  */
 int resolvePlaneBits(int plane_bits);
 
-/** Per-module idle-cycle counts (oracle power gating, Fig. 15). */
-struct ModuleIdleCounts
-{
-    std::array<uint64_t, kNumModules> idle{};
-    uint64_t totalCycles = 0;
-};
-
 /**
  * One scenario of a lane batch: a program image, an input, and an
  * optional private toggle counter (lane-per-mutant sweeps give every
@@ -100,24 +92,23 @@ struct GateScenario
     ToggleCounter *toggles = nullptr;  ///< per-scenario counter
 };
 
-/** Observers shared by every scenario of a batch. */
+/** Observer shared by every scenario of a batch. */
 struct GateBatchObservers
 {
     ToggleCounter *toggles = nullptr;
-    ActivityTracker *activity = nullptr;
-    ModuleIdleCounts *moduleIdle = nullptr;
 };
 
 /**
  * Run many scenarios of one workload lane-parallel, 64 per plane
- * sweep. Results and every observer are bit-identical to running the
- * scenarios through runWorkloadGate() sequentially in vector order
- * with the same shared trackers — the scalar path IS the fallback,
- * taken whenever a batch is too small to win from plane packing
- * (fewer than kMinLaneBatch scenarios). Shared counters see within-run
- * transitions summed order-free plus the cross-run boundary
- * transitions replayed in sequential order (ToggleCounter::ingestRun),
- * so the committed power baselines do not move.
+ * sweep. Results and toggle counts (shared and per-scenario) are
+ * bit-identical to running the scenarios through runWorkloadGate()
+ * sequentially in vector order with the same counters — the scalar
+ * path IS the fallback, taken whenever a batch is too small to win
+ * from plane packing (fewer than kMinLaneBatch scenarios). Shared
+ * counters see within-run transitions summed order-free plus the
+ * cross-run boundary transitions replayed in sequential order
+ * (ToggleCounter::ingestRun), so the committed power baselines do not
+ * move.
  */
 constexpr size_t kMinLaneBatch = 4;
 std::vector<GateRun> runScenarioGateBatch(

@@ -1,9 +1,9 @@
 /**
  * @file
  * Bit-identity pin for the lane-batched gate runner: every result and
- * every observer of runScenarioGateBatch / runWorkloadGateBatch must
+ * toggle counter of runScenarioGateBatch / runWorkloadGateBatch must
  * equal running the same scenarios through runWorkloadGate
- * sequentially with the same shared trackers — across chunk
+ * sequentially with the same counters — across chunk
  * boundaries, for halting and cycle-exhausted runs, for
  * IRQ workloads, for per-lane program overlays, and interleaved with
  * scalar runs on the same counters.
@@ -37,9 +37,6 @@ struct BatchResult
     uint64_t sharedCycles = 0;
     std::vector<std::vector<uint64_t>> perScenarioCounts;
     std::vector<uint64_t> perScenarioCycles;
-    std::vector<uint8_t> activityToggled;
-    std::vector<uint8_t> activityInitial;
-    ModuleIdleCounts moduleIdle;
 };
 
 std::vector<uint64_t>
@@ -52,11 +49,10 @@ countsOf(const ToggleCounter &tc, const Netlist &nl)
 }
 
 /**
- * Golden reference: sequential runWorkloadGate with shared trackers,
- * per-scenario counters and module-idle tracking through the per-cycle
- * hook (the same composition power_gating uses). Written independently
- * of the batch runner's own scalar fallback so both paths are pinned
- * against it.
+ * Golden reference: sequential runWorkloadGate with a shared counter
+ * and per-scenario counters through the per-cycle hook. Written
+ * independently of the batch runner's own scalar fallback so both
+ * paths are pinned against it.
  */
 BatchResult
 runReference(const Netlist &nl, const Workload &w,
@@ -65,41 +61,23 @@ runReference(const Netlist &nl, const Workload &w,
 {
     BatchResult r;
     ToggleCounter shared(nl);
-    ActivityTracker activity(nl);
     std::vector<std::unique_ptr<ToggleCounter>> per;
     for (size_t i = 0; i < scenarios.size(); i++)
         per.push_back(std::make_unique<ToggleCounter>(nl));
 
     auto ctx = SocContext::make(nl);
-    std::vector<uint8_t> last;
     for (size_t i = 0; i < scenarios.size(); i++) {
         const GateScenario &s = scenarios[i];
         bool mine = std::find(counted.begin(), counted.end(),
                               static_cast<int>(i)) != counted.end();
-        bool first = true;
-        auto per_cycle = [&](const GateSim &sim) {
-            if (mine)
+        std::function<void(const GateSim &)> per_cycle;
+        if (mine) {
+            per_cycle = [&](const GateSim &sim) {
                 per[i]->observe(sim);
-            const std::vector<uint8_t> &v = sim.values();
-            if (first) {
-                last = v;
-                first = false;
-                return;
-            }
-            bool active[kNumModules] = {};
-            for (GateId g = 0; g < nl.size(); g++) {
-                if (v[g] != last[g])
-                    active[static_cast<int>(nl.gate(g).module)] = true;
-                last[g] = v[g];
-            }
-            for (int m = 0; m < kNumModules; m++) {
-                if (!active[m])
-                    r.moduleIdle.idle[m]++;
-            }
-            r.moduleIdle.totalCycles++;
-        };
+            };
+        }
         r.runs.push_back(runWorkloadGate(nl, w, *s.prog, *s.input,
-                                         &shared, &activity, per_cycle,
+                                         &shared, nullptr, per_cycle,
                                          ctx));
     }
     r.sharedCounts = countsOf(shared, nl);
@@ -107,13 +85,6 @@ runReference(const Netlist &nl, const Workload &w,
     for (int i : counted) {
         r.perScenarioCounts.push_back(countsOf(*per[i], nl));
         r.perScenarioCycles.push_back(per[i]->cycles());
-    }
-    r.activityToggled.resize(nl.size());
-    r.activityInitial.resize(nl.size());
-    for (GateId g = 0; g < nl.size(); g++) {
-        r.activityToggled[g] = activity.toggled(g);
-        r.activityInitial[g] =
-            static_cast<uint8_t>(activity.initialValue(g));
     }
     return r;
 }
@@ -126,7 +97,6 @@ runBatch(const Netlist &nl, const Workload &w,
 {
     BatchResult r;
     ToggleCounter shared(nl);
-    ActivityTracker activity(nl);
     std::vector<std::unique_ptr<ToggleCounter>> per;
     for (size_t i = 0; i < scenarios.size(); i++)
         per.push_back(std::make_unique<ToggleCounter>(nl));
@@ -135,8 +105,6 @@ runBatch(const Netlist &nl, const Workload &w,
 
     GateBatchObservers obs;
     obs.toggles = &shared;
-    obs.activity = &activity;
-    obs.moduleIdle = &r.moduleIdle;
     r.runs = runScenarioGateBatch(nl, w, scenarios, obs);
 
     r.sharedCounts = countsOf(shared, nl);
@@ -144,13 +112,6 @@ runBatch(const Netlist &nl, const Workload &w,
     for (int i : counted) {
         r.perScenarioCounts.push_back(countsOf(*per[i], nl));
         r.perScenarioCycles.push_back(per[i]->cycles());
-    }
-    r.activityToggled.resize(nl.size());
-    r.activityInitial.resize(nl.size());
-    for (GateId g = 0; g < nl.size(); g++) {
-        r.activityToggled[g] = activity.toggled(g);
-        r.activityInitial[g] =
-            static_cast<uint8_t>(activity.initialValue(g));
     }
     return r;
 }
@@ -183,10 +144,6 @@ expectBatchEqual(const BatchResult &ref, const BatchResult &got)
         EXPECT_EQ(ref.perScenarioCycles[i], got.perScenarioCycles[i])
             << "per-scenario counter " << i;
     }
-    EXPECT_EQ(ref.activityToggled, got.activityToggled);
-    EXPECT_EQ(ref.activityInitial, got.activityInitial);
-    EXPECT_EQ(ref.moduleIdle.idle, got.moduleIdle.idle);
-    EXPECT_EQ(ref.moduleIdle.totalCycles, got.moduleIdle.totalCycles);
 }
 
 std::vector<WorkloadInput>
@@ -289,7 +246,7 @@ TEST(GateBatch, MixedProgramsPerLane)
 }
 
 /** Batches below kMinLaneBatch take the scalar fallback — and still
- *  honor every observer. */
+ *  honor both kinds of toggle counter. */
 TEST(GateBatch, SmallBatchFallsBackToScalar)
 {
     const Netlist &nl = cpuNetlist();
@@ -331,13 +288,14 @@ TEST(GateBatch, SharedCounterInterleavesWithScalarRuns)
     EXPECT_EQ(ref.cycles(), got.cycles());
 }
 
-/** Batch results with no observers at all still match. */
+/** Batch results with no observers at all still match: a batch of
+ *  kMinLaneBatch + 1 runs the lane path with no toggle accounting. */
 TEST(GateBatch, NoObservers)
 {
     const Netlist &nl = cpuNetlist();
     const Workload &w = workloadByName("intFilt");
     AsmProgram prog = w.assembleProgram();
-    auto inputs = genInputs(w, 5, 77);
+    auto inputs = genInputs(w, kMinLaneBatch + 1, 77);
 
     std::vector<GateRun> ref;
     for (const WorkloadInput &in : inputs)

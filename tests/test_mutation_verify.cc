@@ -11,6 +11,7 @@
 #include "src/gating/power_gating.hh"
 #include "src/mutation/mutation.hh"
 #include "src/verify/coverage_gen.hh"
+#include "src/verify/runner.hh"
 
 namespace bespoke
 {
@@ -84,6 +85,29 @@ TEST(PowerGating, OracleSavingsBoundedAndModulesIdle)
     EXPECT_GT(g.idleFraction[static_cast<int>(Module::Mult)], 0.95);
     // The frontend is busy nearly every cycle.
     EXPECT_LT(g.idleFraction[static_cast<int>(Module::Frontend)], 0.3);
+}
+
+/**
+ * Pins the oracle's exact numbers on a batch large enough
+ * (kMinLaneBatch + 1 inputs) that the batched gate runner would take
+ * its lane path. Recorded when the batch runner still counted module
+ * idle cycles lane-parallel; the evaluator now replays the inputs one
+ * by one on the scalar simulator and must reproduce them bit for bit.
+ */
+TEST(PowerGating, OracleNumbersArePinned)
+{
+    Netlist nl = buildBsp430();
+    sizeForLoads(nl);
+    GatingResult g = evaluateOracleGating(
+        nl, workloadByName("binSearch"),
+        static_cast<int>(kMinLaneBatch + 1), 9);
+    EXPECT_EQ(g.baselineUW, 209.67375540935373);
+    EXPECT_EQ(g.gatedUW, 169.4659695919751);
+    const std::array<double, kNumModules> idle = {
+        0, 0.12665684830633284, 0.46980854197349042,
+        0.18262150220913106, 0.98821796759941094, 0.18409425625920472,
+        1, 1, 0, 0.22680412371134021, 1, 1, 1};
+    EXPECT_EQ(g.idleFraction, idle);
 }
 
 TEST(CoverageGen, CoversLinesAndBranches)
