@@ -114,13 +114,11 @@ main(int argc, char **argv)
         PassEnv env = replayEnv({w}, inputs, fixed_opts.powerSeed);
         env.timing = &fixed_opts.timing;
         env.power = &fixed_opts.power;
-        PassContext ctx(env);
-        ctx.bind(nl);
         RewriteSearchOptions ropts;
+        double period = 0.0;
         std::vector<RewriteVariantScore> scores =
-            scoreRewriteCandidates(nl, ctx, ropts);
+            scoreRewriteCandidates(nl, env, &period);
         scored_entries += scores.size();
-        double period = ctx.clockPeriodPs();
         for (size_t li = 0; li < lambdas.size(); li++) {
             ropts.lambdaUWPerPs = lambdas[li];
             agg[li].rewrites +=

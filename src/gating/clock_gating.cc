@@ -54,7 +54,7 @@ planClockGating(const std::vector<EnableBank> &banks,
         const EnableBank &b = banks[k];
         double duty = static_cast<double>(enableHigh[k]) /
                       static_cast<double>(cycles);
-        if (b.flops.size() < opts.minBankBits || duty > opts.maxDuty)
+        if (b.flops.size() < kMinGatedBankBits || duty > kMaxGatedDuty)
             continue;
         double saved =
             ((1.0 - duty) * static_cast<double>(b.flops.size()) -

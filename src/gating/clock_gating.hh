@@ -33,13 +33,14 @@
 namespace bespoke
 {
 
-/** Thresholds for accepting a bank into the gating plan. */
+/** Gate only banks whose enable duty is at or below this. */
+constexpr double kMaxGatedDuty = 0.25;
+/** Minimum flops sharing the enable to justify an ICG. */
+constexpr size_t kMinGatedBankBits = 4;
+
+/** Cost knob of the gating plan. */
 struct ClockGatingOptions
 {
-    /** Gate only banks whose enable duty is at or below this. */
-    double maxDuty = 0.25;
-    /** Minimum flops sharing the enable to justify an ICG. */
-    size_t minBankBits = 4;
     /** ICG overhead, in units of one flop's clock-pin power. */
     double icgFlopEquivalents = 1.5;
 };

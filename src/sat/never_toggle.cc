@@ -133,7 +133,7 @@ runShard(const Netlist &nl, const AsmProgram &prog,
                     ds.push_back(diff[i]);
                 Lit any = ts.orL(ds);
                 st.queries++;
-                SolveResult r = s.solve({any}, opts.conflictBudget);
+                SolveResult r = s.solve({any}, kNeverToggleConflictBudget);
                 if (r == SolveResult::Unsat)
                     break;
                 if (r == SolveResult::Unknown)

@@ -41,15 +41,16 @@
 namespace bespoke::sat
 {
 
+/** Per-query CDCL conflict budget. Budget exhaustion classifies the
+ *  candidate as unknown, never as proven. */
+constexpr uint64_t kNeverToggleConflictBudget = 50000;
+
 struct NeverToggleOptions
 {
     /** Unrolling depth: frames 0..depth-1 from reset are checked; it
      *  must cover the application's full analysis horizon for the
      *  verdict to match the X-analysis's claim. */
     int depth = 6;
-    /** Per-query conflict budget (0 = unlimited). Budget exhaustion
-     *  classifies the candidate as unknown, never as proven. */
-    uint64_t conflictBudget = 50000;
 };
 
 /** A net plus the constant value measurement says it is stuck at. */

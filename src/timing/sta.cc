@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/util/logging.hh"
 
@@ -111,69 +110,6 @@ analyzeTiming(const Netlist &nl, const TimingParams &p)
         rep.criticalPath.push_back(cur);
     std::reverse(rep.criticalPath.begin(), rep.criticalPath.end());
     return rep;
-}
-
-TimingQuery::TimingQuery(const Netlist &nl, double period_ps,
-                         const TimingParams &p)
-    : rep_(analyzeTiming(nl, p)), periodPs_(period_ps)
-{
-    bespoke_assert(period_ps > 0);
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    required_.assign(nl.size(), kInf);
-    std::vector<double> load = computeLoads(nl, p);
-
-    auto relax = [&](GateId id, double t) {
-        if (t < required_[id])
-            required_[id] = t;
-    };
-
-    // Capture constraints at flop data/enable pins are independent of
-    // the flop's own required time (the Q-side budget restarts at the
-    // next cycle), so they seed the backward pass directly.
-    for (GateId i = 0; i < nl.size(); i++) {
-        const Gate &g = nl.gate(i);
-        if (!cellSequential(g.type))
-            continue;
-        int n = g.numInputs();
-        for (int pin = 0; pin < n; pin++)
-            relax(g.in[pin], period_ps - p.setup);
-    }
-
-    // Backward propagation through the combinational fabric: a gate's
-    // fanin must arrive early enough for the gate itself to meet its
-    // own required time, minus the gate's load-dependent delay. The
-    // reversed levelize() order finalizes required_[i] before i's
-    // fanins are relaxed.
-    std::vector<GateId> order = nl.levelize();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        GateId i = *it;
-        const Gate &g = nl.gate(i);
-        if (g.type == CellType::OUTPUT) {
-            relax(i, period_ps);
-            relax(g.in[0], required_[i]);
-            continue;
-        }
-        // Paths are cut at flops: the D/EN capture constraint was
-        // seeded above, and the Q-side budget restarts next cycle —
-        // a flop's own required time never constrains its fanins.
-        if (cellSequential(g.type))
-            continue;
-        if (required_[i] == kInf)
-            continue;  // feeds no capture point; fanins unconstrained
-        double delay = cellIntrinsicDelay(g.type, g.drive) +
-                       cellDriveRes(g.type, g.drive) * load[i];
-        int n = g.numInputs();
-        for (int pin = 0; pin < n; pin++)
-            relax(g.in[pin], required_[i] - delay);
-    }
-
-    worstSlack_ = kInf;
-    for (GateId i = 0; i < nl.size(); i++) {
-        if (required_[i] != kInf)
-            worstSlack_ = std::min(worstSlack_, slack(i));
-    }
-    if (worstSlack_ == kInf)
-        worstSlack_ = period_ps;  // no capture points at all
 }
 
 size_t

@@ -7,7 +7,10 @@
  * per fanout). Launch points are flop Q pins (clock-to-Q) and primary
  * inputs; capture points are flop D/EN pins (plus setup) and primary
  * outputs. The critical path over all capture points defines the
- * minimum clock period.
+ * minimum clock period. analyzeTiming() is forward-only: it reports
+ * arrival times and the critical path, which is all the flow and the
+ * tailoring pipeline read (design-level slack is period minus critical
+ * path); there is no per-gate required-time or slack view.
  *
  * sizeForLoads() implements the synthesis sizing discipline: gates
  * driving heavy loads are upsized (X2/X4) to bound their load-dependent
@@ -59,48 +62,6 @@ struct TimingReport
 /** Run STA at nominal voltage. */
 TimingReport analyzeTiming(const Netlist &netlist,
                            const TimingParams &params = {});
-
-/**
- * Per-gate timing query against a clock period: arrival times from the
- * forward STA pass plus required times from a backward pass over the
- * same delay model (capture constraints: period - setup at flop D/EN
- * pins, period at primary outputs). slack(g) = required(g) - arrival(g);
- * the minimum slack over all constrained gates equals
- * period - criticalPathPs. Nets that reach no capture point (dead
- * logic) have infinite required time and therefore infinite slack.
- *
- * The cost-driven rewrite passes (src/transform/pass_pipeline) use this
- * to find which datapath instances actually sit on tight paths; it is
- * equally usable standalone.
- */
-class TimingQuery
-{
-  public:
-    TimingQuery(const Netlist &netlist, double period_ps,
-                const TimingParams &params = {});
-
-    double periodPs() const { return periodPs_; }
-    double criticalPathPs() const { return rep_.criticalPathPs; }
-    const TimingReport &report() const { return rep_; }
-
-    /** Arrival time (ps) at the gate's output net. */
-    double arrival(GateId id) const { return rep_.arrival[id]; }
-    /** Latest arrival (ps) that still meets every capture downstream. */
-    double required(GateId id) const { return required_[id]; }
-    /** required - arrival; negative = the gate is past the budget. */
-    double slack(GateId id) const
-    {
-        return required_[id] - rep_.arrival[id];
-    }
-    /** Worst (smallest) slack over the whole design. */
-    double worstSlack() const { return worstSlack_; }
-
-  private:
-    TimingReport rep_;
-    std::vector<double> required_;
-    double periodPs_ = 0.0;
-    double worstSlack_ = 0.0;
-};
 
 /**
  * Assign drive strengths from fanout loads (mutates the netlist's

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <set>
 
 #include "src/builder/net_builder.hh"
@@ -55,6 +54,36 @@ resynthFixpoint(Netlist &current)
             break;
     }
     return total_marks;
+}
+
+/** The env's models, library defaults where the env has none. */
+const TimingParams &
+timingOf(const PassEnv &env)
+{
+    static const TimingParams kDefault;
+    return env.timing ? *env.timing : kDefault;
+}
+
+const PowerParams &
+powerOf(const PassEnv &env)
+{
+    static const PowerParams kDefault;
+    return env.power ? *env.power : kDefault;
+}
+
+/**
+ * The clock budget: the env's, or — the flow's convention, applied to
+ * the netlist at hand — its own critical path with a 2% margin.
+ */
+double
+clockPeriodFor(const Netlist &nl, const PassEnv &env)
+{
+    if (env.clockPeriodPs > 0.0)
+        return env.clockPeriodPs;
+    TimingReport rep = analyzeTiming(nl, timingOf(env));
+    bespoke_assert(rep.criticalPathPs > 0,
+                   "cannot derive a clock period from an empty design");
+    return rep.criticalPathPs * 1.02;
 }
 
 /** Transition-density propagation factor per cell type. */
@@ -297,15 +326,17 @@ dedupInstances(Netlist &nl)
     insts = std::move(kept);
 }
 
+/** The rewrite search ignores adder instances narrower than this. */
+constexpr size_t kMinRewriteAdderWidth = 8;
+
 /** The variants worth rebuilding for one recorded instance (empty =
- *  the instance is not reconstructible under these options). */
+ *  the instance is not reconstructible). */
 std::vector<uint8_t>
-variantsFor(const DatapathInstance &inst,
-            const RewriteSearchOptions &opts)
+variantsFor(const DatapathInstance &inst)
 {
     if (inst.kind == InstanceKind::Adder) {
         if (inst.shape.size() == 1 &&
-            inst.shape[0] >= opts.minAdderWidth) {
+            inst.shape[0] >= kMinRewriteAdderWidth) {
             return {static_cast<uint8_t>(AdderKind::Ripple),
                     static_cast<uint8_t>(AdderKind::CarryLookahead),
                     static_cast<uint8_t>(AdderKind::CarrySelect)};
@@ -328,7 +359,8 @@ variantsFor(const DatapathInstance &inst,
 bool
 scoreVariant(const Netlist &base, const std::vector<double> &baseDensity,
              const DatapathInstance &inst, uint8_t variant,
-             PassContext &ctx, double *power_term, double *critical_ps)
+             const TimingParams &timing, const PowerParams &power,
+             double period, double *power_term, double *critical_ps)
 {
     Netlist work = base;
     AliasPairs pairs;
@@ -355,26 +387,23 @@ scoreVariant(const Netlist &base, const std::vector<double> &baseDensity,
         d[m] = baseDensity[i];
     }
     propagateDensities(cand, &d);
-    sizeForLoads(cand, ctx.timing());
+    sizeForLoads(cand, timing);
 
     double critical = 0.0;
-    double nominal_uw = powerFromDensities(cand, d, ctx.power(),
-                                           ctx.timing(), &critical);
-    double period = ctx.clockPeriodPs();
-    double vmin = critical > 0.0
-                      ? vminForPeriod(critical, period, ctx.timing())
-                      : ctx.timing().vMinFloor;
-    double v2 =
-        (vmin * vmin) / (ctx.power().voltage * ctx.power().voltage);
+    double nominal_uw =
+        powerFromDensities(cand, d, power, timing, &critical);
+    double vmin = critical > 0.0 ? vminForPeriod(critical, period, timing)
+                                 : timing.vMinFloor;
+    double v2 = (vmin * vmin) / (power.voltage * power.voltage);
     *power_term = nominal_uw * v2;
     *critical_ps = critical;
     return true;
 }
 
 /**
- * The cost-driven datapath rewrite search (pipeline tentpole). For
- * every reconstructible DatapathInstance, every applicable variant is
- * rebuilt on a scratch copy, stitched, compacted, and scored:
+ * The cost-driven datapath rewrite search. For every reconstructible
+ * DatapathInstance, every applicable variant is rebuilt on a scratch
+ * copy, stitched, compacted, and scored:
  *     cost = total power at vmin(depth, budget)
  *          + lambda x max(0, depth - budget)
  * with measured toggle densities for surviving gates and propagated
@@ -382,70 +411,56 @@ scoreVariant(const Netlist &base, const std::vector<double> &baseDensity,
  * when it strictly beats the rebuilt current shape. Scoring and the
  * λ-dependent decision are split (scoreRewriteCandidates /
  * rewriteDecisionsAtLambda) so λ-sweeps reuse one scoring pass.
+ * Returns the number of stitches committed.
  */
-class RewriteSearchPass
+size_t
+rewriteSearch(Netlist &current, const PassEnv &env,
+              const RewriteSearchOptions &opts, PipelineReport *report)
 {
-  public:
-    explicit RewriteSearchPass(const RewriteSearchOptions &opts)
-        : opts_(opts)
-    {}
+    // Decide on a frozen copy: every instance is scored against the
+    // same base so decisions are order-independent.
+    const Netlist base = current;
+    double period = 0.0;
+    std::vector<RewriteVariantScore> scores =
+        scoreRewriteCandidates(base, env, &period);
 
-    size_t rewritten() const { return rewritten_; }
-
-    void
-    prepare(Netlist &nl, PassContext &ctx)
-    {
-        double period = ctx.clockPeriodPs();
-
-        // Decide on a frozen copy: every instance is scored against
-        // the same base so decisions are order-independent.
-        const Netlist base = nl;
-        std::vector<RewriteVariantScore> scores =
-            scoreRewriteCandidates(base, ctx, opts_);
-        std::vector<std::pair<size_t, uint8_t>> decisions =
-            rewriteDecisionsAtLambda(scores, opts_, period);
-
-        // Commit every winner on the real working netlist; the
-        // pipeline compacts once after run() applies the stitches.
-        for (auto [k, variant] : decisions) {
-            AliasPairs pairs;
-            if (!rebuildInstance(nl, base.instances()[k], variant,
-                                 &pairs)) {
-                continue;
-            }
-            bool any = false;
-            for (auto [o, nn] : pairs) {
-                if (!aliased_.count(o)) {
-                    aliased_.insert(o);
-                    pending_.push_back({o, nn});
-                    any = true;
-                }
-            }
-            if (any)
-                rewritten_++;
+    // Rebuild every winner on the working netlist, then stitch them
+    // all in one compaction.
+    AliasPairs stitches;
+    std::set<GateId> aliased;
+    size_t rewritten = 0;
+    for (auto [k, variant] : rewriteDecisionsAtLambda(scores, opts, period)) {
+        AliasPairs pairs;
+        if (!rebuildInstance(current, base.instances()[k], variant,
+                             &pairs)) {
+            continue;
         }
+        bool any = false;
+        for (auto [o, nn] : pairs) {
+            if (aliased.insert(o).second) {
+                stitches.push_back({o, nn});
+                any = true;
+            }
+        }
+        if (any)
+            rewritten++;
     }
-
-    size_t
-    run(Rewriter &rw)
-    {
-        for (auto [o, nn] : pending_)
+    if (!stitches.empty()) {
+        Rewriter rw(current);
+        for (auto [o, nn] : stitches)
             rw.makeAlias(o, nn);
-        return pending_.size();
+        current = rw.compact().netlist;
+        current = sweepDead(current).netlist;
     }
+    dedupInstances(current);
+    if (report)
+        report->rewrittenInstances = rewritten;
+    return stitches.size();
+}
 
-    void
-    finish(Netlist &nl)
-    {
-        dedupInstances(nl);
-    }
-
-  private:
-    RewriteSearchOptions opts_;
-    AliasPairs pending_;
-    std::set<GateId> aliased_;
-    size_t rewritten_ = 0;
-};
+/** Unrolling memory grows with the horizon; an analysis that explored
+ *  millions of cycles is out of the prover's reach. */
+constexpr int kMaxSatFrames = 100000;
 
 /**
  * SAT never-toggle proving pass: pick up the gates the X-propagating
@@ -454,100 +469,76 @@ class RewriteSearchPass
  * input/cycle combination can flip them. Proven gates are tied to
  * their constant exactly like the cut pass would have done — the SAT
  * proof alone justifies the rewrite (its envelope covers every real
- * execution); the measured evidence only selects candidates.
+ * execution); the measured evidence only selects candidates. Needs
+ * env.program and env.measureActivity; returns the number of gates
+ * tied.
  */
-class SatNeverTogglePass
+size_t
+satNeverToggle(Netlist &current, const PassEnv &env,
+               const SatNeverToggleOptions &opts, PipelineReport *report)
 {
-  public:
-    static constexpr int kMaxSatFrames = 100000;
-
-    explicit SatNeverTogglePass(const SatNeverToggleOptions &opts)
-        : opts_(opts)
-    {}
-
-    size_t
-    run(Rewriter &rw, PassContext &ctx)
-    {
-        const PassEnv &env = ctx.env();
-        if (!env.program || !ctx.hasActivity() || opts_.depth <= 0)
-            return 0;
-        // Unrolling memory grows with the horizon; an analysis that
-        // explored millions of cycles is out of the prover's reach.
-        if (opts_.depth > kMaxSatFrames) {
-            bespoke_warn("sat-never-toggle: horizon ", opts_.depth,
-                         " frames exceeds the ", kMaxSatFrames,
-                         "-frame cap; pass skipped");
-            return 0;
-        }
-        const Netlist &nl = ctx.netlist();
-        const ToggleCounter &tc = ctx.activity();
-        if (tc.cycles() == 0)
-            return 0;
-        std::vector<GateId> ids;
-        for (GateId i = 0; i < nl.size(); i++) {
-            const Gate &g = nl.gate(i);
-            if (cellPseudo(g.type) || g.type == CellType::TIE0 ||
-                g.type == CellType::TIE1) {
-                continue;
-            }
-            if (tc.count(i) == 0)
-                ids.push_back(i);
-        }
-        if (ids.empty())
-            return 0;
-        // Observed constant value. A zero-toggle gate held exactly one
-        // value for the whole replay — the counter bumps on within-run
-        // transitions AND cross-run boundary transitions, so count == 0
-        // really means one value across every observed cycle, and that
-        // value is the counter's last observation. Zero pins the
-        // candidate at 0; One/X is ambiguous between always-1 and
-        // always-X — an always-X gate may well be the X-pessimism
-        // victim this pass exists for (really constant 0, but 3-valued
-        // propagation can't see it), so try both polarities there. At
-        // most one polarity survives the base stage; a wrong guess is
-        // simply refuted and costs one query. (Earlier revisions ran a
-        // second, duty-measuring replay to recover the same polarity —
-        // a full extra simulation of the workload per design.)
-        std::vector<sat::NeverToggleCandidate> cands;
-        for (GateId id : ids) {
-            if (tc.lastValue(id) == Logic::Zero) {
-                cands.push_back({id, false});
-            } else {
-                cands.push_back({id, true});
-                cands.push_back({id, false});
-            }
-        }
-        if (cands.empty())
-            return 0;
-        sat::NeverToggleOptions no;
-        no.depth = opts_.depth;
-        no.conflictBudget = opts_.conflictBudget;
-        candidates_ = cands.size();
-        sat::NeverToggleResult res =
-            sat::proveNeverToggling(nl, *env.program, cands, no);
-        proven_ = res.proven.size();
-        refuted_ = res.refuted.size();
-        unknown_ = res.unknown.size();
-        stats_ = res.stats;
-        for (const sat::NeverToggleCandidate &c : res.proven)
-            rw.makeConstant(c.gate, c.value);
-        return res.proven.size();
+    if (opts.depth <= 0)
+        return 0;
+    if (opts.depth > kMaxSatFrames) {
+        bespoke_warn("sat-never-toggle: horizon ", opts.depth,
+                     " frames exceeds the ", kMaxSatFrames,
+                     "-frame cap; pass skipped");
+        return 0;
     }
-
-    size_t candidates() const { return candidates_; }
-    size_t proven() const { return proven_; }
-    size_t refuted() const { return refuted_; }
-    size_t unknown() const { return unknown_; }
-    const sat::NeverToggleStats &stats() const { return stats_; }
-
-  private:
-    SatNeverToggleOptions opts_;
-    size_t candidates_ = 0;
-    size_t proven_ = 0;
-    size_t refuted_ = 0;
-    size_t unknown_ = 0;
-    sat::NeverToggleStats stats_;
-};
+    ToggleCounter tc(current);
+    env.measureActivity(current, &tc);
+    if (tc.cycles() == 0)
+        return 0;
+    // Candidates are the zero-toggle gates, at their observed constant
+    // value. A zero-toggle gate held exactly one value for the whole
+    // replay — the counter bumps on within-run transitions AND
+    // cross-run boundary transitions, so count == 0 really means one
+    // value across every observed cycle, and that value is the
+    // counter's last observation. Zero pins the candidate at 0; One/X
+    // is ambiguous between always-1 and always-X — an always-X gate may
+    // well be the X-pessimism victim this pass exists for (really
+    // constant 0, but 3-valued propagation can't see it), so try both
+    // polarities there. At most one polarity survives the base stage;
+    // a wrong guess is simply refuted and costs one query.
+    std::vector<sat::NeverToggleCandidate> cands;
+    for (GateId i = 0; i < current.size(); i++) {
+        const Gate &g = current.gate(i);
+        if (cellPseudo(g.type) || g.type == CellType::TIE0 ||
+            g.type == CellType::TIE1 || tc.count(i) != 0) {
+            continue;
+        }
+        if (tc.lastValue(i) != Logic::Zero)
+            cands.push_back({i, true});
+        cands.push_back({i, false});
+    }
+    if (cands.empty())
+        return 0;
+    sat::NeverToggleOptions no;
+    no.depth = opts.depth;
+    sat::NeverToggleResult res =
+        sat::proveNeverToggling(current, *env.program, cands, no);
+    if (report) {
+        report->satCandidates = cands.size();
+        report->satProven = res.proven.size();
+        report->satRefuted = res.refuted.size();
+        report->satUnknown = res.unknown.size();
+        report->satConflicts = res.stats.conflicts;
+        report->satPropagations = res.stats.propagations;
+        report->satLearned = res.stats.learnedClauses;
+        report->satKept = res.stats.keptClauses;
+        report->satReductions = res.stats.dbReductions;
+        report->satRestarts = res.stats.restarts;
+        report->satShards = res.stats.shards;
+    }
+    if (res.proven.empty())
+        return 0;
+    Rewriter rw(current);
+    for (const sat::NeverToggleCandidate &c : res.proven)
+        rw.makeConstant(c.gate, c.value);
+    current = rw.compact().netlist;
+    current = sweepDead(current).netlist;
+    return res.proven.size();
+}
 
 void
 snapshotMetrics(const Netlist &nl, const PassEnv &env,
@@ -568,19 +559,30 @@ snapshotMetrics(const Netlist &nl, const PassEnv &env,
 } // namespace
 
 std::vector<RewriteVariantScore>
-scoreRewriteCandidates(const Netlist &nl, PassContext &ctx,
-                       const RewriteSearchOptions &opts)
+scoreRewriteCandidates(const Netlist &nl, const PassEnv &env,
+                       double *period_ps)
 {
-    const std::vector<double> &density = ctx.densities();
+    const TimingParams &timing = timingOf(env);
+    const PowerParams &power = powerOf(env);
+    *period_ps = clockPeriodFor(nl, env);
+    ToggleCounter tc(nl);
+    env.measureActivity(nl, &tc);
+    double cycles = static_cast<double>(tc.cycles());
+    bespoke_assert(cycles > 0, "activity provider observed 0 cycles");
+    std::vector<double> density(nl.size());
+    for (GateId i = 0; i < nl.size(); i++)
+        density[i] = static_cast<double>(tc.count(i)) / cycles;
+
     std::vector<RewriteVariantScore> out;
     for (size_t k = 0; k < nl.instances().size(); k++) {
         const DatapathInstance &inst = nl.instances()[k];
-        for (uint8_t v : variantsFor(inst, opts)) {
+        for (uint8_t v : variantsFor(inst)) {
             RewriteVariantScore s;
             s.inst = k;
             s.variant = v;
             s.isCurrent = v == inst.variant;
-            if (!scoreVariant(nl, density, inst, v, ctx, &s.powerTermUW,
+            if (!scoreVariant(nl, density, inst, v, timing, power,
+                              *period_ps, &s.powerTermUW,
                               &s.criticalPs)) {
                 continue;
             }
@@ -935,15 +937,19 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
                   const PassPipelineOptions &opts, const PassEnv &env,
                   CutStats *stats, PipelineReport *report)
 {
-    PassContext ctx(env);
     Netlist current = src;
     size_t cut_direct = 0;
-    const TimingParams &timing = ctx.timing();
-    const PowerParams &power = ctx.power();
+    const TimingParams &timing = timingOf(env);
+    const PowerParams &power = powerOf(env);
 
+    // Per-pass metrics measure each netlist state once: a pass's
+    // "before" numbers are the previous pass's "after" numbers.
+    const bool metrics = report && opts.collectMetrics;
+    double power_uw = -1.0, depth_ps = -1.0;
+    if (metrics)
+        snapshotMetrics(current, env, timing, power, &power_uw, &depth_ps);
     auto record = [&](const char *name, size_t changes,
-                      size_t gates_before, double t0, double pb,
-                      double db) {
+                      size_t gates_before, double t0) {
         if (!report)
             return;
         PassStats st;
@@ -952,19 +958,15 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
         st.gatesBefore = gates_before;
         st.gatesAfter = current.numCells();
         st.wallMs = nowMs() - t0;
-        st.powerBeforeUW = pb;
-        st.depthBeforePs = db;
-        if (opts.collectMetrics) {
-            snapshotMetrics(current, env, timing, power,
-                            &st.powerAfterUW, &st.depthAfterPs);
+        st.powerBeforeUW = power_uw;
+        st.depthBeforePs = depth_ps;
+        if (metrics) {
+            snapshotMetrics(current, env, timing, power, &power_uw,
+                            &depth_ps);
+            st.powerAfterUW = power_uw;
+            st.depthAfterPs = depth_ps;
         }
         report->passes.push_back(std::move(st));
-    };
-    auto before_metrics = [&](double *pb, double *db) {
-        *pb = -1.0;
-        *db = -1.0;
-        if (report && opts.collectMetrics)
-            snapshotMetrics(current, env, timing, power, pb, db);
     };
 
     // Cut pass: tie every gate the activity analysis proved
@@ -973,8 +975,6 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
     if (activity) {
         bespoke_assert(&activity->netlist() == &src,
                        "activity tracker is for a different netlist");
-        double pb, db;
-        before_metrics(&pb, &db);
         double t0 = nowMs();
         size_t before_cells = current.numCells();
         Rewriter rw(current);
@@ -1020,87 +1020,45 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
         }
         current = rw.compact().netlist;
         record(opts.moduleCut ? "cut-modules" : "cut-constants",
-               cut_direct, before_cells, t0, pb, db);
+               cut_direct, before_cells, t0);
     }
 
     // Constant folding + dead sweep to fixpoint (legacy re-synthesis;
     // bit-identical to the pre-pipeline flow by construction).
     if (opts.constantFold) {
-        double pb, db;
-        before_metrics(&pb, &db);
         double t0 = nowMs();
         size_t before_cells = current.numCells();
         size_t marks = resynthFixpoint(current);
-        record("constant-fold", marks, before_cells, t0, pb, db);
+        record("constant-fold", marks, before_cells, t0);
     }
 
     // SAT never-toggle proving: exact recovery of cut opportunities
     // X-pessimism left behind. Runs before the rewrite search so
-    // promoted constants shrink its search space.
+    // promoted constants shrink its search space. Its wall time
+    // includes its activity replay.
     if (opts.satNeverToggle && env.program && env.measureActivity) {
-        double pb, db;
-        before_metrics(&pb, &db);
         double t0 = nowMs();
         size_t before_cells = current.numCells();
-        SatNeverTogglePass pass(opts.sat);
-        ctx.bind(current);
-        Rewriter rw(current);
-        size_t n = pass.run(rw, ctx);
-        if (n > 0) {
-            current = rw.compact().netlist;
-            current = sweepDead(current).netlist;
-            ctx.invalidate();
-        }
-        if (report) {
-            report->satCandidates = pass.candidates();
-            report->satProven = pass.proven();
-            report->satRefuted = pass.refuted();
-            report->satUnknown = pass.unknown();
-            const sat::NeverToggleStats &st = pass.stats();
-            report->satConflicts = st.conflicts;
-            report->satPropagations = st.propagations;
-            report->satLearned = st.learnedClauses;
-            report->satKept = st.keptClauses;
-            report->satReductions = st.dbReductions;
-            report->satRestarts = st.restarts;
-            report->satShards = st.shards;
-        }
+        size_t n = satNeverToggle(current, env, opts.sat, report);
         // Promoted constants fold onward exactly like cut gates.
         if (opts.constantFold && n > 0)
             resynthFixpoint(current);
-        record("sat-never-toggle", n, before_cells, t0, pb, db);
+        record("sat-never-toggle", n, before_cells, t0);
     }
 
     // Cost-driven datapath rewrite search.
     if (opts.rewriteSearch && env.measureActivity) {
-        double pb, db;
-        before_metrics(&pb, &db);
         double t0 = nowMs();
         size_t before_cells = current.numCells();
-        RewriteSearchPass pass(opts.rewrite);
-        ctx.bind(current);
-        pass.prepare(current, ctx);
-        ctx.invalidate();
-        Rewriter rw(current);
-        size_t n = pass.run(rw);
-        if (n > 0) {
-            current = rw.compact().netlist;
-            current = sweepDead(current).netlist;
-            ctx.invalidate();
-        }
-        pass.finish(current);
-        if (report)
-            report->rewrittenInstances = pass.rewritten();
+        size_t n = rewriteSearch(current, env, opts.rewrite, report);
         // Rebuilt blocks can fold against constant operands.
         if (opts.constantFold && n > 0)
             resynthFixpoint(current);
-        record("rewrite-search", n, before_cells, t0, pb, db);
+        record("rewrite-search", n, before_cells, t0);
     }
 
     // Clock-gating planning: annotation only, netlist unchanged.
     if (opts.clockGating && env.measureDuty && report) {
-        double pb, db;
-        before_metrics(&pb, &db);
         double t0 = nowMs();
         size_t before_cells = current.numCells();
         std::vector<EnableBank> banks = enumerateEnableBanks(current);
@@ -1118,7 +1076,7 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
                 gated = report->gating.banks.size();
             }
         }
-        record("clock-gating", gated, before_cells, t0, pb, db);
+        record("clock-gating", gated, before_cells, t0);
     }
 
     current.validate();

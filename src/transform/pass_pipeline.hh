@@ -1,8 +1,8 @@
 /**
  * @file
- * The tailoring pass pipeline: cutting & stitching, re-synthesis, the
- * cost-driven datapath rewrite search, and clock-gating planning, as a
- * configurable sequence of passes over one working netlist.
+ * The tailoring pipeline: cutting & stitching, re-synthesis, the
+ * cost-driven datapath rewrite search, and clock-gating planning, run
+ * in a fixed order over one working netlist.
  *
  * runTailorPipeline() is the one entry point: with an activity result
  * it cuts and stitches (paper Section 3.2: every gate the analysis
@@ -13,6 +13,11 @@
  * fixpoint group below runs the exact same mark / compact / sweep
  * sequence the monolith ran, so every committed bench baseline is
  * unchanged until the optional passes are switched on.
+ *
+ * Each pass reads what it needs from the PassEnv once, at its start
+ * (activity, toggle densities, the clock period), edits the working
+ * netlist through Rewriter marks (src/transform/rewrite), compacts and
+ * sweeps, and fills its part of the PipelineReport.
  *
  * Optional passes:
  *  - rewrite-search: for every recorded DatapathInstance (adders, mux
@@ -40,15 +45,77 @@
 #define BESPOKE_TRANSFORM_PASS_PIPELINE_HH
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/gating/clock_gating.hh"
-#include "src/transform/pass.hh"
+#include "src/power/power_model.hh"
+#include "src/sim/gate_sim.hh"
+#include "src/timing/sta.hh"
 #include "src/transform/rewrite.hh"
 
 namespace bespoke
 {
+
+struct AsmProgram;
+
+/**
+ * Everything the caller supplies to the pipeline: model parameters,
+ * the clock budget, and replay callbacks for activity measurement. All
+ * members are optional; passes that need an absent provider are
+ * skipped (reported as zero-change).
+ */
+struct PassEnv
+{
+    /** Timing model; null = library defaults. */
+    const TimingParams *timing = nullptr;
+    /** Power model; null = library defaults. */
+    const PowerParams *power = nullptr;
+    /** Program image, for passes that reason about the full SoC (the
+     *  SAT never-toggle prover); null = those passes are skipped. */
+    const AsmProgram *program = nullptr;
+    /**
+     * Clock period budget (ps) for timing-aware passes. 0 = derive
+     * from the working netlist's own critical path with the flow's
+     * 2% margin.
+     */
+    double clockPeriodPs = 0.0;
+    /**
+     * Replay the representative workloads on `nl`, accumulating toggle
+     * counts into `tc` (constructed for `nl` by the pass). The SAT pass
+     * picks its candidates and the rewrite search scores candidates
+     * with these activities.
+     */
+    std::function<void(const Netlist &nl, ToggleCounter *tc)>
+        measureActivity;
+    /**
+     * Count, for each gate in `ids`, the number of replay cycles in
+     * which its value was 1 or X (X counts as high: a net that may be
+     * high cannot justify gating). Writes the total observed cycle
+     * count to *cycles. Read by the clock-gating pass only.
+     */
+    std::function<void(const Netlist &nl, const std::vector<GateId> &ids,
+                       std::vector<uint64_t> *high, uint64_t *cycles)>
+        measureDuty;
+};
+
+/** Per-pass outcome, for reports and the tailor CLI summary. */
+struct PassStats
+{
+    std::string name;
+    size_t changes = 0;        ///< rewrite marks applied (0 = no-op)
+    size_t gatesBefore = 0;    ///< real cells before the pass
+    size_t gatesAfter = 0;     ///< real cells after compaction
+    /** Activity-weighted power before/after (µW; -1 = not measured). */
+    double powerBeforeUW = -1.0;
+    double powerAfterUW = -1.0;
+    /** Critical path before/after (ps; -1 = not measured). */
+    double depthBeforePs = -1.0;
+    double depthAfterPs = -1.0;
+    double wallMs = 0.0;
+};
 
 /** Cell counts of one tailoring run. */
 struct CutStats
@@ -61,8 +128,6 @@ struct CutStats
 /** Knobs of the cost-driven datapath rewrite search. */
 struct RewriteSearchOptions
 {
-    /** Ignore adder instances narrower than this. */
-    size_t minAdderWidth = 8;
     /** Cost penalty (µW per ps) for exceeding the clock budget. */
     double lambdaUWPerPs = 1.0;
     /** Commit only when the winner is at least this fraction cheaper. */
@@ -99,13 +164,16 @@ rewriteCostAt(const RewriteVariantScore &s, double lambda_uw_per_ps,
 
 /**
  * Score every enumerable (instance, variant) pair of `nl` once.
- * Entries come out grouped by instance in instance-table order. `ctx`
- * must be bound to `nl` (densities and timing are read from it);
- * opts.lambdaUWPerPs is ignored — λ only enters at recombination time.
+ * Entries come out grouped by instance in instance-table order.
+ * Densities come from one env.measureActivity replay of `nl` (which
+ * must be set); the clock budget is env.clockPeriodPs, or `nl`'s own
+ * critical path x 1.02, and is written to *period_ps. No option enters
+ * the scores — λ and the commit threshold only enter at recombination
+ * time.
  */
 std::vector<RewriteVariantScore>
-scoreRewriteCandidates(const Netlist &nl, PassContext &ctx,
-                       const RewriteSearchOptions &opts);
+scoreRewriteCandidates(const Netlist &nl, const PassEnv &env,
+                       double *period_ps);
 
 /**
  * Re-combine cached scores at one λ: the (instance, variant) winners
@@ -128,8 +196,6 @@ struct SatNeverToggleOptions
      * constants over. The pass is skipped if 0 reaches it unresolved.
      */
     int depth = 0;
-    /** Per-query CDCL conflict budget (0 = unlimited). */
-    uint64_t conflictBudget = 50000;
     /**
      * Ignored: the prover is sequential. Kept only because the
      * perfbench driver reads it; remove with the benchmark's next
@@ -197,7 +263,7 @@ struct PipelineReport
 /**
  * One constant-propagation / simplification sweep over the rewriter's
  * source netlist; returns the number of gates changed. The body of the
- * ConstantFoldPass, exposed for the fixpoint driver and tests.
+ * constant-fold pass, exposed for the fixpoint loop and tests.
  */
 size_t constantFoldOnce(Rewriter &rw);
 

@@ -8,11 +8,8 @@ namespace bespoke
 Rewriter::Rewriter(const Netlist &src)
     : src_(src), marks_(src.size(), Mark::Keep),
       aliasTarget_(src.size(), kNoGate), replaced_(src.size()),
-      hasReplace_(src.size(), 0), drives_(src.size())
-{
-    for (GateId i = 0; i < src.size(); i++)
-        drives_[i] = src.gate(i).drive;
-}
+      hasReplace_(src.size(), 0)
+{}
 
 void
 Rewriter::makeConstant(GateId id, bool value)
@@ -54,27 +51,7 @@ Rewriter::replaceCell(GateId id, CellType type, GateId in0, GateId in1,
 void
 Rewriter::kill(GateId id)
 {
-    marks_[id] = Mark::Dead;
-}
-
-void
-Rewriter::setDrive(GateId id, Drive drive)
-{
-    drives_[id] = drive;
-}
-
-bool
-Rewriter::isConstant(GateId id) const
-{
-    return resolve(id).isConst;
-}
-
-bool
-Rewriter::constantValue(GateId id) const
-{
-    Resolved r = resolve(id);
-    bespoke_assert(r.isConst);
-    return r.value;
+    marks_[id] = Mark::Killed;
 }
 
 bool
@@ -90,34 +67,23 @@ Rewriter::resolve(GateId id) const
     for (size_t hops = 0; hops <= src_.size(); hops++) {
         switch (marks_[cur]) {
           case Mark::Const0:
-            return {true, false, kNoGate, false};
+            return {true, false, kNoGate};
           case Mark::Const1:
-            return {true, true, kNoGate, false};
+            return {true, true, kNoGate};
           case Mark::Alias:
             cur = aliasTarget_[cur];
             break;
-          case Mark::Dead: {
-            // A killed TIE still resolves to its constant (no
-            // information lives in the cell); anything else resolves
-            // as constant 0 with viaDead set so compact() can reject
-            // live readers of a killed gate.
-            CellType t = hasReplace_[cur] ? replaced_[cur].type
-                                          : src_.gate(cur).type;
-            if (t == CellType::TIE0)
-                return {true, false, kNoGate, false};
-            if (t == CellType::TIE1)
-                return {true, true, kNoGate, false};
-            return {true, false, kNoGate, true};
-          }
           default: {
-            // TIE cells resolve to constants so compact() can share.
+            // Kept and killed gates resolve to themselves; TIE cells
+            // (killed ones too: no information lives in the cell)
+            // resolve to constants so compact() can share them.
             CellType t = hasReplace_[cur] ? replaced_[cur].type
                                           : src_.gate(cur).type;
             if (t == CellType::TIE0)
-                return {true, false, kNoGate, false};
+                return {true, false, kNoGate};
             if (t == CellType::TIE1)
-                return {true, true, kNoGate, false};
-            return {false, false, cur, false};
+                return {true, true, kNoGate};
+            return {false, false, cur};
           }
         }
     }
@@ -146,7 +112,6 @@ Rewriter::compact() const
         Gate def = hasReplace_[i] ? replaced_[i] : src_.gate(i);
         if (def.type == CellType::TIE0 || def.type == CellType::TIE1)
             continue;  // re-created on demand as shared ties
-        def.drive = drives_[i];
 
         GateId nid;
         // Preserve port identity (names) for INPUT/OUTPUT pseudo-gates.
@@ -179,9 +144,6 @@ Rewriter::compact() const
             Resolved r = resolve(old_in);
             GateId src_new;
             if (r.isConst) {
-                bespoke_assert(!r.viaDead, "live gate ", p.oldId,
-                               " pin ", pin, " reads killed gate ",
-                               old_in);
                 src_new = out.netlist.tie(r.value,
                                           src_.gate(p.oldId).module);
             } else {
@@ -216,10 +178,6 @@ Rewriter::compact() const
                 break;
             }
             Resolved r = resolve(in);
-            if (r.viaDead) {
-                inputs_ok = false;
-                break;
-            }
             // A constant operand may only reference a tie the compacted
             // netlist already has: minting one here would grow the gate
             // set for metadata's sake and break the pipeline's

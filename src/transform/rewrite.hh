@@ -5,10 +5,11 @@
  *
  * Netlist construction is append-only, so every transform builds a new
  * netlist via a Rewriter: passes mark gates as aliased (output equals
- * another gate's output), constant (output tied to 0/1), or dead, and
- * compact() emits the surviving gates with pins remapped. Port pseudo-
- * gates keep their names, so environments and analyses that look up
- * ports by name work on transformed designs unchanged.
+ * another gate's output), constant (output tied to 0/1) or replaced by
+ * another cell, dead sweeping marks gates nothing live reads as killed,
+ * and compact() emits the surviving gates with pins remapped. Port
+ * pseudo-gates keep their names, so environments and analyses that
+ * look up ports by name work on transformed designs unchanged.
  */
 
 #ifndef BESPOKE_TRANSFORM_REWRITE_HH
@@ -57,32 +58,28 @@ class Rewriter
     /** Replace the gate's cell (same output net), e.g. XOR2 -> INV. */
     void replaceCell(GateId id, CellType type, GateId in0,
                      GateId in1 = kNoGate, GateId in2 = kNoGate);
-    /** Mark a gate dead (no fanout use); it is simply dropped. */
+    /**
+     * Mark a gate nothing live reads as dropped (dead sweeping). It
+     * still resolves to itself (or, for a tie, to its constant), so
+     * compact() rejects a live pin that reads it and does not carry a
+     * datapath instance whose operand it is.
+     */
     void kill(GateId id);
-    /** Change drive strength in the output netlist. */
-    void setDrive(GateId id, Drive drive);
 
-    bool isConstant(GateId id) const;
     /** True once replaceCell() was applied (one rewrite per round). */
     bool hasReplacement(GateId id) const { return hasReplace_[id]; }
-    bool constantValue(GateId id) const;
     bool isDropped(GateId id) const;
 
     /**
      * Resolve a gate id through alias/constant chains. Returns either a
-     * surviving source gate id (isConst == false) or a constant
-     * (isConst == true, value set). A chain that ends at a Dead mark
-     * resolves to constant 0 with viaDead set: passes may query such
-     * nets transiently, but compact() rejects any *live* pin that
-     * resolves through a Dead gate — killing a gate that still has live
-     * readers is a pass bug, not an implicit constant-0.
+     * source gate id (isConst == false) or a constant (isConst == true,
+     * value set); TIE cells resolve to their constants.
      */
     struct Resolved
     {
         bool isConst;
         bool value;
         GateId gate;
-        bool viaDead = false;
     };
     Resolved resolve(GateId id) const;
 
@@ -96,7 +93,7 @@ class Rewriter
         Const0,
         Const1,
         Alias,
-        Dead,
+        Killed,
     };
 
     const Netlist &src_;
@@ -104,7 +101,6 @@ class Rewriter
     std::vector<GateId> aliasTarget_;
     std::vector<Gate> replaced_;      ///< cell replacements (by id)
     std::vector<uint8_t> hasReplace_;
-    std::vector<Drive> drives_;
 };
 
 /**

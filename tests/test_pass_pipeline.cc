@@ -3,17 +3,21 @@
  * Pass pipeline: the default configuration must reproduce the original
  * monolithic cut-and-stitch / re-synthesis flow bit-identically (the
  * legacy loops are replicated verbatim here and compared by content
- * hash); pass-list parsing and option hashing; the cost-driven rewrite
- * search choosing different adder microarchitectures for hot and cold
- * datapaths; clock-gating planning; and the DatapathInstance side-table
- * surviving the canonical JSON roundtrip.
+ * hash); per-pass power and depth pinned on the tailored core;
+ * pass-list parsing; the cost-driven rewrite search choosing different
+ * adder microarchitectures for hot and cold datapaths; clock-gating
+ * planning; and the DatapathInstance side-table surviving the
+ * canonical JSON roundtrip.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/analysis/activity_analysis.hh"
+#include "src/bespoke/flow.hh"
 #include "src/builder/net_builder.hh"
+#include "src/cpu/bsp430.hh"
 #include "src/gating/clock_gating.hh"
 #include "src/io/netlist_json.hh"
 #include "src/sim/gate_sim.hh"
@@ -21,6 +25,7 @@
 #include "src/transform/pass_pipeline.hh"
 #include "src/util/logging.hh"
 #include "src/util/rng.hh"
+#include "src/workloads/workload.hh"
 
 namespace bespoke
 {
@@ -224,6 +229,71 @@ TEST(PassPipeline, ReportCarriesPerPassStats)
         EXPECT_EQ(p.powerAfterUW, -1.0);
     }
     EXPECT_TRUE(saw_fold);
+}
+
+TEST(PassPipeline, CollectedMetricsArePinned)
+{
+    // Every pass on the unsized core tailored to mult, measured with
+    // the flow's seeded replay: power needs the activity provider, the
+    // clock-gating pass the duty provider, the SAT pass the program.
+    const Workload &app = workloadByName("mult");
+    AsmProgram prog = app.assembleProgram();
+    Netlist core = buildBsp430();
+    AnalysisResult ar = analyzeActivity(core, app, AnalysisOptions{});
+    ASSERT_TRUE(ar.completed);
+
+    PassPipelineOptions opts;
+    std::string err;
+    ASSERT_TRUE(parsePassList("all,sat-never-toggle", &opts, &err));
+    opts.collectMetrics = true;
+    opts.sat.depth = 30;
+    PassEnv env = replayEnv({&app}, 2, 7);
+    env.program = &prog;
+    PipelineReport report;
+    Netlist out =
+        runTailorPipeline(core, ar.activity.get(), opts, env, nullptr,
+                          &report);
+    EXPECT_EQ(out.numCells(), 2479u);
+    EXPECT_EQ(report.rewrittenInstances, 2u);
+    EXPECT_EQ(report.gating.banks.size(), 8u);
+    EXPECT_EQ(report.satProven, 256u);
+
+    struct Want
+    {
+        const char *name;
+        size_t gatesBefore, gatesAfter;
+        double powerBefore, powerAfter, depthBefore, depthAfter;
+    };
+    const Want want[] = {
+        {"cut-constants", 6642, 4685, 194.11338203883105,
+         120.81399247572531, 10283.874999999976, 6940.7000000000044},
+        {"constant-fold", 4685, 2896, 120.81399247572531,
+         81.137611650485383, 6940.7000000000044, 5621.8000000000056},
+        {"sat-never-toggle", 2896, 2463, 81.137611650485383,
+         77.539177669903054, 5621.8000000000056, 4911.1000000000022},
+        {"rewrite-search", 2463, 2479, 77.539177669903054,
+         77.321348543689538, 4911.1000000000022, 4911.1000000000022},
+        {"clock-gating", 2479, 2479, 77.321348543689538,
+         77.321348543689538, 4911.1000000000022, 4911.1000000000022},
+    };
+    ASSERT_EQ(report.passes.size(), std::size(want));
+    for (size_t k = 0; k < report.passes.size(); k++) {
+        const PassStats &p = report.passes[k];
+        SCOPED_TRACE(p.name);
+        EXPECT_EQ(p.name, want[k].name);
+        EXPECT_EQ(p.gatesBefore, want[k].gatesBefore);
+        EXPECT_EQ(p.gatesAfter, want[k].gatesAfter);
+        EXPECT_EQ(p.powerBeforeUW, want[k].powerBefore);
+        EXPECT_EQ(p.powerAfterUW, want[k].powerAfter);
+        EXPECT_EQ(p.depthBeforePs, want[k].depthBefore);
+        EXPECT_EQ(p.depthAfterPs, want[k].depthAfter);
+        // Each netlist state is measured once: a pass starts from the
+        // numbers the previous pass ended on.
+        if (k > 0) {
+            EXPECT_EQ(p.powerBeforeUW, report.passes[k - 1].powerAfterUW);
+            EXPECT_EQ(p.depthBeforePs, report.passes[k - 1].depthAfterPs);
+        }
+    }
 }
 
 TEST(PassPipeline, ParsePassList)
@@ -447,10 +517,10 @@ TEST(PassPipeline, LambdaSweepRecombinationMatchesFullPipeline)
     RewriteSearchOptions sopts;
     sopts.minGainFraction = 0.0;
 
-    PassContext ctx(env);
-    ctx.bind(nl);
+    double period = 0.0;
     const std::vector<RewriteVariantScore> scores =
-        scoreRewriteCandidates(nl, ctx, sopts);
+        scoreRewriteCandidates(nl, env, &period);
+    EXPECT_EQ(period, env.clockPeriodPs);
     ASSERT_FALSE(scores.empty());
 
     // Predicted final variant of the adder driving `port0`: the cached
@@ -480,7 +550,7 @@ TEST(PassPipeline, LambdaSweepRecombinationMatchesFullPipeline)
         RewriteSearchOptions lopts = sopts;
         lopts.lambdaUWPerPs = lambda;
         std::vector<std::pair<size_t, uint8_t>> decisions =
-            rewriteDecisionsAtLambda(scores, lopts, ctx.clockPeriodPs());
+            rewriteDecisionsAtLambda(scores, lopts, period);
 
         PassPipelineOptions popts;
         popts.rewriteSearch = true;
@@ -538,7 +608,7 @@ TEST(ClockGating, PlanAcceptsOnlyProfitableRareBanks)
     banks[0].enable = 10;
     banks[0].flops.assign(8, 100);  // duty 0.1: profitable
     banks[1].enable = 11;
-    banks[1].flops.assign(2, 200);  // too narrow (minBankBits = 4)
+    banks[1].flops.assign(2, 200);  // too narrow (kMinGatedBankBits = 4)
     banks[2].enable = 12;
     banks[2].flops.assign(8, 300);  // duty 0.9: written too often
 
@@ -562,7 +632,7 @@ TEST(ClockGating, PlanRejectsBanksWhereIcgCostsMoreThanItSaves)
     std::vector<EnableBank> banks(1);
     banks[0].enable = 5;
     banks[0].flops.assign(4, 50);
-    std::vector<uint64_t> high = {25};  // duty exactly maxDuty
+    std::vector<uint64_t> high = {25};  // duty exactly kMaxGatedDuty
 
     // (0.75 x 4 - 1.5) > 0: accepted at the duty boundary.
     ClockGatingReport ok = planClockGating(banks, high, 100);

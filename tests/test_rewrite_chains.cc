@@ -2,9 +2,11 @@
  * @file
  * Rewriter alias-chain edge cases: chain resolution through multiple
  * alias hops and into constants, deterministic rejection of self-
- * aliases and alias cycles at mark time, and the Dead-mark contract
- * (killed ties resolve to their constants; any live pin reading a
- * killed non-tie gate is a pass bug caught at compact()).
+ * aliases and alias cycles at mark time, ties (killed or not)
+ * resolving to their constants and compacting onto shared tie cells,
+ * and the kill contract (a killed non-tie gate resolves to itself and
+ * is dropped; any live pin reading it is a pass bug caught at
+ * compact()).
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +44,6 @@ TEST(RewriteChains, AliasChainsResolveToFinalTarget)
 
     Rewriter::Resolved r = rw.resolve(g1);
     EXPECT_FALSE(r.isConst);
-    EXPECT_FALSE(r.viaDead);
     EXPECT_EQ(r.gate, g3);
 
     RewriteResult rr = rw.compact();
@@ -68,7 +69,6 @@ TEST(RewriteChains, AliasChainEndingInConstantIsConstant)
     Rewriter::Resolved r = rw.resolve(g1);
     EXPECT_TRUE(r.isConst);
     EXPECT_TRUE(r.value);
-    EXPECT_FALSE(r.viaDead);
 
     RewriteResult rr = rw.compact();
     rr.netlist.validate();
@@ -105,7 +105,10 @@ TEST(RewriteChains, KilledTiesResolveToTheirConstants)
     GateId t1 = b.tie1();
     GateId a = b.and2(in, t1);
     GateId o = b.or2(a, t0);
-    nl.addOutput("out", o);
+    // A second, un-killed TIE1 (another module's) read by a Glue gate.
+    GateId u1 = nl.tie(true, Module::Alu);
+    GateId c = b.and2(o, u1);
+    nl.addOutput("out", c);
     nl.validate();
 
     Rewriter rw(nl);
@@ -117,20 +120,31 @@ TEST(RewriteChains, KilledTiesResolveToTheirConstants)
     Rewriter::Resolved r0 = rw.resolve(t0);
     EXPECT_TRUE(r0.isConst);
     EXPECT_FALSE(r0.value);
-    EXPECT_FALSE(r0.viaDead);
     Rewriter::Resolved r1 = rw.resolve(t1);
     EXPECT_TRUE(r1.isConst);
     EXPECT_TRUE(r1.value);
-    EXPECT_FALSE(r1.viaDead);
+    Rewriter::Resolved ru = rw.resolve(u1);
+    EXPECT_TRUE(ru.isConst);
+    EXPECT_TRUE(ru.value);
 
-    // Live readers of the killed ties compact fine (they read the
-    // constants; compact re-creates shared tie cells as needed).
+    // Live readers of the ties compact fine (they read the constants;
+    // compact re-creates shared tie cells as needed): the readers of
+    // the killed and the kept TIE1 share the one Glue TIE1.
     RewriteResult rr = rw.compact();
     rr.netlist.validate();
     EXPECT_NE(rr.remap(a), kNoGate);
     EXPECT_NE(rr.remap(o), kNoGate);
+    ASSERT_NE(rr.remap(c), kNoGate);
+    EXPECT_EQ(rr.remap(u1), kNoGate);
+    GateId shared = rr.netlist.findTie(true, Module::Glue);
+    ASSERT_NE(shared, kNoGate);
+    EXPECT_EQ(rr.netlist.gate(rr.remap(a)).in[1], shared);
+    EXPECT_EQ(rr.netlist.gate(rr.remap(c)).in[1], shared);
+    EXPECT_EQ(rr.netlist.findTie(true, Module::Alu), kNoGate);
 }
 
+// The two names below predate the kill contract: a killed non-tie gate
+// is dropped, not a constant, and resolves to itself.
 TEST(RewriteChains, KilledNonTieResolvesViaDead)
 {
     GateId in, g1, g2, g3;
@@ -138,11 +152,31 @@ TEST(RewriteChains, KilledNonTieResolvesViaDead)
     Rewriter rw(nl);
     rw.kill(g2);  // g2 has no readers: a legitimate kill
     Rewriter::Resolved r = rw.resolve(g2);
-    EXPECT_TRUE(r.isConst);
-    EXPECT_TRUE(r.viaDead);
+    EXPECT_FALSE(r.isConst);
+    EXPECT_EQ(r.gate, g2);
 
     RewriteResult rr = rw.compact();
     rr.netlist.validate();
+    EXPECT_EQ(rr.remap(g2), kNoGate);
+    EXPECT_NE(rr.remap(g1), kNoGate);
+}
+
+TEST(RewriteChains, AliasIntoKilledGateKeepsViaDeadMarking)
+{
+    GateId in, g1, g2, g3;
+    Netlist nl = threeInvs(&in, &g1, &g2, &g3);
+    Rewriter rw(nl);
+    rw.makeAlias(g2, g3);
+    rw.kill(g3);
+    // An alias into a killed gate resolves to that gate, which
+    // compact() does not emit.
+    Rewriter::Resolved r = rw.resolve(g2);
+    EXPECT_FALSE(r.isConst);
+    EXPECT_EQ(r.gate, g3);
+
+    RewriteResult rr = rw.compact();
+    rr.netlist.validate();
+    EXPECT_EQ(rr.remap(g3), kNoGate);
     EXPECT_EQ(rr.remap(g2), kNoGate);
     EXPECT_NE(rr.remap(g1), kNoGate);
 }
@@ -160,20 +194,8 @@ TEST(RewriteChainsDeath, LivePinReadingKilledGateDiesAtCompact)
     Rewriter rw(nl);
     rw.kill(mid);
     // Killing a gate with live readers is a pass bug: compact() must
-    // refuse to silently wire the reader to a constant.
-    EXPECT_DEATH(rw.compact(), "killed");
-}
-
-TEST(RewriteChains, AliasIntoKilledGateKeepsViaDeadMarking)
-{
-    GateId in, g1, g2, g3;
-    Netlist nl = threeInvs(&in, &g1, &g2, &g3);
-    Rewriter rw(nl);
-    rw.makeAlias(g2, g3);
-    rw.kill(g3);
-    Rewriter::Resolved r = rw.resolve(g2);
-    EXPECT_TRUE(r.isConst);
-    EXPECT_TRUE(r.viaDead);
+    // refuse to wire the reader to a gate it dropped.
+    EXPECT_DEATH(rw.compact(), "reads dropped gate");
 }
 
 } // namespace
