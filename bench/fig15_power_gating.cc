@@ -45,7 +45,7 @@ main(int argc, char **argv)
         replayEnv({&w}, inputs, 77)
             .measureDuty(flow.baseline(), enables, &high, &cycles);
         ClockGatingReport cg =
-            planClockGating(banks, high, cycles, {}, opts.power);
+            planClockGating(banks, high, cycles, opts.power);
         DesignMetrics base = flow.measureBaseline({&w});
         BespokeDesign d = flow.tailor(w);
         double base_uw = base.powerNominal.totalUW();

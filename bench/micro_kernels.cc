@@ -107,7 +107,7 @@ BM_MutantSweep(benchmark::State &state)
     MutantSweepOptions opts;
     opts.inputsPerMutant = 2;
 
-    Rng rng(opts.seed);
+    Rng rng(kMutantSweepSeed);
     std::vector<WorkloadInput> inputs;
     uint64_t base_max = 0;
     for (int i = 0; i < opts.inputsPerMutant; i++) {

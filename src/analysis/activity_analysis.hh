@@ -73,8 +73,6 @@ struct AnalysisOptions
     uint64_t maxTotalCycles = 40'000'000;
     /** Hard cap on explored paths. */
     uint64_t maxPaths = 200'000;
-    /** Drive the external IRQ line with X (paper footnote 1). */
-    bool irqLineUnknown = true;
     /** Gate evaluator strategy for the exploration Soc. */
     GateSim::EvalMode simMode = GateSim::EvalMode::EventDriven;
     /**

@@ -73,11 +73,12 @@ class SocPlanes
 {
   public:
     SocPlanes(const std::shared_ptr<const SocContext> &ctx,
-              const AsmProgram &prog, const AnalysisOptions &opts)
+              const AsmProgram &prog, const AnalysisOptions &)
         : ls_(ctx, prog)
     {
+        // Inputs and the IRQ line are unknown (paper footnote 1).
         ls_.setGpioIn(SWord::allX());
-        ls_.setIrqExt(opts.irqLineUnknown ? Logic::X : Logic::Zero);
+        ls_.setIrqExt(Logic::X);
     }
 
     LaneSoc &lanes() { return ls_; }
@@ -136,7 +137,7 @@ class SocCore
           soc_(ctx, prog, /*ram_unknown=*/true, opts.simMode)
     {
         soc_.setGpioIn(SWord::allX());
-        soc_.setIrqExt(opts.irqLineUnknown ? Logic::X : Logic::Zero);
+        soc_.setIrqExt(Logic::X);
     }
 
     Soc &soc() { return soc_; }

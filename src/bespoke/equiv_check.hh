@@ -20,7 +20,7 @@
  * enumerates the candidate PCs; this check does not).
  *
  * Options: the budgets and `concreteVisits` apply as in the analysis;
- * `irqLineUnknown` drives the IRQ line of both cores; `laneWidth`
+ * the IRQ line of both cores is X, as in the analysis; `laneWidth`
  * selects the lane evaluator (64-lane planes, or 1 for the reference
  * scalar evaluator), with the same verdict and counters either way.
  *

@@ -40,8 +40,15 @@ enumerateEnableBanks(const Netlist &nl)
 ClockGatingReport
 planClockGating(const std::vector<EnableBank> &banks,
                 const std::vector<uint64_t> &enableHigh, uint64_t cycles,
-                const ClockGatingOptions &opts, const PowerParams &power)
+                const PowerParams &power)
 {
+    // Every bank that passes the duty and width thresholds saves more
+    // than its ICG costs, so the plan needs no profitability test.
+    static_assert((1.0 - kMaxGatedDuty) *
+                          static_cast<double>(kMinGatedBankBits) >
+                      kIcgFlopEquivalents,
+                  "a thresholded bank must save more than its ICG costs");
+
     bespoke_assert(enableHigh.size() == banks.size(),
                    "duty vector does not match bank list");
     bespoke_assert(cycles > 0, "no cycles observed for gating plan");
@@ -58,10 +65,8 @@ planClockGating(const std::vector<EnableBank> &banks,
             continue;
         double saved =
             ((1.0 - duty) * static_cast<double>(b.flops.size()) -
-             opts.icgFlopEquivalents) *
+             kIcgFlopEquivalents) *
             per_flop;
-        if (saved <= 0.0)
-            continue;
         GatedBank gb;
         gb.enable = b.enable;
         gb.flops = b.flops.size();

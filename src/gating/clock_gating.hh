@@ -19,7 +19,7 @@
  * clockPinCap x clockTreeFactor x V^2 x f (the "2 transitions per
  * cycle" clock term in computePower()). Gating a bank of B flops whose
  * enable is high a fraction d of cycles saves (1-d) x B pin-costs and
- * pays icgFlopEquivalents pin-costs for the ICG cell and its always-on
+ * pays kIcgFlopEquivalents pin-costs for the ICG cell and its always-on
  * clock input.
  */
 
@@ -37,13 +37,8 @@ namespace bespoke
 constexpr double kMaxGatedDuty = 0.25;
 /** Minimum flops sharing the enable to justify an ICG. */
 constexpr size_t kMinGatedBankBits = 4;
-
-/** Cost knob of the gating plan. */
-struct ClockGatingOptions
-{
-    /** ICG overhead, in units of one flop's clock-pin power. */
-    double icgFlopEquivalents = 1.5;
-};
+/** ICG overhead, in units of one flop's clock-pin power. */
+constexpr double kIcgFlopEquivalents = 1.5;
 
 /** A DFFE register bank: flops sharing one enable net. */
 struct EnableBank
@@ -99,7 +94,6 @@ std::vector<EnableBank> enumerateEnableBanks(const Netlist &netlist);
 ClockGatingReport planClockGating(const std::vector<EnableBank> &banks,
                                   const std::vector<uint64_t> &enableHigh,
                                   uint64_t cycles,
-                                  const ClockGatingOptions &opts = {},
                                   const PowerParams &power = {});
 
 } // namespace bespoke

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/power/power_model.hh"
-#include "src/util/logging.hh"
 #include "src/verify/runner.hh"
 
 namespace bespoke
@@ -15,24 +14,8 @@ MutantPlanePrep::MutantPlanePrep(const Netlist &netlist,
     : w_(&w), base_(w.assembleProgram()), ctx_(SocContext::make(netlist))
 {
     progs_.reserve(mutants.size());
-    overlays_.reserve(mutants.size());
-    for (const Mutant &m : mutants) {
-        AsmProgram prog = m.workload.assembleProgram();
-        bespoke_assert(prog.rom.size() == base_.rom.size());
-        std::vector<RomDelta> deltas;
-        for (size_t off = 0; off + 1 < prog.rom.size(); off += 2) {
-            uint16_t bw = static_cast<uint16_t>(
-                base_.rom[off] | (base_.rom[off + 1] << 8));
-            uint16_t mw = static_cast<uint16_t>(
-                prog.rom[off] | (prog.rom[off + 1] << 8));
-            if (bw != mw) {
-                deltas.push_back(
-                    {static_cast<uint16_t>(kRomBase + off), bw, mw});
-            }
-        }
-        progs_.push_back(std::move(prog));
-        overlays_.push_back(std::move(deltas));
-    }
+    for (const Mutant &m : mutants)
+        progs_.push_back(m.workload.assembleProgram());
 }
 
 std::vector<MutantVerdict>
@@ -44,10 +27,8 @@ mutantConcreteSweep(const MutantPlanePrep &prep,
         return {};
     const Netlist &nl = prep.context()->netlist;
     Workload w = prep.workload();
-    if (opts.maxCycles > 0)
-        w.maxCycles = opts.maxCycles;
 
-    Rng rng(opts.seed);
+    Rng rng(kMutantSweepSeed);
     std::vector<WorkloadInput> inputs;
     for (int i = 0; i < opts.inputsPerMutant; i++)
         inputs.push_back(w.genInput(rng));
@@ -67,10 +48,8 @@ mutantConcreteSweep(const MutantPlanePrep &prep,
         base_max_cycles =
             std::max(base_max_cycles, base_runs.back().cycles);
     }
-    if (opts.maxCycles == 0) {
-        w.maxCycles = std::min(
-            w.maxCycles, base_max_cycles + base_max_cycles / 2 + 64);
-    }
+    w.maxCycles = std::min(w.maxCycles,
+                           base_max_cycles + base_max_cycles / 2 + 64);
 
     // One toggle counter per mutant accumulates across all inputs.
     std::vector<std::unique_ptr<ToggleCounter>> mut_toggles;

@@ -10,17 +10,17 @@
  * "mutant_detection" table.
  *
  * The execution shape is the one the batched gate runner was built
- * for: all mutants of one benchmark share the netlist, the workload's
- * input model, and all but a few ROM words. MutantPlanePrep compiles
- * that shared skeleton once — one SocContext (levelized eval program,
- * port resolution) plus the assembled base image — and represents each
- * mutant as a small ROM-word overlay on top of it. The base program
- * runs scalar first (a few halting runs suit the event-driven engine,
- * and their cycle counts size the adaptive cap); then every mutant x
- * input pair runs lane-per-run through one batch, so a handful of
- * plane sweeps evaluates the whole mutant population. Verdicts are
- * bit-identical to running every mutant through the scalar simulator
- * (pinned by tests/test_mutant_lane.cc).
+ * for: all mutants of one benchmark share the netlist and the
+ * workload's input model. MutantPlanePrep compiles that shared
+ * skeleton once — one SocContext (levelized eval program, port
+ * resolution) — next to the assembled base image and every mutant's
+ * full image, which its lanes run through LaneSoc::setProgLane. The
+ * base program runs scalar first (a few halting runs suit the
+ * event-driven engine, and their cycle counts size the adaptive cap);
+ * then every mutant x input pair runs lane-per-run through one batch,
+ * so a handful of plane sweeps evaluates the whole mutant population.
+ * Verdicts are bit-identical to running every mutant through the
+ * scalar simulator (pinned by tests/test_mutant_lane.cc).
  */
 
 #ifndef BESPOKE_MUTATION_MUTANT_SWEEP_HH
@@ -35,19 +35,11 @@ namespace bespoke
 class MutantPlanePrep
 {
   public:
-    /** One ROM word a mutant changes relative to the base image. */
-    struct RomDelta
-    {
-        uint16_t addr = 0;      ///< byte address of the word
-        uint16_t baseWord = 0;  ///< base image contents
-        uint16_t mutWord = 0;   ///< mutant image contents
-    };
-
     /**
-     * Assemble the base program and every mutant, diff the ROM images
-     * into per-mutant overlays, and build the shared simulation
-     * context for `netlist`. The mutants' workloads must share the
-     * base workload's input model (generateMutants guarantees this).
+     * Assemble the base program and every mutant and build the shared
+     * simulation context for `netlist`. The mutants' workloads must
+     * share the base workload's input model (generateMutants
+     * guarantees this).
      */
     MutantPlanePrep(const Netlist &netlist, const Workload &w,
                     const std::vector<Mutant> &mutants);
@@ -59,11 +51,6 @@ class MutantPlanePrep
     {
         return progs_[i];
     }
-    /** ROM words mutant i changes (empty = equivalent image). */
-    const std::vector<RomDelta> &overlay(size_t i) const
-    {
-        return overlays_[i];
-    }
     /** Shared levelized eval context, compiled once. */
     const std::shared_ptr<const SocContext> &context() const
     {
@@ -74,7 +61,6 @@ class MutantPlanePrep
     const Workload *w_;
     AsmProgram base_;
     std::vector<AsmProgram> progs_;
-    std::vector<std::vector<RomDelta>> overlays_;
     std::shared_ptr<const SocContext> ctx_;
 };
 
@@ -93,20 +79,12 @@ struct MutantVerdict
     double powerDeltaPct = 0.0;
 };
 
+/** Seed of the input draw every mutant sweep replays. */
+constexpr uint64_t kMutantSweepSeed = 99;
+
 struct MutantSweepOptions
 {
     int inputsPerMutant = 4;
-    uint64_t seed = 99;
-    /**
-     * Cycle cap per mutant run, replacing the workload's maxCycles.
-     * Mutants can loop forever; a cap turns them into exhausted runs,
-     * which count as detected when the base halts. 0 (the default)
-     * adapts the cap to the measured base runs — half again the
-     * longest base halting time plus slack — so a looping mutant is
-     * simulated only long enough to prove it outlived the base
-     * program.
-     */
-    uint64_t maxCycles = 0;
     /**
      * Run every mutant through the scalar runWorkloadGate instead of
      * the lane path — the reference the equivalence tests pin the
@@ -117,9 +95,15 @@ struct MutantSweepOptions
 
 /**
  * Sweep every mutant of `prep` against `opts.inputsPerMutant` inputs
- * drawn from the base workload's input model. Returns one verdict per
- * mutant, in prep order. Deterministic in (prep, opts.seed, inputs,
- * maxCycles); independent of forceScalar.
+ * drawn from the base workload's input model (seed kMutantSweepSeed).
+ * Returns one verdict per mutant, in prep order. Deterministic in
+ * (prep, inputsPerMutant); independent of forceScalar.
+ *
+ * Mutants can loop forever, so every mutant run is capped at half
+ * again the longest base halting time plus slack (never above the
+ * workload's own maxCycles): a looping mutant is simulated only long
+ * enough to prove it outlived the base program, and an exhausted run
+ * counts as detected when the base halts.
  */
 std::vector<MutantVerdict> mutantConcreteSweep(
     const MutantPlanePrep &prep, const MutantSweepOptions &opts = {});

@@ -320,44 +320,6 @@ CdclSolver::analyze(CRef confl, std::vector<Lit> *out_learnt,
     }
 }
 
-void
-CdclSolver::analyzeFinal(Lit p)
-{
-    core_.clear();
-    core_.push_back(p);
-    if (decisionLevel() == 0) {
-        return;
-    }
-    std::vector<Var> to_clear;
-    seen_[p.var()] = 1;
-    to_clear.push_back(p.var());
-    for (size_t i = trail_.size(); i-- > trailLim_[0];) {
-        Var x = trail_[i].var();
-        if (!seen_[x])
-            continue;
-        if (reason_[x] == kNoReason) {
-            bespoke_assert(level_[x] > 0);
-            core_.push_back(trail_[i]);  // an assumption decision
-        } else {
-            CRef r = reason_[x];
-            uint32_t size = arena_[r] >> 1;
-            const uint32_t *lits = &arena_[r + 2];
-            for (uint32_t m = 1; m < size; m++) {
-                Var v = Lit(lits[m]).var();
-                if (level_[v] > 0 && !seen_[v]) {
-                    seen_[v] = 1;
-                    to_clear.push_back(v);
-                }
-            }
-        }
-        seen_[x] = 0;
-    }
-    for (Var v : to_clear)
-        seen_[v] = 0;
-    std::sort(core_.begin(), core_.end());
-    core_.erase(std::unique(core_.begin(), core_.end()), core_.end());
-}
-
 Lit
 CdclSolver::pickBranchLit()
 {
@@ -552,7 +514,6 @@ SolveResult
 CdclSolver::solve(const std::vector<Lit> &assumptions,
                   uint64_t conflict_budget)
 {
-    core_.clear();
     model_.clear();
     if (!ok_) {
         invalidateSavedTrail();
@@ -582,7 +543,6 @@ CdclSolver::solve(const std::vector<Lit> &assumptions,
                 conflictc++;
                 if (decisionLevel() == 0) {
                     ok_ = false;
-                    core_.clear();
                     return kSearchUnsat;
                 }
                 std::vector<Lit> learnt;
@@ -616,7 +576,6 @@ CdclSolver::solve(const std::vector<Lit> &assumptions,
                         // assumption <-> level mapping aligned.
                         trailLim_.push_back(trail_.size());
                     } else if (v == 0) {
-                        analyzeFinal(p);
                         return kSearchUnsat;
                     } else {
                         next = p;

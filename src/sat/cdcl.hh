@@ -4,11 +4,11 @@
  * propagation, first-UIP conflict-clause learning with local clause
  * minimization, EVSIDS decision activities with phase saving, Luby
  * restarts, and an assumption interface for incremental per-gate
- * queries with failed-assumption cores.
+ * queries.
  *
  * The solver is strictly deterministic: no randomness, all tie-breaks
  * by variable index, single-threaded. Two identical clause/solve
- * sequences produce identical verdicts, models, cores, and statistics
+ * sequences produce identical verdicts, models and statistics
  * on any machine — the SAT pass's verdicts and counters are pinned in
  * golden baselines and diffed bit-for-bit in CI, so this is a
  * contract, not an aspiration.
@@ -95,14 +95,6 @@ class CdclSolver : public CnfSink
     /** After Sat: value of a literal in the found model. */
     bool modelValue(Lit l) const;
 
-    /**
-     * After an assumption-driven Unsat: a subset of the assumptions
-     * that is already jointly inconsistent with the clauses (sorted by
-     * literal code). Empty when the clause set is unsatisfiable on its
-     * own.
-     */
-    const std::vector<Lit> &failedAssumptions() const { return core_; }
-
     size_t numVars() const { return nVars_; }
     uint64_t conflicts() const { return conflicts_; }
     uint64_t decisions() const { return decisions_; }
@@ -143,7 +135,6 @@ class CdclSolver : public CnfSink
     void cancelUntil(size_t level);
     void analyze(CRef confl, std::vector<Lit> *out_learnt,
                  size_t *out_btlevel, uint32_t *out_lbd);
-    void analyzeFinal(Lit p);
     Lit pickBranchLit();
     void bumpVar(Var v);
     void decayVarActivity();
@@ -182,7 +173,6 @@ class CdclSolver : public CnfSink
     std::vector<int32_t> heapPos_;  ///< -1 = not in heap
 
     std::vector<uint8_t> model_;
-    std::vector<Lit> core_;
 
     /**
      * Assumption prefix whose decision levels are still on the trail

@@ -39,21 +39,6 @@ sharedOutputs(const Netlist &a, const Netlist &b,
 /** Portfolio attempts when a conflict budget can exhaust. */
 constexpr int kPortfolioAttempts = 4;
 
-/** Incremental deepening schedule: 8, 16, 32, ..., depth. */
-std::vector<int>
-miterChunks(int depth)
-{
-    std::vector<int> out;
-    int d = std::min(depth, 8);
-    for (;;) {
-        out.push_back(d);
-        if (d >= depth)
-            break;
-        d = std::min(depth, d * 2);
-    }
-    return out;
-}
-
 /**
  * One full bounded-miter session under one solver config: the frame
  * chain is extended chunk by chunk on a single solver, each chunk's
@@ -92,7 +77,7 @@ runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
     int encoded = 0;
     bool sat_at = false;
     int sat_depth = 0;
-    for (int target : miterChunks(opts.depth)) {
+    for (int target : deepeningSchedule(opts.depth)) {
         std::vector<Lit> bad;
         while (encoded < target) {
             un.addFrame();

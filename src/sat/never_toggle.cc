@@ -31,27 +31,6 @@ differsAt(const SocUnroller &un, GateId gate, bool value, int f)
     return value ? ~l : l;
 }
 
-/**
- * Incremental deepening schedule: 8, 16, 32, ..., depth. Shallow
- * chunks refute cheap counterexamples on small formulas before the
- * full-depth encoding exists; the solver (learned clauses, activities,
- * phases) is shared across all chunks, so the final full-depth UNSAT
- * starts from everything the shallow queries taught it.
- */
-std::vector<int>
-chunkSchedule(int depth)
-{
-    std::vector<int> out;
-    int d = std::min(depth, 8);
-    for (;;) {
-        out.push_back(d);
-        if (d >= depth)
-            break;
-        d = std::min(depth, d * 2);
-    }
-    return out;
-}
-
 enum class Verdict : uint8_t
 {
     Pending,  ///< proven once the shard's session completes
@@ -153,7 +132,7 @@ runShard(const Netlist &nl, const AsmProgram &prog,
         return true;
     };
 
-    bool done = runSchedule(*solver, chunkSchedule(opts.depth));
+    bool done = runSchedule(*solver, deepeningSchedule(opts.depth));
     if (!done) {
         // Budget exhaustion mid-schedule. The incremental session's
         // carried-over heuristic state (activities, saved phases,

@@ -55,6 +55,20 @@ shardRanges(size_t n, size_t min_per_shard, size_t max_shards)
     return out;
 }
 
+std::vector<int>
+deepeningSchedule(int depth)
+{
+    std::vector<int> out;
+    int d = std::min(depth, 8);
+    for (;;) {
+        out.push_back(d);
+        if (d >= depth)
+            break;
+        d = std::min(depth, d * 2);
+    }
+    return out;
+}
+
 int
 runPortfolio(int attempts, const std::function<bool(int)> &try_one)
 {

@@ -14,6 +14,10 @@
  *    is split into contiguous shards whose count depends only on the
  *    candidate count; each shard is a self-contained deterministic
  *    session, and the sessions run and merge in index order.
+ *
+ * 3. Depth partitioning (`deepeningSchedule`): both bounded provers
+ *    (never-toggle and the equivalence miter) extend their unrolling
+ *    in the same doubling chunks.
  */
 
 #ifndef BESPOKE_SAT_PORTFOLIO_HH
@@ -43,6 +47,15 @@ CdclConfig portfolioConfig(int index);
  */
 std::vector<std::pair<size_t, size_t>>
 shardRanges(size_t n, size_t min_per_shard, size_t max_shards);
+
+/**
+ * Incremental deepening schedule: 8, 16, 32, ..., depth. Shallow
+ * chunks refute cheap counterexamples on small formulas before the
+ * full-depth encoding exists; the solver (learned clauses, activities,
+ * phases) is shared across all chunks, so the final full-depth UNSAT
+ * starts from everything the shallow queries taught it.
+ */
+std::vector<int> deepeningSchedule(int depth);
 
 /**
  * Run deterministic tries of one problem in index order, stopping at

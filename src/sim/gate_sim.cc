@@ -182,7 +182,6 @@ GateSim::evalCombFull()
             out = forced[order[pos]] - 1;
         val[order[pos]] = out;
     }
-    gatesEvaluated_ = len;
     gatesEvaluatedTotal_ += len;
 }
 
@@ -239,7 +238,6 @@ GateSim::evalCombEvent()
         }
     }
     logLen_ = sink.logLen;
-    gatesEvaluated_ = evaluated;
     gatesEvaluatedTotal_ += evaluated;
 }
 

@@ -129,9 +129,6 @@ class GateSim
     /** Raw value array (one Logic per gate), for trackers. */
     const std::vector<uint8_t> &values() const { return val_; }
 
-    /** Gates evaluated by the last evalComb() (perf introspection). */
-    uint64_t gatesEvaluated() const { return gatesEvaluated_; }
-
     /** Lifetime gate-evaluation count across every evalComb(). */
     uint64_t gatesEvaluatedTotal() const { return gatesEvaluatedTotal_; }
 
@@ -224,7 +221,6 @@ class GateSim
     // Event-driven mutable state (unused in FullEval mode).
     std::vector<uint64_t> dirty_;   ///< one bit per eval-order position
     bool fullPassPending_ = true;   ///< first eval after reset is full
-    uint64_t gatesEvaluated_ = 0;
     uint64_t gatesEvaluatedTotal_ = 0;
 
     // Change log (EventDriven mode only). Observer bookkeeping, not

@@ -11,8 +11,7 @@ namespace bespoke
 LaneSim::LaneSim(const Netlist &netlist,
                  std::shared_ptr<const SimPrep> prep)
     : nl_(netlist), prep_(std::move(prep)),
-      val_(netlist.size()), known_(netlist.size()),
-      forceMask_(netlist.size()), forceVal_(netlist.size())
+      val_(netlist.size()), known_(netlist.size())
 {
     if (!prep_)
         prep_ = std::make_shared<const SimPrep>(netlist);
@@ -43,7 +42,6 @@ LaneSim::reset()
         val_[id] = rv ? kAllLanes : 0;
         known_[id] = kAllLanes;
     }
-    clearForces(kAllLanes);
 }
 
 void
@@ -91,24 +89,17 @@ LaneSim::evalComb()
     const GateId *order = prep_->order.data();
     uint64_t *val = val_.data();
     uint64_t *known = known_.data();
-    const bool any_force = anyForce_;
     auto get = [&](uint32_t g) -> Planes { return {val[g], known[g]}; };
 
     // One dispatch per same-opcode segment; the per-gate loops stay
-    // branch-free (the force-overlay test folds to a constant false
-    // while no forces are active). Values and evaluation order are
-    // identical to a per-gate switch over the program positions.
+    // branch-free. Values and evaluation order are identical to a
+    // per-gate switch over the program positions.
 #define BESPOKE_EVAL_RUN(expr)                                        \
     for (size_t i = pos; i < end; i++) {                              \
         const GateId id = order[i];                                   \
         const uint32_t *f = &fanin[3 * i];                            \
         (void)f;                                                      \
-        Planes out = (expr);                                          \
-        if (any_force && forceMask_[id]) {                            \
-            const uint64_t fm = forceMask_[id];                       \
-            out.v = (out.v & ~fm) | (forceVal_[id] & fm);             \
-            out.k |= fm;                                              \
-        }                                                             \
+        const Planes out = (expr);                                    \
         val[id] = out.v;                                              \
         known[id] = out.k;                                            \
     }                                                                 \
@@ -196,35 +187,6 @@ LaneSim::latchSequential()
         val_[id] = next[i].v;
         known_[id] = next[i].k;
     }
-}
-
-void
-LaneSim::force(GateId id, uint64_t lanes, uint64_t value)
-{
-    if (!laneAny(lanes))
-        return;
-    if (!laneAny(forceMask_[id]) && !laneAny(forceVal_[id]))
-        forcedIds_.push_back(id);
-    forceMask_[id] |= lanes;
-    forceVal_[id] = (forceVal_[id] & ~lanes) | (value & lanes);
-    anyForce_ = true;
-}
-
-void
-LaneSim::clearForces(uint64_t lanes)
-{
-    size_t keep = 0;
-    for (size_t i = 0; i < forcedIds_.size(); i++) {
-        GateId id = forcedIds_[i];
-        forceMask_[id] &= ~lanes;
-        forceVal_[id] &= forceMask_[id];
-        if (laneAny(forceMask_[id]))
-            forcedIds_[keep++] = id;
-        else
-            forceVal_[id] = 0;
-    }
-    forcedIds_.resize(keep);
-    anyForce_ = !forcedIds_.empty();
 }
 
 void

@@ -20,10 +20,9 @@
  * scenarios (activity-analysis frontier states, workload replays,
  * mutants) onto lanes and mask out finished lanes.
  *
- * Forcing supports per-lane masks: force(id, lanes, value) overrides
- * the gate's output only in the given lanes, and clearForces(lanes)
- * releases only those lanes — the lane-parallel analogue of the
- * scalar force()/clearForces() used for execution-tree forks.
+ * There is no forcing: the path explorer resolves an X control
+ * decision by forcing it on its scalar GateSim core, so the eval
+ * kernel writes each gate's computed planes unconditionally.
  */
 
 #ifndef BESPOKE_SIM_LANE_SIM_HH
@@ -85,15 +84,6 @@ class LaneSim
     void latchSequential();
     /// @}
 
-    /** @name Per-lane forcing */
-    /// @{
-    /** Override a net in the given lanes; value bit i is the forced
-     *  value of lane i (bits outside `lanes` are ignored). */
-    void force(GateId id, uint64_t lanes, uint64_t value);
-    /** Release forces in the given lanes only. */
-    void clearForces(uint64_t lanes);
-    /// @}
-
     /** @name Per-lane sequential state */
     /// @{
     /** Load a scalar SeqState snapshot into one lane. */
@@ -110,10 +100,6 @@ class LaneSim
     std::shared_ptr<const SimPrep> prep_;
     std::vector<uint64_t> val_;    ///< lane val plane per net
     std::vector<uint64_t> known_;  ///< lane known plane per net
-    std::vector<uint64_t> forceMask_;  ///< lanes forced per net
-    std::vector<uint64_t> forceVal_;   ///< forced values per net
-    std::vector<GateId> forcedIds_;
-    bool anyForce_ = false;
     uint64_t gateVisitsTotal_ = 0;
     /** latchSequential pre-edge scratch (avoids a per-cycle alloc). */
     std::vector<Planes> latchNext_;
@@ -148,7 +134,7 @@ class LaneSoc
     void setIrqExt(Logic v);
     /** Per-lane GPIO override (scenario batching). */
     void setGpioInLane(int lane, SWord w);
-    /** Give one lane its own program ROM (mutant overlays). The image
+    /** Give one lane its own program ROM (mutant sweeps). The image
      *  must outlive the LaneSoc; null restores the shared program. */
     void setProgLane(int lane, const AsmProgram *prog)
     {

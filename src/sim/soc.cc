@@ -183,11 +183,9 @@ Soc::finishCycle()
 }
 
 void
-Soc::cycle(const std::function<void()> &after_eval)
+Soc::cycle()
 {
     evalOnly();
-    if (after_eval)
-        after_eval();
     finishCycle();
 }
 

@@ -18,7 +18,6 @@
 #ifndef BESPOKE_SIM_SOC_HH
 #define BESPOKE_SIM_SOC_HH
 
-#include <functional>
 #include <vector>
 
 #include "src/isa/assembler.hh"
@@ -87,11 +86,10 @@ class Soc
 
     /**
      * Advance one clock cycle: drive inputs, evaluate, let the
-     * environment sample the memory request, latch flops.
-     * Observers that need post-eval values (activity trackers) can pass
-     * a callback invoked between evaluation and latching.
+     * environment sample the memory request, latch flops. Observers
+     * that need post-eval values call evalOnly() and finishCycle().
      */
-    void cycle(const std::function<void()> &after_eval = nullptr);
+    void cycle();
 
     /** Evaluate combinational logic with current inputs (no latch). */
     void evalOnly();

@@ -948,8 +948,11 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
     double power_uw = -1.0, depth_ps = -1.0;
     if (metrics)
         snapshotMetrics(current, env, timing, power, &power_uw, &depth_ps);
+    // A pass that only annotates (clock gating) leaves the netlist as
+    // it found it, so its after numbers are its before numbers.
     auto record = [&](const char *name, size_t changes,
-                      size_t gates_before, double t0) {
+                      size_t gates_before, double t0,
+                      bool changes_netlist = true) {
         if (!report)
             return;
         PassStats st;
@@ -961,8 +964,10 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
         st.powerBeforeUW = power_uw;
         st.depthBeforePs = depth_ps;
         if (metrics) {
-            snapshotMetrics(current, env, timing, power, &power_uw,
-                            &depth_ps);
+            if (changes_netlist) {
+                snapshotMetrics(current, env, timing, power, &power_uw,
+                                &depth_ps);
+            }
             st.powerAfterUW = power_uw;
             st.depthAfterPs = depth_ps;
         }
@@ -1071,12 +1076,12 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
             uint64_t cycles = 0;
             env.measureDuty(current, ids, &high, &cycles);
             if (cycles > 0) {
-                report->gating = planClockGating(banks, high, cycles,
-                                                opts.gating, power);
+                report->gating =
+                    planClockGating(banks, high, cycles, power);
                 gated = report->gating.banks.size();
             }
         }
-        record("clock-gating", gated, before_cells, t0);
+        record("clock-gating", gated, before_cells, t0, false);
     }
 
     current.validate();

@@ -218,7 +218,6 @@ struct PassPipelineOptions
     /** Collect per-pass power/depth numbers (costs extra analyses). */
     bool collectMetrics = false;
     RewriteSearchOptions rewrite;
-    ClockGatingOptions gating;
     SatNeverToggleOptions sat;
 };
 

@@ -6,7 +6,7 @@
  * runner, activity-analysis lane workers, mutant sweeps, power replay)
  * rests on one claim: lane i of a LaneSim is bit-identical to a
  * scalar GateSim run of the same scenario, under every interleaving of
- * input updates, per-lane forces, sequential restores and resets. This
+ * input updates, sequential restores and resets. This
  * header packages that claim as a reusable fixture:
  *
  *  - randomNetlist(seed): a random sequential DAG covering every cell
@@ -201,25 +201,6 @@ runLockstepCase(uint32_t seed, uint64_t cycles)
                 ref[lane].setInput(in, v);
             }
         }
-        // Per-lane-mask forces on arbitrary nets, and partial-lane
-        // releases — the execution-tree fork/retire shapes.
-        if (rng.chance(1, 3)) {
-            GateId t = rng.below(static_cast<uint32_t>(d.nl.size()));
-            uint64_t lanes = randomMask(rng);
-            uint64_t value = randomMask(rng) & lanes;
-            ls.force(t, lanes, value);
-            forEachLane(lanes, [&](int lane) {
-                ref[lane].force(t, laneTest(value, lane) ? Logic::One
-                                                         : Logic::Zero);
-            });
-        }
-        if (rng.chance(1, 6)) {
-            uint64_t lanes = randomMask(rng);
-            ls.clearForces(lanes);
-            forEachLane(lanes,
-                        [&](int lane) { ref[lane].clearForces(); });
-        }
-
         ls.evalComb();
         for (GateSim &r : ref)
             r.evalComb();

@@ -211,23 +211,6 @@ TEST(Analysis, ConstantsMatchConcreteValues)
     }
 }
 
-TEST(Analysis, IrqLineKnownZeroSuppressesIrqForks)
-{
-    const Workload &w = workloadByName("irq");
-    AsmProgram p = w.assembleProgram();
-    for (AnalysisOptions opts : execConfigs()) {
-        SCOPED_TRACE(execName(opts));
-        opts.irqLineUnknown = false;  // tie the IRQ pin low
-        AnalysisResult quiet = analyzeActivity(core(), p, opts);
-        opts.irqLineUnknown = true;
-        AnalysisResult noisy = analyzeActivity(core(), p, opts);
-        EXPECT_TRUE(quiet.completed);
-        // With the pin tied low the ISR is unreachable; far fewer
-        // gates can toggle.
-        EXPECT_GT(quiet.untoggledCells(), noisy.untoggledCells());
-    }
-}
-
 TEST(Analysis, MultiplierConstrainedByConstantCoefficients)
 {
     // intFilt writes only constant coefficients into MPYS: part of the

@@ -8,11 +8,10 @@
  *
  *  - randomized netlist fuzz: random DAGs with flop feedback, all 64
  *    lanes driven with *distinct* random 0/1/X input sequences, with
- *    per-lane-mask force()/clearForces() interleavings, mid-run resets
- *    and per-lane sequential snapshot/restore, comparing every net of
- *    every lane (as raw planes, which also pins the canonical
- *    val-masked-by-known form) plus the accumulated activity-tracker
- *    toggle sets after every eval and latch;
+ *    mid-run resets and per-lane sequential snapshot/restore,
+ *    comparing every net of every lane (as raw planes, which also
+ *    pins the canonical val-masked-by-known form) plus the accumulated
+ *    activity-tracker toggle sets after every eval and latch;
  *  - the real bsp430 core in a LaneSoc, 64 lanes loaded with different
  *    workload inputs, locked against 64 scalar Socs including the
  *    behavioral memory environment (symbolic X RAM included).
@@ -182,29 +181,6 @@ TEST_P(LaneSimFuzz, RandomNetlistLockstep)
                 ref[lane].setInput(in, v);
             }
         }
-        // Per-lane-mask forces on arbitrary nets.
-        if (rng.chance(1, 3)) {
-            GateId t = rng.below(static_cast<uint32_t>(d.nl.size()));
-            uint64_t lanes = randomMask(rng);
-            uint64_t value = randomMask(rng) & lanes;
-            ls.force(t, lanes, value);
-            for (int lane = 0; lane < kLanes; lane++) {
-                if (!(lanes & (1ull << lane)))
-                    continue;
-                ref[lane].force(t, (value & (1ull << lane))
-                                       ? Logic::One
-                                       : Logic::Zero);
-            }
-        }
-        if (rng.chance(1, 6)) {
-            uint64_t lanes = randomMask(rng);
-            ls.clearForces(lanes);
-            for (int lane = 0; lane < kLanes; lane++) {
-                if (lanes & (1ull << lane))
-                    ref[lane].clearForces();
-            }
-        }
-
         ls.evalComb();
         for (GateSim &r : ref)
             r.evalComb();

@@ -102,7 +102,7 @@ TEST(MutantLane, QuickVerdictsMatchScalar)
     EXPECT_EQ(detected, 5u);
 }
 
-// 6 mutants x 12 inputs = 72 scenarios: the per-lane ROM overlays
+// 6 mutants x 12 inputs = 72 scenarios: the per-lane ROM images
 // span two LaneSoc batches, the second one partly filled.
 TEST(MutantLane, VerdictsMatchScalarAcrossTwoPlanes)
 {
