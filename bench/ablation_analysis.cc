@@ -27,13 +27,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "ablation_analysis", BenchIO::Flow);
+    BenchIO io(argc, argv, "ablation_analysis");
     bool quick = io.quick();
 
     banner("Ablations of the reproduction's design choices",
            "methodology (DESIGN.md)");
 
-    FlowOptions fopts = io.flowOptions();
+    FlowOptions fopts;
     fopts.powerInputsPerWorkload = 1;
     BespokeFlow flow(fopts);
     const Netlist &baseline = flow.baseline();
@@ -50,7 +50,7 @@ main(int argc, char **argv)
         for (const char *name : names) {
             const Workload &w = workloadByName(name);
             for (int visits : {4, 16, 64, 256}) {
-                AnalysisOptions opts = io.analysisOptions();
+                AnalysisOptions opts;
                 opts.concreteVisits = visits;
                 AnalysisResult r =
                     analyzeActivity(baseline, w, opts);

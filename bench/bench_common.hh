@@ -18,15 +18,11 @@
  *                    one task per application or mutant (0 = all
  *                    cores, default 1). Each analysis runs on its own
  *                    task, so table values are the same at any width.
- *   --lanes N        lane evaluator of the activity analysis: 64 (the
- *                    default) advances each batch of frontier states
- *                    on bit planes, 1 on the reference scalar
- *                    evaluator. Execution strategy only — results
- *                    and counters are identical at both.
  *
- * Every bench builds its analysis and flow options from
- * BenchIO::analysisOptions() / flowOptions(), so each of these flags
- * reaches every stage it controls in the benches that accept it.
+ * Every bench analyses and tailors at the library defaults
+ * (AnalysisOptions{}, FlowOptions{}, plus what the bench itself pins);
+ * the reference lane evaluator is reached through
+ * AnalysisOptions::laneWidth in the tests, not from the command line.
  *
  * Table values are compared exactly (they are deterministic); wall
  * clock is compared against a tolerance band (current must stay below
@@ -42,11 +38,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "src/analysis/activity_analysis.hh"
@@ -90,9 +86,6 @@ class BenchIO
     enum Reads : unsigned
     {
         Threads = 1u << 0,  ///< --threads
-        Lanes = 1u << 1,    ///< --lanes
-        /** What flowOptions() carries. */
-        Flow = Lanes,
     };
 
     BenchIO(int argc, char **argv, std::string name, unsigned reads = 0)
@@ -129,33 +122,21 @@ class BenchIO
                 checkMode_ = true;
                 continue;
             }
-            auto take_number = [&](const char *flag, FlagKind kind,
-                                   auto &dst) -> bool {
-                std::string text;
-                if (!take_path(flag, text))
-                    return false;
+            std::string text;
+            if (take_path("--threads", text)) {
+                if (!(reads_ & Threads))
+                    die(name_ + " does not read --threads");
                 std::string error;
                 std::optional<uint64_t> v = parseFlagValue(
-                    flag, text == kAutoPath ? "" : text, kind, error);
+                    "--threads", text == kAutoPath ? "" : text,
+                    std::numeric_limits<int>::max(), error);
                 if (!v)
                     die(error);
-                dst = static_cast<std::remove_reference_t<decltype(dst)>>(
-                    *v);
-                return true;
-            };
-            auto read = [&](Reads flag, const char *text) {
-                if (!(reads_ & flag))
-                    die(name_ + " does not read " + text);
-            };
-            if (take_number("--threads", FlagKind::Count, threads_)) {
-                read(Threads, "--threads");
-            } else if (take_number("--lanes", FlagKind::Lanes, lanes_)) {
-                read(Lanes, "--lanes");
+                threads_ = static_cast<int>(*v);
             } else {
                 die("unknown bench flag '" + arg + "' (" + name_ +
                     " reads --quick, --json PATH, --check [PATH]" +
-                    (reads_ & Threads ? ", --threads N" : "") +
-                    (reads_ & Lanes ? ", --lanes N" : "") + ")");
+                    (reads_ & Threads ? ", --threads N" : "") + ")");
             }
         }
         if (checkMode_ && checkPath_ == kAutoPath) {
@@ -177,32 +158,6 @@ class BenchIO
         requireRead(Threads);
         return threads_;
     }
-    /** --lanes value for AnalysisOptions::laneWidth (library default). */
-    int lanes() const
-    {
-        requireRead(Lanes);
-        return lanes_;
-    }
-
-    /** Analysis options carrying --lanes. */
-    AnalysisOptions
-    analysisOptions() const
-    {
-        AnalysisOptions a;
-        a.laneWidth = lanes();
-        return a;
-    }
-
-    /** Flow options carrying analysisOptions(). */
-    FlowOptions
-    flowOptions() const
-    {
-        requireRead(Flow);
-        FlowOptions f;
-        f.analysis = analysisOptions();
-        return f;
-    }
-
     /**
      * Print a table and record it under `key`. Columns listed in
      * `volatile_cols` (0-based) hold machine-dependent measurements;
@@ -249,9 +204,7 @@ class BenchIO
     /**
      * Record an informational counter (work done, not results
      * computed: gate evaluations, lane utilization, ...). Counters go
-     * to the JSON document but are never compared by --check — they
-     * legitimately vary with --lanes while every table and
-     * metric stays identical.
+     * to the JSON document but are never compared by --check.
      */
     void
     counter(const std::string &key, double value)
@@ -460,7 +413,6 @@ class BenchIO
     bool checkMode_ = false;
     bool ok_ = true;
     std::string jsonPath_, checkPath_;
-    int lanes_ = AnalysisOptions{}.laneWidth;
     JsonValue tables_ = JsonValue::object();
     JsonValue metrics_ = JsonValue::object();
     JsonValue counters_ = JsonValue::object();

@@ -19,15 +19,15 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "ext_core_overprovisioning", BenchIO::Flow);
+    BenchIO io(argc, argv, "ext_core_overprovisioning");
     bool quick = io.quick();
 
     banner("Bespoke savings grow with IP over-provisioning",
            "extension of Sec. 2's argument");
 
-    FlowOptions opts = io.flowOptions();
-    BespokeFlow base(opts, buildBsp430(nullptr, CpuConfig{}));
-    BespokeFlow ext(opts, buildBsp430(nullptr, CpuConfig::extended()));
+    BespokeFlow base(FlowOptions{}, buildBsp430(nullptr, CpuConfig{}));
+    BespokeFlow ext(FlowOptions{},
+                    buildBsp430(nullptr, CpuConfig::extended()));
     const double base_cells =
         static_cast<double>(base.baseline().numCells());
     const double ext_cells = static_cast<double>(ext.baseline().numCells());

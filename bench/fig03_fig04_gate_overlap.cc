@@ -21,11 +21,8 @@ comparePair(BenchIO &io, const std::string &key, const Netlist &nl,
             const std::string &name_a, const std::string &name_b,
             const char *figure)
 {
-    const AnalysisOptions aopts = io.analysisOptions();
-    AnalysisResult ra =
-        analyzeActivity(nl, workloadByName(name_a), aopts);
-    AnalysisResult rb =
-        analyzeActivity(nl, workloadByName(name_b), aopts);
+    AnalysisResult ra = analyzeActivity(nl, workloadByName(name_a));
+    AnalysisResult rb = analyzeActivity(nl, workloadByName(name_b));
 
     size_t common = 0, only_a = 0, only_b = 0;
     size_t common_m[kNumModules] = {}, a_m[kNumModules] = {},
@@ -76,7 +73,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig03_fig04_gate_overlap", BenchIO::Lanes);
+    BenchIO io(argc, argv, "fig03_fig04_gate_overlap");
 
     banner("Unused-gate overlap between applications",
            "Figures 3 and 4");

@@ -18,8 +18,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig10_usable_gates",
-               BenchIO::Threads | BenchIO::Lanes);
+    BenchIO io(argc, argv, "fig10_usable_gates", BenchIO::Threads);
 
     banner("Input-independent usable-gate fractions per module",
            "Figure 10");
@@ -56,7 +55,6 @@ main(int argc, char **argv)
     // --threads value. Rows are emitted in workload order after the
     // pool drains.
     const std::vector<Workload> &apps = workloads();
-    AnalysisOptions aopts = io.analysisOptions();
     struct AppRow
     {
         size_t toggledPerModule[kNumModules] = {};
@@ -70,7 +68,7 @@ main(int argc, char **argv)
     WorkerPool pool(io.threads());
     for (size_t a = 0; a < apps.size(); a++) {
         pool.post([&, a] {
-            AnalysisResult r = analyzeActivity(nl, apps[a], aopts);
+            AnalysisResult r = analyzeActivity(nl, apps[a]);
             AppRow &row = rows[a];
             row.completed = r.completed;
             row.gatesEvaluated = r.gatesEvaluated;
@@ -87,8 +85,7 @@ main(int argc, char **argv)
     }
     pool.drain();
 
-    // Work counters (JSON only; --check ignores them, they vary with
-    // --lanes while every percentage stays identical).
+    // Work counters (JSON only; --check ignores them).
     uint64_t gates_evaluated = 0, lane_sweeps = 0, lane_cycles = 0;
     for (const AppRow &row : rows) {
         gates_evaluated += row.gatesEvaluated;
@@ -96,7 +93,6 @@ main(int argc, char **argv)
         lane_cycles += row.laneCycles;
     }
     io.counter("gates_evaluated", static_cast<double>(gates_evaluated));
-    io.counter("lane_width", io.lanes());
     io.counter("lane_sweeps", static_cast<double>(lane_sweeps));
     io.counter("lane_cycles", static_cast<double>(lane_cycles));
     if (lane_sweeps > 0) {

@@ -15,12 +15,12 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig11_savings", BenchIO::Flow);
+    BenchIO io(argc, argv, "fig11_savings");
 
     banner("Bespoke gate/area/power savings vs. baseline core",
            "Figure 11");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     if (io.quick())
         opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);

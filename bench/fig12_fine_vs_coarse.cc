@@ -15,12 +15,12 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig12_fine_vs_coarse", BenchIO::Flow);
+    BenchIO io(argc, argv, "fig12_fine_vs_coarse");
 
     banner("Fine-grained (gate) vs. coarse-grained (module) bespoke",
            "Figure 12");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     if (io.quick())
         opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);

@@ -19,13 +19,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig13_multiprogram", BenchIO::Flow);
+    BenchIO io(argc, argv, "fig13_multiprogram");
     bool quick = io.quick();
     const int samples_per_n = quick ? 4 : 12;
 
     banner("Multi-program bespoke processors", "Figure 13");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);
     const std::vector<Workload> &apps = workloads();

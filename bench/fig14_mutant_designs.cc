@@ -17,13 +17,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig14_mutant_designs", BenchIO::Flow);
+    BenchIO io(argc, argv, "fig14_mutant_designs");
     bool quick = io.quick();
 
     banner("Bespoke designs supporting all mutants (in-field updates)",
            "Figure 14");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);
 

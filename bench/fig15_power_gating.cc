@@ -17,13 +17,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "fig15_power_gating", BenchIO::Flow);
+    BenchIO io(argc, argv, "fig15_power_gating");
     int inputs = io.quick() ? 1 : 2;
 
     banner("Oracle module-level power gating vs. bespoke design",
            "Figure 15");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     opts.powerInputsPerWorkload = inputs;
     BespokeFlow flow(opts);
 

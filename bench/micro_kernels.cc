@@ -77,13 +77,11 @@ BM_PowerReplay(benchmark::State &state)
     std::vector<WorkloadInput> inputs;
     for (int i = 0; i < opts.powerInputsPerWorkload; i++)
         inputs.push_back(w.genInput(rng));
-    GateBatchObservers obs;
     int64_t cycles = 0;
     for (auto _ : state) {
         ToggleCounter toggles(tailored);
-        obs.toggles = &toggles;
         for (const GateRun &run : runWorkloadGateBatch(
-                 tailored, w, prog, inputs, obs, ctx))
+                 tailored, w, prog, inputs, &toggles, ctx))
             cycles += static_cast<int64_t>(run.cycles);
         benchmark::DoNotOptimize(toggles.cycles());
     }
@@ -94,12 +92,11 @@ BENCHMARK(BM_PowerReplay)->Unit(benchmark::kMillisecond);
 void
 BM_MutantSweep(benchmark::State &state)
 {
-    // The lane runner's one production caller: table4_5_mutants'
-    // concrete differential sweep at its quick settings (binSearch's
-    // first 12 mutants, 2 inputs each: one 24-lane batch with a toggle
-    // counter per mutant). Items are simulated lane-cycles: every
-    // mutant run's cycle count under the sweep's adaptive cap, half
-    // again the longest base run plus 64 cycles.
+    // table4_5_mutants' concrete differential sweep at its quick
+    // settings (binSearch's first 12 mutants, 2 inputs each: one
+    // 24-lane batch with a toggle counter per mutant). Items are
+    // simulated lane-cycles: every mutant run's cycle count under the
+    // sweep's adaptive cap, mutantCycleCap().
     const Workload &w = workloadByName("binSearch");
     std::vector<Mutant> mutants = generateMutants(w);
     mutants.resize(std::min<size_t>(mutants.size(), 12));
@@ -118,8 +115,7 @@ BM_MutantSweep(benchmark::State &state)
         base_max = std::max(base_max, base.cycles);
     }
     Workload capped = w;
-    capped.maxCycles =
-        std::min(w.maxCycles, base_max + base_max / 2 + 64);
+    capped.maxCycles = mutantCycleCap(w, base_max);
     int64_t lane_cycles = 0;
     for (size_t i = 0; i < prep.numMutants(); i++) {
         for (const WorkloadInput &in : inputs) {

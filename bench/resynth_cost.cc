@@ -34,13 +34,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "resynth_cost", BenchIO::Flow);
+    BenchIO io(argc, argv, "resynth_cost");
     int inputs = io.quick() ? 1 : 2;
 
     banner("Cost-driven rewrite search + clock gating vs. fixed flow",
            "pass pipeline");
 
-    FlowOptions fixed_opts = io.flowOptions();
+    FlowOptions fixed_opts;
     fixed_opts.powerInputsPerWorkload = inputs;
 
     FlowOptions opt_opts = fixed_opts;

@@ -80,8 +80,7 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "sat_recovery",
-               BenchIO::Threads | BenchIO::Lanes);
+    BenchIO io(argc, argv, "sat_recovery", BenchIO::Threads);
 
     banner("SAT never-toggle recovery over widened X-analysis",
            "Fig. 10 companion (exact backstop)");
@@ -89,7 +88,7 @@ main(int argc, char **argv)
     Netlist core = buildBsp430();
     const std::vector<Workload> &apps = workloads();
 
-    AnalysisOptions aopts = io.analysisOptions();
+    AnalysisOptions aopts;
     aopts.concreteVisits = 1;  // widen aggressively: see header comment
 
     std::vector<AppRow> rows(apps.size());
@@ -229,7 +228,7 @@ main(int argc, char **argv)
 
                 // Default precision.
                 EquivResult sym = checkSymbolicEquivalence(
-                    core, sat_nl, prog, io.analysisOptions());
+                    core, sat_nl, prog);
                 sat::SatEquivOptions seq;
                 seq.depth = 16;
                 sat::SatEquivResult smt =

@@ -17,14 +17,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "sec54_os", BenchIO::Flow);
+    BenchIO io(argc, argv, "sec54_os");
     bool quick = io.quick();
 
     banner("System code: bespoke design with an OS (minios)",
            "Section 5.4");
 
-    FlowOptions opts = io.flowOptions();
-    BespokeFlow flow(opts);
+    BespokeFlow flow;
     const Netlist &nl = flow.baseline();
     double total = static_cast<double>(nl.numCells());
     const Workload &os = workloadByName("minios");

@@ -16,12 +16,12 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table2_slack", BenchIO::Flow);
+    BenchIO io(argc, argv, "table2_slack");
 
     banner("Exploiting timing slack exposed by gate cutting",
            "Table 2");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     if (io.quick())
         opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);

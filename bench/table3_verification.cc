@@ -26,12 +26,12 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table3_verification", BenchIO::Flow);
+    BenchIO io(argc, argv, "table3_verification");
     bool quick = io.quick();
 
     banner("Verification runtime and coverage", "Table 3 / Sec. 5.1");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);
 

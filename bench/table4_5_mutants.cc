@@ -22,15 +22,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table4_5_mutants",
-               BenchIO::Threads | BenchIO::Flow);
+    BenchIO io(argc, argv, "table4_5_mutants", BenchIO::Threads);
     bool quick = io.quick();
 
     banner("Mutant generation and bespoke support for in-field fixes",
            "Tables 4 and 5");
 
-    FlowOptions opts = io.flowOptions();
-    BespokeFlow flow(opts);
+    BespokeFlow flow;
 
     // The paper's six mutant-rich benchmarks.
     const char *names[] = {"binSearch", "inSort", "rle",
@@ -54,7 +52,7 @@ main(int argc, char **argv)
             count[static_cast<int>(m.type)]++;
 
         AnalysisResult base = flow.analyze(w);
-        AnalysisOptions mopts = opts.analysis;
+        AnalysisOptions mopts;
         mopts.maxTotalCycles = 4'000'000;
         mopts.maxPaths = 40'000;
         enum : uint8_t { kSkipped, kAnalyzed, kSupported };
@@ -77,7 +75,7 @@ main(int argc, char **argv)
 
         // Concrete differential sweep, lane-per-mutant: does the
         // mutant change observable behavior, and how far does it move
-        // switching power? Values are --lanes independent.
+        // switching power?
         MutantPlanePrep prep(flow.baseline(), w, mutants);
         MutantSweepOptions sopts;
         sopts.inputsPerMutant = quick ? 2 : 4;

@@ -17,13 +17,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    BenchIO io(argc, argv, "table_subneg_updates", BenchIO::Flow);
+    BenchIO io(argc, argv, "table_subneg_updates");
     bool quick = io.quick();
 
     banner("Turing-complete (subneg) update support overheads",
            "Section 5.3 / Figure 9");
 
-    FlowOptions opts = io.flowOptions();
+    FlowOptions opts;
     if (quick)
         opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);

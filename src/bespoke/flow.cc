@@ -42,11 +42,9 @@ replayEnv(const std::vector<const Workload *> &apps, int inputs,
     env.measureActivity = [replays](const Netlist &nl,
                                     ToggleCounter *tc) {
         std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
-        GateBatchObservers obs;
-        obs.toggles = tc;
         for (const AppReplay &r : *replays) {
             for (const GateRun &run : runWorkloadGateBatch(
-                     nl, *r.app, r.prog, r.inputs, obs, ctx)) {
+                     nl, *r.app, r.prog, r.inputs, tc, ctx)) {
                 if (!run.halted) {
                     bespoke_warn("replay run of ", r.app->name,
                                  " did not halt within its cycle budget");

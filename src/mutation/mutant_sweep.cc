@@ -18,6 +18,13 @@ MutantPlanePrep::MutantPlanePrep(const Netlist &netlist,
         progs_.push_back(m.workload.assembleProgram());
 }
 
+uint64_t
+mutantCycleCap(const Workload &w, uint64_t base_max_cycles)
+{
+    return std::min(w.maxCycles,
+                    base_max_cycles + base_max_cycles / 2 + 64);
+}
+
 std::vector<MutantVerdict>
 mutantConcreteSweep(const MutantPlanePrep &prep,
                     const MutantSweepOptions &opts)
@@ -48,8 +55,7 @@ mutantConcreteSweep(const MutantPlanePrep &prep,
         base_max_cycles =
             std::max(base_max_cycles, base_runs.back().cycles);
     }
-    w.maxCycles = std::min(w.maxCycles,
-                           base_max_cycles + base_max_cycles / 2 + 64);
+    w.maxCycles = mutantCycleCap(w, base_max_cycles);
 
     // One toggle counter per mutant accumulates across all inputs.
     std::vector<std::unique_ptr<ToggleCounter>> mut_toggles;
@@ -75,8 +81,7 @@ mutantConcreteSweep(const MutantPlanePrep &prep,
                                            prep.context()));
         }
     } else {
-        runs = runScenarioGateBatch(nl, w, scenarios, {},
-                                    prep.context());
+        runs = runScenarioGateBatch(nl, w, scenarios, prep.context());
     }
 
     std::vector<MutantVerdict> verdicts(nmut);

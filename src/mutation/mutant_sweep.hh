@@ -94,16 +94,22 @@ struct MutantSweepOptions
 };
 
 /**
+ * The cycle cap of every mutant run: half again the longest base
+ * halting time `base_max_cycles` plus 64 cycles of slack, never above
+ * the workload's own maxCycles.
+ */
+uint64_t mutantCycleCap(const Workload &w, uint64_t base_max_cycles);
+
+/**
  * Sweep every mutant of `prep` against `opts.inputsPerMutant` inputs
  * drawn from the base workload's input model (seed kMutantSweepSeed).
  * Returns one verdict per mutant, in prep order. Deterministic in
  * (prep, inputsPerMutant); independent of forceScalar.
  *
- * Mutants can loop forever, so every mutant run is capped at half
- * again the longest base halting time plus slack (never above the
- * workload's own maxCycles): a looping mutant is simulated only long
- * enough to prove it outlived the base program, and an exhausted run
- * counts as detected when the base halts.
+ * Mutants can loop forever, so every mutant run is capped at
+ * mutantCycleCap() of the longest base run: a looping mutant is
+ * simulated only long enough to prove it outlived the base program,
+ * and an exhausted run counts as detected when the base halts.
  */
 std::vector<MutantVerdict> mutantConcreteSweep(
     const MutantPlanePrep &prep, const MutantSweepOptions &opts = {});

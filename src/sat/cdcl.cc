@@ -17,6 +17,12 @@ constexpr Lit kLitUndef = Lit(0xffffffffu);
 /** Learned clauses added between database reductions. */
 constexpr size_t kReduceInc = 1000;
 
+/** Base of the Luby restart schedule (conflicts). */
+constexpr double kRestartBase = 100;
+
+/** EVSIDS decay factor. */
+constexpr double kVarDecay = 0.95;
+
 /** Luby restart sequence: 1 1 2 1 1 2 4 ... (scaled by y^seq). */
 double
 luby(double y, int x)
@@ -41,7 +47,7 @@ enum SearchStatus
 
 } // namespace
 
-CdclSolver::CdclSolver(const CdclConfig &config) : cfg_(config)
+CdclSolver::CdclSolver()
 {
     Var t = newVar();
     bespoke_assert(t == 0);
@@ -55,16 +61,8 @@ CdclSolver::newVar()
     assign_.push_back(2);
     level_.push_back(0);
     reason_.push_back(kNoReason);
-    // A nonzero order seed perturbs initial activities with a
-    // deterministic hash, permuting the portfolio member's branching
-    // order while keeping every tie-break reproducible.
-    double a0 = 0.0;
-    if (cfg_.orderSeed != 0) {
-        uint32_t h = (v * 2654435761u) ^ (cfg_.orderSeed * 2246822519u);
-        a0 = 1e-6 * static_cast<double>(h & 1023u);
-    }
-    activity_.push_back(a0);
-    phase_.push_back(cfg_.initPhase ? 1 : 0);
+    activity_.push_back(0.0);
+    phase_.push_back(0);
     seen_.push_back(0);
     heapPos_.push_back(-1);
     watches_.emplace_back();
@@ -349,7 +347,7 @@ CdclSolver::bumpVar(Var v)
 void
 CdclSolver::decayVarActivity()
 {
-    varInc_ /= cfg_.varDecay;
+    varInc_ /= kVarDecay;
 }
 
 void
@@ -598,7 +596,7 @@ CdclSolver::solve(const std::vector<Lit> &assumptions,
     SolveResult result = SolveResult::Unknown;
     for (int restarts = 0;; restarts++) {
         int64_t nof = static_cast<int64_t>(luby(2.0, restarts) *
-                                           cfg_.restartFirst);
+                                           kRestartBase);
         int r = search(nof);
         if (r == kSearchRestart) {
             restarts_++;

@@ -11,10 +11,10 @@
  * sequences produce identical verdicts, models and statistics
  * on any machine — the SAT pass's verdicts and counters are pinned in
  * golden baselines and diffed bit-for-bit in CI, so this is a
- * contract, not an aspiration.
- * `CdclConfig` permutes the search (branching order, restart schedule,
- * initial phase) for portfolio solving; every config is individually
- * deterministic.
+ * contract, not an aspiration. The search has one fixed
+ * configuration: Luby restarts on a base of 100 conflicts, activity
+ * decay 0.95, fresh variables phased false and branched in index
+ * order.
  *
  * Incrementality. Learned clauses, activities, and phases persist
  * across solve() calls, so related queries get cheaper. Long sessions
@@ -47,33 +47,10 @@ enum class SolveResult : uint8_t
     Unknown,  ///< conflict budget exhausted
 };
 
-/**
- * Deterministic search-permutation knobs for portfolio solving. The
- * default config is the historical solver behaviour; any other config
- * is an equally deterministic but differently-ordered search of the
- * same space, so a portfolio member's verdict is a pure function of
- * (clauses, assumptions, config).
- */
-struct CdclConfig
-{
-    /** Base of the Luby restart schedule (conflicts). */
-    int restartFirst = 100;
-    /** Initial saved phase for fresh variables. */
-    bool initPhase = false;
-    /**
-     * 0 keeps the index-ordered initial branching order; any other
-     * value seeds a deterministic hash that perturbs initial variable
-     * activities, permuting the branching order.
-     */
-    uint32_t orderSeed = 0;
-    /** EVSIDS decay factor. */
-    double varDecay = 0.95;
-};
-
 class CdclSolver : public CnfSink
 {
   public:
-    explicit CdclSolver(const CdclConfig &config = CdclConfig());
+    CdclSolver();
 
     Var newVar() override;
     void addClause(const Lit *lits, size_t n) override;
@@ -149,7 +126,6 @@ class CdclSolver : public CnfSink
     void heapInsert(Var v);
     Var heapRemoveMin();
 
-    CdclConfig cfg_;
     bool ok_ = true;
     Var nVars_ = 0;
 

@@ -129,6 +129,13 @@ struct FreeVarInfo
 };
 
 /**
+ * Largest unrolling depth any prover or CNF export accepts. Unrolling
+ * memory grows with the horizon; an analysis that explored millions of
+ * cycles is out of the prover's reach.
+ */
+constexpr int kMaxSatFrames = 100000;
+
+/**
  * Bounded unrolling of one SoC netlist from reset (plus, optionally, a
  * second "follower" netlist sharing the same inputs and memory bus —
  * the miter configuration). The leader's memory port drives the memory

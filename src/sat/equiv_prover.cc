@@ -36,29 +36,25 @@ sharedOutputs(const Netlist &a, const Netlist &b,
     return out;
 }
 
-/** Portfolio attempts when a conflict budget can exhaust. */
-constexpr int kPortfolioAttempts = 4;
+} // namespace
 
 /**
- * One full bounded-miter session under one solver config: the frame
- * chain is extended chunk by chunk on a single solver, each chunk's
- * "some shared output differs in these frames" disjunction solved as
- * an assumption (so an UNSAT chunk does not poison later ones). A SAT
- * chunk short-circuits with a witness at the shallowest depth that has
- * one — the common inequivalent case never pays for the full-depth
- * encoding. `budget_out` reports whether the session died of conflict
- * budget rather than reaching a real verdict.
+ * One bounded-miter session: the frame chain is extended chunk by
+ * chunk on a single solver, each chunk's "some shared output differs
+ * in these frames" disjunction solved as an assumption (so an UNSAT
+ * chunk does not poison later ones). A SAT chunk short-circuits with a
+ * witness at the shallowest depth that has one — the common
+ * inequivalent case never pays for the full-depth encoding. A chunk
+ * that exhausts the conflict budget ends the session with Unknown.
  */
 SatEquivResult
-runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
-                const AsmProgram &prog, const SatEquivOptions &opts,
-                const CdclConfig &config, bool *budget_out)
+proveEquivalentSat(const Netlist &original, const Netlist &bespoke_nl,
+                   const AsmProgram &prog, const SatEquivOptions &opts)
 {
     SatEquivResult res;
     res.depth = opts.depth;
-    *budget_out = false;
 
-    CdclSolver solver(config);
+    CdclSolver solver;
     SocUnroller un(original, prog, solver);
     un.attachFollower(bespoke_nl);
     auto ports = sharedOutputs(original, bespoke_nl);
@@ -100,7 +96,6 @@ runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
             finish_stats();
             res.verdict = SatEquivVerdict::Unknown;
             res.detail = "conflict budget exhausted";
-            *budget_out = true;
             return res;
         }
         sat_at = true;
@@ -209,8 +204,6 @@ runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
     return res;
 }
 
-} // namespace
-
 Lit
 encodeMiter(SocUnroller &un, const Netlist &original,
             const Netlist &bespoke_nl, int depth)
@@ -228,30 +221,6 @@ encodeMiter(SocUnroller &un, const Netlist &original,
         }
     }
     return ts.orL(bad);
-}
-
-SatEquivResult
-proveEquivalentSat(const Netlist &original, const Netlist &bespoke_nl,
-                   const AsmProgram &prog, const SatEquivOptions &opts)
-{
-    // A deterministic portfolio over permuted solver configs. An
-    // attempt is "decisive" unless it died of conflict budget; the
-    // winner is the lowest-index decisive attempt, a pure function of
-    // the problem (see src/sat/portfolio.hh). With an unlimited budget
-    // config 0 is always decisive and the portfolio collapses to the
-    // single default-config session.
-    int attempts = opts.conflictBudget == 0 ? 1 : kPortfolioAttempts;
-    std::vector<SatEquivResult> results(attempts);
-    int winner = runPortfolio(attempts, [&](int i) {
-        bool budget = false;
-        results[i] = runMiterSession(original, bespoke_nl, prog, opts,
-                                     portfolioConfig(i), &budget);
-        return !budget;
-    });
-    SatEquivResult res =
-        winner >= 0 ? std::move(results[winner]) : std::move(results[0]);
-    res.config = winner >= 0 ? winner : 0;
-    return res;
 }
 
 } // namespace bespoke::sat

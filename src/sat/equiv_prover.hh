@@ -19,16 +19,14 @@
  * because the abstraction (free RAM image, havocked words) may have
  * invented it.
  *
- * Incrementality and the portfolio. The prover deepens ONE solver's
- * frame chain chunk by chunk (8, 16, 32, ... frames); each chunk's
+ * Incrementality. The prover deepens ONE solver's frame chain chunk
+ * by chunk (8, 16, 32, ... frames; src/sat/portfolio.hh); each chunk's
  * divergence disjunction is solved as an assumption, so an UNSAT chunk
  * leaves the solver (learned clauses, activities, phases) primed for
  * the next, and a SAT chunk short-circuits with a witness at the
- * shallowest depth that has one. When a conflict budget is set, a
- * budget-exhausted session is retried, one after the other, under up
- * to three deterministically permuted solver configs (a fixed-priority
- * portfolio — the winner is the lowest-index decisive attempt; see
- * src/sat/portfolio.hh).
+ * shallowest depth that has one. There is one session under one solver
+ * configuration: when a conflict budget is set and a chunk exhausts
+ * it, the verdict is Unknown, the conservative answer.
  *
  * encodeMiter() is exposed separately so `bespoke_io export-cnf` can
  * dump the identical formula as DIMACS/SMT2 for third-party solvers.
@@ -81,7 +79,6 @@ struct SatEquivResult
     uint64_t dbReductions = 0;    ///< clause-database reductions
     uint64_t restarts = 0;
     uint64_t queries = 0;         ///< chunk queries issued
-    int config = 0;               ///< winning portfolio config index
     /** SAT only: per-frame gpio_in / irq_ext extracted from the model. */
     std::vector<uint16_t> witnessGpio;
     std::vector<bool> witnessIrq;

@@ -5,36 +5,6 @@
 namespace bespoke::sat
 {
 
-CdclConfig
-portfolioConfig(int index)
-{
-    CdclConfig cfg;
-    switch (index & 3) {
-    case 0:
-        break;  // the default search order
-    case 1:
-        cfg.restartFirst = 50;
-        cfg.initPhase = true;
-        cfg.orderSeed = 0x9e3779b9u;
-        break;
-    case 2:
-        cfg.restartFirst = 200;
-        cfg.orderSeed = 0x85ebca6bu;
-        cfg.varDecay = 0.85;
-        break;
-    default:
-        cfg.restartFirst = 150;
-        cfg.initPhase = true;
-        cfg.orderSeed = 0xc2b2ae35u;
-        cfg.varDecay = 0.99;
-        break;
-    }
-    // Indices past the base table keep permuting the branching order.
-    if (index >= 4)
-        cfg.orderSeed ^= 0x27d4eb2fu * static_cast<uint32_t>(index);
-    return cfg;
-}
-
 std::vector<std::pair<size_t, size_t>>
 shardRanges(size_t n, size_t min_per_shard, size_t max_shards)
 {
@@ -67,16 +37,6 @@ deepeningSchedule(int depth)
         d = std::min(depth, d * 2);
     }
     return out;
-}
-
-int
-runPortfolio(int attempts, const std::function<bool(int)> &try_one)
-{
-    for (int i = 0; i < attempts; i++) {
-        if (try_one(i))
-            return i;
-    }
-    return -1;
 }
 
 } // namespace bespoke::sat

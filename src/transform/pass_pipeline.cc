@@ -7,6 +7,7 @@
 
 #include "src/builder/net_builder.hh"
 #include "src/isa/assembler.hh"
+#include "src/sat/encode.hh"
 #include "src/sat/never_toggle.hh"
 #include "src/util/logging.hh"
 
@@ -458,10 +459,6 @@ rewriteSearch(Netlist &current, const PassEnv &env,
     return stitches.size();
 }
 
-/** Unrolling memory grows with the horizon; an analysis that explored
- *  millions of cycles is out of the prover's reach. */
-constexpr int kMaxSatFrames = 100000;
-
 /**
  * SAT never-toggle proving pass: pick up the gates the X-propagating
  * analysis left toggleable but the measured replay never saw move,
@@ -479,9 +476,9 @@ satNeverToggle(Netlist &current, const PassEnv &env,
 {
     if (opts.depth <= 0)
         return 0;
-    if (opts.depth > kMaxSatFrames) {
+    if (opts.depth > sat::kMaxSatFrames) {
         bespoke_warn("sat-never-toggle: horizon ", opts.depth,
-                     " frames exceeds the ", kMaxSatFrames,
+                     " frames exceeds the ", sat::kMaxSatFrames,
                      "-frame cap; pass skipped");
         return 0;
     }

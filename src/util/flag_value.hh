@@ -15,22 +15,15 @@
 namespace bespoke
 {
 
-/** The values a numeric flag accepts. */
-enum class FlagKind : uint8_t
-{
-    Count,  ///< non-negative int: thread counts, depths
-    Lanes,  ///< activity-analysis lane evaluator: 1 or 64
-};
-
 /**
  * Parse `text`, the value given for numeric flag `flag`. It must be a
- * plain decimal integer (digits only: no sign, blanks or suffix) that
- * `kind` accepts. Returns the value, or std::nullopt with `error` set
- * to a diagnostic that names the flag.
+ * plain decimal integer (digits only: no sign, blanks or suffix) no
+ * larger than `max`. Returns the value, or std::nullopt with `error`
+ * set to a diagnostic that names the flag.
  */
 std::optional<uint64_t> parseFlagValue(const std::string &flag,
                                        const std::string &text,
-                                       FlagKind kind, std::string &error);
+                                       uint64_t max, std::string &error);
 
 } // namespace bespoke
 

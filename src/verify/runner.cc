@@ -152,27 +152,19 @@ envWord(const EnvState &env, uint16_t byte_addr)
 
 /**
  * Scalar fallback: the scenarios one by one through runWorkloadGate,
- * per-scenario counters fed through the per-cycle hook. This path
- * defines the semantics the lane path must reproduce bit for bit.
+ * each into its own counter. This path defines the semantics the lane
+ * path must reproduce bit for bit.
  */
 std::vector<GateRun>
 runScenariosScalar(const Netlist &nl, const Workload &w,
                    const std::vector<GateScenario> &scenarios,
-                   const GateBatchObservers &obs,
                    std::shared_ptr<const SocContext> ctx)
 {
     std::vector<GateRun> out;
     out.reserve(scenarios.size());
     for (const GateScenario &s : scenarios) {
-        std::function<void(const GateSim &)> per_cycle;
-        if (s.toggles) {
-            per_cycle = [&](const GateSim &sim) {
-                s.toggles->observe(sim);
-            };
-        }
         out.push_back(runWorkloadGate(nl, w, *s.prog, *s.input,
-                                      obs.toggles, nullptr, per_cycle,
-                                      ctx));
+                                      s.toggles, nullptr, nullptr, ctx));
     }
     return out;
 }
@@ -198,7 +190,6 @@ extractLane(const std::vector<uint64_t> &val,
 std::vector<GateRun>
 runScenariosLanes(const Netlist &nl, const Workload &w,
                   const std::vector<GateScenario> &scenarios,
-                  const GateBatchObservers &obs,
                   std::shared_ptr<const SocContext> ctx)
 {
     constexpr size_t W = LaneSoc::kLanes;
@@ -222,14 +213,10 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
     }
 
     const bool count_toggles =
-        obs.toggles ||
         std::any_of(scenarios.begin(), scenarios.end(),
                     [](const GateScenario &s) { return s.toggles; });
 
     std::vector<GateRun> out(total);
-    std::vector<uint64_t> shared_counts;
-    if (obs.toggles)
-        shared_counts.assign(n, 0);
 
     for (size_t base = 0; base < total; base += W) {
         const size_t lanes_used = std::min(W, total - base);
@@ -287,7 +274,7 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             }
             r.gpioOut = soc.gpioOut(lane);
             r.ram = soc.envLane(lane).ram;
-            if ((obs.toggles || s.toggles) && laneTest(seen, lane)) {
+            if (s.toggles && laneTest(seen, lane)) {
                 extractLane(last_v, last_k, lane,
                             trace[lane].last);
             }
@@ -327,8 +314,6 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
                     last_k[g] = kp[g];
                     if (!laneAny(diff))
                         continue;
-                    if (obs.toggles)
-                        shared_counts[g] += laneCount(diff);
                     if (laneAny(diff & lane_cnt)) {
                         forEachLane(diff & lane_cnt, [&](int lane) {
                             lane_counts[g * lanes_used + lane]++;
@@ -338,7 +323,7 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
                 // First observe of a lane primes its last-planes
                 // (copied above) without counting.
                 forEachLane(active & ~seen, [&](int lane) {
-                    if (obs.toggles || scenarios[base + lane].toggles)
+                    if (scenarios[base + lane].toggles)
                         extractLane(vp, kp, lane, trace[lane].first);
                 });
                 forEachLane(active,
@@ -360,8 +345,6 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
         std::vector<uint64_t> col;
         for (size_t l = 0; l < lanes_used; l++) {
             const GateScenario &s = scenarios[base + l];
-            if (obs.toggles)
-                obs.toggles->ingestRun(trace[l]);
             if (s.toggles) {
                 s.toggles->ingestRun(trace[l]);
                 col.assign(n, 0);
@@ -371,8 +354,6 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
             }
         }
     }
-    if (obs.toggles)
-        obs.toggles->addCounts(shared_counts);
     return out;
 }
 
@@ -381,7 +362,6 @@ runScenariosLanes(const Netlist &nl, const Workload &w,
 std::vector<GateRun>
 runScenarioGateBatch(const Netlist &netlist, const Workload &w,
                      const std::vector<GateScenario> &scenarios,
-                     const GateBatchObservers &obs,
                      std::shared_ptr<const SocContext> ctx)
 {
     if (scenarios.empty())
@@ -389,24 +369,21 @@ runScenarioGateBatch(const Netlist &netlist, const Workload &w,
     if (!ctx)
         ctx = SocContext::make(netlist);
     if (scenarios.size() < kMinLaneBatch)
-        return runScenariosScalar(netlist, w, scenarios, obs, ctx);
-    return runScenariosLanes(netlist, w, scenarios, obs, std::move(ctx));
+        return runScenariosScalar(netlist, w, scenarios, ctx);
+    return runScenariosLanes(netlist, w, scenarios, std::move(ctx));
 }
 
 std::vector<GateRun>
 runWorkloadGateBatch(const Netlist &netlist, const Workload &w,
                      const AsmProgram &prog,
                      const std::vector<WorkloadInput> &inputs,
-                     const GateBatchObservers &obs,
+                     ToggleCounter *toggles,
                      std::shared_ptr<const SocContext> ctx)
 {
     std::vector<GateScenario> scenarios(inputs.size());
-    for (size_t i = 0; i < inputs.size(); i++) {
-        scenarios[i].prog = &prog;
-        scenarios[i].input = &inputs[i];
-    }
-    return runScenarioGateBatch(netlist, w, scenarios, obs,
-                                std::move(ctx));
+    for (size_t i = 0; i < inputs.size(); i++)
+        scenarios[i] = {&prog, &inputs[i], toggles};
+    return runScenarioGateBatch(netlist, w, scenarios, std::move(ctx));
 }
 
 RunDiff

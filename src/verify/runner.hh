@@ -81,48 +81,54 @@ int resolvePlaneBits(int plane_bits);
 
 /**
  * One scenario of a lane batch: a program image, an input, and an
- * optional private toggle counter (lane-per-mutant sweeps give every
- * mutant its own). All scenarios of a batch share one workload (input
- * model, cycle budget, IRQ schedule) and one netlist.
+ * optional toggle counter. Scenarios may share a counter (a batch that
+ * sums every run into one, like a power replay) or keep their own
+ * (lane-per-mutant sweeps give every mutant its own). All scenarios of
+ * a batch share one workload (input model, cycle budget, IRQ schedule)
+ * and one netlist.
  */
 struct GateScenario
 {
     const AsmProgram *prog = nullptr;
     const WorkloadInput *input = nullptr;
-    ToggleCounter *toggles = nullptr;  ///< per-scenario counter
-};
-
-/** Observer shared by every scenario of a batch. */
-struct GateBatchObservers
-{
     ToggleCounter *toggles = nullptr;
 };
 
 /**
  * Run many scenarios of one workload lane-parallel, 64 per plane
- * sweep. Results and toggle counts (shared and per-scenario) are
- * bit-identical to running the scenarios through runWorkloadGate()
- * sequentially in vector order with the same counters — the scalar
- * path IS the fallback, taken whenever a batch is too small to win
- * from plane packing (fewer than kMinLaneBatch scenarios). Shared
- * counters see within-run transitions summed order-free plus the
- * cross-run boundary transitions replayed in sequential order
- * (ToggleCounter::ingestRun), so the committed power baselines do not
- * move.
+ * sweep. Results and toggle counts are bit-identical to running the
+ * scenarios through runWorkloadGate() sequentially in vector order,
+ * each into its own counter — the scalar path IS the fallback, taken
+ * whenever a batch is too small to win from plane packing (fewer than
+ * kMinLaneBatch scenarios). Counters see within-run transitions summed
+ * order-free plus the cross-run boundary transitions replayed in
+ * sequential order (ToggleCounter::ingestRun), so the committed power
+ * baselines do not move.
  */
 constexpr size_t kMinLaneBatch = 4;
 std::vector<GateRun> runScenarioGateBatch(
     const Netlist &netlist, const Workload &w,
     const std::vector<GateScenario> &scenarios,
-    const GateBatchObservers &obs = {},
     std::shared_ptr<const SocContext> ctx = nullptr);
 
-/** Scenario batch with one shared program: the common verify shape. */
+/**
+ * Scenario batch with one shared program and one optional counter
+ * every run feeds: the common verify and power-replay shape.
+ */
 std::vector<GateRun> runWorkloadGateBatch(
     const Netlist &netlist, const Workload &w, const AsmProgram &prog,
     const std::vector<WorkloadInput> &inputs,
-    const GateBatchObservers &obs = {},
+    ToggleCounter *toggles = nullptr,
     std::shared_ptr<const SocContext> ctx = nullptr);
+
+/**
+ * The counter of the overload below. Kept only because perfbench's
+ * ops.cc names it; remove with the benchmark's next revision.
+ */
+struct GateBatchObservers
+{
+    ToggleCounter *toggles = nullptr;
+};
 
 /**
  * The same, with a `plane_bits` argument that is ignored. Kept only
@@ -137,7 +143,7 @@ runWorkloadGateBatch(const Netlist &netlist, const Workload &w,
                      const GateBatchObservers &obs = {},
                      std::shared_ptr<const SocContext> ctx = nullptr)
 {
-    return runWorkloadGateBatch(netlist, w, prog, inputs, obs,
+    return runWorkloadGateBatch(netlist, w, prog, inputs, obs.toggles,
                                 std::move(ctx));
 }
 

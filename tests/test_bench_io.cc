@@ -32,14 +32,16 @@ parseBenchFlags(std::vector<std::string> flags, unsigned reads)
 
 TEST(BenchIODeathTest, RejectsUnknownAndUnreadFlags)
 {
-    EXPECT_EXIT(parseBenchFlags({"--sat-threads", "2"},
-                                BenchIO::Threads | BenchIO::Lanes),
+    EXPECT_EXIT(parseBenchFlags({"--sat-threads", "2"}, BenchIO::Threads),
                 ::testing::ExitedWithCode(2),
                 "unknown bench flag '--sat-threads'");
-    EXPECT_EXIT(parseBenchFlags({"--checkpoint-dir", "ck"}, BenchIO::Flow),
+    EXPECT_EXIT(parseBenchFlags({"--checkpoint-dir", "ck"}, 0),
                 ::testing::ExitedWithCode(2),
                 "unknown bench flag '--checkpoint-dir'");
-    EXPECT_EXIT(parseBenchFlags({"--threads", "2"}, BenchIO::Lanes),
+    EXPECT_EXIT(parseBenchFlags({"--lanes", "1"}, BenchIO::Threads),
+                ::testing::ExitedWithCode(2),
+                "unknown bench flag '--lanes'");
+    EXPECT_EXIT(parseBenchFlags({"--threads", "2"}, 0),
                 ::testing::ExitedWithCode(2),
                 "probe does not read --threads");
 }

@@ -49,10 +49,10 @@ countsOf(const ToggleCounter &tc, const Netlist &nl)
 }
 
 /**
- * Golden reference: sequential runWorkloadGate with a shared counter
- * and per-scenario counters through the per-cycle hook. Written
- * independently of the batch runner's own scalar fallback so both
- * paths are pinned against it.
+ * Golden reference: sequential runWorkloadGate, the `counted`
+ * scenarios each into a private counter and every other scenario into
+ * one shared counter. Written independently of the batch runner's own
+ * scalar fallback so both paths are pinned against it.
  */
 BatchResult
 runReference(const Netlist &nl, const Workload &w,
@@ -70,15 +70,9 @@ runReference(const Netlist &nl, const Workload &w,
         const GateScenario &s = scenarios[i];
         bool mine = std::find(counted.begin(), counted.end(),
                               static_cast<int>(i)) != counted.end();
-        std::function<void(const GateSim &)> per_cycle;
-        if (mine) {
-            per_cycle = [&](const GateSim &sim) {
-                per[i]->observe(sim);
-            };
-        }
         r.runs.push_back(runWorkloadGate(nl, w, *s.prog, *s.input,
-                                         &shared, nullptr, per_cycle,
-                                         ctx));
+                                         mine ? per[i].get() : &shared,
+                                         nullptr, nullptr, ctx));
     }
     r.sharedCounts = countsOf(shared, nl);
     r.sharedCycles = shared.cycles();
@@ -89,7 +83,7 @@ runReference(const Netlist &nl, const Workload &w,
     return r;
 }
 
-/** The batch runner under test, same observer shape. */
+/** The batch runner under test, same counter assignment. */
 BatchResult
 runBatch(const Netlist &nl, const Workload &w,
          std::vector<GateScenario> scenarios,
@@ -100,12 +94,12 @@ runBatch(const Netlist &nl, const Workload &w,
     std::vector<std::unique_ptr<ToggleCounter>> per;
     for (size_t i = 0; i < scenarios.size(); i++)
         per.push_back(std::make_unique<ToggleCounter>(nl));
+    for (GateScenario &s : scenarios)
+        s.toggles = &shared;
     for (int i : counted)
         scenarios[i].toggles = per[i].get();
 
-    GateBatchObservers obs;
-    obs.toggles = &shared;
-    r.runs = runScenarioGateBatch(nl, w, scenarios, obs);
+    r.runs = runScenarioGateBatch(nl, w, scenarios);
 
     r.sharedCounts = countsOf(shared, nl);
     r.sharedCycles = shared.cycles();
@@ -246,7 +240,7 @@ TEST(GateBatch, MixedProgramsPerLane)
 }
 
 /** Batches below kMinLaneBatch take the scalar fallback — and still
- *  honor both kinds of toggle counter. */
+ *  honor shared and private toggle counters. */
 TEST(GateBatch, SmallBatchFallsBackToScalar)
 {
     const Netlist &nl = cpuNetlist();
@@ -280,15 +274,13 @@ TEST(GateBatch, SharedCounterInterleavesWithScalarRuns)
     runWorkloadGate(nl, w, prog, inputs[0], &got, nullptr, nullptr,
                     ctx);
     std::vector<WorkloadInput> rest(inputs.begin() + 1, inputs.end());
-    GateBatchObservers obs;
-    obs.toggles = &got;
-    runWorkloadGateBatch(nl, w, prog, rest, obs, ctx);
+    runWorkloadGateBatch(nl, w, prog, rest, &got, ctx);
 
     EXPECT_EQ(countsOf(ref, nl), countsOf(got, nl));
     EXPECT_EQ(ref.cycles(), got.cycles());
 }
 
-/** Batch results with no observers at all still match: a batch of
+/** Batch results with no counters at all still match: a batch of
  *  kMinLaneBatch + 1 runs the lane path with no toggle accounting. */
 TEST(GateBatch, NoObservers)
 {

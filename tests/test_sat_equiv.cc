@@ -3,9 +3,10 @@
  * SAT miter equivalence prover: self-equivalence must fold away at
  * encode time, a genuinely tailored design must prove Equivalent, a
  * corrupted design must be caught with a concretely confirmed witness
- * (never a bare abstract model), and the exported DIMACS/SMT2 text of
- * the identical miter formula must be well-formed and consistent with
- * the container's own counts.
+ * (never a bare abstract model), a budget-exhausted miter must answer
+ * Unknown, and the exported DIMACS/SMT2 text of the identical miter
+ * formula must be well-formed and consistent with the container's own
+ * counts.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "src/analysis/activity_analysis.hh"
+#include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/sat/cnf.hh"
 #include "src/sat/equiv_prover.hh"
@@ -115,6 +117,30 @@ TEST(SatEquiv, CorruptedDesignRefutedWithConfirmedWitness)
     }
     EXPECT_TRUE(caught)
         << "no output inversion produced a confirmed witness";
+}
+
+/**
+ * A miter whose conflict budget runs out answers Unknown after its one
+ * session: never Equivalent, and no retry under another search order.
+ * The counters pin that exactly one chunk query ran, under the
+ * solver's single configuration.
+ */
+TEST(SatEquiv, BudgetExhaustedMiterAnswersUnknown)
+{
+    const Workload &app = workloadByName("irq");
+    BespokeFlow flow;
+    BespokeDesign d = flow.tailor(app);
+    AsmProgram prog = app.assembleProgram();
+
+    sat::SatEquivOptions opts;
+    opts.conflictBudget = 1;
+    sat::SatEquivResult res =
+        sat::proveEquivalentSat(flow.baseline(), d.netlist, prog, opts);
+    EXPECT_EQ(res.verdict, sat::SatEquivVerdict::Unknown);
+    EXPECT_EQ(res.detail, "conflict budget exhausted");
+    EXPECT_EQ(res.conflicts, 2u);
+    EXPECT_EQ(res.queries, 1u);
+    EXPECT_EQ(res.propagations, 54773u);
 }
 
 TEST(SatEquiv, DimacsAndSmt2ExportsAreWellFormed)

@@ -48,7 +48,7 @@
  *       replay. Complements `check` — a completely separate prover
  *       over a different value domain. Prints solver counters
  *       (conflicts, propagations, learned/kept clauses, DB
- *       reductions) and the winning portfolio config.
+ *       reductions and restarts).
  *   bespoke_io export-cnf --app NAME -o FILE[.cnf|.smt2]
  *                      [-i FILE] [--miter [--against FILE]]
  *                      [--sat-depth N]
@@ -56,6 +56,9 @@
  *       --miter, of the equivalence miter between -i and the
  *       reference) as DIMACS or bit-blasted SMT2 for external
  *       solvers.
+ *
+ * --sat-depth takes at most sat::kMaxSatFrames (100000) frames in
+ * every command; a larger value is a usage error.
  *
  * Exit codes: 0 success, 1 validation/equivalence failure, 2 usage.
  */
@@ -69,7 +72,6 @@
 #include "src/bespoke/equiv_check.hh"
 #include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
-#include "src/sat/cdcl.hh"
 #include "src/sat/equiv_prover.hh"
 #include "src/io/netlist_json.hh"
 #include "src/io/verilog_import.hh"
@@ -202,16 +204,13 @@ parseArgs(int argc, char **argv)
                 usage("flag '" + arg + "' needs a value");
             return argv[++i];
         };
-        auto number = [&](FlagKind kind) -> uint64_t {
+        auto number = [&](uint64_t max) -> uint64_t {
             std::string error;
             std::optional<uint64_t> v =
-                parseFlagValue(arg, value(), kind, error);
+                parseFlagValue(arg, value(), max, error);
             if (!v)
                 usage(error);
             return *v;
-        };
-        auto count = [&] {
-            return static_cast<int>(number(FlagKind::Count));
         };
         if (arg == "-i" || arg == "--in")
             a.in = value();
@@ -232,7 +231,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--miter")
             a.miter = true;
         else if (arg == "--sat-depth")
-            a.satDepth = count();
+            a.satDepth = static_cast<int>(number(sat::kMaxSatFrames));
         else
             usage("unknown flag '" + arg + "'");
     }
@@ -545,15 +544,14 @@ cmdProve(const Args &a)
                 static_cast<unsigned long long>(sr.conflicts));
     std::printf("sat prove: %llu chunk quer%s, %llu propagations,"
                 " %llu learned (%llu kept), %llu db reduction(s),"
-                " %llu restarts, config %d\n",
+                " %llu restarts\n",
                 static_cast<unsigned long long>(sr.queries),
                 sr.queries == 1 ? "y" : "ies",
                 static_cast<unsigned long long>(sr.propagations),
                 static_cast<unsigned long long>(sr.learnedClauses),
                 static_cast<unsigned long long>(sr.keptClauses),
                 static_cast<unsigned long long>(sr.dbReductions),
-                static_cast<unsigned long long>(sr.restarts),
-                sr.config);
+                static_cast<unsigned long long>(sr.restarts));
     if (sr.verdict == sat::SatEquivVerdict::Equivalent) {
         std::printf("equivalent for '%s': %s\n", a.app.c_str(),
                     sr.detail.c_str());
