@@ -14,10 +14,12 @@
  * Execution flags, accepted only by the benches that read them (each
  * bench names its set when it constructs its BenchIO; any other flag
  * exits 2, naming the flag and the bench):
- *   --threads N      width of the bench's worker pool, which fans out
- *                    one task per application or mutant (0 = all
- *                    cores, default 1). Each analysis runs on its own
- *                    task, so table values are the same at any width.
+ *   --threads N      fan-out width: how many threads run the bench's
+ *                    independent per-application or per-mutant tasks
+ *                    through parallelFor (0 = all cores, default 1;
+ *                    never more threads than tasks). Each analysis
+ *                    runs inside its own task, so table values are
+ *                    the same at any width.
  *
  * Every bench analyses and tailors at the library defaults
  * (AnalysisOptions{}, FlowOptions{}, plus what the bench itself pins);
@@ -35,6 +37,8 @@
 #ifndef BESPOKE_BENCH_BENCH_COMMON_HH
 #define BESPOKE_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -43,6 +47,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/analysis/activity_analysis.hh"
@@ -61,6 +66,34 @@ inline double
 savingsPct(double base, double value)
 {
     return 100.0 * (base - value) / base;
+}
+
+/**
+ * Call fn(i) exactly once for every i in [0, n), then return. Indices
+ * are claimed in ascending order from one atomic counter by
+ * min(threads, n) threads, the caller among them; threads == 0 means
+ * one per core, and a width of 1 runs every call inline on the calling
+ * thread. Calls run concurrently, so each must write only its own
+ * slot of shared state, and must not throw: an exception escaping a
+ * helper thread ends the process.
+ */
+template <class Fn>
+void
+parallelFor(size_t n, int threads, Fn &&fn)
+{
+    size_t width = threads > 0
+                       ? static_cast<size_t>(threads)
+                       : std::max(1u, std::thread::hardware_concurrency());
+    width = std::min(width, n);
+    std::atomic<size_t> next{0};
+    auto work = [&] {
+        for (size_t i; (i = next.fetch_add(1)) < n;)
+            fn(i);
+    };
+    std::vector<std::jthread> helpers;
+    for (size_t t = 1; t < width; t++)
+        helpers.emplace_back(work);
+    work();
 }
 
 /** Standard banner so bench output is self-describing. */
@@ -152,7 +185,7 @@ class BenchIO
 
     bool quick() const { return quick_; }
     const std::string &name() const { return name_; }
-    /** --threads value: the bench's worker-pool width (default 1). */
+    /** --threads value: the parallelFor width (default 1). */
     int threads() const
     {
         requireRead(Threads);

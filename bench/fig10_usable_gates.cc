@@ -10,7 +10,6 @@
 #include "bench/bench_common.hh"
 #include "src/analysis/activity_analysis.hh"
 #include "src/cpu/bsp430.hh"
-#include "src/util/worker_pool.hh"
 
 using namespace bespoke;
 
@@ -49,11 +48,10 @@ main(int argc, char **argv)
                   1);
     }
 
-    // One task per benchmark on the shared pool; each analysis runs
-    // inside its task, so the numbers are identical to a
-    // one-app-at-a-time sweep (and to the committed baselines) for any
-    // --threads value. Rows are emitted in workload order after the
-    // pool drains.
+    // One task per benchmark; each analysis runs inside its task, so
+    // the numbers are identical to a one-app-at-a-time sweep (and to
+    // the committed baselines) for any --threads value. Rows are
+    // emitted in workload order once every task has returned.
     const std::vector<Workload> &apps = workloads();
     struct AppRow
     {
@@ -65,25 +63,21 @@ main(int argc, char **argv)
         bool completed = false;
     };
     std::vector<AppRow> rows(apps.size());
-    WorkerPool pool(io.threads());
-    for (size_t a = 0; a < apps.size(); a++) {
-        pool.post([&, a] {
-            AnalysisResult r = analyzeActivity(nl, apps[a]);
-            AppRow &row = rows[a];
-            row.completed = r.completed;
-            row.gatesEvaluated = r.gatesEvaluated;
-            row.laneSweeps = r.laneSweeps;
-            row.laneCycles = r.laneCycles;
-            for (GateId i = 0; i < nl.size(); i++) {
-                const Gate &g = nl.gate(i);
-                if (cellPseudo(g.type) || !r.activity->toggled(i))
-                    continue;
-                row.toggledPerModule[static_cast<int>(g.module)]++;
-                row.toggledTotal++;
-            }
-        });
-    }
-    pool.drain();
+    parallelFor(apps.size(), io.threads(), [&](size_t a) {
+        AnalysisResult r = analyzeActivity(nl, apps[a]);
+        AppRow &row = rows[a];
+        row.completed = r.completed;
+        row.gatesEvaluated = r.gatesEvaluated;
+        row.laneSweeps = r.laneSweeps;
+        row.laneCycles = r.laneCycles;
+        for (GateId i = 0; i < nl.size(); i++) {
+            const Gate &g = nl.gate(i);
+            if (cellPseudo(g.type) || !r.activity->toggled(i))
+                continue;
+            row.toggledPerModule[static_cast<int>(g.module)]++;
+            row.toggledTotal++;
+        }
+    });
 
     // Work counters (JSON only; --check ignores them).
     uint64_t gates_evaluated = 0, lane_sweeps = 0, lane_cycles = 0;

@@ -22,8 +22,9 @@
  * almost everything, see EXPERIMENTS.md), plus solver observability:
  * conflicts and propagations (exact — solver work is deterministic)
  * and the SAT-pass wall time (volatile, excluded from --check).
- * --threads fans the apps out over a worker pool without moving any
- * checked value; each app's prover runs on its own task.
+ * --threads runs that many apps at once (parallelFor) without moving
+ * any checked value; each app's analysis and prover run inside its own
+ * task.
  *
  * Full mode additionally tailors the tractable-horizon apps with the
  * SAT pass at a fixed per-app full-horizon depth and re-proves every
@@ -39,7 +40,6 @@
 #include "src/cpu/bsp430.hh"
 #include "src/sat/equiv_prover.hh"
 #include "src/transform/pass_pipeline.hh"
-#include "src/util/worker_pool.hh"
 
 using namespace bespoke;
 
@@ -92,44 +92,40 @@ main(int argc, char **argv)
     aopts.concreteVisits = 1;  // widen aggressively: see header comment
 
     std::vector<AppRow> rows(apps.size());
-    WorkerPool pool(io.threads());
-    for (size_t a = 0; a < apps.size(); a++) {
-        pool.post([&, a] {
-            const Workload &app = apps[a];
-            AsmProgram prog = app.assembleProgram();
-            AnalysisResult ar = analyzeActivity(core, app, aopts);
-            AppRow &row = rows[a];
-            row.merges = ar.merges;
+    parallelFor(apps.size(), io.threads(), [&](size_t a) {
+        const Workload &app = apps[a];
+        AsmProgram prog = app.assembleProgram();
+        AnalysisResult ar = analyzeActivity(core, app, aopts);
+        AppRow &row = rows[a];
+        row.merges = ar.merges;
 
-            PassEnv env = replayEnv({&app}, kInputs, kSeed);
-            env.program = &prog;
-            PassPipelineOptions base;
-            CutStats cut;
-            // Base vs SAT cut at a fixed envelope, both unsized: no flow.
-            Netlist base_nl = runTailorPipeline(
-                core, ar.activity.get(), base, env, &cut);
-            row.cellsBase = base_nl.numCells();
+        PassEnv env = replayEnv({&app}, kInputs, kSeed);
+        env.program = &prog;
+        PassPipelineOptions base;
+        CutStats cut;
+        // Base vs SAT cut at a fixed envelope, both unsized: no flow.
+        Netlist base_nl = runTailorPipeline(
+            core, ar.activity.get(), base, env, &cut);
+        row.cellsBase = base_nl.numCells();
 
-            PassPipelineOptions with_sat = base;
-            with_sat.satNeverToggle = true;
-            with_sat.sat.depth = kTableDepth;
-            PipelineReport report;
-            auto t0 = std::chrono::steady_clock::now();
-            // The SAT cut, timed, on the same unsized footing as base_nl.
-            Netlist sat_nl =
-                runTailorPipeline(core, ar.activity.get(), with_sat,
-                                  env, &cut, &report);
-            row.satMs = msSince(t0);
-            row.cellsSat = sat_nl.numCells();
-            row.candidates = report.satCandidates;
-            row.proven = report.satProven;
-            row.refuted = report.satRefuted;
-            row.unknown = report.satUnknown;
-            row.conflicts = report.satConflicts;
-            row.propagations = report.satPropagations;
-        });
-    }
-    pool.drain();
+        PassPipelineOptions with_sat = base;
+        with_sat.satNeverToggle = true;
+        with_sat.sat.depth = kTableDepth;
+        PipelineReport report;
+        auto t0 = std::chrono::steady_clock::now();
+        // The SAT cut, timed, on the same unsized footing as base_nl.
+        Netlist sat_nl =
+            runTailorPipeline(core, ar.activity.get(), with_sat,
+                              env, &cut, &report);
+        row.satMs = msSince(t0);
+        row.cellsSat = sat_nl.numCells();
+        row.candidates = report.satCandidates;
+        row.proven = report.satProven;
+        row.refuted = report.satRefuted;
+        row.unknown = report.satUnknown;
+        row.conflicts = report.satConflicts;
+        row.propagations = report.satPropagations;
+    });
 
     // conflicts/propagations are exact columns: solver work is a pure
     // function of the sharded sessions, identical at any --threads.
@@ -205,55 +201,51 @@ main(int argc, char **argv)
             {"mult", 1026}, {"binSearch", 1206}, {"div", 1477},
             {"dbg", 1245},  {"convEn", 1522},    {"tea8", 1755}};
         std::vector<VRow> vrows(verified_apps.size());
-        WorkerPool vpool(io.threads());
-        for (size_t v = 0; v < verified_apps.size(); v++) {
-            vpool.post([&, v] {
-                const Workload &app =
-                    workloadByName(verified_apps[v].name);
-                AsmProgram prog = app.assembleProgram();
-                AnalysisResult ar = analyzeActivity(core, app, aopts);
-                PassEnv env = replayEnv({&app}, kInputs, kSeed);
-                env.program = &prog;
-                PassPipelineOptions with_sat;
-                with_sat.satNeverToggle = true;
-                with_sat.sat.depth = verified_apps[v].depth;
-                PipelineReport report;
-                CutStats cut;
-                auto t0 = std::chrono::steady_clock::now();
-                // Timed SAT cut at the app's pinned depth, verified below.
-                Netlist sat_nl =
-                    runTailorPipeline(core, ar.activity.get(),
-                                      with_sat, env, &cut, &report);
-                double sat_ms = msSince(t0);
+        parallelFor(verified_apps.size(), io.threads(), [&](size_t v) {
+            const Workload &app =
+                workloadByName(verified_apps[v].name);
+            AsmProgram prog = app.assembleProgram();
+            AnalysisResult ar = analyzeActivity(core, app, aopts);
+            PassEnv env = replayEnv({&app}, kInputs, kSeed);
+            env.program = &prog;
+            PassPipelineOptions with_sat;
+            with_sat.satNeverToggle = true;
+            with_sat.sat.depth = verified_apps[v].depth;
+            PipelineReport report;
+            CutStats cut;
+            auto t0 = std::chrono::steady_clock::now();
+            // Timed SAT cut at the app's pinned depth, verified below.
+            Netlist sat_nl =
+                runTailorPipeline(core, ar.activity.get(),
+                                  with_sat, env, &cut, &report);
+            double sat_ms = msSince(t0);
 
-                // Default precision.
-                EquivResult sym = checkSymbolicEquivalence(
-                    core, sat_nl, prog);
-                sat::SatEquivOptions seq;
-                seq.depth = 16;
-                sat::SatEquivResult smt =
-                    sat::proveEquivalentSat(core, sat_nl, prog, seq);
+            // Default precision.
+            EquivResult sym = checkSymbolicEquivalence(
+                core, sat_nl, prog);
+            sat::SatEquivOptions seq;
+            seq.depth = 16;
+            sat::SatEquivResult smt =
+                sat::proveEquivalentSat(core, sat_nl, prog, seq);
 
-                VRow &row = vrows[v];
-                row.horizon = with_sat.sat.depth;
-                row.proven = report.satProven;
-                row.refuted = report.satRefuted;
-                row.unknown = report.satUnknown;
-                row.conflicts = report.satConflicts;
-                row.propagations = report.satPropagations;
-                row.satMs = sat_ms;
-                row.symOk = sym.equivalent && sym.completed;
-                row.satOk =
-                    smt.verdict == sat::SatEquivVerdict::Equivalent;
-                std::fprintf(stderr,
-                             "verified %s: horizon %d, %zu proven, "
-                             "sym %d, sat %d\n",
-                             verified_apps[v].name, row.horizon,
-                             row.proven, (int)row.symOk,
-                             (int)row.satOk);
-            });
-        }
-        vpool.drain();
+            VRow &row = vrows[v];
+            row.horizon = with_sat.sat.depth;
+            row.proven = report.satProven;
+            row.refuted = report.satRefuted;
+            row.unknown = report.satUnknown;
+            row.conflicts = report.satConflicts;
+            row.propagations = report.satPropagations;
+            row.satMs = sat_ms;
+            row.symOk = sym.equivalent && sym.completed;
+            row.satOk =
+                smt.verdict == sat::SatEquivVerdict::Equivalent;
+            std::fprintf(stderr,
+                         "verified %s: horizon %d, %zu proven, "
+                         "sym %d, sat %d\n",
+                         verified_apps[v].name, row.horizon,
+                         row.proven, (int)row.symOk,
+                         (int)row.satOk);
+        });
 
         Table vt({"benchmark", "horizon", "recovered", "refuted",
                   "unknown", "sym equiv", "sat equiv", "conflicts",

@@ -57,10 +57,10 @@ main(int argc, char **argv)
         ToggleCounter toggles(d.netlist);
         bool outputs_ok = true;
         t0 = std::chrono::steady_clock::now();
-        // Gate-level runs batch lane-parallel; every scenario feeds
-        // the one shared toggle counter (ingested in input order, so
-        // the counts equal the historical sequential loop's). The ISS
-        // oracle stays scalar — it is not a gate simulation.
+        // Gate-level runs go through the batch runner; every scenario
+        // feeds the one shared toggle counter in input order. With 1-2
+        // inputs per app the batch stays below kMinLaneBatch and runs
+        // scalar. The ISS oracle is not a gate simulation.
         std::vector<GateScenario> scen(cov.inputs.size());
         for (size_t i = 0; i < cov.inputs.size(); i++)
             scen[i] = {&prog, &cov.inputs[i], &toggles};

@@ -14,7 +14,6 @@
 #include "src/bespoke/flow.hh"
 #include "src/mutation/mutant_sweep.hh"
 #include "src/mutation/mutation.hh"
-#include "src/util/worker_pool.hh"
 
 using namespace bespoke;
 
@@ -34,7 +33,6 @@ main(int argc, char **argv)
     const char *names[] = {"binSearch", "inSort", "rle",
                            "tea8",      "viterbi", "autocorr"};
 
-    WorkerPool pool(io.threads());
     Table t4({"benchmark", "Type I", "Type II", "Type III", "total"});
     Table t5({"benchmark", "Type I supp. %", "Type II supp. %",
               "Type III supp. %", "total supp. %", "analyzed"});
@@ -57,21 +55,15 @@ main(int argc, char **argv)
         mopts.maxPaths = 40'000;
         enum : uint8_t { kSkipped, kAnalyzed, kSupported };
         std::vector<uint8_t> verdict(mutants.size(), kSkipped);
-        for (size_t mi = 0; mi < mutants.size(); mi++) {
-            pool.post([&, mi] {
-                AsmProgram mp =
-                    mutants[mi].workload.assembleProgram();
-                AnalysisResult r =
-                    analyzeActivity(flow.baseline(), mp, mopts);
-                if (!r.completed)
-                    return;  // divergent mutant: conservatively skipped
-                verdict[mi] =
-                    mutantSupported(*base.activity, *r.activity)
-                        ? kSupported
-                        : kAnalyzed;
-            });
-        }
-        pool.drain();
+        parallelFor(mutants.size(), io.threads(), [&](size_t mi) {
+            AsmProgram mp = mutants[mi].workload.assembleProgram();
+            AnalysisResult r = analyzeActivity(flow.baseline(), mp, mopts);
+            if (!r.completed)
+                return;  // divergent mutant: conservatively skipped
+            verdict[mi] = mutantSupported(*base.activity, *r.activity)
+                              ? kSupported
+                              : kAnalyzed;
+        });
 
         // Concrete differential sweep, lane-per-mutant: does the
         // mutant change observable behavior, and how far does it move

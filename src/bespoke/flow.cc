@@ -90,7 +90,7 @@ BespokeFlow::BespokeFlow(FlowOptions opts, Netlist baseline)
     // The baseline is "optimized to minimize area and power for
     // operation at" its achievable frequency (paper Sec. 4.2): hold
     // every design to the baseline's critical path plus a small margin.
-    clockPeriodPs_ = rep.criticalPathPs * 1.02;
+    clockPeriodPs_ = rep.criticalPathPs * kClockMargin;
     bespoke_inform("baseline: ", baseline_.numCells(), " cells, ",
                    formatFixed(rep.criticalPathPs, 0), " ps critical (",
                    formatFixed(1e6 / clockPeriodPs_, 1), " MHz)");

@@ -444,4 +444,18 @@ SocUnroller::addFrame()
     frames_++;
 }
 
+std::vector<int>
+deepeningSchedule(int depth)
+{
+    std::vector<int> out;
+    int d = std::min(depth, 8);
+    for (;;) {
+        out.push_back(d);
+        if (d >= depth)
+            break;
+        d = std::min(depth, d * 2);
+    }
+    return out;
+}
+
 } // namespace bespoke::sat

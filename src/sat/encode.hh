@@ -218,6 +218,17 @@ class SocUnroller
     bool havocked_ = false;
 };
 
+/**
+ * Incremental deepening schedule: 8, 16, 32, ..., depth. Shallow
+ * chunks refute cheap counterexamples on small formulas before the
+ * full-depth encoding exists; the solver (learned clauses, activities,
+ * phases) is shared across all chunks, so the final full-depth UNSAT
+ * starts from everything the shallow queries taught it. Both bounded
+ * provers (never-toggle and the equivalence miter) extend their
+ * SocUnroller in these chunks.
+ */
+std::vector<int> deepeningSchedule(int depth);
+
 } // namespace bespoke::sat
 
 #endif // BESPOKE_SAT_ENCODE_HH

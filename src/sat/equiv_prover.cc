@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "src/sat/cdcl.hh"
-#include "src/sat/portfolio.hh"
+#include "src/sat/encode.hh"
 #include "src/sim/soc.hh"
 #include "src/util/logging.hh"
 

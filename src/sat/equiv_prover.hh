@@ -20,7 +20,8 @@
  * invented it.
  *
  * Incrementality. The prover deepens ONE solver's frame chain chunk
- * by chunk (8, 16, 32, ... frames; src/sat/portfolio.hh); each chunk's
+ * by chunk (8, 16, 32, ... frames; deepeningSchedule in
+ * src/sat/encode.hh); each chunk's
  * divergence disjunction is solved as an assumption, so an UNSAT chunk
  * leaves the solver (learned clauses, activities, phases) primed for
  * the next, and a SAT chunk short-circuits with a witness at the

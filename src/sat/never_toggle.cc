@@ -6,7 +6,6 @@
 
 #include "src/sat/cdcl.hh"
 #include "src/sat/encode.hh"
-#include "src/sat/portfolio.hh"
 #include "src/util/logging.hh"
 
 namespace bespoke::sat
@@ -170,6 +169,26 @@ runShard(const Netlist &nl, const AsmProgram &prog,
 }
 
 } // namespace
+
+std::vector<std::pair<size_t, size_t>>
+shardRanges(size_t n, size_t min_per_shard, size_t max_shards)
+{
+    std::vector<std::pair<size_t, size_t>> out;
+    if (n == 0)
+        return out;
+    if (min_per_shard == 0)
+        min_per_shard = 1;
+    size_t shards = (n + min_per_shard - 1) / min_per_shard;
+    shards = std::max<size_t>(1, std::min(shards, max_shards));
+    size_t base = n / shards, extra = n % shards;
+    size_t begin = 0;
+    for (size_t s = 0; s < shards; s++) {
+        size_t len = base + (s < extra ? 1 : 0);
+        out.emplace_back(begin, begin + len);
+        begin += len;
+    }
+    return out;
+}
 
 NeverToggleResult
 proveNeverToggling(const Netlist &nl, const AsmProgram &prog,

@@ -19,9 +19,9 @@
  * 16, 32, ... frames) on a single solver: shallow chunks refute cheap
  * counterexamples on small formulas, and the final full-depth UNSAT
  * reuses every learned clause, activity, and phase the shallow queries
- * produced. The candidate set is split into contiguous shards (see
- * src/sat/portfolio.hh), each its own deterministic session, run and
- * merged in index order.
+ * produced. The candidate set is split into contiguous shards
+ * (shardRanges below), each its own deterministic session, run and
+ * merged in index order on the calling thread.
  *
  * Soundness: the encoding over-approximates the real reachable
  * envelope (free inputs each frame, free initial RAM, exact ROM), so
@@ -33,6 +33,8 @@
 #ifndef BESPOKE_SAT_NEVER_TOGGLE_HH
 #define BESPOKE_SAT_NEVER_TOGGLE_HH
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/isa/assembler.hh"
@@ -84,6 +86,14 @@ struct NeverToggleResult
     std::vector<GateId> unknown;
     NeverToggleStats stats;
 };
+
+/**
+ * Fixed partition of [0, n) into contiguous shards. The shard count is
+ * ceil(n / min_per_shard) capped at max_shards; shard lengths differ
+ * by at most one.
+ */
+std::vector<std::pair<size_t, size_t>>
+shardRanges(size_t n, size_t min_per_shard, size_t max_shards);
 
 NeverToggleResult
 proveNeverToggling(const Netlist &nl, const AsmProgram &prog,

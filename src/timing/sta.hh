@@ -73,6 +73,13 @@ size_t sizeForLoads(Netlist &netlist, const TimingParams &params = {});
 double delayScaleAtVoltage(double v, const TimingParams &params = {});
 
 /**
+ * Clock period the flow holds a design to, as a multiple of a critical
+ * path: the baseline's (BespokeFlow) or, without a flow, the tailored
+ * netlist's own (the pass pipeline's default clock budget).
+ */
+constexpr double kClockMargin = 1.02;
+
+/**
  * Lowest voltage at which the design still meets the clock period
  * (including the PVT margin), not below vMinFloor.
  */

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <set>
 
 #include "src/builder/net_builder.hh"
@@ -16,6 +18,12 @@ namespace bespoke
 
 namespace
 {
+
+/**
+ * The current netlist state's measured activity: the pipeline replays
+ * each state at most once and hands the counter to every reader.
+ */
+using ActivityFn = std::function<const ToggleCounter &()>;
 
 double
 nowMs()
@@ -74,7 +82,7 @@ powerOf(const PassEnv &env)
 
 /**
  * The clock budget: the env's, or — the flow's convention, applied to
- * the netlist at hand — its own critical path with a 2% margin.
+ * the netlist at hand — its own critical path times kClockMargin.
  */
 double
 clockPeriodFor(const Netlist &nl, const PassEnv &env)
@@ -84,7 +92,7 @@ clockPeriodFor(const Netlist &nl, const PassEnv &env)
     TimingReport rep = analyzeTiming(nl, timingOf(env));
     bespoke_assert(rep.criticalPathPs > 0,
                    "cannot derive a clock period from an empty design");
-    return rep.criticalPathPs * 1.02;
+    return rep.criticalPathPs * kClockMargin;
 }
 
 /** Transition-density propagation factor per cell type. */
@@ -401,6 +409,39 @@ scoreVariant(const Netlist &base, const std::vector<double> &baseDensity,
     return true;
 }
 
+/** scoreRewriteCandidates over activity already measured on `nl`. */
+std::vector<RewriteVariantScore>
+scoreWithActivity(const Netlist &nl, const ToggleCounter &tc,
+                  const PassEnv &env, double *period_ps)
+{
+    const TimingParams &timing = timingOf(env);
+    const PowerParams &power = powerOf(env);
+    *period_ps = clockPeriodFor(nl, env);
+    double cycles = static_cast<double>(tc.cycles());
+    bespoke_assert(cycles > 0, "activity provider observed 0 cycles");
+    std::vector<double> density(nl.size());
+    for (GateId i = 0; i < nl.size(); i++)
+        density[i] = static_cast<double>(tc.count(i)) / cycles;
+
+    std::vector<RewriteVariantScore> out;
+    for (size_t k = 0; k < nl.instances().size(); k++) {
+        const DatapathInstance &inst = nl.instances()[k];
+        for (uint8_t v : variantsFor(inst)) {
+            RewriteVariantScore s;
+            s.inst = k;
+            s.variant = v;
+            s.isCurrent = v == inst.variant;
+            if (!scoreVariant(nl, density, inst, v, timing, power,
+                              *period_ps, &s.powerTermUW,
+                              &s.criticalPs)) {
+                continue;
+            }
+            out.push_back(s);
+        }
+    }
+    return out;
+}
+
 /**
  * The cost-driven datapath rewrite search. For every reconstructible
  * DatapathInstance, every applicable variant is rebuilt on a scratch
@@ -415,15 +456,16 @@ scoreVariant(const Netlist &base, const std::vector<double> &baseDensity,
  * Returns the number of stitches committed.
  */
 size_t
-rewriteSearch(Netlist &current, const PassEnv &env,
-              const RewriteSearchOptions &opts, PipelineReport *report)
+rewriteSearch(Netlist &current, const ActivityFn &activity,
+              const PassEnv &env, const RewriteSearchOptions &opts,
+              PipelineReport *report)
 {
     // Decide on a frozen copy: every instance is scored against the
     // same base so decisions are order-independent.
     const Netlist base = current;
     double period = 0.0;
     std::vector<RewriteVariantScore> scores =
-        scoreRewriteCandidates(base, env, &period);
+        scoreWithActivity(base, activity(), env, &period);
 
     // Rebuild every winner on the working netlist, then stitch them
     // all in one compaction.
@@ -466,13 +508,14 @@ rewriteSearch(Netlist &current, const PassEnv &env,
  * input/cycle combination can flip them. Proven gates are tied to
  * their constant exactly like the cut pass would have done — the SAT
  * proof alone justifies the rewrite (its envelope covers every real
- * execution); the measured evidence only selects candidates. Needs
- * env.program and env.measureActivity; returns the number of gates
- * tied.
+ * execution); the measured evidence (`activity`, the replay of
+ * `current`) only selects candidates. Needs env.program; returns the
+ * number of gates tied.
  */
 size_t
-satNeverToggle(Netlist &current, const PassEnv &env,
-               const SatNeverToggleOptions &opts, PipelineReport *report)
+satNeverToggle(Netlist &current, const ActivityFn &activity,
+               const PassEnv &env, const SatNeverToggleOptions &opts,
+               PipelineReport *report)
 {
     if (opts.depth <= 0)
         return 0;
@@ -482,8 +525,7 @@ satNeverToggle(Netlist &current, const PassEnv &env,
                      "-frame cap; pass skipped");
         return 0;
     }
-    ToggleCounter tc(current);
-    env.measureActivity(current, &tc);
+    const ToggleCounter &tc = activity();
     if (tc.cycles() == 0)
         return 0;
     // Candidates are the zero-toggle gates, at their observed constant
@@ -538,16 +580,16 @@ satNeverToggle(Netlist &current, const PassEnv &env,
 }
 
 void
-snapshotMetrics(const Netlist &nl, const PassEnv &env,
-                const TimingParams &timing, const PowerParams &power,
-                double *power_uw, double *depth_ps)
+snapshotMetrics(const Netlist &nl, const ActivityFn &activity,
+                const PassEnv &env, const TimingParams &timing,
+                const PowerParams &power, double *power_uw,
+                double *depth_ps)
 {
     TimingReport tr = analyzeTiming(nl, timing);
     *depth_ps = tr.criticalPathPs;
     *power_uw = -1.0;
     if (env.measureActivity && nl.numCells() > 0) {
-        ToggleCounter tc(nl);
-        env.measureActivity(nl, &tc);
+        const ToggleCounter &tc = activity();
         if (tc.cycles() > 0)
             *power_uw = computePower(nl, tc, power, timing).totalUW();
     }
@@ -559,34 +601,9 @@ std::vector<RewriteVariantScore>
 scoreRewriteCandidates(const Netlist &nl, const PassEnv &env,
                        double *period_ps)
 {
-    const TimingParams &timing = timingOf(env);
-    const PowerParams &power = powerOf(env);
-    *period_ps = clockPeriodFor(nl, env);
     ToggleCounter tc(nl);
     env.measureActivity(nl, &tc);
-    double cycles = static_cast<double>(tc.cycles());
-    bespoke_assert(cycles > 0, "activity provider observed 0 cycles");
-    std::vector<double> density(nl.size());
-    for (GateId i = 0; i < nl.size(); i++)
-        density[i] = static_cast<double>(tc.count(i)) / cycles;
-
-    std::vector<RewriteVariantScore> out;
-    for (size_t k = 0; k < nl.instances().size(); k++) {
-        const DatapathInstance &inst = nl.instances()[k];
-        for (uint8_t v : variantsFor(inst)) {
-            RewriteVariantScore s;
-            s.inst = k;
-            s.variant = v;
-            s.isCurrent = v == inst.variant;
-            if (!scoreVariant(nl, density, inst, v, timing, power,
-                              *period_ps, &s.powerTermUW,
-                              &s.criticalPs)) {
-                continue;
-            }
-            out.push_back(s);
-        }
-    }
-    return out;
+    return scoreWithActivity(nl, tc, env, period_ps);
 }
 
 std::vector<std::pair<size_t, uint8_t>>
@@ -939,17 +956,33 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
     const TimingParams &timing = timingOf(env);
     const PowerParams &power = powerOf(env);
 
+    // The current state's measured activity, replayed on first use and
+    // dropped whenever a pass changes the netlist: the metrics snapshot,
+    // the SAT pass and the rewrite search share one replay per state.
+    std::optional<ToggleCounter> measured;
+    const ActivityFn measure = [&]() -> const ToggleCounter & {
+        if (!measured) {
+            measured.emplace(current);
+            env.measureActivity(current, &*measured);
+        }
+        return *measured;
+    };
+
     // Per-pass metrics measure each netlist state once: a pass's
     // "before" numbers are the previous pass's "after" numbers.
     const bool metrics = report && opts.collectMetrics;
     double power_uw = -1.0, depth_ps = -1.0;
-    if (metrics)
-        snapshotMetrics(current, env, timing, power, &power_uw, &depth_ps);
+    if (metrics) {
+        snapshotMetrics(current, measure, env, timing, power, &power_uw,
+                        &depth_ps);
+    }
     // A pass that only annotates (clock gating) leaves the netlist as
     // it found it, so its after numbers are its before numbers.
     auto record = [&](const char *name, size_t changes,
                       size_t gates_before, double t0,
                       bool changes_netlist = true) {
+        if (changes_netlist)
+            measured.reset();
         if (!report)
             return;
         PassStats st;
@@ -962,8 +995,8 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
         st.depthBeforePs = depth_ps;
         if (metrics) {
             if (changes_netlist) {
-                snapshotMetrics(current, env, timing, power, &power_uw,
-                                &depth_ps);
+                snapshotMetrics(current, measure, env, timing, power,
+                                &power_uw, &depth_ps);
             }
             st.powerAfterUW = power_uw;
             st.depthAfterPs = depth_ps;
@@ -1037,11 +1070,13 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
     // SAT never-toggle proving: exact recovery of cut opportunities
     // X-pessimism left behind. Runs before the rewrite search so
     // promoted constants shrink its search space. Its wall time
-    // includes its activity replay.
+    // includes its activity replay unless a metrics snapshot has
+    // already replayed this netlist state.
     if (opts.satNeverToggle && env.program && env.measureActivity) {
         double t0 = nowMs();
         size_t before_cells = current.numCells();
-        size_t n = satNeverToggle(current, env, opts.sat, report);
+        size_t n =
+            satNeverToggle(current, measure, env, opts.sat, report);
         // Promoted constants fold onward exactly like cut gates.
         if (opts.constantFold && n > 0)
             resynthFixpoint(current);
@@ -1052,7 +1087,8 @@ runTailorPipeline(const Netlist &src, const ActivityTracker *activity,
     if (opts.rewriteSearch && env.measureActivity) {
         double t0 = nowMs();
         size_t before_cells = current.numCells();
-        size_t n = rewriteSearch(current, env, opts.rewrite, report);
+        size_t n =
+            rewriteSearch(current, measure, env, opts.rewrite, report);
         // Rebuilt blocks can fold against constant operands.
         if (opts.constantFold && n > 0)
             resynthFixpoint(current);

@@ -167,7 +167,8 @@ rewriteCostAt(const RewriteVariantScore &s, double lambda_uw_per_ps,
  * Entries come out grouped by instance in instance-table order.
  * Densities come from one env.measureActivity replay of `nl` (which
  * must be set); the clock budget is env.clockPeriodPs, or `nl`'s own
- * critical path x 1.02, and is written to *period_ps. No option enters
+ * critical path x kClockMargin (src/timing/sta.hh), and is written to
+ * *period_ps. No option enters
  * the scores — λ and the commit threshold only enter at recombination
  * time.
  */

@@ -231,38 +231,48 @@ TEST(PassPipeline, ReportCarriesPerPassStats)
     EXPECT_TRUE(saw_fold);
 }
 
-TEST(PassPipeline, CollectedMetricsArePinned)
+/**
+ * Every pass on the unsized core tailored to mult, measured with the
+ * flow's seeded replay: power needs the activity provider, the
+ * clock-gating pass the duty provider, the SAT pass the program.
+ * Counts the activity replays the pipeline requests.
+ */
+Netlist
+tailorMultWithEveryPass(bool collect_metrics, PipelineReport *report,
+                        size_t *replays)
 {
-    // Every pass on the unsized core tailored to mult, measured with
-    // the flow's seeded replay: power needs the activity provider, the
-    // clock-gating pass the duty provider, the SAT pass the program.
     const Workload &app = workloadByName("mult");
     AsmProgram prog = app.assembleProgram();
     Netlist core = buildBsp430();
     AnalysisResult ar = analyzeActivity(core, app, AnalysisOptions{});
-    ASSERT_TRUE(ar.completed);
+    EXPECT_TRUE(ar.completed);
 
     PassPipelineOptions opts;
     std::string err;
-    ASSERT_TRUE(parsePassList("all,sat-never-toggle", &opts, &err));
-    opts.collectMetrics = true;
+    EXPECT_TRUE(parsePassList("all,sat-never-toggle", &opts, &err));
+    opts.collectMetrics = collect_metrics;
     opts.sat.depth = 30;
     PassEnv env = replayEnv({&app}, 2, 7);
     env.program = &prog;
-    size_t replays = 0;
-    env.measureActivity = [&replays, replay = env.measureActivity](
+    *replays = 0;
+    env.measureActivity = [replays, replay = env.measureActivity](
                               const Netlist &nl, ToggleCounter *tc) {
-        replays++;
+        ++*replays;
         replay(nl, tc);
     };
+    return runTailorPipeline(core, ar.activity.get(), opts, env, nullptr,
+                             report);
+}
+
+TEST(PassPipeline, CollectedMetricsArePinned)
+{
     PipelineReport report;
-    Netlist out =
-        runTailorPipeline(core, ar.activity.get(), opts, env, nullptr,
-                          &report);
-    // One replay per netlist state, one each for the SAT pass's and
-    // the rewrite search's candidates; the clock-gating pass leaves
-    // the netlist as it found it and takes no snapshot of its own.
-    EXPECT_EQ(replays, 7u);
+    size_t replays = 0;
+    Netlist out = tailorMultWithEveryPass(true, &report, &replays);
+    // One replay per netlist state, shared by the snapshot, the SAT
+    // pass and the rewrite search; the clock-gating pass leaves the
+    // netlist as it found it and takes no snapshot of its own.
+    EXPECT_EQ(replays, 5u);
     EXPECT_EQ(out.numCells(), 2479u);
     EXPECT_EQ(report.rewrittenInstances, 2u);
     EXPECT_EQ(report.gating.banks.size(), 8u);
@@ -304,6 +314,20 @@ TEST(PassPipeline, CollectedMetricsArePinned)
             EXPECT_EQ(p.depthBeforePs, report.passes[k - 1].depthAfterPs);
         }
     }
+}
+
+TEST(PassPipeline, UncollectedMetricsReplayOnlyForPasses)
+{
+    PipelineReport report;
+    size_t replays = 0;
+    Netlist out = tailorMultWithEveryPass(false, &report, &replays);
+    // Without snapshots only the SAT pass and the rewrite search read
+    // activity, each on its own netlist state.
+    EXPECT_EQ(replays, 2u);
+    EXPECT_EQ(out.numCells(), 2479u);
+    EXPECT_EQ(report.rewrittenInstances, 2u);
+    EXPECT_EQ(report.gating.banks.size(), 8u);
+    EXPECT_EQ(report.satProven, 256u);
 }
 
 TEST(PassPipeline, ParsePassList)

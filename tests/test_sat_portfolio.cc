@@ -1,7 +1,7 @@
 /**
  * @file
- * SAT determinism and incrementality contracts (src/sat/portfolio,
- * src/sat/cdcl, src/sat/never_toggle, src/sat/equiv_prover):
+ * SAT determinism and incrementality contracts (src/sat/cdcl,
+ * src/sat/never_toggle, src/sat/equiv_prover):
  *
  *  - shardRanges partitions are a pure function of the candidate count
  *    and cover the index space exactly.
@@ -26,7 +26,6 @@
 #include "src/sat/cdcl.hh"
 #include "src/sat/equiv_prover.hh"
 #include "src/sat/never_toggle.hh"
-#include "src/sat/portfolio.hh"
 #include "src/sim/gate_sim.hh"
 #include "src/transform/pass_pipeline.hh"
 #include "src/util/rng.hh"
@@ -250,7 +249,7 @@ TEST(SatPortfolio, DbReductionFiresAndStaysDeterministic)
  * solver work are pinned too, so a change to the search shows here
  * before it moves the bench goldens.
  */
-TEST(SatPortfolio, NeverToggleVerdictsBitIdenticalAcrossThreadCounts)
+TEST(SatPortfolio, NeverToggleVerdictsBitIdenticalRunToRun)
 {
     const Workload &app = workloadByName("mult");
     AsmProgram prog = app.assembleProgram();
@@ -294,7 +293,7 @@ TEST(SatPortfolio, NeverToggleVerdictsBitIdenticalAcrossThreadCounts)
     NeverToggleOptions no;
     no.depth = 24;
     NeverToggleResult r1 = proveNeverToggling(nl, prog, cands, no);
-    NeverToggleResult r4 = proveNeverToggling(nl, prog, cands, no);
+    NeverToggleResult r2 = proveNeverToggling(nl, prog, cands, no);
 
     EXPECT_EQ(cands.size(), 812u);
     EXPECT_EQ(r1.proven.size(), 653u);
@@ -303,21 +302,21 @@ TEST(SatPortfolio, NeverToggleVerdictsBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(r1.stats.conflicts, 90u);
     EXPECT_EQ(r1.stats.propagations, 11788u);
 
-    ASSERT_EQ(r1.proven.size(), r4.proven.size());
+    ASSERT_EQ(r1.proven.size(), r2.proven.size());
     for (size_t i = 0; i < r1.proven.size(); i++) {
-        EXPECT_EQ(r1.proven[i].gate, r4.proven[i].gate);
-        EXPECT_EQ(r1.proven[i].value, r4.proven[i].value);
+        EXPECT_EQ(r1.proven[i].gate, r2.proven[i].gate);
+        EXPECT_EQ(r1.proven[i].value, r2.proven[i].value);
     }
-    EXPECT_EQ(r1.refuted, r4.refuted);
-    EXPECT_EQ(r1.unknown, r4.unknown);
-    EXPECT_EQ(r1.stats.conflicts, r4.stats.conflicts);
-    EXPECT_EQ(r1.stats.queries, r4.stats.queries);
-    EXPECT_EQ(r1.stats.propagations, r4.stats.propagations);
-    EXPECT_EQ(r1.stats.learnedClauses, r4.stats.learnedClauses);
-    EXPECT_EQ(r1.stats.keptClauses, r4.stats.keptClauses);
-    EXPECT_EQ(r1.stats.dbReductions, r4.stats.dbReductions);
-    EXPECT_EQ(r1.stats.restarts, r4.stats.restarts);
-    EXPECT_EQ(r1.stats.shards, r4.stats.shards);
+    EXPECT_EQ(r1.refuted, r2.refuted);
+    EXPECT_EQ(r1.unknown, r2.unknown);
+    EXPECT_EQ(r1.stats.conflicts, r2.stats.conflicts);
+    EXPECT_EQ(r1.stats.queries, r2.stats.queries);
+    EXPECT_EQ(r1.stats.propagations, r2.stats.propagations);
+    EXPECT_EQ(r1.stats.learnedClauses, r2.stats.learnedClauses);
+    EXPECT_EQ(r1.stats.keptClauses, r2.stats.keptClauses);
+    EXPECT_EQ(r1.stats.dbReductions, r2.stats.dbReductions);
+    EXPECT_EQ(r1.stats.restarts, r2.stats.restarts);
+    EXPECT_EQ(r1.stats.shards, r2.stats.shards);
     EXPECT_GT(r1.stats.shards, 1u)
         << "cand set too small to exercise the sharded path";
 }
@@ -328,7 +327,7 @@ TEST(SatPortfolio, NeverToggleVerdictsBitIdenticalAcrossThreadCounts)
  * (self-equivalence folds at encode time, so no query reaches the
  * solver).
  */
-TEST(SatPortfolio, EquivProverVerdictIdenticalAcrossThreadCounts)
+TEST(SatPortfolio, EquivProverVerdictIdenticalRunToRun)
 {
     const Workload &app = workloadByName("binSearch");
     AsmProgram prog = app.assembleProgram();
@@ -337,17 +336,17 @@ TEST(SatPortfolio, EquivProverVerdictIdenticalAcrossThreadCounts)
     SatEquivOptions so;
     so.depth = 6;
     SatEquivResult r1 = proveEquivalentSat(core, core, prog, so);
-    SatEquivResult r4 = proveEquivalentSat(core, core, prog, so);
+    SatEquivResult r2 = proveEquivalentSat(core, core, prog, so);
 
     EXPECT_EQ(r1.verdict, SatEquivVerdict::Equivalent);
     EXPECT_EQ(r1.conflicts, 0u);
     EXPECT_EQ(r1.propagations, 1u);
     EXPECT_EQ(r1.queries, 0u);
-    EXPECT_EQ(r1.verdict, r4.verdict);
-    EXPECT_EQ(r1.depth, r4.depth);
-    EXPECT_EQ(r1.conflicts, r4.conflicts);
-    EXPECT_EQ(r1.propagations, r4.propagations);
-    EXPECT_EQ(r1.queries, r4.queries);
+    EXPECT_EQ(r1.verdict, r2.verdict);
+    EXPECT_EQ(r1.depth, r2.depth);
+    EXPECT_EQ(r1.conflicts, r2.conflicts);
+    EXPECT_EQ(r1.propagations, r2.propagations);
+    EXPECT_EQ(r1.queries, r2.queries);
 }
 
 } // namespace
